@@ -22,9 +22,11 @@
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::sstable::{DecodedBlock, SsTable};
+use crate::run::{EntryRef, Run, RunBuilder, MAX_ENTRY_BYTES};
+use crate::snapshot::{MemView, TableSet};
+use crate::sstable::SsTable;
 use crate::wal::{wal_file_name, Wal, WalStats};
-use memtree_common::error::Result;
+use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::fmix64;
 use memtree_common::traits::OrderedIndex;
 use memtree_faults::{fail_point, Backoff};
@@ -240,7 +242,7 @@ type SeekMemo = HashMap<u64, (Vec<u8>, Option<Vec<u8>>)>;
 #[derive(Default)]
 struct CacheStripe {
     /// (table id, block idx, payload, referenced)
-    slots: Vec<(u64, usize, Arc<DecodedBlock>, bool)>,
+    slots: Vec<(u64, usize, Arc<Run>, bool)>,
     /// `(table id, block idx)` → slot position — O(1) probes instead of a
     /// linear scan of every slot. Maintained by CLOCK replacement below.
     index: HashMap<(u64, usize), usize>,
@@ -251,7 +253,7 @@ struct CacheStripe {
 }
 
 impl CacheStripe {
-    fn get(&mut self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
+    fn get(&mut self, table: u64, block: usize) -> Option<Arc<Run>> {
         let &i = self.index.get(&(table, block))?;
         let slot = &mut self.slots[i];
         slot.3 = true;
@@ -259,24 +261,25 @@ impl CacheStripe {
         Some(Arc::clone(&slot.2))
     }
 
-    fn insert(&mut self, table: u64, block: usize, data: Arc<DecodedBlock>) {
+    /// Caches `data`, returning the block it displaced — for the caller
+    /// to drop once the stripe lock is released.
+    fn insert(&mut self, table: u64, block: usize, data: Arc<Run>) -> Option<Arc<Run>> {
         self.misses += 1;
         if self.capacity == 0 {
-            return;
+            return None;
         }
         // Refresh an already-cached `(table, block)` in place. Blindly
         // indexing a second slot would leave the old slot in the CLOCK
         // ring but out of the index — a stale duplicate that wastes
         // capacity and is invisible to `invalidate`.
         if let Some(&i) = self.index.get(&(table, block)) {
-            self.slots[i].2 = data;
             self.slots[i].3 = true;
-            return;
+            return Some(std::mem::replace(&mut self.slots[i].2, data));
         }
         if self.slots.len() < self.capacity {
             self.index.insert((table, block), self.slots.len());
             self.slots.push((table, block, data, true));
-            return;
+            return None;
         }
         loop {
             let slot = &mut self.slots[self.hand];
@@ -286,9 +289,9 @@ impl CacheStripe {
             } else {
                 self.index.remove(&(slot.0, slot.1));
                 self.index.insert((table, block), self.hand);
-                self.slots[self.hand] = (table, block, data, true);
+                let old = std::mem::replace(&mut self.slots[self.hand], (table, block, data, true));
                 self.hand = (self.hand + 1) % self.slots.len();
-                return;
+                return Some(old.2);
             }
         }
     }
@@ -325,7 +328,8 @@ impl CacheStripe {
     }
 }
 
-/// The decoded-block cache: CLOCK replacement behind a HashMap index,
+/// The block cache — each slot is one validated frame buffer plus its
+/// offset table ([`Run::from_frame`]): CLOCK replacement behind a HashMap index,
 /// striped across several independently locked rings so concurrent
 /// snapshot readers on different blocks never serialize on one lock.
 /// Stripe choice is a hash of `(table, block)`, so a given block always
@@ -360,15 +364,18 @@ impl BlockCache {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    pub(crate) fn get(&self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
+    pub(crate) fn get(&self, table: u64, block: usize) -> Option<Arc<Run>> {
         self.stripe(table, block).get(table, block)
     }
 
-    pub(crate) fn insert(&self, table: u64, block: usize, data: Arc<DecodedBlock>) {
-        self.stripe(table, block).insert(table, block, data);
+    pub(crate) fn insert(&self, table: u64, block: usize, data: Arc<Run>) {
+        // The guard is a temporary of this statement: the displaced block
+        // (usually the last reference to a frame-sized buffer) is freed
+        // after the stripe is unlocked, not while other readers wait.
+        let displaced = self.stripe(table, block).insert(table, block, data);
+        drop(displaced);
     }
 
-    /// Drops one cached block (scrub repairs re-encode blocks in place).
     /// Drops one cached block. Production code retires whole tables via
     /// [`BlockCache::invalidate_table`]; the per-block form is kept for the
     /// cache coherence tests.
@@ -423,6 +430,13 @@ pub struct Db {
     /// Tombstones written into this MemTable generation (upper bound:
     /// overwrites of a tombstone don't decrement it).
     mem_tombstones: usize,
+    /// What [`Db::snapshot`] publishes of the MemTable: a shared base run
+    /// plus the writes since. `RefCell` because publishing is `&self`.
+    pub(crate) mem_view: RefCell<MemView>,
+    /// `levels` + `quarantined` as snapshots share them; dropped whenever
+    /// either changes ([`Db::tables_changed`]) and rebuilt by the next
+    /// snapshot.
+    table_set: RefCell<Option<Arc<TableSet>>>,
     /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint.
     /// Tables are `Arc`-shared with snapshots, which keep reading a
     /// retired table until they drop it.
@@ -590,8 +604,7 @@ impl Db {
                     Ok(false) => {}
                     Err(_) => images_corrupt += 1,
                 }
-                let mut entries: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                    Vec::with_capacity(table.num_entries);
+                let mut runs: Vec<Run> = Vec::with_capacity(table.blocks.len());
                 let mut table_degraded = false;
                 for (bi, &b) in table.blocks.iter().enumerate() {
                     if version.quarantined.contains(&(table.id, bi as u32)) {
@@ -600,7 +613,7 @@ impl Db {
                     }
                     let mut backoff = Backoff::new(4);
                     let blk = loop {
-                        match disk.read(b).and_then(|raw| SsTable::decode_block(&raw)) {
+                        match disk.read(b).and_then(Run::from_frame) {
                             Ok(blk) => break Some(blk),
                             Err(e) if backoff.retry(&e) => continue,
                             Err(e) => {
@@ -612,14 +625,15 @@ impl Db {
                         }
                     };
                     match blk {
-                        Some(blk) => entries.extend(blk),
+                        Some(blk) => runs.push(blk),
                         None => table_degraded = true,
                     }
                 }
                 if table_degraded {
                     degraded += 1;
                 } else {
-                    let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+                    let keys: Vec<&[u8]> =
+                        runs.iter().flat_map(|r| r.iter().map(|(k, _)| k)).collect();
                     table.attach_filter(&keys, &opts.filter);
                     rebuilt += 1;
                 }
@@ -633,6 +647,8 @@ impl Db {
             mem_values: Vec::new(),
             mem_bytes: 0,
             mem_tombstones: 0,
+            mem_view: RefCell::default(),
+            table_set: RefCell::new(None),
             // Filters were attached above, while the tables were still
             // uniquely owned; from here on they are immutable and shared.
             levels: levels
@@ -672,7 +688,7 @@ impl Db {
             // `Wal::replay` already enforces monotonic seqs; re-checking
             // here keeps the recovered-prefix guarantee local to `open`.
             if r.seq <= last_applied {
-                return Err(memtree_common::error::MemtreeError::corruption(
+                return Err(MemtreeError::corruption(
                     "wal-replay",
                     format!("record seq {} at or below applied seq {last_applied}", r.seq),
                 ));
@@ -743,6 +759,7 @@ impl Db {
         if !self.mem.insert(key, slot) {
             self.mem.update(key, slot);
         }
+        self.mem_view.get_mut().record(key, slot);
         self.mem_tombstones += usize::from(value.is_none());
         self.mem_bytes += key.len() + value.map_or(0, <[u8]>::len) + 1;
     }
@@ -772,7 +789,6 @@ impl Db {
     /// tells the caller to back off); flush/compact surface it typed on
     /// their own paths.
     fn check_pressure(&mut self) -> Result<()> {
-        use memtree_common::error::MemtreeError;
         let bands = self.opts.stall;
         let over_stop = |l0: usize, mem: usize| {
             l0 >= bands.stop_l0_runs || mem >= bands.stop_memtable_bytes
@@ -800,6 +816,15 @@ impl Db {
     }
 
     fn write(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<u64> {
+        // A longer key or value cannot be encoded into a block: reject it
+        // here, before the stall bands and the WAL, so the refusal has no
+        // side effects (logging and acknowledging it would lose it — and
+        // its block neighbours — at the next flush).
+        for len in [key.len(), value.map_or(0, <[u8]>::len)] {
+            if len > MAX_ENTRY_BYTES {
+                return Err(MemtreeError::Allocation { bytes: len });
+            }
+        }
         self.check_pressure()?;
         let seq = if self.opts.wal {
             self.wal
@@ -844,6 +869,7 @@ impl Db {
     /// `AddTable + FlushSeq` manifest transaction commits, and only then
     /// is the WAL's high-water mark reset — never before.
     pub fn flush(&mut self) -> Result<Option<FlushStats>> {
+        self.tables_changed();
         self.reap_graveyard()?;
         if self.mem.is_empty() {
             return Ok(None);
@@ -851,10 +877,8 @@ impl Db {
         // The WAL tail mirrors the MemTable exactly, so the table covers
         // every record up to the last appended seq.
         let flush_seq = self.wal.appended_seq();
-        let mut entries = Vec::with_capacity(self.mem.len());
-        self.mem.for_each_sorted(&mut |k, slot| {
-            entries.push((k.to_vec(), self.mem_values[slot as usize].clone()));
-        });
+        let run = self.memtable_run();
+        let entries: Vec<EntryRef<'_>> = run.iter().collect();
         let table = SsTable::build(
             self.next_table_id,
             &self.disk,
@@ -897,6 +921,7 @@ impl Db {
         self.mem_values.clear();
         self.mem_bytes = 0;
         self.mem_tombstones = 0;
+        *self.mem_view.get_mut() = MemView::default();
         let mut wal_bytes = 0u64;
         if self.opts.wal {
             fail_point!("lsm.wal.reset");
@@ -1017,6 +1042,7 @@ impl Db {
     fn compact_at(&mut self, level: usize) -> Result<()> {
         {
             fail_point!("lsm.compact.begin");
+            self.tables_changed();
             if self.levels.len() == level + 1 {
                 self.levels.push(Vec::new());
             }
@@ -1030,26 +1056,24 @@ impl Db {
             // Merge newest-first: victims are newer than `overlapped`;
             // within a level, later tables are newer (L0 flush order /
             // tiered run order).
-            let mut sources: Vec<DecodedBlock> = Vec::new();
+            // The merge borrows every entry straight out of the
+            // (cache-shared) block frames held here; nothing is copied
+            // until the output blocks are encoded.
+            let mut sources: Vec<Arc<Run>> = Vec::new();
             for t in victims.iter().rev() {
-                sources.push(self.read_all(t)?);
+                self.read_all(t, &mut sources)?;
             }
             for t in self.levels[level + 1]
                 .iter()
                 .filter(|t| overlapped_ids.contains(&t.id))
             {
-                sources.push(self.read_all(t)?);
+                self.read_all(t, &mut sources)?;
             }
-            let mut merged: Vec<(usize, Vec<u8>, Option<Vec<u8>>)> = Vec::new();
-            for (prio, src) in sources.into_iter().enumerate() {
-                for (k, v) in src {
-                    merged.push((prio, k, v));
-                }
-            }
-            merged.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-            merged.dedup_by(|b, a| a.1 == b.1); // keep lowest prio = newest
-            let mut entries: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                merged.into_iter().map(|(_, k, v)| (k, v)).collect();
+            let mut entries: Vec<EntryRef<'_>> = sources.iter().flat_map(|b| b.iter()).collect();
+            // Stable: among equal keys the earliest source — the newest —
+            // stays first, and is the one `dedup` keeps.
+            entries.sort_by(|a, b| a.0.cmp(b.0));
+            entries.dedup_by(|b, a| a.0 == b.0);
             // Tombstones are dropped only once nothing deeper can hold an
             // older version of a merged key — otherwise removing the
             // tombstone would resurrect that older version. "Deeper" is
@@ -1059,12 +1083,11 @@ impl Db {
             // overlap the merge by disjointness), and under tiered it
             // keeps tombstones alive over the older runs they shadow at
             // the output level.
-            if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-                let (min, max) = (first.0.clone(), last.0.clone());
+            if let (Some(&(min, _)), Some(&(max, _))) = (entries.first(), entries.last()) {
                 let deeper = self.levels[level + 1..]
                     .iter()
                     .flatten()
-                    .any(|t| !overlapped_ids.contains(&t.id) && t.overlaps(&min, &max));
+                    .any(|t| !overlapped_ids.contains(&t.id) && t.overlaps(min, max));
                 if !deeper {
                     entries.retain(|(_, v)| v.is_some());
                 }
@@ -1146,7 +1169,8 @@ impl Db {
         Ok(())
     }
 
-    fn read_all(&self, table: &SsTable) -> Result<DecodedBlock> {
+    /// Appends every readable block of `table`, in key order, to `out`.
+    fn read_all(&self, table: &SsTable, out: &mut Vec<Arc<Run>>) -> Result<()> {
         // Compaction I/O is counted as reads too (as in real systems).
         // A quarantined block gets one last read-repair chance here:
         // quarantine can stem from wire-level rot (the stored bytes are
@@ -1158,24 +1182,23 @@ impl Db {
         // every future flush behind the same error. Readable blocks still
         // propagate errors — a *fresh* failure must not silently drop
         // entries.
-        let mut out = Vec::with_capacity(table.num_entries);
         for b in 0..table.blocks.len() {
             if self.quarantined.borrow().contains(&(table.id, b as u32)) {
                 if let Ok(d) = self.read_decoded_retrying(table, b, 4) {
                     self.quarantined.borrow_mut().remove(&(table.id, b as u32));
                     self.read_repairs.set(self.read_repairs.get() + 1);
-                    out.extend(d.iter().cloned());
+                    out.push(d);
                 }
                 continue;
             }
-            out.extend(self.fetch_block_strict(table, b)?.iter().cloned());
+            out.push(self.fetch_block_strict(table, b)?);
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn try_fetch(&self, table: &SsTable, block: usize) -> Result<Arc<DecodedBlock>> {
+    fn try_fetch(&self, table: &SsTable, block: usize) -> Result<Arc<Run>> {
         let raw = self.disk.read(table.blocks[block])?;
-        Ok(Arc::new(SsTable::decode_block(&raw)?))
+        Ok(Arc::new(Run::from_frame(raw)?))
     }
 
     /// One decoded-block read with bounded retry of *transient* faults
@@ -1186,7 +1209,7 @@ impl Db {
         table: &SsTable,
         block: usize,
         max_attempts: u32,
-    ) -> Result<Arc<DecodedBlock>> {
+    ) -> Result<Arc<Run>> {
         let mut backoff = Backoff::new(max_attempts);
         loop {
             match self.try_fetch(table, block) {
@@ -1204,7 +1227,7 @@ impl Db {
 
     /// Block fetch for the write/recovery paths: transients are retried,
     /// everything else propagates.
-    fn fetch_block_strict(&self, table: &SsTable, block: usize) -> Result<Arc<DecodedBlock>> {
+    fn fetch_block_strict(&self, table: &SsTable, block: usize) -> Result<Arc<Run>> {
         if let Some(hit) = self.cache.get(table.id, block) {
             return Ok(hit);
         }
@@ -1228,16 +1251,16 @@ impl Db {
     ///   reopen skips it, and only scrub can lift it. The counters in
     ///   [`Db::io_stats`] record every step instead of the process
     ///   panicking.
-    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<DecodedBlock> {
+    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
         if let Some(hit) = self.cache.get(table.id, block) {
             return hit;
         }
         if self.quarantined.borrow().contains(&(table.id, block as u32)) {
-            return Arc::new(Vec::new());
+            return Arc::default();
         }
         let decoded = match self.read_decoded_retrying(table, block, 8) {
             Ok(d) => d,
-            Err(e) if e.is_transient() => return Arc::new(Vec::new()),
+            Err(e) if e.is_transient() => return Arc::default(),
             Err(_) => match self.read_decoded_retrying(table, block, 8) {
                 Ok(d) => {
                     self.read_repairs.set(self.read_repairs.get() + 1);
@@ -1247,6 +1270,7 @@ impl Db {
                     self.quarantined
                         .borrow_mut()
                         .insert((table.id, block as u32));
+                    self.tables_changed();
                     // Best-effort persistence: if the manifest append
                     // itself fails the quarantine still holds in memory
                     // and reopen rediscovers the bad block.
@@ -1257,7 +1281,7 @@ impl Db {
                             block: block as u32,
                         }],
                     );
-                    return Arc::new(Vec::new());
+                    return Arc::default();
                 }
             },
         };
@@ -1268,11 +1292,8 @@ impl Db {
     /// `None` = key absent from this table; `Some(None)` = tombstoned
     /// here; `Some(Some(v))` = live value.
     fn get_in_table(&self, table: &SsTable, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        let b = table.candidate_block(key);
-        let blk = self.fetch_block(table, b);
-        blk.binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| blk[i].1.clone())
+        let blk = self.fetch_block(table, table.candidate_block(key));
+        blk.get(key).map(|v| v.map(<[u8]>::to_vec))
     }
 
     /// Per-key filter check with [`FilterStats`] accounting; filterless
@@ -1363,7 +1384,7 @@ impl Db {
         // Key order clusters probes of the same data block behind a single
         // fetch — the block-level analogue of the sorted-batch descent.
         survivors.sort_unstable_by(|&a, &b| keys[a as usize].cmp(keys[b as usize]));
-        let mut cur: Option<(usize, Arc<DecodedBlock>)> = None;
+        let mut cur: Option<(usize, Arc<Run>)> = None;
         for &i in &survivors {
             let key = keys[i as usize];
             let b = table.candidate_block(key);
@@ -1375,8 +1396,8 @@ impl Db {
                     blk
                 }
             };
-            if let Ok(pos) = blk.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                out[i as usize] = Some(blk[pos].1.clone());
+            if let Some(v) = blk.get(key) {
+                out[i as usize] = Some(v.map(<[u8]>::to_vec));
             }
         }
     }
@@ -1514,9 +1535,9 @@ impl Db {
         let mut b = table.candidate_block(lk);
         while b < table.blocks.len() {
             let blk = self.fetch_block(table, b);
-            let i = blk.partition_point(|(k, _)| k.as_slice() < lk);
+            let i = blk.lower_bound(lk);
             if i < blk.len() {
-                return Some(blk[i].0.clone());
+                return Some(blk.key(i).to_vec());
             }
             b += 1;
         }
@@ -1747,9 +1768,9 @@ impl Db {
                         let mut b = table.candidate_block(lk);
                         'blocks: while b < table.blocks.len() {
                             let blk = self.fetch_block(table, b);
-                            let start = blk.partition_point(|(k, _)| k.as_slice() < lk);
-                            for (k, v) in &blk[start..] {
-                                if k.as_slice() >= hk {
+                            for i in blk.lower_bound(lk)..blk.len() {
+                                let (k, v) = blk.entry(i);
+                                if k >= hk {
                                     break 'blocks;
                                 }
                                 total += usize::from(v.is_some());
@@ -1830,7 +1851,7 @@ impl Db {
 
     /// Cache lookup without any disk fallback (scrub repairs bad blocks
     /// from still-cached copies when it can).
-    pub(crate) fn cached_block(&self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
+    pub(crate) fn cached_block(&self, table: u64, block: usize) -> Option<Arc<Run>> {
         self.cache.get(table, block)
     }
 
@@ -1838,13 +1859,46 @@ impl Db {
         self.mem.is_empty()
     }
 
-    /// Appends the MemTable's entries to `out` in key order, tombstones
-    /// included (the snapshot path's freeze step).
-    pub(crate) fn memtable_entries(&self, out: &mut Vec<(Vec<u8>, Option<Vec<u8>>)>) {
-        out.reserve(self.mem.len());
+    /// The whole MemTable, tombstones included, as one sorted run: a
+    /// sizing pass over the skip list, then a copying pass straight into
+    /// the run's one buffer (flush input, and the base of the published
+    /// MemTable view).
+    pub(crate) fn memtable_run(&self) -> Run {
+        let (mut key_bytes, mut value_bytes) = (0, 0);
         self.mem.for_each_sorted(&mut |k, slot| {
-            out.push((k.to_vec(), self.mem_values[slot as usize].clone()));
+            key_bytes += k.len();
+            value_bytes += self.mem_value(slot).map_or(0, <[u8]>::len);
         });
+        let mut run = RunBuilder::sized(self.mem.len(), key_bytes, value_bytes);
+        self.mem
+            .for_each_sorted(&mut |k, slot| run.push(k, self.mem_value(slot)));
+        run.finish()
+    }
+
+    /// The value a MemTable entry points at; `None` = tombstone.
+    pub(crate) fn mem_value(&self, slot: u64) -> Option<&[u8]> {
+        self.mem_values[slot as usize].as_deref()
+    }
+
+    /// The level structure and quarantine set as snapshots share them,
+    /// rebuilt only after a change to either.
+    pub(crate) fn table_set(&self) -> Arc<TableSet> {
+        Arc::clone(self.table_set.borrow_mut().get_or_insert_with(|| {
+            Arc::new(TableSet {
+                levels: self.levels.clone(),
+                overlapping: self.overlapping,
+                quarantined: self.quarantined.borrow().clone(),
+            })
+        }))
+    }
+
+    /// Every path that changes `levels` or `quarantined` calls this first:
+    /// it drops the shared [`TableSet`], so the next snapshot sees the new
+    /// shape — and so the table reference counts that
+    /// [`Db::retire_table`] and scrub consult are those of real snapshots
+    /// only.
+    pub(crate) fn tables_changed(&self) {
+        self.table_set.borrow_mut().take();
     }
 
     /// `[min, max]` of the keys currently buffered in the MemTable
@@ -1933,12 +1987,7 @@ impl Db {
     /// crash + reopen: per-table geometry is coherent, every referenced
     /// block is allocated, and levels ≥ 1 are sorted and disjoint.
     pub fn check_invariants(&self) -> Result<()> {
-        let broken = |detail: String| {
-            Err(memtree_common::error::MemtreeError::corruption(
-                "lsm-invariant",
-                detail,
-            ))
-        };
+        let broken = |detail: String| Err(MemtreeError::corruption("lsm-invariant", detail));
         for (lvl, level) in self.levels.iter().enumerate() {
             for t in level {
                 if t.fences.len() != t.blocks.len() {
@@ -2008,8 +2057,10 @@ pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
 mod cache_tests {
     use super::*;
 
-    fn blk(tag: u8) -> Arc<DecodedBlock> {
-        Arc::new(vec![(vec![tag], Some(vec![tag; 4]))])
+    fn blk(tag: u8) -> Arc<Run> {
+        let mut run = RunBuilder::sized(1, 1, 4);
+        run.push(&[tag], Some(&[tag; 4]));
+        Arc::new(run.finish())
     }
 
     /// Regression for the duplicate-slot bug: re-inserting an already-
@@ -2028,7 +2079,7 @@ mod cache_tests {
         cache.insert(1, 0, blk(2));
         assert_eq!(cache.slot_count(), 1, "duplicate slot for re-inserted block");
         let got = cache.get(1, 0).expect("still cached");
-        assert_eq!(got[0].0, vec![2u8], "refresh must install the new payload");
+        assert_eq!(got.key(0), [2u8], "refresh must install the new payload");
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (2, 2), "both inserts count as misses, both gets as hits");
         for s in &cache.stripes {
@@ -2072,7 +2123,7 @@ mod cache_tests {
                                     "cap {capacity} seed {seed}: invalidated key served"
                                 );
                                 assert_eq!(
-                                    hit[0].0[0], model[&(table, block)],
+                                    hit.key(0)[0], model[&(table, block)],
                                     "cap {capacity} seed {seed}: stale payload"
                                 );
                             }
@@ -2826,6 +2877,73 @@ mod tests {
         assert_eq!(db.filters_rebuilt(), 0);
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined data stays absent");
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
+    }
+
+    /// What a block costs in memory: the frame buffer the device handed
+    /// back plus one offset table, behind one `Arc` — and that is exactly
+    /// what the cache ends up holding.
+    #[test]
+    fn cache_miss_allocates_frame_offsets_and_arc_only() {
+        let _g = memtree_faults::test_lock();
+        let mut db = Db::new(DbOptions {
+            memtable_bytes: 1 << 20,
+            cache_blocks: 1,
+            ..Default::default()
+        });
+        for i in 0..2000u64 {
+            db.put(&encode_u64(i), b"payload").unwrap();
+        }
+        db.flush().unwrap();
+        let table = Arc::clone(&db.levels[0][0]);
+        assert!(table.blocks.len() > 2);
+        // The one-slot ring and its index are allocated from here on.
+        db.fetch_block(&table, 0);
+        let frame = db.disk.read(table.blocks[1]).unwrap();
+        let (blk, allocations, largest) =
+            crate::alloc_probe::measure(|| db.fetch_block(&table, 1));
+        assert_eq!(allocations, 3, "frame copy off the device, offset table, Arc");
+        assert_eq!(largest, frame.len().max(8 * (blk.len() + 1)));
+        assert_eq!(blk.frame(), Some(&*frame), "the frame is kept, not re-encoded");
+        assert!(Arc::ptr_eq(&db.cached_block(table.id, 1).unwrap(), &blk));
+        assert!(db.cached_block(table.id, 0).is_none(), "one slot: block 0 was evicted");
+    }
+
+    /// Regression: `encode_block` used to write `len as u16`, so an
+    /// acknowledged 70 000-byte value made its whole block undecodable at
+    /// the next flush (quarantined, key reads `None`).
+    #[test]
+    fn overlong_key_or_value_is_rejected_before_the_wal() {
+        let _g = memtree_faults::test_lock();
+        let opts = DbOptions {
+            memtable_bytes: 1 << 20,
+            ..Default::default()
+        };
+        let mut db = Db::new(opts.clone());
+        db.put(b"a", b"1").unwrap();
+        let before = (db.wal_stats(), db.last_seq(), db.stats());
+        let long = vec![0x5a; 70_000];
+        assert_eq!(db.put(b"b", &long), Err(MemtreeError::Allocation { bytes: 70_000 }));
+        assert_eq!(db.put(&long, b"v"), Err(MemtreeError::Allocation { bytes: 70_000 }));
+        assert_eq!(db.delete(&long), Err(MemtreeError::Allocation { bytes: 70_000 }));
+        assert_eq!(
+            (db.wal_stats(), db.last_seq(), db.stats()),
+            before,
+            "a rejected write has no side effects"
+        );
+        // The limit itself is a legal entry and survives flush + reopen
+        // next to its block neighbours.
+        let edge = vec![0xa5; crate::run::MAX_ENTRY_BYTES];
+        db.put(b"b", &edge).unwrap();
+        db.put(b"c", b"3").unwrap();
+        db.flush().unwrap();
+        let check = |db: &Db| {
+            assert_eq!(db.get(b"a").as_deref(), Some(&b"1"[..]));
+            assert_eq!(db.get(b"b").as_deref(), Some(&edge[..]));
+            assert_eq!(db.get(b"c").as_deref(), Some(&b"3"[..]));
+            assert_eq!(db.io_stats().quarantined_blocks, 0);
+        };
+        check(&db);
+        check(&Db::open(db.close().unwrap(), opts).unwrap());
     }
 
     #[test]

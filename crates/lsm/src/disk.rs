@@ -59,7 +59,7 @@
 use memtree_common::error::{MemtreeError, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Running I/O counters. `read_repairs` / `quarantined_blocks` /
@@ -138,7 +138,7 @@ struct SlowState {
 /// order writes were issued; `crash` can tear the last one.
 #[derive(Debug)]
 enum PendingOp {
-    Block { id: u32, data: Box<[u8]> },
+    Block { id: u32, data: Arc<[u8]> },
     Append { file: String, data: Vec<u8> },
     /// Whole-file replace, atomic like `rename(2)`: applied fully or not
     /// at all, never torn.
@@ -153,8 +153,9 @@ enum PendingOp {
 /// single atomic step even with many shard threads issuing I/O.
 #[derive(Debug)]
 struct DiskState {
-    /// Durable block contents (what survives a crash).
-    blocks: Vec<Box<[u8]>>,
+    /// Durable block contents (what survives a crash). Shared so a read
+    /// takes a reference under the lock and copies outside it.
+    blocks: Vec<Arc<[u8]>>,
     /// Allocation state per block slot.
     live: Vec<bool>,
     free: Vec<u32>,
@@ -366,11 +367,14 @@ impl SimDisk {
             st.live[id as usize] = true;
             id
         } else {
-            st.blocks.push(Box::from(&[][..]));
+            st.blocks.push(Arc::from(&[][..]));
             st.live.push(true);
             (st.blocks.len() - 1) as u32
         };
-        st.pending.push(PendingOp::Block { id, data });
+        st.pending.push(PendingOp::Block {
+            id,
+            data: Arc::from(data),
+        });
         drop(st);
         self.charge_op(Some(id));
         Ok(id)
@@ -411,18 +415,24 @@ impl SimDisk {
             }
             Some(true) => {}
         }
-        // Newest buffered write wins (page-cache semantics).
-        let mut data = 'found: {
+        // Newest buffered write wins (page-cache semantics). Only the
+        // reference is taken under the device lock; the caller's copy —
+        // an allocation and a block-sized `memcpy` — is made after it is
+        // released, so concurrent readers do not queue behind each
+        // other's allocator.
+        let stored = 'found: {
             for op in st.pending.iter().rev() {
                 if let PendingOp::Block { id: bid, data } = op {
                     if *bid == id {
-                        break 'found data.clone();
+                        break 'found Arc::clone(data);
                     }
                 }
             }
-            st.blocks[id as usize].clone()
+            Arc::clone(&st.blocks[id as usize])
         };
         drop(st);
+        let mut data: Box<[u8]> = Box::from(&*stored);
+        drop(stored);
         // Injection point for media errors: corrupts this read's returned
         // bytes only (the stored block is untouched), so a retry can
         // succeed — exercises the Db quarantine-and-read-repair path.
@@ -454,7 +464,7 @@ impl SimDisk {
             }
             Some(true) => st.live[id as usize] = false,
         }
-        st.blocks[id as usize] = Box::from(&[][..]);
+        st.blocks[id as usize] = Arc::from(&[][..]);
         // Drop buffered writes to the freed slot so a later sync cannot
         // resurrect them under a new owner of the id.
         st.pending
@@ -476,7 +486,7 @@ impl SimDisk {
                 format!("bitrot of dead block {id}"),
             ));
         }
-        let block = &mut st.blocks[id as usize];
+        let mut block = st.blocks[id as usize].to_vec();
         if block.is_empty() {
             return Err(MemtreeError::corruption(
                 "sim-disk",
@@ -486,6 +496,7 @@ impl SimDisk {
         let mut s = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let bit = memtree_common::hash::splitmix64(&mut s) as usize % (block.len() * 8);
         block[bit / 8] ^= 1 << (bit % 8);
+        st.blocks[id as usize] = Arc::from(block);
         Ok(())
     }
 
@@ -618,7 +629,7 @@ impl SimDisk {
         match last {
             PendingOp::Block { id, data } => {
                 let keep = if data.is_empty() { 0 } else { draw as usize % data.len() };
-                st.blocks[id as usize] = Box::from(&data[..keep]);
+                st.blocks[id as usize] = Arc::from(&data[..keep]);
             }
             PendingOp::Append { file, data } => {
                 let keep = if data.is_empty() { 0 } else { draw as usize % data.len() };

@@ -24,10 +24,13 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod alloc_probe;
 mod compaction;
 mod db;
 mod disk;
 mod manifest;
+mod run;
 mod scrub;
 mod snapshot;
 mod sstable;
@@ -40,6 +43,6 @@ pub use db::{
 };
 pub use disk::{IoStats, SimDisk, SlowIo};
 pub use scrub::{FileScrubOutcome, LostRange, ScrubReport};
-pub use snapshot::DbSnapshot;
+pub use snapshot::{DbSnapshot, SCAN_RESERVE_ROWS};
 pub use sstable::SsTable;
 pub use wal::WalStats;

@@ -26,8 +26,8 @@
 //!    * a clean block that was quarantined is **un-quarantined** — the
 //!      scrub is the only path that lifts a quarantine;
 //!    * a corrupt block with a clean copy still in the block cache is
-//!      **repaired**: re-encoded, written to a fresh device block, and
-//!      swapped into the table;
+//!      **repaired**: the cached copy's validated frame is written, byte
+//!      for byte, to a fresh device block and swapped into the table;
 //!    * a corrupt block whose key range is fully covered by strictly
 //!      newer data (MemTable + shallower tables) is **dropped** from the
 //!      table — a targeted single-table compaction;
@@ -47,7 +47,8 @@
 
 use crate::db::Db;
 use crate::manifest::Edit;
-use crate::sstable::{DecodedBlock, SsTable};
+use crate::run::Run;
+use crate::sstable::SsTable;
 use crate::wal::{decode_frames, decode_single};
 use memtree_common::error::Result;
 use memtree_common::key::successor;
@@ -138,8 +139,8 @@ impl ScrubReport {
 /// Per-block verdict while a table is being scrubbed.
 enum BlockState {
     /// Block stays, `block` is its (possibly fresh) device id; `data` is
-    /// its decoded contents for count/filter rebuilds.
-    Kept { block: u32, data: DecodedBlock },
+    /// its validated contents for count/filter rebuilds.
+    Kept { block: u32, data: Arc<Run> },
     /// Block stays in the geometry but remains unreadable.
     Quarantined { block: u32 },
     /// Block leaves the geometry; the device block is released.
@@ -152,6 +153,7 @@ impl Db {
     /// database stays open and serviceable throughout; the returned
     /// [`ScrubReport`] lists every repair and every key range put at risk.
     pub fn scrub(&mut self) -> Result<ScrubReport> {
+        self.tables_changed();
         let mut report = ScrubReport {
             manifest: self.scrub_manifest()?,
             ..Default::default()
@@ -240,7 +242,7 @@ impl Db {
                     if retried {
                         report.transient_healed += 1;
                     }
-                    SsTable::decode_block(&raw)
+                    Run::from_frame(raw).map(Arc::new)
                 }
                 // A transient storm that outlasts the retry budget aborts
                 // the scrub: the data is intact on disk and every table
@@ -267,14 +269,13 @@ impl Db {
                     // Persistent damage. Best repair first: a clean copy
                     // still in the block cache.
                     if let Some(cached) = self.cached_block(old_id, bi) {
-                        if let Ok(nb) = self.disk.write(SsTable::encode_block(&cached)) {
+                        let rewritten =
+                            cached.frame().and_then(|f| self.disk.write(f.into()).ok());
+                        if let Some(nb) = rewritten {
                             fresh_blocks.push(nb);
                             report.repaired_blocks += 1;
                             changed = true;
-                            states.push(BlockState::Kept {
-                                block: nb,
-                                data: cached.as_ref().clone(),
-                            });
+                            states.push(BlockState::Kept { block: nb, data: cached });
                             continue;
                         }
                     }
@@ -314,8 +315,8 @@ impl Db {
                         BlockState::Kept { data, .. } => Some(data),
                         _ => None,
                     })
-                    .flatten()
-                    .map(|(k, _)| k.as_slice())
+                    .flat_map(|d| d.iter())
+                    .map(|(k, _)| k)
                     .collect();
                 let filter = self.opts.filter;
                 // A snapshot may still hold this table's `Arc`; mutating a
@@ -348,7 +349,7 @@ impl Db {
         let old_filter_block = self.levels[lvl][pos].filter_block;
         let mut kept_blocks: Vec<u32> = Vec::new();
         let mut kept_fences: Vec<Vec<u8>> = Vec::new();
-        let mut kept_data: Vec<Option<&DecodedBlock>> = Vec::new();
+        let mut kept_data: Vec<Option<&Run>> = Vec::new();
         let mut quarantined_bi: Vec<u32> = Vec::new();
         for (bi, s) in states.iter().enumerate() {
             match s {
@@ -413,7 +414,7 @@ impl Db {
                 // keeps its O(tables) fast path.
                 if !matches!(self.opts.filter, crate::db::FilterKind::None) {
                     let keys: Vec<&[u8]> =
-                        kept_data.iter().flatten().flat_map(|d| d.iter()).map(|(k, _)| k.as_slice()).collect();
+                        kept_data.iter().flatten().flat_map(|d| d.iter()).map(|(k, _)| k).collect();
                     let filter = self.opts.filter;
                     table.attach_filter(&keys, &filter);
                     report.filters_rebuilt += 1;

@@ -1,14 +1,29 @@
 //! Immutable point-in-time read views ([`DbSnapshot`]).
 //!
-//! A snapshot freezes everything a read needs — the MemTable contents
-//! (copied into a sorted vector), the level structure (`Arc`-shared
-//! tables), and the quarantine set — next to `Arc` handles on the shared
-//! device and block cache. The result is `Send + Sync`: any number of
-//! threads can run point gets and range scans against it while the owning
-//! [`Db`] keeps absorbing writes, flushing, and compacting on its own
-//! thread. Writers never wait for readers and readers never wait for
-//! writers; the only shared mutable state is the striped block cache,
-//! locked per stripe for microseconds at a time.
+//! A snapshot freezes everything a read needs — the MemTable contents, the
+//! level structure (`Arc`-shared tables), and the quarantine set — next to
+//! `Arc` handles on the shared device and block cache. The result is
+//! `Send + Sync`: any number of threads can run point gets and range scans
+//! against it while the owning [`Db`] keeps absorbing writes, flushing, and
+//! compacting on its own thread. Writers never wait for readers and readers
+//! never wait for writers; the only shared mutable state is the striped
+//! block cache, locked per stripe for microseconds at a time.
+//!
+//! ## Publishing costs O(delta), not O(MemTable)
+//!
+//! A serving shard republishes after almost every write, so a snapshot
+//! must not copy the MemTable. The published MemTable view is the hybrid
+//! index's two stages ([`MemView`]): a large immutable **base** [`Run`],
+//! shared by pointer between successive snapshots, in front of which sits a
+//! small sorted **delta** of the writes since that base was built. The `Db`
+//! records each write's key in the delta; a snapshot copies only the delta
+//! (into a second, small `Run`); and the base is rebuilt — the skip list
+//! copied into one exactly sized buffer — only by the first snapshot after the
+//! delta has outgrown [`DELTA_MAX`] entries or a flush has emptied the
+//! MemTable. The level structure and the
+//! quarantine set are shared the same way, behind one `Arc` ([`TableSet`])
+//! that is rebuilt only after a flush, compaction, scrub or quarantine.
+//! The skip list stays the MemTable's source of truth throughout.
 //!
 //! Retired tables stay alive as long as any snapshot holds their `Arc`
 //! (the `Db` parks them in a graveyard and releases their blocks only
@@ -25,17 +40,77 @@
 
 use crate::db::{BlockCache, Db};
 use crate::disk::SimDisk;
-use crate::sstable::{DecodedBlock, SsTable};
+use crate::run::{EntryRef, Run, RunBuilder};
+use crate::sstable::SsTable;
 use memtree_faults::Backoff;
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-/// An immutable, `Send + Sync` point-in-time view of a [`Db`].
-///
-/// Created by [`Db::snapshot`]; see the module docs for semantics.
-pub struct DbSnapshot {
-    /// The MemTable at snapshot time, sorted; `None` = tombstone.
-    pub(crate) mem: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+/// Delta entries past which the next snapshot rebuilds the base. A
+/// snapshot costs O(delta) and a rebuild O(MemTable) once per `DELTA_MAX`
+/// writes, so the sum is smallest near `sqrt(2 × MemTable entries)` — 64
+/// for the ~2 000 entries a default MemTable holds.
+const DELTA_MAX: usize = 64;
+
+/// Most output rows a scan reserves room for up front (48 KiB of row
+/// headers); a longer scan grows from there. Reserving is a steadiness
+/// rule more than a saving: an output vector grown by doubling frees a
+/// ladder of 0.2–6 KiB chunks on every scan, the allocator splits them
+/// for the next scan's rows, and scan latency comes to depend on which
+/// fragmentation state the calling thread's heap has fallen into
+/// (EXPERIMENTS.md, PR 16).
+pub const SCAN_RESERVE_ROWS: usize = 1024;
+
+/// The `Db`-side state of the published MemTable view (see the module
+/// docs): the shared base and the keys written since it was built.
+#[derive(Default)]
+pub(crate) struct MemView {
+    /// The MemTable as of the last rebuild.
+    base: Arc<Run>,
+    /// Key → value-arena slot of every write since `base` was built.
+    /// `None` — the state after a flush, and once the delta has outgrown
+    /// [`DELTA_MAX`] — means `base` is out of date and nothing is being
+    /// recorded: the next snapshot rebuilds the base, and a `Db` nobody
+    /// snapshots never pays for a delta at all.
+    delta: Option<BTreeMap<Vec<u8>, u64>>,
+}
+
+impl MemView {
+    /// Notes a write applied to the MemTable.
+    pub(crate) fn record(&mut self, key: &[u8], slot: u64) {
+        let Some(delta) = &mut self.delta else { return };
+        match delta.get_mut(key) {
+            Some(newest) => *newest = slot,
+            None => {
+                delta.insert(key.to_vec(), slot);
+            }
+        }
+        if delta.len() > DELTA_MAX {
+            self.delta = None;
+        }
+    }
+
+    /// The `(base, delta)` pair a snapshot of `db` carries.
+    fn publish(&mut self, db: &Db) -> (Arc<Run>, Run) {
+        let recorded = self.delta.get_or_insert_with(|| {
+            self.base = Arc::new(db.memtable_run());
+            BTreeMap::new()
+        });
+        let (key_bytes, value_bytes) = recorded.iter().fold((0, 0), |(k, v), (key, &slot)| {
+            (k + key.len(), v + db.mem_value(slot).map_or(0, <[u8]>::len))
+        });
+        let mut delta = RunBuilder::sized(recorded.len(), key_bytes, value_bytes);
+        for (key, &slot) in recorded.iter() {
+            delta.push(key, db.mem_value(slot));
+        }
+        (Arc::clone(&self.base), delta.finish())
+    }
+}
+
+/// The level structure and quarantine set a snapshot reads, shared by
+/// every snapshot taken between two changes to either.
+pub(crate) struct TableSet {
     /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint under
     /// leveled compaction, age-ordered newest-last runs under tiered.
     pub(crate) levels: Vec<Vec<Arc<SsTable>>>,
@@ -44,24 +119,36 @@ pub struct DbSnapshot {
     pub(crate) overlapping: bool,
     /// Blocks known-bad at snapshot time; served as empty without a read.
     pub(crate) quarantined: HashSet<(u64, u32)>,
-    pub(crate) disk: Arc<SimDisk>,
-    pub(crate) cache: Arc<BlockCache>,
+}
+
+/// An immutable, `Send + Sync` point-in-time view of a [`Db`].
+///
+/// Created by [`Db::snapshot`]; see the module docs for semantics.
+pub struct DbSnapshot {
+    /// MemTable writes newer than `mem_base`, sorted; shadows it.
+    mem_delta: Run,
+    /// The MemTable as of the last base rebuild before snapshot time.
+    mem_base: Arc<Run>,
+    tables: Arc<TableSet>,
+    disk: Arc<SimDisk>,
+    cache: Arc<BlockCache>,
     /// Last WAL sequence number applied to this view.
-    pub(crate) seq: u64,
+    seq: u64,
 }
 
 impl Db {
     /// Freezes the current state into an immutable [`DbSnapshot`] that
-    /// other threads can read while this `Db` keeps writing. Cost is one
-    /// copy of the MemTable plus `Arc` bumps on every live table.
+    /// other threads can read while this `Db` keeps writing. Cost is
+    /// proportional to the writes since the MemTable view's base was last
+    /// rebuilt (at most a small constant; the rebuild itself is one copy
+    /// of the MemTable, amortised over that many writes) plus a handful
+    /// of `Arc` bumps — not to the MemTable or the number of tables.
     pub fn snapshot(&self) -> DbSnapshot {
-        let mut mem = Vec::new();
-        self.memtable_entries(&mut mem);
+        let (mem_base, mem_delta) = self.mem_view.borrow_mut().publish(self);
         DbSnapshot {
-            mem,
-            levels: self.levels.clone(),
-            overlapping: self.overlapping,
-            quarantined: self.quarantined.borrow().clone(),
+            mem_delta,
+            mem_base,
+            tables: self.table_set(),
             disk: self.disk_handle(),
             cache: Arc::clone(&self.cache),
             seq: self.last_seq(),
@@ -72,36 +159,32 @@ impl Db {
 /// One ordered source feeding the merge in [`DbSnapshot::scan_from`].
 /// Sources are consulted newest-first; on a key tie the newest wins.
 enum Source<'a> {
-    /// The frozen MemTable slice.
-    Mem {
-        entries: &'a [(Vec<u8>, Option<Vec<u8>>)],
-        idx: usize,
-    },
+    /// One stage of the frozen MemTable view.
+    Mem { run: &'a Run, pos: usize },
     /// A streaming cursor over one table's blocks.
     Table(TableCursor<'a>),
 }
 
 struct TableCursor<'a> {
     table: &'a SsTable,
-    /// Index into `table.blocks`; `== blocks.len()` when exhausted.
+    /// Index into `table.blocks`.
     block: usize,
-    data: Arc<DecodedBlock>,
+    data: Arc<Run>,
     pos: usize,
 }
 
 impl<'a> Source<'a> {
-    fn peek(&self) -> Option<(&[u8], &Option<Vec<u8>>)> {
-        match self {
-            Source::Mem { entries, idx } => {
-                entries.get(*idx).map(|(k, v)| (k.as_slice(), v))
-            }
-            Source::Table(c) => c.data.get(c.pos).map(|(k, v)| (k.as_slice(), v)),
-        }
+    fn peek(&self) -> Option<EntryRef<'_>> {
+        let (run, pos) = match self {
+            Source::Mem { run, pos } => (*run, *pos),
+            Source::Table(c) => (&*c.data, c.pos),
+        };
+        (pos < run.len()).then(|| run.entry(pos))
     }
 
     fn advance(&mut self, snap: &DbSnapshot) {
         match self {
-            Source::Mem { idx, .. } => *idx += 1,
+            Source::Mem { pos, .. } => *pos += 1,
             Source::Table(c) => {
                 c.pos += 1;
                 // Skip exhausted and degraded-empty blocks.
@@ -122,29 +205,29 @@ impl DbSnapshot {
     }
 
     /// Point lookup at snapshot time; newest version wins, a tombstone at
-    /// any level answers `None` without consulting older levels.
+    /// any level answers `None` without consulting older levels. Only the
+    /// returned value is copied.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Ok(i) = self.mem.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            return self.mem[i].1.clone();
+        if let Some(v) = self.mem_delta.get(key).or_else(|| self.mem_base.get(key)) {
+            return v.map(<[u8]>::to_vec);
         }
         let probe = |table: &SsTable| -> Option<Option<Vec<u8>>> {
             if !table.covers(key) || (table.has_filter() && !table.filter_may_contain(key)) {
                 return None;
             }
             let blk = self.fetch_block(table, table.candidate_block(key));
-            blk.binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                .ok()
-                .map(|i| blk[i].1.clone())
+            blk.get(key).map(|v| v.map(<[u8]>::to_vec))
         };
-        if let Some(l0) = self.levels.first() {
+        let levels = &self.tables.levels;
+        if let Some(l0) = levels.first() {
             for table in l0.iter().rev() {
                 if let Some(v) = probe(table) {
                     return v;
                 }
             }
         }
-        for level in self.levels.iter().skip(1) {
-            if self.overlapping {
+        for level in levels.iter().skip(1) {
+            if self.tables.overlapping {
                 // Tiered runs overlap: scan newest-first like L0.
                 for table in level.iter().rev() {
                     if let Some(v) = probe(table) {
@@ -172,26 +255,33 @@ impl DbSnapshot {
         hk: Option<&[u8]>,
         limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
         if limit == 0 {
-            return out;
+            return Vec::new();
         }
-        // Build the newest-first source list: MemTable, then L0 newest-
-        // last reversed, then each deeper level's overlapping tables
-        // (disjoint within a level, so order within it is by key anyway).
-        let mut sources: Vec<Source<'_>> = Vec::new();
-        let start = self.mem.partition_point(|(k, _)| k.as_slice() < lk);
-        sources.push(Source::Mem { entries: &self.mem, idx: start });
+        let levels = &self.tables.levels;
+        // Every vector below is sized once: a scan's allocations are its
+        // output rows plus a constant, never a growth ladder of odd sizes
+        // interleaved with them (see `SCAN_RESERVE_ROWS`).
+        let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
+        // Build the newest-first source list: MemTable delta, MemTable
+        // base, then L0 newest-last reversed, then each deeper level's
+        // overlapping tables (disjoint within a level, so order within it
+        // is by key anyway).
+        let mut sources: Vec<Source<'_>> =
+            Vec::with_capacity(2 + levels.iter().map(Vec::len).sum::<usize>());
+        for run in [&self.mem_delta, &*self.mem_base] {
+            sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
+        }
         let in_range = |t: &SsTable| {
             t.max_key.as_slice() >= lk && hk.is_none_or(|hk| t.min_key.as_slice() < hk)
         };
-        if let Some(l0) = self.levels.first() {
+        if let Some(l0) = levels.first() {
             for table in l0.iter().rev().filter(|t| in_range(t)) {
                 sources.push(Source::Table(self.open_cursor(table, lk)));
             }
         }
-        for level in self.levels.iter().skip(1) {
-            if self.overlapping {
+        for level in levels.iter().skip(1) {
+            if self.tables.overlapping {
                 // Tiered runs are age-ordered newest-last; reverse so the
                 // earlier source wins key ties, exactly like L0.
                 for table in level.iter().rev().filter(|t| in_range(t)) {
@@ -203,32 +293,38 @@ impl DbSnapshot {
                 }
             }
         }
+        // Sources whose head is the round's smallest key, newest first:
+        // `heads[0]` provides the authoritative value, all of them step
+        // past the key. Nothing is copied while choosing.
+        let mut heads: Vec<usize> = Vec::with_capacity(sources.len());
         loop {
-            // Smallest key across sources; first (= newest) source wins
-            // ties and provides the authoritative value.
-            let mut best: Option<(usize, Vec<u8>)> = None;
+            heads.clear();
+            let mut best: Option<&[u8]> = None;
             for (i, s) in sources.iter().enumerate() {
-                if let Some((k, _)) = s.peek() {
-                    if hk.is_some_and(|hk| k >= hk) {
-                        continue;
-                    }
-                    if best.as_ref().is_none_or(|(_, b)| k < b.as_slice()) {
-                        best = Some((i, k.to_vec()));
+                let Some((k, _)) = s.peek() else { continue };
+                if hk.is_some_and(|hk| k >= hk) {
+                    continue;
+                }
+                match best.map(|b| k.cmp(b)) {
+                    Some(Ordering::Greater) => {}
+                    Some(Ordering::Equal) => heads.push(i),
+                    Some(Ordering::Less) | None => {
+                        best = Some(k);
+                        heads.clear();
+                        heads.push(i);
                     }
                 }
             }
-            let Some((winner, key)) = best else { break };
-            let value = sources[winner].peek().and_then(|(_, v)| v.clone());
-            for s in sources.iter_mut() {
-                while s.peek().is_some_and(|(k, _)| k == key.as_slice()) {
-                    s.advance(self);
-                }
-            }
-            if let Some(v) = value {
-                out.push((key, v));
+            let Some(&winner) = heads.first() else { break };
+            if let Some((key, Some(value))) = sources[winner].peek() {
+                out.push((key.to_vec(), value.to_vec()));
                 if out.len() == limit {
                     break;
                 }
+            }
+            // Keys are unique within a source: one step clears the key.
+            for &i in &heads {
+                sources[i].advance(self);
             }
         }
         out
@@ -238,16 +334,16 @@ impl DbSnapshot {
         let mut c = TableCursor {
             table,
             block: table.candidate_block(lk),
-            data: Arc::new(Vec::new()),
+            data: Arc::default(),
             pos: 0,
         };
         if c.block < table.blocks.len() {
             c.data = self.fetch_block(table, c.block);
-            c.pos = c.data.partition_point(|(k, _)| k.as_slice() < lk);
+            c.pos = c.data.lower_bound(lk);
             while c.pos >= c.data.len() && c.block + 1 < table.blocks.len() {
                 c.block += 1;
                 c.data = self.fetch_block(table, c.block);
-                c.pos = c.data.partition_point(|(k, _)| k.as_slice() < lk);
+                c.pos = c.data.lower_bound(lk);
             }
         }
         c
@@ -257,27 +353,23 @@ impl DbSnapshot {
     /// without a read, transients retry under backoff, and anything still
     /// unreadable is served as empty for this view only — a snapshot never
     /// quarantines, repairs, or persists anything.
-    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<DecodedBlock> {
+    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
         if let Some(hit) = self.cache.get(table.id, block) {
             return hit;
         }
-        if self.quarantined.contains(&(table.id, block as u32)) {
-            return Arc::new(Vec::new());
+        if self.tables.quarantined.contains(&(table.id, block as u32)) {
+            return Arc::default();
         }
         let mut backoff = Backoff::new(8);
         loop {
-            match self
-                .disk
-                .read(table.blocks[block])
-                .and_then(|raw| SsTable::decode_block(&raw))
-            {
+            match self.disk.read(table.blocks[block]).and_then(Run::from_frame) {
                 Ok(d) => {
                     let d = Arc::new(d);
                     self.cache.insert(table.id, block, Arc::clone(&d));
                     return d;
                 }
                 Err(e) if backoff.retry(&e) => continue,
-                Err(_) => return Arc::new(Vec::new()),
+                Err(_) => return Arc::default(),
             }
         }
     }
@@ -406,6 +498,32 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(snap.scan_from(&encode_u64(0), None, 5), want[..5].to_vec());
+    }
+
+    /// The hot-path vectors are sized once: a scan allocates its rows plus
+    /// a constant, and a publish allocates the delta run's two buffers —
+    /// neither grows anything by doubling (the ladders of freed odd-sized
+    /// chunks that doubling leaves behind are what made served scans
+    /// bimodal, see `SCAN_RESERVE_ROWS`).
+    #[test]
+    fn scan_and_publish_allocate_no_growth_ladders() {
+        use crate::alloc_probe::measure;
+        // Serialize with fault-arming tests (the registry is process-global).
+        let _g = memtree_faults::test_lock();
+        let mut db = Db::new(DbOptions::default());
+        db.put(b"warm", b"up").unwrap();
+        drop(db.snapshot()); // builds the base and the shared table set
+        for i in 0..40u64 {
+            db.put(&encode_u64(i), &[7u8; 100]).unwrap();
+        }
+        let (snap, publish_allocs, _) = measure(|| db.snapshot());
+        assert_eq!(publish_allocs, 2, "delta run: bytes, offsets");
+        for rows in [1usize, 10, 40] {
+            let (got, allocs, _) = measure(|| snap.scan_from(&encode_u64(0), None, rows));
+            assert_eq!(got.len(), rows);
+            // Output vector, source list, winner list; key + value per row.
+            assert_eq!(allocs, 3 + 2 * rows, "scan of {rows} rows");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::db::FilterKind;
 use crate::disk::SimDisk;
 use crate::manifest::TableMeta;
+use crate::run::{EntryRef, Run};
 use crate::wal::{decode_single_ref, encode_single};
 use memtree_common::bitset::BitSet;
 use memtree_common::error::{MemtreeError, Result};
@@ -26,11 +27,6 @@ const FILTER_IMAGE_VERSION: u8 = 1;
 /// Filter-image kind tags (second payload byte).
 const FILTER_KIND_BLOOM: u8 = 0;
 const FILTER_KIND_SURF: u8 = 1;
-
-/// A decoded data block: sorted `(key, value)` pairs. `None` values are
-/// delete tombstones — they shadow older versions of the key and are
-/// dropped only at bottom-level compaction.
-pub(crate) type DecodedBlock = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
 /// Per-table filter. One instance per SSTable, so the inline size gap
 /// between the variants is irrelevant.
@@ -76,7 +72,7 @@ impl SsTable {
     pub(crate) fn build(
         id: u64,
         disk: &SimDisk,
-        entries: &[(Vec<u8>, Option<Vec<u8>>)],
+        entries: &[EntryRef<'_>],
         block_size: usize,
         filter: &FilterKind,
     ) -> Result<Self> {
@@ -84,8 +80,7 @@ impl SsTable {
         let mut blocks = Vec::new();
         let mut fences = Vec::new();
         let mut start = 0usize;
-        let entry_bytes =
-            |e: &(Vec<u8>, Option<Vec<u8>>)| e.0.len() + e.1.as_deref().map_or(0, <[u8]>::len) + 5;
+        let entry_bytes = |e: &EntryRef<'_>| e.0.len() + e.1.map_or(0, <[u8]>::len) + 5;
         let mut write_blocks = || -> Result<()> {
             while start < entries.len() {
                 let mut bytes = 0usize;
@@ -97,8 +92,8 @@ impl SsTable {
                     end += 1;
                 }
                 fail_point!("lsm.table.block_write");
-                let block = disk.write(Self::encode_block(&entries[start..end]))?;
-                fences.push(entries[start].0.clone());
+                let block = disk.write(Run::encode_frame(&entries[start..end])?)?;
+                fences.push(entries[start].0.to_vec());
                 blocks.push(block);
                 start = end;
             }
@@ -112,7 +107,7 @@ impl SsTable {
         }
         // The filter indexes every key, tombstones included: a tombstone
         // must be *found* by reads so it can shadow older versions below.
-        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = entries.iter().map(|&(k, _)| k).collect();
         let built = Self::build_filter(&keys, filter);
         // Persist the filter as its own block so reopen can load it with
         // one read. A failed image write unwinds the whole build — same
@@ -133,8 +128,8 @@ impl SsTable {
             id,
             blocks,
             fences,
-            min_key: entries[0].0.clone(),
-            max_key: entries[entries.len() - 1].0.clone(),
+            min_key: entries[0].0.to_vec(),
+            max_key: entries[entries.len() - 1].0.to_vec(),
             filter: built,
             filter_block,
             num_entries: entries.len(),
@@ -276,77 +271,6 @@ impl SsTable {
         self.filter = Self::build_filter(keys, filter);
     }
 
-    /// Block payload: `n u32 | per-entry (klen u16, vlen u16, flags u8) |
-    /// keys | values`, wrapped in a CRC frame. Flags bit 0 marks a delete
-    /// tombstone (which must carry an empty value). `pub(crate)` so the
-    /// scrub subsystem can re-encode repaired blocks.
-    pub(crate) fn encode_block(entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> Box<[u8]> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (k, v) in entries {
-            out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            out.extend_from_slice(&(v.as_deref().map_or(0, <[u8]>::len) as u16).to_le_bytes());
-            out.push(u8::from(v.is_none()));
-        }
-        for (k, _) in entries {
-            out.extend_from_slice(k);
-        }
-        for (_, v) in entries {
-            if let Some(v) = v {
-                out.extend_from_slice(v);
-            }
-        }
-        encode_single(&out).into_boxed_slice()
-    }
-
-    /// Validates the CRC frame and decodes the payload. Torn writes,
-    /// flipped bits, inconsistent length tables, unknown flags, and
-    /// tombstones carrying values are all typed
-    /// [`MemtreeError::Corruption`] — never a panic, never a wrong pair.
-    pub(crate) fn decode_block(raw: &[u8]) -> Result<DecodedBlock> {
-        // Borrow the validated payload — entries are sliced straight out
-        // of the frame, so decode makes no intermediate payload copy.
-        let raw = decode_single_ref(raw, "sstable-block")?;
-        let short = |what: &str| MemtreeError::corruption("sstable-block", what.to_string());
-        if raw.len() < 4 {
-            return Err(short("payload shorter than entry count"));
-        }
-        let n = u32::from_le_bytes(raw[0..4].try_into().unwrap()) as usize;
-        let mut lens = Vec::with_capacity(n);
-        let mut pos = 4;
-        if pos + n * 5 > raw.len() {
-            return Err(short("length table exceeds payload"));
-        }
-        for _ in 0..n {
-            let kl = u16::from_le_bytes(raw[pos..pos + 2].try_into().unwrap()) as usize;
-            let vl = u16::from_le_bytes(raw[pos + 2..pos + 4].try_into().unwrap()) as usize;
-            let flags = raw[pos + 4];
-            if flags > 1 {
-                return Err(short("unknown entry flags"));
-            }
-            if flags == 1 && vl != 0 {
-                return Err(short("tombstone entry carries a value"));
-            }
-            lens.push((kl, vl, flags == 1));
-            pos += 5;
-        }
-        let ktotal: usize = lens.iter().map(|(k, _, _)| k).sum();
-        let vtotal: usize = lens.iter().map(|(_, v, _)| v).sum();
-        if pos + ktotal + vtotal != raw.len() {
-            return Err(short("entry lengths disagree with payload size"));
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut kpos = pos;
-        let mut vpos = pos + ktotal;
-        for (kl, vl, tombstone) in lens {
-            let value = (!tombstone).then(|| raw[vpos..vpos + vl].to_vec());
-            out.push((raw[kpos..kpos + kl].to_vec(), value));
-            kpos += kl;
-            vpos += vl;
-        }
-        Ok(out)
-    }
-
     /// Index of the block that may contain `key` (last fence `<= key`).
     pub(crate) fn candidate_block(&self, key: &[u8]) -> usize {
         self.fences
@@ -447,40 +371,15 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn block_roundtrip() {
-        let e = entries(100);
-        let raw = SsTable::encode_block(&e);
-        assert_eq!(SsTable::decode_block(&raw).unwrap(), e);
-    }
-
-    #[test]
-    fn tombstone_with_value_and_unknown_flags_are_typed() {
-        // Hand-craft payloads that the encoder would never emit.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&1u16.to_le_bytes()); // klen
-        payload.extend_from_slice(&2u16.to_le_bytes()); // vlen
-        payload.push(1); // tombstone flag, but vlen != 0
-        payload.push(b'k');
-        payload.extend_from_slice(b"vv");
-        let framed = encode_single(&payload);
-        assert!(SsTable::decode_block(&framed).is_err());
-
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(7); // unknown flags
-        payload.push(b'k');
-        let framed = encode_single(&payload);
-        assert!(SsTable::decode_block(&framed).is_err());
+    fn refs(owned: &[(Vec<u8>, Option<Vec<u8>>)]) -> Vec<EntryRef<'_>> {
+        owned.iter().map(|(k, v)| (k.as_slice(), v.as_deref())).collect()
     }
 
     #[test]
     fn failed_build_releases_partial_blocks() {
         let _g = memtree_faults::test_lock();
-        let e = entries(1000);
+        let owned = entries(1000);
+        let e = refs(&owned);
         // Injected write fault partway through the build (seeded schedules
         // decide where; every seed must leave zero orphans on failure).
         for seed in 0..16u64 {
@@ -510,30 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn torn_and_flipped_blocks_are_typed_errors() {
-        let e = entries(40);
-        let raw = SsTable::encode_block(&e);
-        for cut in 0..raw.len() {
-            assert!(
-                SsTable::decode_block(&raw[..cut]).is_err(),
-                "torn block at {cut} must not decode"
-            );
-        }
-        let mut flipped = raw.to_vec();
-        for byte in (0..raw.len()).step_by(7) {
-            flipped[byte] ^= 0x10;
-            assert!(
-                SsTable::decode_block(&flipped).is_err(),
-                "flip at {byte} must not decode"
-            );
-            flipped[byte] ^= 0x10;
-        }
-    }
-
-    #[test]
     fn build_and_locate() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(1000);
+        let owned = entries(1000);
+        let e = refs(&owned);
         let t = SsTable::build(1, &disk, &e, 4096, &FilterKind::Bloom(10.0)).unwrap();
         assert!(t.blocks.len() > 5, "should span multiple blocks");
         assert_eq!(t.len(), 1000);
@@ -541,10 +420,10 @@ mod tests {
         for probe in [0u64, 999, 1500, 2997] {
             let key = memtree_common::key::encode_u64(probe);
             let b = t.candidate_block(&key);
-            let blk = SsTable::decode_block(&disk.read(t.blocks[b]).unwrap()).unwrap();
+            let blk = Run::from_frame(disk.read(t.blocks[b]).unwrap()).unwrap();
             if probe % 3 == 0 && probe <= 2997 {
                 assert!(
-                    blk.iter().any(|(k, _)| k.as_slice() == key),
+                    blk.get(&key).is_some(),
                     "probe {probe} missing from its candidate block"
                 );
             }
@@ -558,7 +437,8 @@ mod tests {
     #[test]
     fn meta_roundtrip_reconstructs_geometry() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(500);
+        let owned = entries(500);
+        let e = refs(&owned);
         let t = SsTable::build(7, &disk, &e, 1024, &FilterKind::None).unwrap();
         let r = SsTable::from_meta(t.meta(2));
         assert_eq!(r.id, t.id);
@@ -575,7 +455,8 @@ mod tests {
     #[test]
     fn filter_image_roundtrips_for_every_kind() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(400);
+        let owned = entries(400);
+        let e = refs(&owned);
         for kind in [
             FilterKind::Bloom(12.0),
             FilterKind::SurfHash(8),
@@ -606,7 +487,8 @@ mod tests {
     #[test]
     fn semantically_truncated_image_is_typed_not_panic() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(400);
+        let owned = entries(400);
+        let e = refs(&owned);
         for kind in [FilterKind::Bloom(12.0), FilterKind::SurfReal(4)] {
             let t = SsTable::build(1, &disk, &e, 2048, &kind).unwrap();
             let raw = disk.read(t.filter_block.unwrap()).unwrap();
@@ -629,7 +511,8 @@ mod tests {
     #[test]
     fn persisted_filter_kind_mismatch_falls_back_to_rebuild() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(300);
+        let owned = entries(300);
+        let e = refs(&owned);
         let t = SsTable::build(1, &disk, &e, 2048, &FilterKind::Bloom(10.0)).unwrap();
         let mut r = SsTable::from_meta(t.meta(1));
         // A Surf configuration must not adopt the persisted Bloom image.
@@ -645,7 +528,8 @@ mod tests {
     #[test]
     fn surf_filter_attach() {
         let disk = SimDisk::new(Duration::ZERO);
-        let e = entries(500);
+        let owned = entries(500);
+        let e = refs(&owned);
         let t = SsTable::build(2, &disk, &e, 4096, &FilterKind::SurfReal(4)).unwrap();
         assert!(t.surf().is_some());
         assert!(t.covers(&memtree_common::key::encode_u64(300)));

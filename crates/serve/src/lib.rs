@@ -74,6 +74,7 @@ use memtree_common::SnapshotCell;
 use memtree_faults::Backoff;
 use memtree_lsm::{
     gc_orphans, Db, DbOptions, DbSnapshot, DbStats, ScrubReport, SimDisk, StallConfig,
+    SCAN_RESERVE_ROWS,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
@@ -684,27 +685,26 @@ impl ShardedDb {
     /// `limit` live entries with `lk <= key` (`< hk` when bounded), in
     /// global key order.
     pub fn scan(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = self
+        let mut streams: Vec<_> = self
             .slots
             .iter()
-            .map(|s| s.snap.load().scan_from(lk, hk, limit))
+            .map(|s| s.snap.load().scan_from(lk, hk, limit).into_iter().peekable())
             .collect();
         // Shards partition the key space, so the streams are disjoint:
-        // a plain k-way merge by key suffices.
-        let mut idx = vec![0usize; per_shard.len()];
-        let mut out = Vec::new();
+        // a plain k-way merge by key suffices, moving each row out of the
+        // per-shard vector that already owns it.
+        let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
         while out.len() < limit {
-            let mut best: Option<usize> = None;
-            for (s, stream) in per_shard.iter().enumerate() {
-                if let Some((k, _)) = stream.get(idx[s]) {
-                    if best.is_none_or(|b| k < &per_shard[b][idx[b]].0) {
-                        best = Some(s);
+            let mut best: Option<(usize, &[u8])> = None;
+            for (s, stream) in streams.iter_mut().enumerate() {
+                if let Some((k, _)) = stream.peek() {
+                    if best.is_none_or(|(_, b)| k.as_slice() < b) {
+                        best = Some((s, k));
                     }
                 }
             }
-            let Some(s) = best else { break };
-            out.push(per_shard[s][idx[s]].clone());
-            idx[s] += 1;
+            let Some((s, _)) = best else { break };
+            out.extend(streams[s].next());
         }
         out
     }
@@ -1365,6 +1365,28 @@ mod tests {
             stats.syncs
         );
         Arc::try_unwrap(sdb).ok().expect("sole owner").close().unwrap();
+    }
+
+    #[test]
+    fn overlong_value_fails_only_its_own_request() {
+        let _g = memtree_faults::test_lock();
+        let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
+        sdb.put(b"a", b"1").unwrap();
+        // Typed, not retried as overload, and acked without reaching the
+        // WAL: neither the worker nor the committer notices.
+        let err = sdb.put(b"b", &vec![0x5a; 70_000]).unwrap_err();
+        assert_eq!(err, MemtreeError::Allocation { bytes: 70_000 });
+        let err = sdb.delete(&vec![0x5a; 70_000]).unwrap_err();
+        assert_eq!(err, MemtreeError::Allocation { bytes: 70_000 });
+        sdb.put(b"c", b"3").unwrap();
+        sdb.flush_all().unwrap();
+        sdb.barrier().unwrap();
+        assert_eq!(sdb.get(b"a").as_deref(), Some(&b"1"[..]));
+        assert_eq!(sdb.get(b"b"), None);
+        assert_eq!(sdb.get(b"c").as_deref(), Some(&b"3"[..]));
+        let stats = sdb.stats();
+        assert_eq!((stats.overload_retries, stats.worker_restarts), (0, 0));
+        sdb.close().unwrap();
     }
 
     #[test]

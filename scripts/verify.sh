@@ -30,6 +30,10 @@ cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
 echo "== bench_serve --smoke (sharded serving: YCSB clients, p99, plausibility gates, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_serve -- --smoke
 
+echo "== memtree-benchmark tests + --smoke (every workload, plain and traced, against the live crate signatures, offline) =="
+cargo test -q --offline -p memtree-benchmark
+cargo run --release --offline -p memtree-benchmark -- --smoke
+
 echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve under real parallelism, offline) =="
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
 
