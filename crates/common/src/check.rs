@@ -135,6 +135,23 @@ where
     }
 }
 
+/// The seed range of the seeded oracles (crash, scrub, publish, chaos
+/// soak): `MEMTREE_FAULT_SEEDS` as `"lo..hi"`, default `0..32`. CI shards
+/// a suite by giving each job its own range; replay a failing seed `n`
+/// with `MEMTREE_FAULT_SEEDS=n..n+1`.
+pub fn seed_range() -> std::ops::Range<u64> {
+    let spec = std::env::var("MEMTREE_FAULT_SEEDS").unwrap_or_else(|_| "0..32".to_string());
+    let (lo, hi) = spec
+        .split_once("..")
+        .unwrap_or_else(|| panic!("MEMTREE_FAULT_SEEDS must look like '0..32', got {spec:?}"));
+    let parse = |s: &str| {
+        s.trim()
+            .parse::<u64>()
+            .unwrap_or_else(|e| panic!("bad bound {s:?} in MEMTREE_FAULT_SEEDS: {e}"))
+    };
+    parse(lo)..parse(hi)
+}
+
 /// `assert_eq!`-style helper that returns `Err(String)` instead of
 /// panicking, for use inside [`prop_check`] closures.
 #[macro_export]

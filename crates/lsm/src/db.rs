@@ -1,6 +1,8 @@
-//! The LSM database: MemTable + leveled SSTables + block cache, with the
-//! Figure 4.3 query paths and, since the durability PR, a full
-//! crash-recovery stack (WAL + manifest + power-loss-aware disk).
+//! The LSM database: options and stats, open/recovery, the write path
+//! (put, flush, stall bands) and the compaction driver over a MemTable +
+//! leveled SSTables + block cache, with a full crash-recovery stack (WAL +
+//! manifest + power-loss-aware disk). The Figure 4.3 query paths live in
+//! [`crate::read`]; the read methods here delegate to it.
 //!
 //! ## Durability protocol
 //!
@@ -19,21 +21,22 @@
 //!   invariants. The crash oracle (`tests/crash_oracle.rs`) drives every
 //!   `fail_point!` below through crash + reopen across seeds.
 
+use crate::cache::BlockCache;
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::run::{EntryRef, Run, RunBuilder, MAX_ENTRY_BYTES};
+use crate::read::{Faults, Mem, ReadView, SeekResult};
+use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
 use crate::snapshot::{MemView, TableSet};
 use crate::sstable::SsTable;
 use crate::wal::{wal_file_name, Wal, WalStats};
 use memtree_common::error::{MemtreeError, Result};
-use memtree_common::hash::fmix64;
 use memtree_common::traits::OrderedIndex;
 use memtree_faults::{fail_point, Backoff};
 use memtree_skiplist::SkipList;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which filter each SSTable carries.
@@ -221,198 +224,6 @@ pub struct FlushStats {
     pub blocks_written: usize,
 }
 
-/// Result of a seek.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SeekResult {
-    /// Smallest entry `>= lk` (and `< hk` for closed seeks).
-    Found {
-        /// The entry's key.
-        key: Vec<u8>,
-    },
-    /// No qualifying entry.
-    NotFound,
-}
-
-/// Per-batch cache of exact table lower bounds: table id → `(lk₀,
-/// smallest stored key ≥ lk₀)`. See [`Db::seek_candidate`]'s doc for the
-/// reuse rule that keeps cached entries exact.
-type SeekMemo = HashMap<u64, (Vec<u8>, Option<Vec<u8>>)>;
-
-/// One CLOCK ring of the striped [`BlockCache`].
-#[derive(Default)]
-struct CacheStripe {
-    /// (table id, block idx, payload, referenced)
-    slots: Vec<(u64, usize, Arc<Run>, bool)>,
-    /// `(table id, block idx)` → slot position — O(1) probes instead of a
-    /// linear scan of every slot. Maintained by CLOCK replacement below.
-    index: HashMap<(u64, usize), usize>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl CacheStripe {
-    fn get(&mut self, table: u64, block: usize) -> Option<Arc<Run>> {
-        let &i = self.index.get(&(table, block))?;
-        let slot = &mut self.slots[i];
-        slot.3 = true;
-        self.hits += 1;
-        Some(Arc::clone(&slot.2))
-    }
-
-    /// Caches `data`, returning the block it displaced — for the caller
-    /// to drop once the stripe lock is released.
-    fn insert(&mut self, table: u64, block: usize, data: Arc<Run>) -> Option<Arc<Run>> {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return None;
-        }
-        // Refresh an already-cached `(table, block)` in place. Blindly
-        // indexing a second slot would leave the old slot in the CLOCK
-        // ring but out of the index — a stale duplicate that wastes
-        // capacity and is invisible to `invalidate`.
-        if let Some(&i) = self.index.get(&(table, block)) {
-            self.slots[i].3 = true;
-            return Some(std::mem::replace(&mut self.slots[i].2, data));
-        }
-        if self.slots.len() < self.capacity {
-            self.index.insert((table, block), self.slots.len());
-            self.slots.push((table, block, data, true));
-            return None;
-        }
-        loop {
-            let slot = &mut self.slots[self.hand];
-            if slot.3 {
-                slot.3 = false;
-                self.hand = (self.hand + 1) % self.slots.len();
-            } else {
-                self.index.remove(&(slot.0, slot.1));
-                self.index.insert((table, block), self.hand);
-                let old = std::mem::replace(&mut self.slots[self.hand], (table, block, data, true));
-                self.hand = (self.hand + 1) % self.slots.len();
-                return Some(old.2);
-            }
-        }
-    }
-
-    /// Drops one cached block. The swap-removed slot's new occupant is
-    /// re-indexed and the hand is clamped back into range.
-    fn invalidate(&mut self, table: u64, block: usize) {
-        let Some(i) = self.index.remove(&(table, block)) else {
-            return;
-        };
-        self.slots.swap_remove(i);
-        if i < self.slots.len() {
-            self.index.insert((self.slots[i].0, self.slots[i].1), i);
-        }
-        if self.hand >= self.slots.len() {
-            self.hand = 0;
-        }
-    }
-
-    /// Index ↔ slots bijection plus hand range, asserted by the
-    /// differential cache tests after every operation.
-    #[cfg(test)]
-    fn assert_coherent(&self) {
-        assert_eq!(self.index.len(), self.slots.len(), "index/slot count desync");
-        assert!(self.slots.len() <= self.capacity);
-        for (pos, slot) in self.slots.iter().enumerate() {
-            assert_eq!(
-                self.index.get(&(slot.0, slot.1)),
-                Some(&pos),
-                "slot {pos} not indexed at its position"
-            );
-        }
-        assert!(self.hand == 0 || self.hand < self.slots.len(), "hand out of range");
-    }
-}
-
-/// The block cache — each slot is one validated frame buffer plus its
-/// offset table ([`Run::from_frame`]): CLOCK replacement behind a HashMap index,
-/// striped across several independently locked rings so concurrent
-/// snapshot readers on different blocks never serialize on one lock.
-/// Stripe choice is a hash of `(table, block)`, so a given block always
-/// lives in exactly one stripe.
-pub(crate) struct BlockCache {
-    stripes: Vec<Mutex<CacheStripe>>,
-}
-
-impl BlockCache {
-    /// At most 8 stripes, never more than `capacity` (a tiny cache gains
-    /// nothing from extra locks), and a single stripe for capacity 0 so
-    /// the miss counters still have a home.
-    pub(crate) fn new(capacity: usize) -> Self {
-        let n = if capacity == 0 { 1 } else { capacity.min(8) };
-        let per = capacity.div_ceil(n);
-        Self {
-            stripes: (0..n)
-                .map(|_| {
-                    Mutex::new(CacheStripe {
-                        capacity: per,
-                        ..Default::default()
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    fn stripe(&self, table: u64, block: usize) -> MutexGuard<'_, CacheStripe> {
-        let h = fmix64(table ^ (block as u64).rotate_left(32)) as usize;
-        self.stripes[h % self.stripes.len()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn get(&self, table: u64, block: usize) -> Option<Arc<Run>> {
-        self.stripe(table, block).get(table, block)
-    }
-
-    pub(crate) fn insert(&self, table: u64, block: usize, data: Arc<Run>) {
-        // The guard is a temporary of this statement: the displaced block
-        // (usually the last reference to a frame-sized buffer) is freed
-        // after the stripe is unlocked, not while other readers wait.
-        let displaced = self.stripe(table, block).insert(table, block, data);
-        drop(displaced);
-    }
-
-    /// Drops one cached block. Production code retires whole tables via
-    /// [`BlockCache::invalidate_table`]; the per-block form is kept for the
-    /// cache coherence tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn invalidate(&self, table: u64, block: usize) {
-        self.stripe(table, block).invalidate(table, block);
-    }
-
-    /// Drops every cached block of `table` (table retirement).
-    pub(crate) fn invalidate_table(&self, table: u64) {
-        for stripe in &self.stripes {
-            let mut s = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            let blocks: Vec<usize> =
-                s.slots.iter().filter(|sl| sl.0 == table).map(|sl| sl.1).collect();
-            for b in blocks {
-                s.invalidate(table, b);
-            }
-        }
-    }
-
-    /// (hits, misses) summed across stripes.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()))
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
-    }
-
-    #[cfg(test)]
-    fn slot_count(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).slots.len())
-            .sum()
-    }
-}
-
 /// The LSM key-value store.
 ///
 /// `Db` is `Send` (a shard worker thread can own one) but not `Sync` —
@@ -429,7 +240,7 @@ pub struct Db {
     mem_bytes: usize,
     /// Tombstones written into this MemTable generation (upper bound:
     /// overwrites of a tombstone don't decrement it).
-    mem_tombstones: usize,
+    pub(crate) mem_tombstones: usize,
     /// What [`Db::snapshot`] publishes of the MemTable: a shared base run
     /// plus the writes since. `RefCell` because publishing is `&self`.
     pub(crate) mem_view: RefCell<MemView>,
@@ -447,14 +258,14 @@ pub struct Db {
     /// the next flush / close).
     graveyard: Vec<Arc<SsTable>>,
     pub(crate) next_table_id: u64,
-    filter_stats: Cell<FilterStats>,
+    pub(crate) filter_stats: Cell<FilterStats>,
     wal: Wal,
     /// `RefCell` so the `&self` read path can persist quarantine edits.
     pub(crate) manifest: RefCell<Manifest>,
     /// WAL records at or below this seq are covered by flushed tables.
     pub(crate) flushed_seq: u64,
     /// Block decodes that failed once and succeeded on re-read.
-    read_repairs: Cell<u64>,
+    pub(crate) read_repairs: Cell<u64>,
     /// `(table id, block index)` pairs that failed validation persistently;
     /// their entries are unreachable until scrub repairs or drops them.
     /// Mirrored in the manifest so reopen skips known-bad blocks.
@@ -611,22 +422,15 @@ impl Db {
                         table_degraded = true;
                         continue;
                     }
-                    let mut backoff = Backoff::new(4);
-                    let blk = loop {
-                        match disk.read(b).and_then(Run::from_frame) {
-                            Ok(blk) => break Some(blk),
-                            Err(e) if backoff.retry(&e) => continue,
-                            Err(e) => {
-                                if !e.is_transient() {
-                                    version.quarantined.insert((table.id, bi as u32));
-                                }
-                                break None;
+                    let raw = disk.read_retrying(b, &mut Backoff::new(4));
+                    match raw.and_then(Run::from_frame) {
+                        Ok(blk) => runs.push(blk),
+                        Err(e) => {
+                            if !e.is_transient() {
+                                version.quarantined.insert((table.id, bi as u32));
                             }
+                            table_degraded = true;
                         }
-                    };
-                    match blk {
-                        Some(blk) => runs.push(blk),
-                        None => table_degraded = true,
                     }
                 }
                 if table_degraded {
@@ -1179,609 +983,115 @@ impl Db {
         // retires and the loss becomes permanent. A block that still
         // fails is skipped — that loss was already reported when the
         // block was quarantined, and insisting on reading it would wedge
-        // every future flush behind the same error. Readable blocks still
-        // propagate errors — a *fresh* failure must not silently drop
-        // entries.
+        // every future flush behind the same error. Readable blocks come
+        // through the cache with transients retried; any other error
+        // propagates — a *fresh* failure must not silently drop entries.
+        let view = self.view();
         for b in 0..table.blocks.len() {
             if self.quarantined.borrow().contains(&(table.id, b as u32)) {
-                if let Ok(d) = self.read_decoded_retrying(table, b, 4) {
+                if let Ok(d) = view.read_retrying(table, b, 4) {
                     self.quarantined.borrow_mut().remove(&(table.id, b as u32));
                     self.read_repairs.set(self.read_repairs.get() + 1);
                     out.push(d);
                 }
                 continue;
             }
-            out.push(self.fetch_block_strict(table, b)?);
+            let d = match self.cache.get(table.id, b) {
+                Some(hit) => hit,
+                None => {
+                    let d = view.read_retrying(table, b, 4)?;
+                    self.cache.insert(table.id, b, Arc::clone(&d));
+                    d
+                }
+            };
+            out.push(d);
         }
         Ok(())
     }
 
-    fn try_fetch(&self, table: &SsTable, block: usize) -> Result<Arc<Run>> {
-        let raw = self.disk.read(table.blocks[block])?;
-        Ok(Arc::new(Run::from_frame(raw)?))
-    }
-
-    /// One decoded-block read with bounded retry of *transient* faults
-    /// only; persistent errors (corruption, dead block) return on the
-    /// first attempt.
-    fn read_decoded_retrying(
-        &self,
-        table: &SsTable,
-        block: usize,
-        max_attempts: u32,
-    ) -> Result<Arc<Run>> {
-        let mut backoff = Backoff::new(max_attempts);
-        loop {
-            match self.try_fetch(table, block) {
-                Ok(d) => return Ok(d),
-                Err(e) => {
-                    if backoff.retry(&e) {
-                        self.transient_retries.set(self.transient_retries.get() + 1);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
+    /// The read path over the live MemTable ([`crate::read`]): every read
+    /// method below is a delegation to it.
+    pub(crate) fn view(&self) -> ReadView<'_> {
+        ReadView {
+            mem: Mem::Live { list: &self.mem, values: &self.mem_values },
+            mem_tombstones: self.mem_tombstones,
+            levels: &self.levels,
+            overlapping: self.overlapping,
+            disk: &self.disk,
+            cache: &self.cache,
+            faults: Faults::Writer(self),
         }
     }
 
-    /// Block fetch for the write/recovery paths: transients are retried,
-    /// everything else propagates.
-    fn fetch_block_strict(&self, table: &SsTable, block: usize) -> Result<Arc<Run>> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return Ok(hit);
-        }
-        let decoded = self.read_decoded_retrying(table, block, 4)?;
-        self.cache.insert(table.id, block, Arc::clone(&decoded));
-        Ok(decoded)
-    }
-
-    /// Block fetch for the query paths, through the block cache, with the
-    /// three-way fault policy:
-    ///
-    /// * **transient** read errors are retried under [`Backoff`] until
-    ///   they heal — and are *never* quarantined (the on-disk data is
-    ///   intact); an exhausted retry budget serves the block as empty for
-    ///   this one query only.
-    /// * a **persistent** decode failure is retried once more (the read
-    ///   repair — media faults injected on the read copy can vanish on
-    ///   re-read), and
-    /// * a block that still fails is **quarantined**: queries treat it as
-    ///   empty, the quarantine is persisted through the manifest so
-    ///   reopen skips it, and only scrub can lift it. The counters in
-    ///   [`Db::io_stats`] record every step instead of the process
-    ///   panicking.
-    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return hit;
-        }
-        if self.quarantined.borrow().contains(&(table.id, block as u32)) {
-            return Arc::default();
-        }
-        let decoded = match self.read_decoded_retrying(table, block, 8) {
-            Ok(d) => d,
-            Err(e) if e.is_transient() => return Arc::default(),
-            Err(_) => match self.read_decoded_retrying(table, block, 8) {
-                Ok(d) => {
-                    self.read_repairs.set(self.read_repairs.get() + 1);
-                    d
-                }
-                Err(_) => {
-                    self.quarantined
-                        .borrow_mut()
-                        .insert((table.id, block as u32));
-                    self.tables_changed();
-                    // Best-effort persistence: if the manifest append
-                    // itself fails the quarantine still holds in memory
-                    // and reopen rediscovers the bad block.
-                    let _ = self.manifest.borrow_mut().append(
-                        &self.disk,
-                        &[Edit::Quarantine {
-                            table: table.id,
-                            block: block as u32,
-                        }],
-                    );
-                    return Arc::default();
-                }
-            },
-        };
-        self.cache.insert(table.id, block, Arc::clone(&decoded));
-        decoded
-    }
-
-    /// `None` = key absent from this table; `Some(None)` = tombstoned
-    /// here; `Some(Some(v))` = live value.
-    fn get_in_table(&self, table: &SsTable, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        let blk = self.fetch_block(table, table.candidate_block(key));
-        blk.get(key).map(|v| v.map(<[u8]>::to_vec))
-    }
-
-    /// Per-key filter check with [`FilterStats`] accounting; filterless
-    /// tables pass through uncounted.
-    fn probe_filter(&self, table: &SsTable, key: &[u8]) -> bool {
-        if !table.has_filter() {
-            return true;
-        }
-        let mut s = self.filter_stats.get();
-        s.probe_passes += 1;
-        s.keys_probed += 1;
-        self.filter_stats.set(s);
-        table.filter_may_contain(key)
+    /// Quarantines `(table id, block index)` after the read path found it
+    /// unreadable: queries treat it as empty, the quarantine is persisted
+    /// through the manifest so reopen skips it, and only scrub (or a
+    /// compaction's last re-read) can lift it.
+    pub(crate) fn quarantine(&self, (table, block): (u64, u32)) {
+        self.quarantined.borrow_mut().insert((table, block));
+        self.tables_changed();
+        // Best-effort persistence: if the manifest append itself fails the
+        // quarantine still holds in memory and reopen rediscovers the bad
+        // block.
+        let _ = self
+            .manifest
+            .borrow_mut()
+            .append(&self.disk, &[Edit::Quarantine { table, block }]);
     }
 
     /// Point lookup (Figure 4.3, Get path). The newest version wins: a
     /// tombstone found at any level answers `None` without consulting
     /// older levels.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(slot) = self.mem.get(key) {
-            return self.mem_values[slot as usize].clone();
-        }
-        // Level 0: newest first, overlapping ranges.
-        for table in self.levels[0].iter().rev() {
-            if table.covers(key) && self.probe_filter(table, key) {
-                if let Some(v) = self.get_in_table(table, key) {
-                    return v;
-                }
-            }
-        }
-        for level in &self.levels[1..] {
-            if self.overlapping {
-                // Tiered runs overlap: newest-first scan, like L0.
-                for table in level.iter().rev() {
-                    if table.covers(key) && self.probe_filter(table, key) {
-                        if let Some(v) = self.get_in_table(table, key) {
-                            return v;
-                        }
-                    }
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if table.covers(key) && self.probe_filter(table, key) {
-                        if let Some(v) = self.get_in_table(table, key) {
-                            return v;
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Resolves the not-yet-answered candidate keys `cand` (indexes into
-    /// `keys`) against one table: one batched filter probe over the whole
-    /// candidate set, then block fetches shared across survivors that are
-    /// sorted into the same block. `out[i]` is written only on a hit
-    /// (where a tombstone hit writes `Some(None)`, resolving the key as
-    /// deleted).
-    fn multi_get_in_table(
-        &self,
-        table: &SsTable,
-        keys: &[&[u8]],
-        cand: &[u32],
-        out: &mut [Option<Option<Vec<u8>>>],
-    ) {
-        let mut survivors: Vec<u32>;
-        if table.has_filter() {
-            let probe: Vec<&[u8]> = cand.iter().map(|&i| keys[i as usize]).collect();
-            let bits = table.filter_may_contain_batch(&probe);
-            let mut s = self.filter_stats.get();
-            s.probe_passes += 1;
-            s.keys_probed += probe.len() as u64;
-            self.filter_stats.set(s);
-            survivors = cand
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| bits.get(j))
-                .map(|(_, &i)| i)
-                .collect();
-        } else {
-            survivors = cand.to_vec();
-        }
-        if survivors.is_empty() {
-            return;
-        }
-        // Key order clusters probes of the same data block behind a single
-        // fetch — the block-level analogue of the sorted-batch descent.
-        survivors.sort_unstable_by(|&a, &b| keys[a as usize].cmp(keys[b as usize]));
-        let mut cur: Option<(usize, Arc<Run>)> = None;
-        for &i in &survivors {
-            let key = keys[i as usize];
-            let b = table.candidate_block(key);
-            let blk = match &cur {
-                Some((cb, blk)) if *cb == b => Arc::clone(blk),
-                _ => {
-                    let blk = self.fetch_block(table, b);
-                    cur = Some((b, Arc::clone(&blk)));
-                    blk
-                }
-            };
-            if let Some(v) = blk.get(key) {
-                out[i as usize] = Some(v.map(<[u8]>::to_vec));
-            }
-        }
+        self.view().get(key)
     }
 
     /// Batched point lookup: one `Option<value>` per key, in input order,
-    /// each identical to what [`Db::get`] returns for that key.
-    ///
-    /// The batch walks the same newest-to-oldest path as `get`, but per
-    /// *table* instead of per key: one `may_contain_batch` filter pass over
-    /// every still-unresolved candidate key, then shared block fetches over
-    /// the survivors. Keys answered by a newer level are dropped from the
-    /// batch before older tables are consulted (the short-circuit a per-key
-    /// loop gets for free).
+    /// each identical to what [`Db::get`] returns for that key, at one
+    /// filter pass per table and shared block fetches.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        // Inner `Option` is the resolution (`Some(None)` = tombstoned);
-        // flattened to the public shape at the end.
-        let mut out: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
-        let mut unresolved: Vec<u32> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            if let Some(slot) = self.mem.get(key) {
-                out[i] = Some(self.mem_values[slot as usize].clone());
-            } else {
-                unresolved.push(i as u32);
-            }
-        }
-        // Level 0: newest first; tables overlap, so every unresolved key
-        // covered by the table is a candidate.
-        for table in self.levels[0].iter().rev() {
-            if unresolved.is_empty() {
-                break;
-            }
-            let cand: Vec<u32> = unresolved
-                .iter()
-                .copied()
-                .filter(|&i| table.covers(keys[i as usize]))
-                .collect();
-            if cand.is_empty() {
-                continue;
-            }
-            self.multi_get_in_table(table, keys, &cand, &mut out);
-            unresolved.retain(|&i| out[i as usize].is_none());
-        }
-        // Levels >= 1. Leveled levels are disjoint: group unresolved keys
-        // by the one table whose range can hold them, then batch once per
-        // table. Tiered runs overlap: newest-first table walk, like L0.
-        for level in &self.levels[1..] {
-            if unresolved.is_empty() {
-                break;
-            }
-            if self.overlapping {
-                for table in level.iter().rev() {
-                    if unresolved.is_empty() {
-                        break;
-                    }
-                    let cand: Vec<u32> = unresolved
-                        .iter()
-                        .copied()
-                        .filter(|&i| table.covers(keys[i as usize]))
-                        .collect();
-                    if cand.is_empty() {
-                        continue;
-                    }
-                    self.multi_get_in_table(table, keys, &cand, &mut out);
-                    unresolved.retain(|&i| out[i as usize].is_none());
-                }
-                continue;
-            }
-            let mut grouped: Vec<(u32, u32)> = Vec::new(); // (table idx, key idx)
-            for &i in &unresolved {
-                let key = keys[i as usize];
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if table.covers(key) {
-                        grouped.push((idx as u32, i));
-                    }
-                }
-            }
-            grouped.sort_unstable();
-            let mut g = 0usize;
-            while g < grouped.len() {
-                let idx = grouped[g].0;
-                let mut e = g + 1;
-                while e < grouped.len() && grouped[e].0 == idx {
-                    e += 1;
-                }
-                let cand: Vec<u32> = grouped[g..e].iter().map(|&(_, i)| i).collect();
-                self.multi_get_in_table(&level[idx as usize], keys, &cand, &mut out);
-                g = e;
-            }
-            unresolved.retain(|&i| out[i as usize].is_none());
-        }
-        out.into_iter().map(|r| r.flatten()).collect()
+        self.view().multi_get(keys)
     }
 
     /// Batched range read: for each `(low, n)` pair, the keys of the `n`
-    /// smallest entries `>= low`, resolved through the same SuRF-assisted
-    /// path as [`Db::seek`] / [`Db::next_after`] and positionally identical
-    /// to a per-range seek-then-next loop. Ranges are walked in sorted-low
-    /// order so nearby ranges reuse each other's just-cached blocks, and
-    /// the whole batch shares one candidate memo (see [`Db::multi_seek`])
-    /// so a table's lower bound resolved for one range answers the next
-    /// range's seek without re-probing it.
+    /// smallest entries `>= low` — positionally identical to a per-range
+    /// [`Db::seek`]-then-[`Db::next_after`] loop, sharing one candidate
+    /// memo across the batch.
     pub fn multi_scan(&self, ranges: &[(&[u8], usize)]) -> Vec<Vec<Vec<u8>>> {
-        let mut results: Vec<Vec<Vec<u8>>> = ranges.iter().map(|_| Vec::new()).collect();
-        let mut order: Vec<u32> = (0..ranges.len() as u32).collect();
-        order.sort_by(|&a, &b| ranges[a as usize].0.cmp(ranges[b as usize].0));
-        let mut memo = SeekMemo::new();
-        for &ri in &order {
-            let (low, n) = ranges[ri as usize];
-            if n == 0 {
-                continue;
-            }
-            let out = &mut results[ri as usize];
-            let mut cur = match self.seek_memoized(low, None, &mut memo) {
-                SeekResult::Found { key } => key,
-                SeekResult::NotFound => continue,
-            };
-            loop {
-                out.push(cur.clone());
-                if out.len() == n {
-                    break;
-                }
-                let succ = memtree_common::key::successor(&cur);
-                match self.seek_memoized(&succ, None, &mut memo) {
-                    SeekResult::Found { key } => cur = key,
-                    SeekResult::NotFound => break,
-                }
-            }
-        }
-        results
+        self.view().multi_scan(ranges)
     }
 
-    /// Exact smallest key `>= lk` within one table (1–2 block reads).
-    fn table_lower_bound(&self, table: &SsTable, lk: &[u8]) -> Option<Vec<u8>> {
-        let mut b = table.candidate_block(lk);
-        while b < table.blocks.len() {
-            let blk = self.fetch_block(table, b);
-            let i = blk.lower_bound(lk);
-            if i < blk.len() {
-                return Some(blk.key(i).to_vec());
-            }
-            b += 1;
-        }
-        None
-    }
-
-    /// Seek (Figure 4.3): smallest key `>= lk`, bounded by `hk` when given.
-    ///
-    /// Tombstone-aware: the structural candidate (smallest stored entry,
-    /// live or deleted) is verified against the merged view and, when it
-    /// turns out to be a shadowed delete, the seek restarts past it. The
-    /// verification `get` is skipped entirely while the store holds no
-    /// tombstones, which keeps the delete-free fast path at its original
-    /// I/O cost.
+    /// Seek (Figure 4.3): smallest live key `>= lk`, bounded by `hk` when
+    /// given. SuRF-assisted and tombstone-aware.
     pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        // A fresh memo still helps one seek: the tombstone resolution loop
-        // re-queries the same tables with a strictly increasing `lk`.
-        self.seek_memoized(lk, hk, &mut SeekMemo::new())
+        self.view().seek(lk, hk)
     }
 
     /// Batched closed-range seek: for each `(lk, hk)` pair the smallest
-    /// live key in `[lk, hk)`, exactly as [`Db::seek`] would answer it.
-    /// The batch is resolved in sorted-`lk` order against one shared
-    /// candidate memo, so SuRF's `moveToNext` candidate pruning and the
-    /// candidate block fetches are shared across the batch: a table whose
-    /// exact lower bound is already known from an earlier (lower) range
-    /// reuses it with zero additional I/O.
+    /// live key in `[lk, hk)`, exactly as [`Db::seek`] would answer it,
+    /// with candidate pruning and block fetches shared across the batch.
     pub fn multi_seek(&self, ranges: &[(&[u8], &[u8])]) -> Vec<SeekResult> {
-        let mut out = vec![SeekResult::NotFound; ranges.len()];
-        let mut order: Vec<u32> = (0..ranges.len() as u32).collect();
-        order.sort_by(|&a, &b| ranges[a as usize].0.cmp(ranges[b as usize].0));
-        let mut memo = SeekMemo::new();
-        for &ri in &order {
-            let (lk, hk) = ranges[ri as usize];
-            out[ri as usize] = self.seek_memoized(lk, Some(hk), &mut memo);
-        }
-        out
-    }
-
-    /// [`Db::seek`] resolved against a shared candidate memo.
-    fn seek_memoized(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> SeekResult {
-        let mut low = lk.to_vec();
-        loop {
-            let cand = match self.seek_candidate(&low, hk, memo) {
-                SeekResult::Found { key } => key,
-                SeekResult::NotFound => return SeekResult::NotFound,
-            };
-            if !self.any_tombstones() || self.get(&cand).is_some() {
-                return SeekResult::Found { key: cand };
-            }
-            low = memtree_common::key::successor(&cand);
-            if let Some(hk) = hk {
-                if low.as_slice() >= hk {
-                    return SeekResult::NotFound;
-                }
-            }
-        }
-    }
-
-    /// Cheap gate for the seek resolution loop: any tombstone anywhere?
-    fn any_tombstones(&self) -> bool {
-        self.mem_tombstones > 0
-            || self.levels.iter().flatten().any(|t| t.num_tombstones > 0)
-    }
-
-    /// The structural part of [`Db::seek`]: smallest *stored* key `>= lk`
-    /// across memtable and tables, tombstones included.
-    ///
-    /// `memo` caches each table's resolved exact lower bound as
-    /// `(lk₀, candidate)`. A cached entry answers a later query at
-    /// `lk ≥ lk₀` for free: `candidate` (when `≥ lk`) is still exact
-    /// because the table holds no key in `[lk₀, candidate)` ⊇
-    /// `[lk, candidate)`, and a `None` candidate means the table holds no
-    /// key `≥ lk₀` at all. Entries that can't answer (`lk < lk₀`, or a
-    /// candidate now below `lk`) are re-resolved and overwritten, so the
-    /// memo is correct for *any* query order — sorted batches merely make
-    /// it effective.
-    fn seek_candidate(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> SeekResult {
-        // Memtable candidate is exact and free.
-        let mut best_exact: Option<Vec<u8>> = None;
-        self.mem.range_from(lk, &mut |k, _| {
-            best_exact = Some(k.to_vec());
-            false
-        });
-        // Candidates per table: exact (block fetch) without SuRF, prefix
-        // (in-memory moveToNext) with SuRF.
-        // (prefix, table_index) pending resolution.
-        let mut pending: Vec<(Vec<u8>, usize, usize)> = Vec::new(); // (prefix, level, idx)
-        // A table can serve the seek only if its range intersects [lk, hk):
-        // entirely-below tables have no key >= lk, and entirely-at-or-above
-        // tables (min_key >= hk) have no key < hk — without the second
-        // prune, filterless tables above hk paid a block fetch in
-        // `table_lower_bound` just to produce an out-of-bound candidate.
-        let consider = |t: &SsTable| {
-            t.max_key.as_slice() >= lk && hk.is_none_or(|hk| t.min_key.as_slice() < hk)
-        };
-        let visit = |level: usize,
-                     idx: usize,
-                     table: &SsTable,
-                     pending: &mut Vec<(Vec<u8>, usize, usize)>,
-                     best_exact: &mut Option<Vec<u8>>,
-                     memo: &mut SeekMemo| {
-            if !consider(table) {
-                return;
-            }
-            // Memo hit: an exact lower bound resolved at some lk₀ <= lk
-            // answers without touching the filter or a block.
-            if let Some((lk0, cached)) = memo.get(&table.id) {
-                if lk >= lk0.as_slice() {
-                    match cached {
-                        None => return, // no key >= lk₀ ⇒ none >= lk
-                        Some(c) if c.as_slice() >= lk => {
-                            if best_exact.as_deref().is_none_or(|b| c.as_slice() < b) {
-                                *best_exact = Some(c.clone());
-                            }
-                            return;
-                        }
-                        Some(_) => {} // candidate fell below lk: re-resolve
-                    }
-                }
-            }
-            match table.surf() {
-                Some(surf) => {
-                    let (it, _fp) = surf.move_to_next(lk);
-                    if it.valid() {
-                        let prefix = it.key().to_vec();
-                        // Prune candidates definitely past hk.
-                        if let Some(hk) = hk {
-                            if prefix.as_slice() >= hk {
-                                return;
-                            }
-                        }
-                        pending.push((prefix, level, idx));
-                    }
-                }
-                None => {
-                    // No usable range filter: fetch the candidate block.
-                    let k = self.table_lower_bound(table, lk);
-                    memo.insert(table.id, (lk.to_vec(), k.clone()));
-                    if let Some(k) = k {
-                        if best_exact.as_deref().is_none_or(|b| k.as_slice() < b) {
-                            *best_exact = Some(k);
-                        }
-                    }
-                }
-            }
-        };
-        for (idx, table) in self.levels[0].iter().enumerate() {
-            visit(0, idx, table, &mut pending, &mut best_exact, memo);
-        }
-        for (lvl, level) in self.levels.iter().enumerate().skip(1) {
-            if self.overlapping {
-                // Tiered runs overlap: any run may hold the lower bound.
-                for (idx, table) in level.iter().enumerate() {
-                    visit(lvl, idx, table, &mut pending, &mut best_exact, memo);
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < lk);
-                if let Some(table) = level.get(idx) {
-                    visit(lvl, idx, table, &mut pending, &mut best_exact, memo);
-                }
-            }
-        }
-        // Resolve SuRF candidates smallest-prefix-first until the best
-        // exact key cannot be beaten.
-        pending.sort();
-        for (prefix, level, idx) in pending {
-            if let Some(best) = &best_exact {
-                // A prefix >= best exact key cannot yield a smaller key...
-                // unless it is a prefix of `best` (its extension could be
-                // smaller), so only prune on strictly-greater non-prefixes.
-                if prefix.as_slice() >= best.as_slice() && !best.starts_with(&prefix) {
-                    break;
-                }
-            }
-            let table = &self.levels[level][idx];
-            let k = self.table_lower_bound(table, lk);
-            memo.insert(table.id, (lk.to_vec(), k.clone()));
-            if let Some(k) = k {
-                if best_exact.as_deref().is_none_or(|b| k.as_slice() < b) {
-                    best_exact = Some(k);
-                }
-            }
-        }
-        match best_exact {
-            Some(k) => {
-                if let Some(hk) = hk {
-                    if k.as_slice() >= hk {
-                        return SeekResult::NotFound;
-                    }
-                }
-                SeekResult::Found { key: k }
-            }
-            None => SeekResult::NotFound,
-        }
+        self.view().multi_seek(ranges)
     }
 
     /// `Next` (Figure 4.3): the smallest entry strictly greater than
-    /// `key`, bounded by `hk`. As the thesis observes, `Next` rarely
-    /// benefits from filters — the relevant blocks are usually already
-    /// cached from the preceding `Seek`.
+    /// `key`, bounded by `hk`.
     pub fn next_after(&self, key: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        let succ = memtree_common::key::successor(key);
-        self.seek(&succ, hk)
+        self.view().next_after(key, hk)
     }
 
     /// Approximate range count (Figure 4.3, Count path). With SuRF the
     /// count is served from the filters (no data I/O); otherwise data
     /// blocks are scanned.
     pub fn count(&self, lk: &[u8], hk: &[u8]) -> usize {
-        let mut total = 0usize;
-        self.mem.range_from(lk, &mut |k, slot| {
-            if k < hk {
-                total += usize::from(self.mem_values[slot as usize].is_some());
-                true
-            } else {
-                false
-            }
-        });
-        for level in &self.levels {
-            for table in level {
-                if !table.overlaps(lk, hk) {
-                    continue;
-                }
-                match table.surf() {
-                    Some(surf) => total += surf.count(lk, hk),
-                    None => {
-                        let mut b = table.candidate_block(lk);
-                        'blocks: while b < table.blocks.len() {
-                            let blk = self.fetch_block(table, b);
-                            for i in blk.lower_bound(lk)..blk.len() {
-                                let (k, v) = blk.entry(i);
-                                if k >= hk {
-                                    break 'blocks;
-                                }
-                                total += usize::from(v.is_some());
-                            }
-                            b += 1;
-                        }
-                    }
-                }
-            }
-        }
-        total
+        self.view().count(lk, hk)
+    }
+
+    /// Merged range scan: up to `limit` live `(key, value)` entries with
+    /// `lk <= key` (`< hk` when bounded), in key order, newest version
+    /// each.
+    pub fn scan_from(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.view().scan_from(lk, hk, limit)
     }
 
     /// Read-I/O, sync, and degradation statistics (the repair/quarantine
@@ -1849,30 +1159,14 @@ impl Db {
         }
     }
 
-    /// Cache lookup without any disk fallback (scrub repairs bad blocks
-    /// from still-cached copies when it can).
-    pub(crate) fn cached_block(&self, table: u64, block: usize) -> Option<Arc<Run>> {
-        self.cache.get(table, block)
-    }
-
     pub(crate) fn memtable_is_empty(&self) -> bool {
         self.mem.is_empty()
     }
 
-    /// The whole MemTable, tombstones included, as one sorted run: a
-    /// sizing pass over the skip list, then a copying pass straight into
-    /// the run's one buffer (flush input, and the base of the published
-    /// MemTable view).
+    /// The whole MemTable, tombstones included, as one sorted run (flush
+    /// input, and the base of the published MemTable view).
     pub(crate) fn memtable_run(&self) -> Run {
-        let (mut key_bytes, mut value_bytes) = (0, 0);
-        self.mem.for_each_sorted(&mut |k, slot| {
-            key_bytes += k.len();
-            value_bytes += self.mem_value(slot).map_or(0, <[u8]>::len);
-        });
-        let mut run = RunBuilder::sized(self.mem.len(), key_bytes, value_bytes);
-        self.mem
-            .for_each_sorted(&mut |k, slot| run.push(k, self.mem_value(slot)));
-        run.finish()
+        self.view().mem_run(&[], None, usize::MAX)
     }
 
     /// The value a MemTable entry points at; `None` = tombstone.
@@ -2051,133 +1345,6 @@ pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
         }
     }
     Ok(freed)
-}
-
-#[cfg(test)]
-mod cache_tests {
-    use super::*;
-
-    fn blk(tag: u8) -> Arc<Run> {
-        let mut run = RunBuilder::sized(1, 1, 4);
-        run.push(&[tag], Some(&[tag; 4]));
-        Arc::new(run.finish())
-    }
-
-    /// Regression for the duplicate-slot bug: re-inserting an already-
-    /// cached `(table, block)` must refresh the existing slot in place —
-    /// the old `insert` blindly indexed a new slot, leaving the previous
-    /// one in the CLOCK ring unindexed (capacity silently lost, and
-    /// `invalidate` could never find it).
-    #[test]
-    fn reinsert_refreshes_in_place_without_duplicate_slots() {
-        let cache = BlockCache::new(4);
-        cache.insert(1, 0, blk(1));
-        assert_eq!(cache.slot_count(), 1);
-        assert!(cache.get(1, 0).is_some());
-        // Re-insert the same block (a racing fill after a concurrent
-        // invalidate-miss does exactly this).
-        cache.insert(1, 0, blk(2));
-        assert_eq!(cache.slot_count(), 1, "duplicate slot for re-inserted block");
-        let got = cache.get(1, 0).expect("still cached");
-        assert_eq!(got.key(0), [2u8], "refresh must install the new payload");
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (2, 2), "both inserts count as misses, both gets as hits");
-        for s in &cache.stripes {
-            s.lock().unwrap().assert_coherent();
-        }
-        // And invalidate actually removes it — with the duplicate bug the
-        // stale twin survived invisibly.
-        cache.invalidate(1, 0);
-        assert_eq!(cache.slot_count(), 0);
-        assert!(cache.get(1, 0).is_none());
-    }
-
-    /// Randomized differential test: drive insert/get/invalidate/
-    /// invalidate-table schedules against a map model and assert the
-    /// index ↔ slot bijection after every operation, across capacities
-    /// (0, 1, and the hand-wraparound-prone small sizes).
-    #[test]
-    fn randomized_cache_vs_model() {
-        for capacity in [0usize, 1, 2, 3, 8, 17] {
-            for seed in 0..16u64 {
-                let cache = BlockCache::new(capacity);
-                // Model: what the newest inserted payload for a key is.
-                let mut model: HashMap<(u64, usize), u8> = HashMap::new();
-                let mut gone: HashSet<(u64, usize)> = HashSet::new();
-                let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) + 1;
-                for step in 0..400u64 {
-                    let r = memtree_common::hash::splitmix64(&mut state);
-                    let table = r % 3;
-                    let block = (r >> 8) as usize % 5;
-                    let tag = (step % 251) as u8;
-                    match (r >> 16) % 10 {
-                        0..=4 => {
-                            cache.insert(table, block, blk(tag));
-                            model.insert((table, block), tag);
-                            gone.remove(&(table, block));
-                        }
-                        5..=7 => {
-                            if let Some(hit) = cache.get(table, block) {
-                                assert!(
-                                    !gone.contains(&(table, block)),
-                                    "cap {capacity} seed {seed}: invalidated key served"
-                                );
-                                assert_eq!(
-                                    hit.key(0)[0], model[&(table, block)],
-                                    "cap {capacity} seed {seed}: stale payload"
-                                );
-                            }
-                        }
-                        8 => {
-                            cache.invalidate(table, block);
-                            gone.insert((table, block));
-                        }
-                        _ => {
-                            cache.invalidate_table(table);
-                            for b in 0..5 {
-                                gone.insert((table, b));
-                            }
-                        }
-                    }
-                    for s in &cache.stripes {
-                        s.lock().unwrap().assert_coherent();
-                    }
-                    // Invalidated keys must miss until re-inserted.
-                    for &(t, b) in &gone {
-                        assert!(
-                            cache.get(t, b).is_none(),
-                            "cap {capacity} seed {seed}: ghost entry ({t},{b})"
-                        );
-                    }
-                }
-                assert!(cache.slot_count() <= capacity.max(1) * 8);
-            }
-        }
-    }
-
-    /// Evict-then-reinsert the same key under a full ring: the CLOCK hand
-    /// and index must stay coherent through wraparound after removals.
-    #[test]
-    fn evict_reinsert_and_hand_wraparound_stay_coherent() {
-        let cache = BlockCache::new(1); // one stripe, one slot: maximal churn
-        for round in 0..20u64 {
-            cache.insert(round % 2, 0, blk(round as u8));
-            assert_eq!(cache.slot_count(), 1);
-            if round % 3 == 0 {
-                cache.invalidate(round % 2, 0);
-                assert_eq!(cache.slot_count(), 0);
-            }
-            for s in &cache.stripes {
-                s.lock().unwrap().assert_coherent();
-            }
-        }
-        // Capacity-0 cache: inserts are counted misses, nothing sticks.
-        let zero = BlockCache::new(0);
-        zero.insert(1, 1, blk(9));
-        assert!(zero.get(1, 1).is_none());
-        assert_eq!(zero.slot_count(), 0);
-        assert_eq!(zero.stats(), (0, 1), "the insert after the miss is what counts it");
-    }
 }
 
 #[cfg(test)]
@@ -2654,8 +1821,12 @@ mod tests {
         }
     }
 
+    /// One table, both handles, one ladder: a corrupt *returned copy* is
+    /// re-read (the stored bytes are intact); a block that stays
+    /// unreadable reads as absent — where a snapshot leaves it at that and
+    /// the writer quarantines and persists.
     #[test]
-    fn quarantine_degrades_reads_without_panic() {
+    fn corrupt_read_is_reread_then_degrades_per_handle() {
         let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
@@ -2666,14 +1837,56 @@ mod tests {
             db.put(&encode_u64(i), b"payload").unwrap();
         }
         db.flush().unwrap();
-        // Corrupt every read of one table's first block: first get trips
-        // the retry (counted), persistent failure quarantines.
+        let snap = db.snapshot();
+        let state = |db: &Db| {
+            let manifest = db.disk.read_file(db.manifest.borrow().file());
+            (db.io_stats().quarantined_blocks, manifest)
+        };
+        let before = state(&db);
         memtree_faults::enable(7);
+        let reads: [&dyn Fn() -> Option<Vec<u8>>; 2] =
+            [&|| snap.get(&encode_u64(0)), &|| db.get(&encode_u64(0))];
+        for read in reads {
+            memtree_faults::arm("lsm.disk.read_corrupt", 1.0, Some(1));
+            assert_eq!(read(), Some(b"payload".to_vec()), "one corrupt copy must be re-read");
+        }
+        assert_eq!(db.io_stats().read_repairs, 1, "the writer counts its repair");
+        // One corrupt copy, then a transient storm that outlasts the
+        // re-read round's budget: absent for this query on both handles,
+        // and — transients never quarantine — nothing else. A point has no
+        // "skip the first hit", so pick the seed whose stream spares the
+        // first read and fails the next eight.
+        let storm = "lsm.disk.read_transient";
+        let arm_storm = |seed| {
+            memtree_faults::enable(seed);
+            memtree_faults::arm(storm, 0.9, None);
+        };
+        let spares_first_only = |seed: &u64| {
+            arm_storm(*seed);
+            !memtree_faults::should_fail(storm) && (0..8).all(|_| memtree_faults::should_fail(storm))
+        };
+        let seed = (0..).find(spares_first_only).expect("some seed fits");
+        for read in reads {
+            arm_storm(seed);
+            memtree_faults::arm("lsm.disk.read_corrupt", 1.0, Some(1));
+            assert_eq!(read(), None, "storm in the re-read round serves the block empty");
+            assert_eq!(memtree_faults::trips("lsm.disk.read_corrupt"), 1);
+            assert_eq!(memtree_faults::trips(storm), 8, "the whole re-read budget");
+            memtree_faults::disable();
+            assert_eq!(state(&db), before, "a transient storm quarantined or persisted");
+            assert_eq!(read(), Some(b"payload".to_vec()), "and the next query is whole");
+        }
+        assert_eq!(db.io_stats().read_repairs, 1);
+        memtree_faults::enable(7);
+        // Every copy corrupt: the snapshot answers "absent" and writes nothing.
         memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        assert_eq!(snap.get(&encode_u64(0)), None);
+        assert_eq!(state(&db), before, "a snapshot read quarantined or persisted something");
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined block reads as absent");
         memtree_faults::disable();
-        let s = db.io_stats();
-        assert_eq!(s.quarantined_blocks, 1);
+        let after = state(&db);
+        assert_eq!(after.0, 1);
+        assert!(after.1.len() > before.1.len(), "the quarantine edit is in the manifest");
         // After disarming, *other* blocks still serve.
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
     }
@@ -2897,15 +2110,15 @@ mod tests {
         let table = Arc::clone(&db.levels[0][0]);
         assert!(table.blocks.len() > 2);
         // The one-slot ring and its index are allocated from here on.
-        db.fetch_block(&table, 0);
+        db.view().fetch_block(&table, 0);
         let frame = db.disk.read(table.blocks[1]).unwrap();
         let (blk, allocations, largest) =
-            crate::alloc_probe::measure(|| db.fetch_block(&table, 1));
+            crate::alloc_probe::measure(|| db.view().fetch_block(&table, 1));
         assert_eq!(allocations, 3, "frame copy off the device, offset table, Arc");
         assert_eq!(largest, frame.len().max(8 * (blk.len() + 1)));
         assert_eq!(blk.frame(), Some(&*frame), "the frame is kept, not re-encoded");
-        assert!(Arc::ptr_eq(&db.cached_block(table.id, 1).unwrap(), &blk));
-        assert!(db.cached_block(table.id, 0).is_none(), "one slot: block 0 was evicted");
+        assert!(Arc::ptr_eq(&db.cache.get(table.id, 1).unwrap(), &blk));
+        assert!(db.cache.get(table.id, 0).is_none(), "one slot: block 0 was evicted");
     }
 
     /// Regression: `encode_block` used to write `len as u16`, so an

@@ -57,6 +57,7 @@
 //! process that never crashes observes its own unsynced writes.
 
 use memtree_common::error::{MemtreeError, Result};
+use memtree_faults::Backoff;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -443,6 +444,20 @@ impl SimDisk {
             }
         }
         Ok(data)
+    }
+
+    /// [`SimDisk::read`] repeated under `backoff` while the fault is
+    /// *transient* — the one retry step every block reader shares.
+    /// Persistent errors (dead block) return on the first attempt, and a
+    /// corrupt copy is the decoder's to find; `backoff.attempts() - 1`
+    /// retries were taken.
+    pub(crate) fn read_retrying(&self, id: u32, backoff: &mut Backoff) -> Result<Box<[u8]>> {
+        loop {
+            match self.read(id) {
+                Err(e) if backoff.retry(&e) => continue,
+                done => return done,
+            }
+        }
     }
 
     /// Frees a block (after compaction drops an SSTable). Double release

@@ -13,7 +13,11 @@
 //!
 //! `Get`, `Seek` (open and closed) and `Count` follow the Figure 4.3
 //! execution paths, including SuRF's `moveToNext`-based candidate pruning
-//! for seeks.
+//! for seeks. They, their batched forms and the merged range scan are
+//! implemented once, in the `read` module, over a borrowed view of a
+//! MemTable source, the levels, the device and the block cache; [`Db`]
+//! (over its live skip list) and [`DbSnapshot`] (over its frozen runs)
+//! expose the same read methods as delegations to it.
 //!
 //! Since the durability PR the engine is crash-consistent: puts are logged
 //! to a CRC-framed WAL before touching the MemTable, flushes and
@@ -26,10 +30,12 @@
 
 #[cfg(test)]
 mod alloc_probe;
+mod cache;
 mod compaction;
 mod db;
 mod disk;
 mod manifest;
+mod read;
 mod run;
 mod scrub;
 mod snapshot;
@@ -39,10 +45,11 @@ mod wal;
 pub use compaction::CompactionConfig;
 pub use db::{
     gc_orphans, Db, DbOptions, DbStats, FilterKind, FilterStats, FlushStats, OpenReport,
-    SeekResult, StallConfig,
+    StallConfig,
 };
 pub use disk::{IoStats, SimDisk, SlowIo};
+pub use read::{SeekResult, SCAN_RESERVE_ROWS};
 pub use scrub::{FileScrubOutcome, LostRange, ScrubReport};
-pub use snapshot::{DbSnapshot, SCAN_RESERVE_ROWS};
+pub use snapshot::DbSnapshot;
 pub use sstable::SsTable;
 pub use wal::WalStats;

@@ -251,6 +251,20 @@ impl RunBuilder {
         }
     }
 
+    /// The run of the entries `visit` hands its argument, which it must do
+    /// twice over, identically: a sizing pass, then the copying pass.
+    pub(crate) fn collect(visit: impl Fn(&mut dyn FnMut(&[u8], Option<&[u8]>))) -> Run {
+        let (mut entries, mut key_bytes, mut value_bytes) = (0, 0, 0);
+        visit(&mut |k, v| {
+            entries += 1;
+            key_bytes += k.len();
+            value_bytes += v.map_or(0, <[u8]>::len);
+        });
+        let mut run = Self::sized(entries, key_bytes, value_bytes);
+        visit(&mut |k, v| run.push(k, v));
+        run.finish()
+    }
+
     /// Appends an entry; `key` must be greater than every key pushed so
     /// far, and the entry must fit the sizes the builder was given.
     pub(crate) fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
@@ -334,12 +348,7 @@ mod tests {
     }
 
     fn built(model: &Owned) -> Run {
-        let (key_bytes, value_bytes) = sizes(model);
-        let mut b = RunBuilder::sized(model.len(), key_bytes, value_bytes);
-        for (k, v) in model {
-            b.push(k, v.as_deref());
-        }
-        b.finish()
+        RunBuilder::collect(|push| model.iter().for_each(|(k, v)| push(k, v.as_deref())))
     }
 
     /// Every accessor of `run` against the `Vec` model.

@@ -222,24 +222,12 @@ impl Db {
         for (bi, &block_id) in blocks.iter().enumerate() {
             let was_quarantined = self.quarantined.borrow().contains(&(old_id, bi as u32));
             let mut backoff = Backoff::new(8);
-            let mut retried = false;
-            let read = loop {
-                match self.disk.read(block_id) {
-                    Ok(raw) => break Ok(raw),
-                    Err(e) => {
-                        if backoff.retry(&e) {
-                            retried = true;
-                            continue;
-                        }
-                        break Err(e);
-                    }
-                }
-            };
+            let read = self.disk.read_retrying(block_id, &mut backoff);
             report.blocks_scanned += 1;
             let decoded = match read {
                 Ok(raw) => {
                     report.bytes_scanned += raw.len() as u64;
-                    if retried {
+                    if backoff.attempts() > 1 {
                         report.transient_healed += 1;
                     }
                     Run::from_frame(raw).map(Arc::new)
@@ -268,7 +256,7 @@ impl Db {
                 Err(_) => {
                     // Persistent damage. Best repair first: a clean copy
                     // still in the block cache.
-                    if let Some(cached) = self.cached_block(old_id, bi) {
+                    if let Some(cached) = self.cache.get(old_id, bi) {
                         let rewritten =
                             cached.frame().and_then(|f| self.disk.write(f.into()).ok());
                         if let Some(nb) = rewritten {

@@ -30,20 +30,23 @@
 //! after the last reference drops), so a snapshot taken before a
 //! compaction reads exactly the data it was taken over.
 //!
-//! ## Fault policy
+//! ## Reads
 //!
-//! Snapshot reads are *degraded, never escalating*: a quarantined or
-//! persistently unreadable block is served as empty for this view (the
-//! same answer the owning `Db` gives), transient faults are retried under
-//! backoff, and a snapshot never quarantines a block or writes a manifest
-//! edit — fault bookkeeping stays with the single writer.
+//! A snapshot has no read path of its own: every read method builds a
+//! [`ReadView`] over the frozen runs and delegates to [`crate::read`], the
+//! same code the owning `Db` reads through. Reads are *degraded, never
+//! escalating*: a quarantined or persistently unreadable block is served
+//! as empty for this view (the same answer the owning `Db` gives),
+//! transient faults are retried under backoff and a corrupt returned copy
+//! is re-read once, and a snapshot never quarantines a block or writes a
+//! manifest edit — fault bookkeeping stays with the single writer.
 
-use crate::db::{BlockCache, Db};
+use crate::cache::BlockCache;
+use crate::db::Db;
 use crate::disk::SimDisk;
-use crate::run::{EntryRef, Run, RunBuilder};
+use crate::read::{Faults, Mem, ReadView, SeekResult};
+use crate::run::{Run, RunBuilder};
 use crate::sstable::SsTable;
-use memtree_faults::Backoff;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -52,15 +55,6 @@ use std::sync::Arc;
 /// writes, so the sum is smallest near `sqrt(2 × MemTable entries)` — 64
 /// for the ~2 000 entries a default MemTable holds.
 const DELTA_MAX: usize = 64;
-
-/// Most output rows a scan reserves room for up front (48 KiB of row
-/// headers); a longer scan grows from there. Reserving is a steadiness
-/// rule more than a saving: an output vector grown by doubling frees a
-/// ladder of 0.2–6 KiB chunks on every scan, the allocator splits them
-/// for the next scan's rows, and scan latency comes to depend on which
-/// fragmentation state the calling thread's heap has fallen into
-/// (EXPERIMENTS.md, PR 16).
-pub const SCAN_RESERVE_ROWS: usize = 1024;
 
 /// The `Db`-side state of the published MemTable view (see the module
 /// docs): the shared base and the keys written since it was built.
@@ -97,14 +91,10 @@ impl MemView {
             self.base = Arc::new(db.memtable_run());
             BTreeMap::new()
         });
-        let (key_bytes, value_bytes) = recorded.iter().fold((0, 0), |(k, v), (key, &slot)| {
-            (k + key.len(), v + db.mem_value(slot).map_or(0, <[u8]>::len))
+        let delta = RunBuilder::collect(|push| {
+            recorded.iter().for_each(|(key, &slot)| push(key, db.mem_value(slot)));
         });
-        let mut delta = RunBuilder::sized(recorded.len(), key_bytes, value_bytes);
-        for (key, &slot) in recorded.iter() {
-            delta.push(key, db.mem_value(slot));
-        }
-        (Arc::clone(&self.base), delta.finish())
+        (Arc::clone(&self.base), delta)
     }
 }
 
@@ -129,6 +119,8 @@ pub struct DbSnapshot {
     mem_delta: Run,
     /// The MemTable as of the last base rebuild before snapshot time.
     mem_base: Arc<Run>,
+    /// Upper bound on the tombstones the two MemTable runs hold.
+    mem_tombstones: usize,
     tables: Arc<TableSet>,
     disk: Arc<SimDisk>,
     cache: Arc<BlockCache>,
@@ -148,52 +140,11 @@ impl Db {
         DbSnapshot {
             mem_delta,
             mem_base,
+            mem_tombstones: self.mem_tombstones,
             tables: self.table_set(),
             disk: self.disk_handle(),
             cache: Arc::clone(&self.cache),
             seq: self.last_seq(),
-        }
-    }
-}
-
-/// One ordered source feeding the merge in [`DbSnapshot::scan_from`].
-/// Sources are consulted newest-first; on a key tie the newest wins.
-enum Source<'a> {
-    /// One stage of the frozen MemTable view.
-    Mem { run: &'a Run, pos: usize },
-    /// A streaming cursor over one table's blocks.
-    Table(TableCursor<'a>),
-}
-
-struct TableCursor<'a> {
-    table: &'a SsTable,
-    /// Index into `table.blocks`.
-    block: usize,
-    data: Arc<Run>,
-    pos: usize,
-}
-
-impl<'a> Source<'a> {
-    fn peek(&self) -> Option<EntryRef<'_>> {
-        let (run, pos) = match self {
-            Source::Mem { run, pos } => (*run, *pos),
-            Source::Table(c) => (&*c.data, c.pos),
-        };
-        (pos < run.len()).then(|| run.entry(pos))
-    }
-
-    fn advance(&mut self, snap: &DbSnapshot) {
-        match self {
-            Source::Mem { pos, .. } => *pos += 1,
-            Source::Table(c) => {
-                c.pos += 1;
-                // Skip exhausted and degraded-empty blocks.
-                while c.pos >= c.data.len() && c.block + 1 < c.table.blocks.len() {
-                    c.block += 1;
-                    c.data = snap.fetch_block(c.table, c.block);
-                    c.pos = 0;
-                }
-            }
         }
     }
 }
@@ -204,174 +155,60 @@ impl DbSnapshot {
         self.seq
     }
 
+    fn view(&self) -> ReadView<'_> {
+        ReadView {
+            mem: Mem::Frozen { delta: &self.mem_delta, base: &self.mem_base },
+            mem_tombstones: self.mem_tombstones,
+            levels: &self.tables.levels,
+            overlapping: self.tables.overlapping,
+            disk: &self.disk,
+            cache: &self.cache,
+            faults: Faults::Frozen(&self.tables.quarantined),
+        }
+    }
+
     /// Point lookup at snapshot time; newest version wins, a tombstone at
     /// any level answers `None` without consulting older levels. Only the
     /// returned value is copied.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(v) = self.mem_delta.get(key).or_else(|| self.mem_base.get(key)) {
-            return v.map(<[u8]>::to_vec);
-        }
-        let probe = |table: &SsTable| -> Option<Option<Vec<u8>>> {
-            if !table.covers(key) || (table.has_filter() && !table.filter_may_contain(key)) {
-                return None;
-            }
-            let blk = self.fetch_block(table, table.candidate_block(key));
-            blk.get(key).map(|v| v.map(<[u8]>::to_vec))
-        };
-        let levels = &self.tables.levels;
-        if let Some(l0) = levels.first() {
-            for table in l0.iter().rev() {
-                if let Some(v) = probe(table) {
-                    return v;
-                }
-            }
-        }
-        for level in levels.iter().skip(1) {
-            if self.tables.overlapping {
-                // Tiered runs overlap: scan newest-first like L0.
-                for table in level.iter().rev() {
-                    if let Some(v) = probe(table) {
-                        return v;
-                    }
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if let Some(v) = probe(table) {
-                        return v;
-                    }
-                }
-            }
-        }
-        None
+        self.view().get(key)
+    }
+
+    /// [`Db::multi_get`] at snapshot time.
+    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
+        self.view().multi_get(keys)
+    }
+
+    /// [`Db::multi_scan`] at snapshot time.
+    pub fn multi_scan(&self, ranges: &[(&[u8], usize)]) -> Vec<Vec<Vec<u8>>> {
+        self.view().multi_scan(ranges)
+    }
+
+    /// [`Db::seek`] at snapshot time.
+    pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
+        self.view().seek(lk, hk)
+    }
+
+    /// [`Db::multi_seek`] at snapshot time.
+    pub fn multi_seek(&self, ranges: &[(&[u8], &[u8])]) -> Vec<SeekResult> {
+        self.view().multi_seek(ranges)
+    }
+
+    /// [`Db::next_after`] at snapshot time.
+    pub fn next_after(&self, key: &[u8], hk: Option<&[u8]>) -> SeekResult {
+        self.view().next_after(key, hk)
+    }
+
+    /// [`Db::count`] at snapshot time.
+    pub fn count(&self, lk: &[u8], hk: &[u8]) -> usize {
+        self.view().count(lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
     /// `lk <= key` (`< hk` when bounded), in key order, each the newest
     /// version at snapshot time. Tombstones are merged away.
-    pub fn scan_from(
-        &self,
-        lk: &[u8],
-        hk: Option<&[u8]>,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let levels = &self.tables.levels;
-        // Every vector below is sized once: a scan's allocations are its
-        // output rows plus a constant, never a growth ladder of odd sizes
-        // interleaved with them (see `SCAN_RESERVE_ROWS`).
-        let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
-        // Build the newest-first source list: MemTable delta, MemTable
-        // base, then L0 newest-last reversed, then each deeper level's
-        // overlapping tables (disjoint within a level, so order within it
-        // is by key anyway).
-        let mut sources: Vec<Source<'_>> =
-            Vec::with_capacity(2 + levels.iter().map(Vec::len).sum::<usize>());
-        for run in [&self.mem_delta, &*self.mem_base] {
-            sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
-        }
-        let in_range = |t: &SsTable| {
-            t.max_key.as_slice() >= lk && hk.is_none_or(|hk| t.min_key.as_slice() < hk)
-        };
-        if let Some(l0) = levels.first() {
-            for table in l0.iter().rev().filter(|t| in_range(t)) {
-                sources.push(Source::Table(self.open_cursor(table, lk)));
-            }
-        }
-        for level in levels.iter().skip(1) {
-            if self.tables.overlapping {
-                // Tiered runs are age-ordered newest-last; reverse so the
-                // earlier source wins key ties, exactly like L0.
-                for table in level.iter().rev().filter(|t| in_range(t)) {
-                    sources.push(Source::Table(self.open_cursor(table, lk)));
-                }
-            } else {
-                for table in level.iter().filter(|t| in_range(t)) {
-                    sources.push(Source::Table(self.open_cursor(table, lk)));
-                }
-            }
-        }
-        // Sources whose head is the round's smallest key, newest first:
-        // `heads[0]` provides the authoritative value, all of them step
-        // past the key. Nothing is copied while choosing.
-        let mut heads: Vec<usize> = Vec::with_capacity(sources.len());
-        loop {
-            heads.clear();
-            let mut best: Option<&[u8]> = None;
-            for (i, s) in sources.iter().enumerate() {
-                let Some((k, _)) = s.peek() else { continue };
-                if hk.is_some_and(|hk| k >= hk) {
-                    continue;
-                }
-                match best.map(|b| k.cmp(b)) {
-                    Some(Ordering::Greater) => {}
-                    Some(Ordering::Equal) => heads.push(i),
-                    Some(Ordering::Less) | None => {
-                        best = Some(k);
-                        heads.clear();
-                        heads.push(i);
-                    }
-                }
-            }
-            let Some(&winner) = heads.first() else { break };
-            if let Some((key, Some(value))) = sources[winner].peek() {
-                out.push((key.to_vec(), value.to_vec()));
-                if out.len() == limit {
-                    break;
-                }
-            }
-            // Keys are unique within a source: one step clears the key.
-            for &i in &heads {
-                sources[i].advance(self);
-            }
-        }
-        out
-    }
-
-    fn open_cursor<'a>(&self, table: &'a SsTable, lk: &[u8]) -> TableCursor<'a> {
-        let mut c = TableCursor {
-            table,
-            block: table.candidate_block(lk),
-            data: Arc::default(),
-            pos: 0,
-        };
-        if c.block < table.blocks.len() {
-            c.data = self.fetch_block(table, c.block);
-            c.pos = c.data.lower_bound(lk);
-            while c.pos >= c.data.len() && c.block + 1 < table.blocks.len() {
-                c.block += 1;
-                c.data = self.fetch_block(table, c.block);
-                c.pos = c.data.lower_bound(lk);
-            }
-        }
-        c
-    }
-
-    /// Degraded block fetch: cache first, quarantined blocks are empty
-    /// without a read, transients retry under backoff, and anything still
-    /// unreadable is served as empty for this view only — a snapshot never
-    /// quarantines, repairs, or persists anything.
-    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return hit;
-        }
-        if self.tables.quarantined.contains(&(table.id, block as u32)) {
-            return Arc::default();
-        }
-        let mut backoff = Backoff::new(8);
-        loop {
-            match self.disk.read(table.blocks[block]).and_then(Run::from_frame) {
-                Ok(d) => {
-                    let d = Arc::new(d);
-                    self.cache.insert(table.id, block, Arc::clone(&d));
-                    return d;
-                }
-                Err(e) if backoff.retry(&e) => continue,
-                Err(_) => return Arc::default(),
-            }
-        }
+    pub fn scan_from(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.view().scan_from(lk, hk, limit)
     }
 }
 
@@ -524,6 +361,12 @@ mod tests {
             // Output vector, source list, winner list; key + value per row.
             assert_eq!(allocs, 3 + 2 * rows, "scan of {rows} rows");
         }
+        // A point read of a cached block copies the value out, nothing else.
+        db.flush().unwrap();
+        let snap = db.snapshot();
+        snap.get(&encode_u64(7));
+        let (got, allocs, _) = measure(|| snap.get(&encode_u64(7)));
+        assert_eq!((got, allocs), (Some(vec![7u8; 100]), 1));
     }
 
     #[test]
@@ -544,7 +387,7 @@ mod tests {
         // Reference: walk the Db with seek/get.
         let mut want: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let mut low: Vec<u8> = Vec::new();
-        while let crate::db::SeekResult::Found { key } = db.seek(&low, None) {
+        while let SeekResult::Found { key } = db.seek(&low, None) {
             if let Some(v) = db.get(&key) {
                 want.push((key.clone(), v));
             }

@@ -215,14 +215,8 @@ impl SsTable {
                 FILTER_KIND_SURF
             }
         };
-        let mut backoff = Backoff::new(8);
-        let decoded = loop {
-            match disk.read(block).and_then(|raw| Self::decode_filter_image(&raw)) {
-                Ok(f) => break f,
-                Err(e) if backoff.retry(&e) => continue,
-                Err(e) => return Err(e),
-            }
-        };
+        let raw = disk.read_retrying(block, &mut Backoff::new(8))?;
+        let decoded = Self::decode_filter_image(&raw)?;
         let got_tag = match &decoded {
             TableFilter::Bloom(_) => FILTER_KIND_BLOOM,
             TableFilter::Surf(_) => FILTER_KIND_SURF,

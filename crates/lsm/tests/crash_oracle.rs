@@ -21,6 +21,7 @@
 //! Seeds come from `MEMTREE_FAULT_SEEDS` (`"lo..hi"`, default `0..32`),
 //! so CI can shard the matrix across jobs.
 
+use memtree_common::check::seed_range;
 use memtree_common::error::MemtreeError;
 use memtree_faults as faults;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, StallConfig};
@@ -43,19 +44,6 @@ const CRASHPOINTS: [&str; 11] = [
     "lsm.compact.begin",
     "lsm.compact.sync",
 ];
-
-fn seed_range() -> std::ops::Range<u64> {
-    let spec = std::env::var("MEMTREE_FAULT_SEEDS").unwrap_or_else(|_| "0..32".to_string());
-    let (lo, hi) = spec
-        .split_once("..")
-        .unwrap_or_else(|| panic!("MEMTREE_FAULT_SEEDS must look like '0..32', got {spec:?}"));
-    let parse = |s: &str| {
-        s.trim()
-            .parse::<u64>()
-            .unwrap_or_else(|e| panic!("bad bound {s:?} in MEMTREE_FAULT_SEEDS: {e}"))
-    };
-    parse(lo)..parse(hi)
-}
 
 fn opts_for(seed: u64) -> DbOptions {
     DbOptions {

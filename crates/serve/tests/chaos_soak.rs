@@ -30,6 +30,7 @@
 //! Seeds come from `MEMTREE_FAULT_SEEDS` (`"lo..hi"`, default `0..32`)
 //! so CI can shard the range across jobs.
 
+use memtree_common::check::seed_range;
 use memtree_common::error::MemtreeError;
 use memtree_common::hash::splitmix64;
 use memtree_lsm::{DbOptions, SlowIo};
@@ -44,19 +45,6 @@ const WRITERS: usize = 2;
 const OPS_PER_WRITER: usize = 300;
 const KEYS_PER_WRITER: usize = 48;
 const PHASES: usize = 6;
-
-fn seed_range() -> std::ops::Range<u64> {
-    let spec = std::env::var("MEMTREE_FAULT_SEEDS").unwrap_or_else(|_| "0..32".to_string());
-    let (lo, hi) = spec
-        .split_once("..")
-        .unwrap_or_else(|| panic!("MEMTREE_FAULT_SEEDS must look like '0..32', got {spec:?}"));
-    let parse = |s: &str| {
-        s.trim()
-            .parse::<u64>()
-            .unwrap_or_else(|e| panic!("bad bound {s:?} in MEMTREE_FAULT_SEEDS: {e}"))
-    };
-    parse(lo)..parse(hi)
-}
 
 fn soak_opts(seed: u64) -> ServeOptions {
     ServeOptions {

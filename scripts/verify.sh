@@ -37,8 +37,8 @@ cargo run --release --offline -p memtree-benchmark -- --smoke
 echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve under real parallelism, offline) =="
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
 
-echo "== crash + scrub oracles (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
-cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle
+echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
+cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
 
 echo "== cargo clippy --all-targets -D warnings (offline) =="
 cargo clippy --all-targets --offline -- -D warnings
