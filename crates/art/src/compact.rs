@@ -144,67 +144,6 @@ impl CompactArt {
         (self.meta.len() - 1) as u32
     }
 
-    /// Sorted-batch descent for [`BatchProbe::multi_get`]: every probe in
-    /// `group` (ascending key order) has already matched the path leading
-    /// to `child` and consumed `depth` key bytes. Runs of keys sharing the
-    /// next branch byte descend together, so each node's prefix bytes and
-    /// edge array are resolved once per run instead of once per key.
-    fn batch_descend(
-        &self,
-        child: u32,
-        keys: &[&[u8]],
-        group: &[u32],
-        depth: usize,
-        base: usize,
-        out: &mut [Option<Value>],
-    ) {
-        if child == NONE {
-            return;
-        }
-        if child & LEAF_BIT != 0 {
-            let leaf = (child & !LEAF_BIT) as usize;
-            let suffix = self.leaf_suffix(leaf);
-            for &gi in group {
-                if &keys[gi as usize][depth..] == suffix {
-                    out[base + gi as usize] = Some(self.leaf_vals[leaf]);
-                }
-            }
-            return;
-        }
-        let m = self.meta[child as usize];
-        let prefix = self.prefix(&m);
-        let ndepth = depth + prefix.len();
-        let mut i = 0usize;
-        while i < group.len() {
-            let key = keys[group[i] as usize];
-            if !key[depth..].starts_with(prefix) {
-                i += 1; // prefix mismatch: stays a miss
-                continue;
-            }
-            if key.len() == ndepth {
-                if m.terminal != 0 {
-                    out[base + group[i] as usize] =
-                        Some(self.terminal_vals[m.terminal as usize - 1]);
-                }
-                i += 1;
-                continue;
-            }
-            let b = key[ndepth];
-            // Sorted order makes keys sharing this branch byte contiguous.
-            let mut j = i + 1;
-            while j < group.len() {
-                let k2 = keys[group[j] as usize];
-                if k2.len() > ndepth && k2[depth..].starts_with(prefix) && k2[ndepth] == b {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            self.batch_descend(self.child(&m, b), keys, &group[i..j], ndepth + 1, base, out);
-            i = j;
-        }
-    }
-
     /// In-order traversal from the first key `>= low`.
     fn walk_from(
         &self,
@@ -401,47 +340,9 @@ impl StaticIndex for CompactArt {
     }
 }
 
-/// Arena-size cutover for the sorted-batch descent: while the trie is
-/// cache-resident the per-batch sort costs more than the cache misses it
-/// saves — the PR 2 ablation showed ~0.5x at a 25 MB arena on a 260 MB
-/// L3 (`compact_art_cutover` in BENCH_hotpath.json) — so `multi_get`
-/// falls back to the per-key loop below a server-class LLC worth of
-/// arena bytes. `multi_get_batched` stays public to force the batched
-/// descent regardless.
-pub const BATCH_MIN_ARENA_BYTES: usize = 64 << 20;
-
-impl CompactArt {
-    /// Sorted-batch multi-get, unconditionally: probes are sorted once,
-    /// then runs of keys that share a branch descend each node together.
-    /// Public as the ablation hook for the `bench_hotpath` cutover study;
-    /// [`BatchProbe::multi_get`] routes here only when the arena exceeds
-    /// [`BATCH_MIN_ARENA_BYTES`].
-    pub fn multi_get_batched(&self, keys: &[&[u8]], out: &mut Vec<Option<Value>>) {
-        let base = out.len();
-        out.resize(base + keys.len(), None);
-        if self.root == NONE || keys.is_empty() {
-            return;
-        }
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| keys[i as usize]);
-        self.batch_descend(self.root, keys, &order, 0, base, out);
-    }
-}
-
 impl BatchProbe for CompactArt {
     fn probe_one(&self, key: &[u8]) -> Option<Value> {
         self.get(key)
-    }
-
-    /// Adaptive multi-get: per-key loop while the arena is small enough to
-    /// be cache-resident, sorted-batch descent
-    /// ([`CompactArt::multi_get_batched`]) once it is not.
-    fn multi_get(&self, keys: &[&[u8]], out: &mut Vec<Option<Value>>) {
-        if self.mem_usage() < BATCH_MIN_ARENA_BYTES {
-            out.extend(keys.iter().map(|k| self.get(k)));
-        } else {
-            self.multi_get_batched(keys, out);
-        }
     }
 
     fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
@@ -620,16 +521,10 @@ mod tests {
             let expect: Vec<Option<Value>> = refs.iter().map(|k| t.get(k)).collect();
             for chunk in [1usize, 16, 200, refs.len()] {
                 let mut got = Vec::new();
-                let mut got_batched = Vec::new();
                 for c in refs.chunks(chunk) {
                     t.multi_get(c, &mut got);
-                    // The adaptive cutover sends small tries down the
-                    // per-key path; probe the batched descent directly too
-                    // so both sides of the cutover stay differential-equal.
-                    t.multi_get_batched(c, &mut got_batched);
                 }
                 assert_eq!(got, expect, "chunk {chunk}");
-                assert_eq!(got_batched, expect, "batched chunk {chunk}");
             }
         }
         let t = CompactArt::build(&[]);

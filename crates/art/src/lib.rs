@@ -18,5 +18,5 @@
 pub mod compact;
 pub mod dynamic;
 
-pub use compact::{CompactArt, BATCH_MIN_ARENA_BYTES};
+pub use compact::CompactArt;
 pub use dynamic::Art;

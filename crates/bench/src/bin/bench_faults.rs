@@ -21,6 +21,7 @@
 //! bench_faults` (`--smoke` for the CI-sized run, `--out PATH` to write
 //! the JSON elsewhere).
 
+use memtree_bench::harness::{best_of, kernel_meta, BenchArgs, Json};
 use memtree_bench::{mops, time};
 use memtree_btree::CompressedBTree;
 use memtree_common::key::encode_u64;
@@ -38,37 +39,7 @@ struct Config {
     n_keys: usize,     // CRC-tax sections
     lsm_keys: usize,   // scrub / degraded / enospc sections
     n_reads: usize,
-    out_path: String,
     smoke: bool,
-}
-
-fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    Config {
-        n_keys: if smoke { 100_000 } else { 1_000_000 },
-        lsm_keys: if smoke { 20_000 } else { 120_000 },
-        n_reads: if smoke { 40_000 } else { 200_000 },
-        out_path: out.unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_faults_smoke.json".into()
-            } else {
-                "BENCH_faults.json".into()
-            }
-        }),
-        smoke,
-    }
 }
 
 fn entries(n: usize) -> Vec<(Vec<u8>, Value)> {
@@ -79,28 +50,22 @@ fn entries(n: usize) -> Vec<(Vec<u8>, Value)> {
         .collect()
 }
 
-/// Best-of-RUNS duration for `f` (min rejects scheduler noise).
-fn best<F: FnMut()>(mut f: F) -> Duration {
-    (0..RUNS).map(|_| time(&mut f)).min().unwrap()
-}
-
 fn pct_overhead(on: f64, off: f64) -> f64 {
     (off / on - 1.0) * 100.0
 }
 
-struct CrcTax {
-    build_on: f64,
-    build_off: f64,
-    read_on: f64,
-    read_off: f64,
-    enc_on: f64,
-    enc_off: f64,
-    dec_on: f64,
-    dec_off: f64,
-    merge_mkeys: f64,
+/// `"key": { "on_<unit>": …, "off_<unit>": …, "overhead_pct": … }`.
+fn tax_pair(j: &mut Json, key: &str, unit: &str, on: f64, off: f64, decimals: usize) {
+    j.obj(key, |j| {
+        j.num(&format!("on_{unit}"), on, decimals);
+        j.num(&format!("off_{unit}"), off, decimals);
+        j.num("overhead_pct", pct_overhead(on, off), 2);
+    });
 }
 
-fn bench_crc_tax(cfg: &Config) -> CrcTax {
+/// The checksum tax on the static-stage build, uncached point reads and
+/// the raw codec. Returns the two budgeted taxes: (codec decode, read).
+fn bench_crc_tax(cfg: &Config, j: &mut Json) -> (f64, f64) {
     let e = entries(cfg.n_keys);
 
     // Merge throughput: rebuilding the static stage IS the hybrid merge's
@@ -108,10 +73,10 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
     // One untimed build first so the allocator and page cache are warm for
     // whichever variant is measured first.
     std::hint::black_box(CompressedBTree::build(&e));
-    let framed_build = best(|| {
+    let framed_build = best_of(RUNS, || {
         std::hint::black_box(CompressedBTree::build(&e));
     });
-    let unframed_build = best(|| {
+    let unframed_build = best_of(RUNS, || {
         std::hint::black_box(CompressedBTree::build_unframed(&e));
     });
     let build_on = mops(cfg.n_keys, framed_build);
@@ -120,6 +85,7 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
         "merge build      checksums on {build_on:.2} Mkeys/s   off {build_off:.2} Mkeys/s   tax {:.1}%",
         pct_overhead(build_on, build_off)
     );
+    tax_pair(j, "merge_build", "mkeys_per_s", build_on, build_off, 3);
 
     // Uncached point reads: cache capacity 0 forces a block decode (and
     // frame validation when on) for every lookup — the worst-case read tax.
@@ -129,11 +95,11 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
     unframed.set_cache_blocks(0);
     let mut z = Zipfian::new(cfg.n_keys, 5);
     let picks: Vec<usize> = (0..cfg.n_reads).map(|_| z.next_scrambled()).collect();
-    let read_framed = best(|| {
+    let read_framed = best_of(RUNS, || {
         let s: u64 = picks.iter().map(|&i| framed.get(&e[i].0).unwrap()).sum();
         std::hint::black_box(s);
     });
-    let read_unframed = best(|| {
+    let read_unframed = best_of(RUNS, || {
         let s: u64 = picks.iter().map(|&i| unframed.get(&e[i].0).unwrap()).sum();
         std::hint::black_box(s);
     });
@@ -143,6 +109,7 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
         "uncached get     checksums on {read_on:.2} Mops/s    off {read_off:.2} Mops/s    tax {:.1}%",
         pct_overhead(read_on, read_off)
     );
+    tax_pair(j, "uncached_point_get", "mops_per_s", read_on, read_off, 3);
 
     // Raw codec: frame+CRC vs bare LZ block, over many distinct leaf-sized
     // images (distinct inputs keep the pure calls inside the timing loop).
@@ -152,24 +119,24 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
         .map(|c| c.iter().flat_map(|(k, _)| k.clone()).collect())
         .collect();
     let total_raw: usize = leaves.iter().map(Vec::len).sum();
-    let enc_framed = best(|| {
+    let enc_framed = best_of(RUNS, || {
         for leaf in &leaves {
             std::hint::black_box(encode_block(leaf));
         }
     });
-    let enc_raw = best(|| {
+    let enc_raw = best_of(RUNS, || {
         for leaf in &leaves {
             std::hint::black_box(compress(leaf));
         }
     });
     let blocks: Vec<Vec<u8>> = leaves.iter().map(|l| encode_block(l)).collect();
     let raw_blocks: Vec<Vec<u8>> = leaves.iter().map(|l| compress(l)).collect();
-    let dec_framed = best(|| {
+    let dec_framed = best_of(RUNS, || {
         for b in &blocks {
             std::hint::black_box(decode_block(b).unwrap());
         }
     });
-    let dec_raw = best(|| {
+    let dec_raw = best_of(RUNS, || {
         for b in &raw_blocks {
             std::hint::black_box(decompress(b).unwrap());
         }
@@ -185,10 +152,12 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
         "codec decode     checksums on {dec_on:.0} MB/s      off {dec_off:.0} MB/s      tax {:.1}%",
         pct_overhead(dec_on, dec_off)
     );
+    tax_pair(j, "codec_encode", "mb_per_s", enc_on, enc_off, 1);
+    tax_pair(j, "codec_decode", "mb_per_s", dec_on, dec_off, 1);
 
     // End-to-end hybrid merge on the compressed static stage (checksums on
     // is the only production path; recorded for trend tracking).
-    let merge = best(|| {
+    let merge = best_of(RUNS, || {
         let mut h = HybridCompressedBTree::with_config(MergeTrigger::Manual, false);
         for (k, v) in &e {
             h.insert(k, *v);
@@ -198,8 +167,9 @@ fn bench_crc_tax(cfg: &Config) -> CrcTax {
     });
     let merge_mkeys = mops(cfg.n_keys, merge);
     println!("hybrid merge e2e checksums on {merge_mkeys:.2} Mkeys/s (insert+merge, production path)");
+    j.obj("hybrid_merge_end_to_end", |j| j.num("on_mkeys_per_s", merge_mkeys, 3));
 
-    CrcTax { build_on, build_off, read_on, read_off, enc_on, enc_off, dec_on, dec_off, merge_mkeys }
+    (pct_overhead(dec_on, dec_off), pct_overhead(read_on, read_off))
 }
 
 fn key_of(i: u64) -> [u8; 8] {
@@ -225,15 +195,8 @@ fn build_lsm(n: usize, filter: FilterKind) -> Db {
     db
 }
 
-struct ScrubLine {
-    gb_per_s: f64,
-    blocks: u64,
-    bytes: u64,
-    ms: f64,
-}
-
 /// Scrub throughput over an undamaged database. Gate: fully clean.
-fn bench_scrub(cfg: &Config) -> ScrubLine {
+fn bench_scrub(cfg: &Config, j: &mut Json) {
     let mut db = build_lsm(cfg.lsm_keys, FilterKind::None);
     let mut report = None;
     let elapsed = time(|| {
@@ -245,29 +208,24 @@ fn bench_scrub(cfg: &Config) -> ScrubLine {
         "scrub of an undamaged database must be clean: {report:?}"
     );
     assert!(report.blocks_scanned > 0, "scrub scanned nothing");
-    let line = ScrubLine {
-        gb_per_s: report.bytes_scanned as f64 / elapsed.as_secs_f64() / 1e9,
-        blocks: report.blocks_scanned,
-        bytes: report.bytes_scanned,
-        ms: elapsed.as_secs_f64() * 1e3,
-    };
+    let gb_per_s = report.bytes_scanned as f64 / elapsed.as_secs_f64() / 1e9;
+    let ms = elapsed.as_secs_f64() * 1e3;
     println!(
-        "scrub            {:.3} GB/s  ({} blocks, {} bytes, {:.2} ms, clean)",
-        line.gb_per_s, line.blocks, line.bytes, line.ms
+        "scrub            {gb_per_s:.3} GB/s  ({} blocks, {} bytes, {ms:.2} ms, clean)",
+        report.blocks_scanned, report.bytes_scanned
     );
-    line
-}
-
-struct DegradedLine {
-    healthy_mops: f64,
-    degraded_mops: f64,
-    tax_pct: f64,
-    degraded_tables: u64,
+    j.num("scrub_gb_per_s", gb_per_s, 4);
+    j.obj("scrub_detail", |j| {
+        j.int("blocks_scanned", report.blocks_scanned);
+        j.int("bytes_scanned", report.bytes_scanned);
+        j.num("elapsed_ms", ms, 3);
+        j.bool("clean", true);
+    });
 }
 
 /// Point-read throughput healthy vs with one table forced filterless by
 /// latent corruption — the price of graceful degradation.
-fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
+fn bench_degraded_reads(cfg: &Config, j: &mut Json) {
     let db = build_lsm(cfg.lsm_keys, FilterKind::Bloom(14.0));
     let disk = db.close().expect("clean close");
     let mut z = Zipfian::new(cfg.lsm_keys, 7);
@@ -276,7 +234,7 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
     let db = Db::open(disk.clone(), lsm_opts(FilterKind::Bloom(14.0))).expect("healthy reopen");
     assert_eq!(db.degraded_tables(), 0, "healthy database opened degraded");
     let filter_images = db.filter_block_ids();
-    let healthy = best(|| {
+    let healthy = best_of(RUNS, || {
         let mut hits = 0usize;
         for &i in &picks {
             hits += usize::from(db.get(&key_of(i)).is_some());
@@ -299,7 +257,7 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
     disk.bitrot_block(victim, 42).expect("bitrot");
     let db = Db::open(disk, lsm_opts(FilterKind::Bloom(14.0))).expect("degraded reopen");
     assert!(db.degraded_tables() > 0, "corruption did not degrade any table");
-    let degraded = best(|| {
+    let degraded = best_of(RUNS, || {
         let mut hits = 0usize;
         for &i in &picks {
             hits += usize::from(db.get(&key_of(i)).is_some());
@@ -307,28 +265,23 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
         std::hint::black_box(hits);
     });
 
-    let line = DegradedLine {
-        healthy_mops: mops(cfg.n_reads, healthy),
-        degraded_mops: mops(cfg.n_reads, degraded),
-        tax_pct: pct_overhead(mops(cfg.n_reads, healthy), mops(cfg.n_reads, degraded)).abs(),
-        degraded_tables: db.degraded_tables(),
-    };
+    let (healthy_mops, degraded_mops) = (mops(cfg.n_reads, healthy), mops(cfg.n_reads, degraded));
+    let tax_pct = pct_overhead(healthy_mops, degraded_mops).abs();
+    let degraded_tables = db.degraded_tables();
     println!(
-        "degraded reads   healthy {:.3} Mops/s   degraded {:.3} Mops/s   tax {:.1}%  ({} table filterless)",
-        line.healthy_mops, line.degraded_mops, line.tax_pct, line.degraded_tables
+        "degraded reads   healthy {healthy_mops:.3} Mops/s   degraded {degraded_mops:.3} Mops/s   tax {tax_pct:.1}%  ({degraded_tables} table filterless)"
     );
-    line
-}
-
-struct EnospcLine {
-    typed: bool,
-    leak_free: bool,
-    recovery_ms: f64,
+    j.num("degraded_read_tax_pct", tax_pct, 2);
+    j.obj("degraded_read_detail", |j| {
+        j.num("healthy_mops_per_s", healthy_mops, 3);
+        j.num("degraded_mops_per_s", degraded_mops, 3);
+        j.int("degraded_tables", degraded_tables);
+    });
 }
 
 /// Capacity exhaustion: typed error, leak-free failed flushes, timed
 /// recovery after the limit lifts.
-fn bench_enospc_recovery(cfg: &Config) -> EnospcLine {
+fn bench_enospc_recovery(cfg: &Config, j: &mut Json) {
     let mut db = build_lsm(cfg.lsm_keys / 4, FilterKind::None);
     let disk = db.disk_handle();
     disk.set_capacity_bytes(Some(disk.used_bytes() + 256));
@@ -358,20 +311,19 @@ fn bench_enospc_recovery(cfg: &Config) -> EnospcLine {
     for j in (0..i).step_by((i as usize / 64).max(1)) {
         assert_eq!(db.get(&key_of(j)).as_deref(), Some(VALUE), "record {j} lost to Enospc");
     }
-    let line = EnospcLine { typed, leak_free, recovery_ms: elapsed.as_secs_f64() * 1e3 };
-    println!(
-        "enospc           typed error, leak-free retries, recovery {:.2} ms after lift",
-        line.recovery_ms
-    );
-    line
+    let recovery_ms = elapsed.as_secs_f64() * 1e3;
+    println!("enospc           typed error, leak-free retries, recovery {recovery_ms:.2} ms after lift");
+    j.obj("enospc_recovery", |j| {
+        j.bool("typed_error", typed);
+        j.bool("leak_free_retries", leak_free);
+        j.num("recovery_ms", recovery_ms, 3);
+    });
 }
 
 /// Perf budgets for the checksum tax, enforced only on full (non-smoke)
 /// runs with the hardware CRC kernel active: smoke sizes are noise-bound
 /// and the scalar lane intentionally pays the portable-kernel price.
-fn enforce_budgets(cfg: &Config, tax: &CrcTax) {
-    let dec_pct = pct_overhead(tax.dec_on, tax.dec_off);
-    let read_pct = pct_overhead(tax.read_on, tax.read_off);
+fn enforce_budgets(cfg: &Config, (dec_pct, read_pct): (f64, f64)) {
     if cfg.smoke || memtree_common::crc::active_kernel() != "sse4.2-3way" {
         println!(
             "budgets          skipped (smoke={} kernel={}); decode tax {dec_pct:.1}%, read tax {read_pct:.1}%",
@@ -393,79 +345,38 @@ fn enforce_budgets(cfg: &Config, tax: &CrcTax) {
     println!("budgets          decode tax {dec_pct:.1}% <= 150%, uncached read tax {read_pct:.1}% <= 40%");
 }
 
-fn write_json(
-    cfg: &Config,
-    tax: &CrcTax,
-    scrub: &ScrubLine,
-    degraded: &DegradedLine,
-    enospc: &EnospcLine,
-) {
-    let kernel_mode = match memtree_common::kernel_mode() {
-        memtree_common::KernelMode::Auto => "auto",
-        memtree_common::KernelMode::Scalar => "scalar",
-    };
-    let json = format!(
-        "{{\n  \"meta\": {{\n    \"n_keys\": {},\n    \"lsm_keys\": {},\n    \"n_reads\": {},\n    \"runs\": {RUNS},\n    \"smoke\": {},\n    \"kernel_mode\": \"{kernel_mode}\",\n    \"crc_kernel\": \"{}\",\n    \"note\": \"robustness costs: CRC32C framing tax, scrub throughput, degraded-read tax, Enospc recovery; overhead_pct = (off/on - 1) * 100\"\n  }},\n  \"merge_build\": {{ \"on_mkeys_per_s\": {:.3}, \"off_mkeys_per_s\": {:.3}, \"overhead_pct\": {:.2} }},\n  \"uncached_point_get\": {{ \"on_mops_per_s\": {:.3}, \"off_mops_per_s\": {:.3}, \"overhead_pct\": {:.2} }},\n  \"codec_encode\": {{ \"on_mb_per_s\": {:.1}, \"off_mb_per_s\": {:.1}, \"overhead_pct\": {:.2} }},\n  \"codec_decode\": {{ \"on_mb_per_s\": {:.1}, \"off_mb_per_s\": {:.1}, \"overhead_pct\": {:.2} }},\n  \"hybrid_merge_end_to_end\": {{ \"on_mkeys_per_s\": {:.3} }},\n  \"scrub_gb_per_s\": {:.4},\n  \"scrub_detail\": {{ \"blocks_scanned\": {}, \"bytes_scanned\": {}, \"elapsed_ms\": {:.3}, \"clean\": true }},\n  \"degraded_read_tax_pct\": {:.2},\n  \"degraded_read_detail\": {{ \"healthy_mops_per_s\": {:.3}, \"degraded_mops_per_s\": {:.3}, \"degraded_tables\": {} }},\n  \"enospc_recovery\": {{ \"typed_error\": {}, \"leak_free_retries\": {}, \"recovery_ms\": {:.3} }}\n}}\n",
-        cfg.n_keys,
-        cfg.lsm_keys,
-        cfg.n_reads,
-        cfg.smoke,
-        memtree_common::crc::active_kernel(),
-        tax.build_on,
-        tax.build_off,
-        pct_overhead(tax.build_on, tax.build_off),
-        tax.read_on,
-        tax.read_off,
-        pct_overhead(tax.read_on, tax.read_off),
-        tax.enc_on,
-        tax.enc_off,
-        pct_overhead(tax.enc_on, tax.enc_off),
-        tax.dec_on,
-        tax.dec_off,
-        pct_overhead(tax.dec_on, tax.dec_off),
-        tax.merge_mkeys,
-        scrub.gb_per_s,
-        scrub.blocks,
-        scrub.bytes,
-        scrub.ms,
-        degraded.tax_pct,
-        degraded.healthy_mops,
-        degraded.degraded_mops,
-        degraded.degraded_tables,
-        enospc.typed,
-        enospc.leak_free,
-        enospc.recovery_ms,
-    );
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, &json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-    // Schema self-check: every key the downstream tooling greps for.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_faults.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"kernel_mode\"", "\"crc_kernel\"",
-        "\"merge_build\"", "\"uncached_point_get\"",
-        "\"codec_encode\"", "\"codec_decode\"", "\"hybrid_merge_end_to_end\"",
-        "\"scrub_gb_per_s\"", "\"scrub_detail\"", "\"blocks_scanned\"", "\"bytes_scanned\"",
-        "\"degraded_read_tax_pct\"", "\"degraded_read_detail\"", "\"degraded_tables\"",
-        "\"enospc_recovery\"", "\"typed_error\"", "\"leak_free_retries\"", "\"recovery_ms\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
-}
-
 fn main() {
-    let cfg = config();
-    let tax = bench_crc_tax(&cfg);
-    let scrub = bench_scrub(&cfg);
-    let degraded = bench_degraded_reads(&cfg);
-    let enospc = bench_enospc_recovery(&cfg);
-    enforce_budgets(&cfg, &tax);
-    write_json(&cfg, &tax, &scrub, &degraded, &enospc);
+    let args = BenchArgs::from_env("faults");
+    let smoke = args.smoke;
+    let cfg = Config {
+        n_keys: if smoke { 100_000 } else { 1_000_000 },
+        lsm_keys: if smoke { 20_000 } else { 120_000 },
+        n_reads: if smoke { 40_000 } else { 200_000 },
+        smoke,
+    };
+    let mut j = Json::default();
+    j.obj("meta", |j| {
+        j.int("n_keys", cfg.n_keys);
+        j.int("lsm_keys", cfg.lsm_keys);
+        j.int("n_reads", cfg.n_reads);
+        j.int("runs", RUNS);
+        j.bool("smoke", cfg.smoke);
+        kernel_meta(j);
+        j.str("note", "robustness costs: CRC32C framing tax, scrub throughput, degraded-read tax, Enospc recovery; overhead_pct = (off/on - 1) * 100");
+    });
+    let taxes = bench_crc_tax(&cfg, &mut j);
+    bench_scrub(&cfg, &mut j);
+    bench_degraded_reads(&cfg, &mut j);
+    bench_enospc_recovery(&cfg, &mut j);
+    enforce_budgets(&cfg, taxes);
+    j.write_checked(
+        &args.out,
+        &[
+            "meta", "n_keys", "smoke", "kernel_mode", "crc_kernel", "merge_build",
+            "uncached_point_get", "codec_encode", "codec_decode", "hybrid_merge_end_to_end",
+            "scrub_gb_per_s", "scrub_detail", "blocks_scanned", "bytes_scanned",
+            "degraded_read_tax_pct", "degraded_read_detail", "degraded_tables",
+            "enospc_recovery", "typed_error", "leak_free_retries", "recovery_ms",
+        ],
+    );
 }

@@ -9,7 +9,7 @@
 //! 2. **FST point lookups** — `TrieOpts::baseline()` (all §3.6
 //!    optimizations off) vs `TrieOpts::default()` (vectorized), plus the
 //!    batched `multi_get` against the per-key loop at several batch sizes
-//!    for FST, Compact B+tree, Compact ART and the hybrid `DualStage`.
+//!    for FST, Compact B+tree and the hybrid `DualStage`.
 //! 3. **Thread scaling** — N reader threads over one shared static FST.
 //!
 //! Every variant is cross-checked against its scalar baseline before being
@@ -20,7 +20,8 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_hotpath`
 
-use memtree_bench::{mops, time};
+use memtree_bench::harness::{best_of, kernel_meta, BenchArgs, Json};
+use memtree_bench::mops;
 use memtree_btree::CompactBTree;
 use memtree_common::hash::splitmix64;
 use memtree_common::traits::{BatchProbe, OrderedIndex, StaticIndex, Value};
@@ -33,7 +34,6 @@ use memtree_succinct::{
 };
 use memtree_workload::keys;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Config {
     n_keys: usize,
@@ -41,51 +41,32 @@ struct Config {
     kernel_iters: usize,
     runs: usize,
     threads: Vec<usize>,
-    out_path: String,
     smoke: bool,
 }
 
-fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
+impl Config {
+    fn new(smoke: bool) -> Self {
+        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+        if smoke {
+            Config {
+                n_keys: 20_000,
+                n_reads: 20_000,
+                kernel_iters: 100_000,
+                runs: 1,
+                threads: if hw > 1 { vec![1, 2] } else { vec![1] },
+                smoke,
+            }
+        } else {
+            Config {
+                n_keys: 1_000_000,
+                n_reads: 400_000,
+                kernel_iters: 4_000_000,
+                runs: 3,
+                threads: [1usize, 2, 4, 8].iter().copied().filter(|&t| t <= hw).collect(),
+                smoke,
             }
         }
     }
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if smoke {
-        Config {
-            n_keys: 20_000,
-            n_reads: 20_000,
-            kernel_iters: 100_000,
-            runs: 1,
-            threads: if hw > 1 { vec![1, 2] } else { vec![1] },
-            out_path: out.unwrap_or_else(|| "target/BENCH_hotpath_smoke.json".into()),
-            smoke,
-        }
-    } else {
-        Config {
-            n_keys: 1_000_000,
-            n_reads: 400_000,
-            kernel_iters: 4_000_000,
-            runs: 3,
-            threads: [1usize, 2, 4, 8].iter().copied().filter(|&t| t <= hw).collect(),
-            out_path: out.unwrap_or_else(|| "BENCH_hotpath.json".into()),
-            smoke,
-        }
-    }
-}
-
-/// Best-of-runs duration (min rejects scheduler noise).
-fn best<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-    (0..runs).map(|_| time(&mut f)).min().unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -122,21 +103,7 @@ fn crosscheck_kernels(words: &[u64], haystacks: &[Vec<u8>]) {
 // Layer 1: kernel ablations
 // ---------------------------------------------------------------------------
 
-struct KernelNumbers {
-    select_scalar: f64,
-    select_swar: f64,
-    select_dispatch: f64,
-    rank_b512: f64,
-    rank_b64: f64,
-    find_scalar: f64,
-    find_swar: f64,
-    find_dispatch: f64,
-    pop_scalar: f64,
-    pop_swar: f64,
-    pop_dispatch: f64,
-}
-
-fn bench_kernels(cfg: &Config) -> KernelNumbers {
+fn bench_kernels(cfg: &Config, doc: &mut Json) {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let words: Vec<u64> = (0..4096).map(|_| splitmix64(&mut state)).collect();
     let ks: Vec<u32> = words
@@ -155,7 +122,7 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
     let iters = cfg.kernel_iters;
     let n = words.len();
     let run_select = |f: &dyn Fn(u64, u32) -> u32| {
-        best(cfg.runs, || {
+        best_of(cfg.runs, || {
             let mut acc = 0u64;
             for i in 0..iters {
                 let j = i % n;
@@ -176,7 +143,7 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
         (0..65536).map(|_| (splitmix64(&mut state) % bits.len() as u64) as usize).collect();
     let np = positions.len();
     let run_rank = |r: &RankSupport| {
-        best(cfg.runs, || {
+        best_of(cfg.runs, || {
             let mut acc = 0usize;
             for i in 0..iters {
                 acc = acc.wrapping_add(r.rank1(&bits, positions[i % np]));
@@ -189,7 +156,7 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
 
     let nh = haystacks.len();
     let run_find = |f: &dyn Fn(&[u8], u8) -> Option<usize>| {
-        best(cfg.runs, || {
+        best_of(cfg.runs, || {
             let mut acc = 0usize;
             for i in 0..iters {
                 let hay = &haystacks[i % nh];
@@ -206,7 +173,7 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
     // popcount_words over rank-block-shaped slices (8 words = 512 bits).
     let pop_iters = iters / 4;
     let run_pop = |f: &dyn Fn(&[u64]) -> u32| {
-        best(cfg.runs, || {
+        best_of(cfg.runs, || {
             let mut acc = 0u64;
             for i in 0..pop_iters {
                 let j = (i * 8) % (n - 8);
@@ -223,19 +190,20 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
     println!("rank1            B=512  {rank_b512:.0}  B=64 {rank_b64:.0} Mops/s");
     println!("find_byte        scalar {find_scalar:.0}  swar {find_swar:.0}  dispatch {find_dispatch:.0} Mops/s");
     println!("popcount_words8  scalar {pop_scalar:.0}  swar {pop_swar:.0}  dispatch {pop_dispatch:.0} Mops/s");
-    KernelNumbers {
-        select_scalar,
-        select_swar,
-        select_dispatch,
-        rank_b512,
-        rank_b64,
-        find_scalar,
-        find_swar,
-        find_dispatch,
-        pop_scalar,
-        pop_swar,
-        pop_dispatch,
-    }
+    let tiers = |j: &mut Json, key: &str, scalar: f64, swar: f64, dispatch: f64| {
+        j.obj(key, |j| {
+            j.num("scalar", scalar, 1);
+            j.num("swar", swar, 1);
+            j.num("dispatch", dispatch, 1);
+        });
+    };
+    tiers(doc, "select_in_word", select_scalar, select_swar, select_dispatch);
+    doc.obj("rank1", |j| {
+        j.num("b512", rank_b512, 1);
+        j.num("b64_fast_path", rank_b64, 1);
+    });
+    tiers(doc, "find_byte", find_scalar, find_swar, find_dispatch);
+    tiers(doc, "popcount_words8", pop_scalar, pop_swar, pop_dispatch);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,16 +213,8 @@ fn bench_kernels(cfg: &Config) -> KernelNumbers {
 // LUT) per set bit; rates are measured on the same bit vector.
 // ---------------------------------------------------------------------------
 
-struct ParetoPoint {
-    block_bits: usize,
-    sample: usize,
-    bits_per_key: f64,
-    rank_mops: f64,
-    select_mops: f64,
-    mixed_mops: f64,
-}
-
-fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
+/// Writes one row per configuration and returns how many there were.
+fn bench_rank_select_pareto(cfg: &Config, doc: &mut Json) -> usize {
     const BLOCK_BITS: [usize; 5] = [64, 128, 256, 512, 1024];
     const SAMPLES: [usize; 3] = [16, 64, 256];
     let nbits: usize = if cfg.smoke { 1 << 16 } else { 1 << 22 };
@@ -284,7 +244,7 @@ fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
         .map(|sel| {
             mops(
                 iters,
-                best(cfg.runs, || {
+                best_of(cfg.runs, || {
                     let mut acc = 0usize;
                     for i in 0..iters {
                         acc = acc.wrapping_add(sel.select1(&bv, qsel[i % nq]));
@@ -295,7 +255,7 @@ fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
         })
         .collect();
 
-    let mut out = Vec::new();
+    let mut points = 0;
     for &block_bits in &BLOCK_BITS {
         let rank = RankSupport::new(&bv, block_bits);
         for &p in qpos.iter().take(512) {
@@ -307,7 +267,7 @@ fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
         }
         let rank_mops = mops(
             iters,
-            best(cfg.runs, || {
+            best_of(cfg.runs, || {
                 let mut acc = 0usize;
                 for i in 0..iters {
                     acc = acc.wrapping_add(rank.rank1(&bv, qpos[i % nq]));
@@ -319,7 +279,7 @@ fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
             let sel = &selects[si];
             let mixed_mops = mops(
                 iters,
-                best(cfg.runs, || {
+                best_of(cfg.runs, || {
                     let mut acc = 0usize;
                     for i in 0..iters {
                         let j = i % nq;
@@ -338,17 +298,18 @@ fn bench_rank_select_pareto(cfg: &Config) -> Vec<ParetoPoint> {
                 "pareto B={block_bits:<4} S={sample:<3}  {bits_per_key:.3} bits/key  rank {rank_mops:.1}  select {:.1}  mixed {mixed_mops:.1} Mops/s",
                 select_mops[si]
             );
-            out.push(ParetoPoint {
-                block_bits,
-                sample,
-                bits_per_key,
-                rank_mops,
-                select_mops: select_mops[si],
-                mixed_mops,
+            doc.item(|j| {
+                j.int("block_bits", block_bits);
+                j.int("sample", sample);
+                j.num("bits_per_key", bits_per_key, 4);
+                j.num("rank_mops", rank_mops, 3);
+                j.num("select_mops", select_mops[si], 3);
+                j.num("mixed_mops", mixed_mops, 3);
             });
+            points += 1;
         }
     }
-    out
+    points
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +332,8 @@ fn probe_set(entries: &[(Vec<u8>, Value)], n_reads: usize, seed: u64) -> Vec<Vec
         .collect()
 }
 
-fn bench_point_lookup(cfg: &Config, entries: &[(Vec<u8>, Value)]) -> (f64, f64, f64) {
+/// Returns the vectorized / scalar-baseline speed-up.
+fn bench_point_lookup(cfg: &Config, entries: &[(Vec<u8>, Value)], doc: &mut Json) -> f64 {
     let scalar = Fst::build_with(entries, TrieOpts::baseline());
     let vector = Fst::build_with(entries, TrieOpts::default());
     let probes = probe_set(entries, cfg.n_reads, 7);
@@ -380,11 +342,11 @@ fn bench_point_lookup(cfg: &Config, entries: &[(Vec<u8>, Value)]) -> (f64, f64, 
     for k in &refs {
         assert_eq!(scalar.get(k), vector.get(k), "baseline/vectorized disagree");
     }
-    let t_scalar = best(cfg.runs, || {
+    let t_scalar = best_of(cfg.runs, || {
         let hits = refs.iter().filter(|k| scalar.get(k).is_some()).count();
         std::hint::black_box(hits);
     });
-    let t_vector = best(cfg.runs, || {
+    let t_vector = best_of(cfg.runs, || {
         let hits = refs.iter().filter(|k| vector.get(k).is_some()).count();
         std::hint::black_box(hits);
     });
@@ -393,22 +355,20 @@ fn bench_point_lookup(cfg: &Config, entries: &[(Vec<u8>, Value)]) -> (f64, f64, 
     println!(
         "fst point get    scalar {scalar_mops:.2}  vectorized {vector_mops:.2} Mops/s  ({speedup:.2}x)"
     );
-    (scalar_mops, vector_mops, speedup)
+    doc.num("scalar_baseline", scalar_mops, 3);
+    doc.num("vectorized", vector_mops, 3);
+    doc.num("speedup", speedup, 3);
+    speedup
 }
 
-struct BatchLine {
-    name: &'static str,
-    batch: usize,
-    per_key: f64,
-    batched: f64,
-}
-
+/// One row per batch size; `wins` records whether batching beat the loop.
 fn bench_batched<S: BatchProbe>(
     cfg: &Config,
     name: &'static str,
     index: &S,
     refs: &[&[u8]],
-    lines: &mut Vec<BatchLine>,
+    doc: &mut Json,
+    wins: &mut Vec<bool>,
 ) {
     // Correctness first: batched answers must equal the per-key loop.
     let expect: Vec<Option<Value>> = refs.iter().map(|k| index.probe_one(k)).collect();
@@ -418,14 +378,14 @@ fn bench_batched<S: BatchProbe>(
             index.multi_get(c, &mut got);
         }
         assert_eq!(got, expect, "{name} batched mismatch at batch {batch}");
-        let t_loop = best(cfg.runs, || {
+        let t_loop = best_of(cfg.runs, || {
             let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
             for k in refs {
                 out.push(index.probe_one(k));
             }
             std::hint::black_box(out.len());
         });
-        let t_batch = best(cfg.runs, || {
+        let t_batch = best_of(cfg.runs, || {
             let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
             for c in refs.chunks(batch) {
                 index.multi_get(c, &mut out);
@@ -437,106 +397,14 @@ fn bench_batched<S: BatchProbe>(
             "{name:<16} batch {batch:>3}  per-key {per_key:.2}  batched {batched:.2} Mops/s  ({:.2}x)",
             batched / per_key
         );
-        lines.push(BatchLine {
-            name,
-            batch,
-            per_key,
-            batched,
+        doc.item(|j| {
+            j.str("index", name);
+            j.int("batch", batch);
+            j.num("per_key", per_key, 3);
+            j.num("batched", batched, 3);
+            j.num("speedup", batched / per_key, 3);
         });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compact ART adaptive-cutover ablation: per-key loop vs unconditionally
-// batched descent vs the adaptive `BatchProbe::multi_get` (which picks per
-// arena size). The small trie sits under `BATCH_MIN_ARENA_BYTES`, where the
-// sorted-batch descent used to *lose* to the plain loop; the large trie
-// sits above it, where batching wins. Adaptive must track the better side
-// at both scales.
-// ---------------------------------------------------------------------------
-
-struct CutoverLine {
-    scale: &'static str,
-    n_keys: usize,
-    arena_bytes: usize,
-    batching_engaged: bool,
-    per_key: f64,
-    forced_batch: f64,
-    adaptive: f64,
-}
-
-fn bench_art_cutover(cfg: &Config, lines: &mut Vec<CutoverLine>) {
-    let scales: [(&'static str, usize); 2] = [
-        ("small", if cfg.smoke { 4_000 } else { 30_000 }),
-        ("large", cfg.n_keys),
-    ];
-    for (scale, n) in scales {
-        let entries: Vec<(Vec<u8>, Value)> = keys::sorted_unique(keys::rand_u64_keys(n, 17))
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, i as u64))
-            .collect();
-        let art = memtree_art::CompactArt::build(&entries);
-        let probes = probe_set(&entries, cfg.n_reads.min(100_000), 13);
-        let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-
-        // All three paths must agree before any timing.
-        let expect: Vec<Option<Value>> = refs.iter().map(|k| art.get(k)).collect();
-        for use_forced in [false, true] {
-            let mut got = Vec::with_capacity(refs.len());
-            for c in refs.chunks(256) {
-                if use_forced {
-                    art.multi_get_batched(c, &mut got);
-                } else {
-                    art.multi_get(c, &mut got);
-                }
-            }
-            assert_eq!(got, expect, "compact_art {scale} cutover mismatch (forced={use_forced})");
-        }
-
-        // Per-key baseline materializes the same output vector the
-        // multi_get paths do, so the comparison isolates the descent
-        // strategy rather than allocation overhead.
-        let per_key = mops(
-            refs.len(),
-            best(cfg.runs, || {
-                let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
-                for k in &refs {
-                    out.push(art.get(k));
-                }
-                std::hint::black_box(out.len());
-            }),
-        );
-        let time_chunks = |forced: bool| {
-            best(cfg.runs, || {
-                let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
-                for c in refs.chunks(256) {
-                    if forced {
-                        art.multi_get_batched(c, &mut out);
-                    } else {
-                        art.multi_get(c, &mut out);
-                    }
-                }
-                std::hint::black_box(out.len());
-            })
-        };
-        let forced_batch = mops(refs.len(), time_chunks(true));
-        let adaptive = mops(refs.len(), time_chunks(false));
-        let arena_bytes = art.mem_usage();
-        let batching_engaged = arena_bytes >= memtree_art::BATCH_MIN_ARENA_BYTES;
-        println!(
-            "art cutover {scale:<5} ({n} keys, {arena_bytes} B, batch {})  per-key {per_key:.2}  forced {forced_batch:.2}  adaptive {adaptive:.2} Mops/s",
-            if batching_engaged { "on" } else { "off" }
-        );
-        lines.push(CutoverLine {
-            scale,
-            n_keys: n,
-            arena_bytes,
-            batching_engaged,
-            per_key,
-            forced_batch,
-            adaptive,
-        });
+        wins.push(batched > per_key);
     }
 }
 
@@ -544,10 +412,9 @@ fn bench_art_cutover(cfg: &Config, lines: &mut Vec<CutoverLine>) {
 // Layer 3: multi-threaded readers over one shared static stage
 // ---------------------------------------------------------------------------
 
-fn bench_threads(cfg: &Config, fst: &Arc<Fst>, probes: &Arc<Vec<Vec<u8>>>) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
+fn bench_threads(cfg: &Config, fst: &Arc<Fst>, probes: &Arc<Vec<Vec<u8>>>, doc: &mut Json) {
     for &t in &cfg.threads {
-        let d = best(cfg.runs, || {
+        let d = best_of(cfg.runs, || {
             let handles: Vec<_> = (0..t)
                 .map(|tid| {
                     let fst = Arc::clone(fst);
@@ -581,13 +448,16 @@ fn bench_threads(cfg: &Config, fst: &Arc<Fst>, probes: &Arc<Vec<Vec<u8>>>) -> Ve
         let total_ops = (probes.len() / 64) * 64 * t;
         let rate = mops(total_ops, d);
         println!("threads {t:>2}       {rate:.2} Mops/s aggregate (batched shared-FST readers)");
-        out.push((t, rate));
+        doc.item(|j| {
+            j.int("threads", t);
+            j.num("mops", rate, 3);
+        });
     }
-    out
 }
 
 fn main() {
-    let cfg = config();
+    let args = BenchArgs::from_env("hotpath");
+    let cfg = Config::new(args.smoke);
     let entries: Vec<(Vec<u8>, Value)> =
         keys::sorted_unique(keys::rand_u64_keys(cfg.n_keys, 1))
             .into_iter()
@@ -595,60 +465,50 @@ fn main() {
             .map(|(i, k)| (k, i as u64))
             .collect();
 
-    let kn = bench_kernels(&cfg);
-    let pareto = bench_rank_select_pareto(&cfg);
-    let (scalar_mops, vector_mops, speedup) = bench_point_lookup(&cfg, &entries);
+    let mut j = Json::default();
+    j.obj("meta", |j| {
+        j.int("n_keys", cfg.n_keys);
+        j.int("n_reads", cfg.n_reads);
+        j.int("runs", cfg.runs);
+        j.bool("smoke", cfg.smoke);
+        kernel_meta(j);
+        j.str("note", "hot-path kernel ablations + batched multi-get; all rates in Mops/s");
+    });
+    j.obj("kernels", |j| bench_kernels(&cfg, j));
+    let pareto_points = j.arr("rank_select_pareto", |j| bench_rank_select_pareto(&cfg, j));
+    let speedup = j.obj("fst_point_lookup", |j| bench_point_lookup(&cfg, &entries, j));
 
     // Batched multi-get across the tree zoo, same probe set everywhere.
     let probes = probe_set(&entries, cfg.n_reads.min(200_000), 11);
     let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-    let mut lines: Vec<BatchLine> = Vec::new();
-    let fst = Fst::build_with(&entries, TrieOpts::default());
-    bench_batched(&cfg, "fst", &fst, &refs, &mut lines);
-    let cbt = CompactBTree::build(&entries);
-    bench_batched(&cfg, "compact_btree", &cbt, &refs, &mut lines);
-    let cart = memtree_art::CompactArt::build(&entries);
-    bench_batched(&cfg, "compact_art", &cart, &refs, &mut lines);
-    let mut hybrid = HybridBTree::with_config(MergeTrigger::Manual, true);
-    for (k, v) in &entries {
-        hybrid.insert(k, *v);
-    }
-    hybrid.force_merge().unwrap();
-    // Dynamic stage holds fresh (shadowing) writes, as after a checkpoint.
-    for (k, _) in entries.iter().step_by(64) {
-        hybrid.update(k, 0xDEAD);
-    }
-    bench_batched(&cfg, "hybrid_btree", &hybrid, &refs, &mut lines);
-
-    // Adaptive-cutover ablation for the Compact ART sorted-batch descent.
-    let mut cutover: Vec<CutoverLine> = Vec::new();
-    bench_art_cutover(&cfg, &mut cutover);
+    let mut wins: Vec<bool> = Vec::new();
+    j.arr("multi_get", |j| {
+        let fst = Fst::build_with(&entries, TrieOpts::default());
+        bench_batched(&cfg, "fst", &fst, &refs, j, &mut wins);
+        let cbt = CompactBTree::build(&entries);
+        bench_batched(&cfg, "compact_btree", &cbt, &refs, j, &mut wins);
+        let mut hybrid = HybridBTree::with_config(MergeTrigger::Manual, true);
+        for (k, v) in &entries {
+            hybrid.insert(k, *v);
+        }
+        hybrid.force_merge().unwrap();
+        // Dynamic stage holds fresh (shadowing) writes, as after a checkpoint.
+        for (k, _) in entries.iter().step_by(64) {
+            hybrid.update(k, 0xDEAD);
+        }
+        bench_batched(&cfg, "hybrid_btree", &hybrid, &refs, j, &mut wins);
+    });
 
     // Thread scaling over a shared Arc<Fst>.
     let shared = Arc::new(Fst::build_with(&entries, TrieOpts::default()));
     let shared_probes = Arc::new(probes.clone());
-    let threads = bench_threads(&cfg, &shared, &shared_probes);
+    j.arr("thread_scaling", |j| bench_threads(&cfg, &shared, &shared_probes, j));
 
     // ---- acceptance gates ----
-    // The Pareto sweep must cover the promised configuration grid with
-    // finite measurements (every run, including smoke — it's a schema
-    // guarantee, not a performance one).
-    assert!(
-        pareto.len() >= 6,
-        "rank_select_pareto needs >= 6 points, got {}",
-        pareto.len()
-    );
-    for p in &pareto {
-        assert!(
-            p.bits_per_key.is_finite()
-                && p.rank_mops.is_finite()
-                && p.select_mops.is_finite()
-                && p.mixed_mops.is_finite(),
-            "non-finite pareto point at B={} S={}",
-            p.block_bits,
-            p.sample
-        );
-    }
+    // The Pareto sweep must cover the promised configuration grid (every
+    // run, including smoke — a schema guarantee, not a performance one;
+    // the writer has already refused any measurement that is not finite).
+    assert!(pareto_points >= 6, "rank_select_pareto needs >= 6 points, got {pareto_points}");
 
     // Full runs only; smoke is correctness-only.
     if !cfg.smoke {
@@ -656,142 +516,20 @@ fn main() {
             speedup >= 1.3,
             "vectorized FST point lookup only {speedup:.2}x over scalar baseline (need >= 1.3x)"
         );
-        let batched_wins = lines
-            .iter()
-            .filter(|l| l.batch >= 16 && l.batched > l.per_key)
-            .count();
+        let batched_wins = wins.iter().filter(|&&won| won).count();
         assert!(
-            batched_wins >= lines.len() / 2,
+            batched_wins >= wins.len() / 2,
             "multi_get should beat the per-key loop at batch >= 16 (won {batched_wins}/{})",
-            lines.len()
+            wins.len()
         );
-        // The adaptive path must track the better of its two modes at both
-        // scales (0.85 margin absorbs timer noise) — i.e. no regression on
-        // small tries and no lost win on large ones.
-        for l in &cutover {
-            let best_mode = l.per_key.max(l.forced_batch);
-            assert!(
-                l.adaptive >= 0.85 * best_mode,
-                "compact_art adaptive cutover regressed at {} scale: adaptive {:.2} vs best {:.2} Mops/s",
-                l.scale,
-                l.adaptive,
-                best_mode
-            );
-        }
     }
 
-    // ---- handwritten JSON ----
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"meta\": {{\n    \"n_keys\": {},\n    \"n_reads\": {},\n    \"runs\": {},\n    \"smoke\": {},\n    \"kernel_mode\": \"{}\",\n    \"crc_kernel\": \"{}\",\n    \"note\": \"hot-path kernel ablations + batched multi-get; all rates in Mops/s\"\n  }},\n",
-        cfg.n_keys,
-        cfg.n_reads,
-        cfg.runs,
-        cfg.smoke,
-        match memtree_common::kernel_mode() {
-            memtree_common::KernelMode::Auto => "auto",
-            memtree_common::KernelMode::Scalar => "scalar",
-        },
-        memtree_common::crc::active_kernel()
-    ));
-    json.push_str(&format!(
-        "  \"kernels\": {{\n    \"select_in_word\": {{ \"scalar\": {:.1}, \"swar\": {:.1}, \"dispatch\": {:.1} }},\n    \"rank1\": {{ \"b512\": {:.1}, \"b64_fast_path\": {:.1} }},\n    \"find_byte\": {{ \"scalar\": {:.1}, \"swar\": {:.1}, \"dispatch\": {:.1} }},\n    \"popcount_words8\": {{ \"scalar\": {:.1}, \"swar\": {:.1}, \"dispatch\": {:.1} }}\n  }},\n",
-        kn.select_scalar,
-        kn.select_swar,
-        kn.select_dispatch,
-        kn.rank_b512,
-        kn.rank_b64,
-        kn.find_scalar,
-        kn.find_swar,
-        kn.find_dispatch,
-        kn.pop_scalar,
-        kn.pop_swar,
-        kn.pop_dispatch
-    ));
-    json.push_str("  \"rank_select_pareto\": [\n");
-    for (i, p) in pareto.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"block_bits\": {}, \"sample\": {}, \"bits_per_key\": {:.4}, \"rank_mops\": {:.3}, \"select_mops\": {:.3}, \"mixed_mops\": {:.3} }}{}\n",
-            p.block_bits,
-            p.sample,
-            p.bits_per_key,
-            p.rank_mops,
-            p.select_mops,
-            p.mixed_mops,
-            if i + 1 < pareto.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"fst_point_lookup\": {{ \"scalar_baseline\": {scalar_mops:.3}, \"vectorized\": {vector_mops:.3}, \"speedup\": {speedup:.3} }},\n"
-    ));
-    json.push_str("  \"multi_get\": [\n");
-    for (i, l) in lines.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"index\": \"{}\", \"batch\": {}, \"per_key\": {:.3}, \"batched\": {:.3}, \"speedup\": {:.3} }}{}\n",
-            l.name,
-            l.batch,
-            l.per_key,
-            l.batched,
-            l.batched / l.per_key,
-            if i + 1 < lines.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"compact_art_cutover\": [\n");
-    for (i, l) in cutover.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"n_keys\": {}, \"arena_bytes\": {}, \"batching_engaged\": {}, \"per_key\": {:.3}, \"forced_batch\": {:.3}, \"adaptive\": {:.3} }}{}\n",
-            l.scale,
-            l.n_keys,
-            l.arena_bytes,
-            l.batching_engaged,
-            l.per_key,
-            l.forced_batch,
-            l.adaptive,
-            if i + 1 < cutover.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"thread_scaling\": [\n");
-    for (i, (t, rate)) in threads.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"mops\": {rate:.3} }}{}\n",
-            if i + 1 < threads.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    // Schema self-check: every section a downstream reader depends on must
-    // be present in the emitted document.
-    for key in [
-        "\"meta\"",
-        "\"kernel_mode\"",
-        "\"crc_kernel\"",
-        "\"kernels\"",
-        "\"popcount_words8\"",
-        "\"rank_select_pareto\"",
-        "\"block_bits\"",
-        "\"sample\"",
-        "\"bits_per_key\"",
-        "\"mixed_mops\"",
-        "\"fst_point_lookup\"",
-        "\"multi_get\"",
-        "\"compact_art_cutover\"",
-        "\"thread_scaling\"",
-    ] {
-        assert!(json.contains(key), "BENCH_hotpath.json schema missing {key}");
-    }
-
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-    println!("wrote {}", cfg.out_path);
+    j.write_checked(
+        &args.out,
+        &[
+            "meta", "kernel_mode", "crc_kernel", "kernels", "popcount_words8",
+            "rank_select_pareto", "block_bits", "sample", "bits_per_key", "mixed_mops",
+            "fst_point_lookup", "multi_get", "thread_scaling",
+        ],
+    );
 }

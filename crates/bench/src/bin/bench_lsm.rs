@@ -26,48 +26,24 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_lsm`
 
-use memtree_bench::{mops, time};
+use memtree_bench::harness::{best_of, BenchArgs, Json};
+use memtree_bench::mops;
 use memtree_common::key::encode_u64;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats, SeekResult};
-use std::time::Duration;
 
 struct Config {
     n_keys: usize,
     n_probes: usize,
     runs: usize,
-    out_path: String,
     smoke: bool,
 }
 
-fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke {
-        Config {
-            n_keys: 6_000,
-            n_probes: 3_000,
-            runs: 1,
-            out_path: out.unwrap_or_else(|| "target/BENCH_lsm_smoke.json".into()),
-            smoke,
-        }
-    } else {
-        Config {
-            n_keys: 150_000,
-            n_probes: 60_000,
-            runs: 3,
-            out_path: out.unwrap_or_else(|| "BENCH_lsm.json".into()),
-            smoke,
+impl Config {
+    fn new(smoke: bool) -> Self {
+        if smoke {
+            Config { n_keys: 6_000, n_probes: 3_000, runs: 1, smoke }
+        } else {
+            Config { n_keys: 150_000, n_probes: 60_000, runs: 3, smoke }
         }
     }
 }
@@ -80,11 +56,6 @@ fn kinds() -> [(FilterKind, &'static str); 5] {
         (FilterKind::SurfReal(8), "surf_real8"),
         (FilterKind::SurfMixed(4, 4), "surf_mixed4_4"),
     ]
-}
-
-/// Best-of-runs duration (min rejects scheduler noise).
-fn best<F: FnMut()>(runs: usize, mut f: F) -> Duration {
-    (0..runs).map(|_| time(&mut f)).min().unwrap()
 }
 
 /// Stored keys are `i << 12`, so `(j << 12) | 777` is always a miss that
@@ -203,21 +174,21 @@ fn counted<F: FnOnce()>(db: &Db, f: F) -> Counters {
     }
 }
 
-struct BatchLine {
-    batch: usize,
-    mops: f64,
-    c: Counters,
-}
-
+/// What the batching gates compare for one filter kind.
 struct KindReport {
     name: &'static str,
-    tables: usize,
-    per_key_mops: f64,
     per_key: Counters,
-    batches: Vec<BatchLine>,
+    batches: Vec<(usize, Counters)>,
 }
 
-fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str) -> KindReport {
+fn counters(j: &mut Json, mops: f64, c: &Counters) {
+    j.num("mops", mops, 3);
+    j.int("block_reads", c.block_reads);
+    j.int("probe_passes", c.filter.probe_passes);
+    j.int("keys_probed", c.filter.keys_probed);
+}
+
+fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str, j: &mut Json) -> KindReport {
     let db = build_db(cfg, filter);
     check_differential(&db, name, &mixed_probes(cfg));
 
@@ -230,70 +201,71 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str) -> KindRepor
     });
     let per_key_mops = mops(
         refs.len(),
-        best(cfg.runs, || {
+        best_of(cfg.runs, || {
             let misses = refs.iter().filter(|k| db.get(k).is_none()).count();
             std::hint::black_box(misses);
         }),
     );
 
+    let tables: usize = db.level_sizes().iter().sum();
+    println!(
+        "{name:<14} {tables} tables  per-key {per_key_mops:>8.3} Mops/s  {:>7} reads  {:>7} passes",
+        per_key.block_reads, per_key.filter.probe_passes
+    );
+    j.str("kind", name);
+    j.int("tables", tables);
+    j.obj("per_key", |j| counters(j, per_key_mops, &per_key));
+
     let mut batches = Vec::new();
-    for batch in [16usize, 64, 256] {
-        let c = counted(&db, || {
-            for chunk in refs.chunks(batch) {
-                std::hint::black_box(db.multi_get(chunk).len());
-            }
-        });
-        let rate = mops(
-            refs.len(),
-            best(cfg.runs, || {
+    j.arr("batches", |j| {
+        for batch in [16usize, 64, 256] {
+            let c = counted(&db, || {
                 for chunk in refs.chunks(batch) {
                     std::hint::black_box(db.multi_get(chunk).len());
                 }
-            }),
-        );
-        batches.push(BatchLine { batch, mops: rate, c });
-    }
-
-    let report = KindReport {
-        name,
-        tables: db.level_sizes().iter().sum(),
-        per_key_mops,
-        per_key,
-        batches,
-    };
-    println!(
-        "{name:<14} {} tables  per-key {:>8.3} Mops/s  {:>7} reads  {:>7} passes",
-        report.tables, report.per_key_mops, report.per_key.block_reads, report.per_key.filter.probe_passes
-    );
-    for b in &report.batches {
-        println!(
-            "{:<14} batch {:>3}  {:>8.3} Mops/s  {:>7} reads  {:>7} passes  ({:.2}x)",
-            "", b.batch, b.mops, b.c.block_reads, b.c.filter.probe_passes, b.mops / report.per_key_mops
-        );
-    }
-    report
+            });
+            let rate = mops(
+                refs.len(),
+                best_of(cfg.runs, || {
+                    for chunk in refs.chunks(batch) {
+                        std::hint::black_box(db.multi_get(chunk).len());
+                    }
+                }),
+            );
+            println!(
+                "{:<14} batch {batch:>3}  {rate:>8.3} Mops/s  {:>7} reads  {:>7} passes  ({:.2}x)",
+                "", c.block_reads, c.filter.probe_passes, rate / per_key_mops
+            );
+            j.item(|j| {
+                j.int("batch", batch);
+                counters(j, rate, &c);
+            });
+            batches.push((batch, c));
+        }
+    });
+    KindReport { name, per_key, batches }
 }
 
 fn enforce_gates(reports: &[KindReport]) {
     for r in reports {
         let has_filter = r.per_key.filter.keys_probed > 0;
-        for b in &r.batches {
+        for (batch, c) in &r.batches {
             assert!(
-                b.c.block_reads <= r.per_key.block_reads,
+                c.block_reads <= r.per_key.block_reads,
                 "{}: batched gets at batch {} fetched more blocks ({} > {})",
-                r.name, b.batch, b.c.block_reads, r.per_key.block_reads
+                r.name, batch, c.block_reads, r.per_key.block_reads
             );
             if has_filter {
                 assert_eq!(
-                    b.c.filter.keys_probed, r.per_key.filter.keys_probed,
+                    c.filter.keys_probed, r.per_key.filter.keys_probed,
                     "{}: batch {} probed a different key set through the filters",
-                    r.name, b.batch
+                    r.name, batch
                 );
-                if b.batch >= 64 {
+                if *batch >= 64 {
                     assert!(
-                        b.c.filter.probe_passes < r.per_key.filter.probe_passes,
+                        c.filter.probe_passes < r.per_key.filter.probe_passes,
                         "{}: batch {} should need strictly fewer filter passes ({} vs {})",
-                        r.name, b.batch, b.c.filter.probe_passes, r.per_key.filter.probe_passes
+                        r.name, batch, c.filter.probe_passes, r.per_key.filter.probe_passes
                     );
                 }
             }
@@ -305,7 +277,7 @@ fn enforce_gates(reports: &[KindReport]) {
     let (mut agg_per_key, mut agg_batched) = (0u64, 0u64);
     for r in reports {
         agg_per_key += r.per_key.block_reads;
-        agg_batched += r.batches.iter().filter(|b| b.batch == 64).map(|b| b.c.block_reads).sum::<u64>();
+        agg_batched += r.batches.iter().filter(|(batch, _)| *batch == 64).map(|(_, c)| c.block_reads).sum::<u64>();
     }
     assert!(
         agg_batched < agg_per_key,
@@ -313,16 +285,11 @@ fn enforce_gates(reports: &[KindReport]) {
     );
 }
 
-struct PolicyReport {
-    name: &'static str,
-    tables: usize,
-    levels: Vec<usize>,
+/// What the policy gates compare: blocks written by the load, blocks
+/// read by its interleaved probes.
+struct PolicyCost {
     block_writes: u64,
-    write_amp: f64,
     probe_reads: u64,
-    read_amp: f64,
-    used_bytes: u64,
-    space_amp: f64,
 }
 
 /// The same overwrite-heavy load under one compaction policy, with
@@ -342,7 +309,12 @@ struct PolicyReport {
 ///   where both policies look identical. Each probe's cost is the
 ///   `block_reads` delta across the `get` call alone, so compaction's own
 ///   reads never pollute the read-amplification number.
-fn bench_policy(cfg: &Config, compaction: CompactionConfig, name: &'static str) -> PolicyReport {
+fn bench_policy(
+    cfg: &Config,
+    compaction: CompactionConfig,
+    name: &'static str,
+    j: &mut Json,
+) -> PolicyCost {
     let mut db = Db::new(DbOptions {
         memtable_bytes: 8 << 10, // small memtable: many flushes, deep compaction churn
         cache_blocks: 0,
@@ -384,30 +356,33 @@ fn bench_policy(cfg: &Config, compaction: CompactionConfig, name: &'static str) 
         i += 7;
     }
 
-    let report = PolicyReport {
-        name,
-        tables: db.level_sizes().iter().sum(),
-        levels: db.level_sizes(),
-        block_writes,
-        write_amp: block_writes as f64 * block_size / user_bytes,
-        probe_reads,
-        read_amp: probe_reads as f64 / probes as f64,
-        used_bytes: db.disk_handle().used_bytes(),
-        space_amp: db.disk_handle().used_bytes() as f64 / live_bytes,
-    };
+    let levels = db.level_sizes();
+    let write_amp = block_writes as f64 * block_size / user_bytes;
+    let read_amp = probe_reads as f64 / probes as f64;
+    let used_bytes = db.disk_handle().used_bytes();
+    let space_amp = used_bytes as f64 / live_bytes;
     println!(
-        "policy {:<8} levels {:?}  write-amp {:>6.2} ({} blocks)  read-amp {:>5.2} ({} reads / {} interleaved probes)  space-amp {:>5.2}",
-        report.name, report.levels, report.write_amp, report.block_writes,
-        report.read_amp, report.probe_reads, probes, report.space_amp
+        "policy {name:<8} levels {levels:?}  write-amp {write_amp:>6.2} ({block_writes} blocks)  read-amp {read_amp:>5.2} ({probe_reads} reads / {probes} interleaved probes)  space-amp {space_amp:>5.2}"
     );
-    report
+    j.item(|j| {
+        j.str("policy", name);
+        j.int("tables", levels.iter().sum::<usize>());
+        j.ints("levels", &levels);
+        j.int("block_writes", block_writes);
+        j.num("write_amp", write_amp, 3);
+        j.int("probe_reads", probe_reads);
+        j.num("read_amp", read_amp, 3);
+        j.int("used_bytes", used_bytes);
+        j.num("space_amp", space_amp, 3);
+    });
+    PolicyCost { block_writes, probe_reads }
 }
 
 /// The classic amplification trade-off, as strict counter inequalities on
 /// an identical workload: tiered must *write* strictly fewer blocks
 /// (no re-merge of the run below) and leveled must *read* strictly fewer
 /// blocks (one disjoint run per level instead of a stack).
-fn enforce_policy_gates(leveled: &PolicyReport, tiered: &PolicyReport) {
+fn enforce_policy_gates(leveled: &PolicyCost, tiered: &PolicyCost) {
     assert!(
         tiered.block_writes < leveled.block_writes,
         "tiered compaction should have strictly lower write amplification ({} vs {} blocks written)",
@@ -420,76 +395,35 @@ fn enforce_policy_gates(leveled: &PolicyReport, tiered: &PolicyReport) {
     );
 }
 
-fn write_json(cfg: &Config, reports: &[KindReport], policies: &[PolicyReport]) {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"meta\": {{\n    \"n_keys\": {},\n    \"n_probes\": {},\n    \"runs\": {},\n    \"smoke\": {},\n    \"note\": \"negative point lookups, per-key get loop vs chunked multi_get; cache disabled so block_reads counts every fetch\"\n  }},\n",
-        cfg.n_keys, cfg.n_probes, cfg.runs, cfg.smoke
-    ));
-    json.push_str("  \"kinds\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\n      \"kind\": \"{}\",\n      \"tables\": {},\n      \"per_key\": {{ \"mops\": {:.3}, \"block_reads\": {}, \"probe_passes\": {}, \"keys_probed\": {} }},\n      \"batches\": [\n",
-            r.name, r.tables, r.per_key_mops, r.per_key.block_reads,
-            r.per_key.filter.probe_passes, r.per_key.filter.keys_probed
-        ));
-        for (j, b) in r.batches.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{ \"batch\": {}, \"mops\": {:.3}, \"block_reads\": {}, \"probe_passes\": {}, \"keys_probed\": {} }}{}\n",
-                b.batch, b.mops, b.c.block_reads, b.c.filter.probe_passes, b.c.filter.keys_probed,
-                if j + 1 < r.batches.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"policies\": [\n");
-    for (i, p) in policies.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"policy\": \"{}\", \"tables\": {}, \"levels\": {:?}, \"block_writes\": {}, \"write_amp\": {:.3}, \"probe_reads\": {}, \"read_amp\": {:.3}, \"used_bytes\": {}, \"space_amp\": {:.3} }}{}\n",
-            p.name, p.tables, p.levels, p.block_writes, p.write_amp,
-            p.probe_reads, p.read_amp, p.used_bytes, p.space_amp,
-            if i + 1 < policies.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-
-    // Schema self-check: read the artifact back and require every key the
-    // downstream tooling greps for. Catches a silently malformed writer.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_lsm.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"n_probes\"", "\"smoke\"", "\"kinds\"", "\"kind\"",
-        "\"tables\"", "\"per_key\"", "\"batches\"", "\"batch\"", "\"mops\"",
-        "\"block_reads\"", "\"probe_passes\"", "\"keys_probed\"",
-        "\"policies\"", "\"policy\"", "\"block_writes\"", "\"write_amp\"",
-        "\"read_amp\"", "\"space_amp\"", "\"used_bytes\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
-}
-
 fn main() {
-    let cfg = config();
-    let reports: Vec<KindReport> =
-        kinds().iter().map(|&(filter, name)| bench_kind(&cfg, filter, name)).collect();
+    let args = BenchArgs::from_env("lsm");
+    let cfg = Config::new(args.smoke);
+    let mut j = Json::default();
+    j.obj("meta", |j| {
+        j.int("n_keys", cfg.n_keys);
+        j.int("n_probes", cfg.n_probes);
+        j.int("runs", cfg.runs);
+        j.bool("smoke", cfg.smoke);
+        j.str("note", "negative point lookups, per-key get loop vs chunked multi_get; cache disabled so block_reads counts every fetch");
+    });
+    let reports: Vec<KindReport> = j.arr("kinds", |j| {
+        kinds().iter().map(|&(filter, name)| j.item(|j| bench_kind(&cfg, filter, name, j))).collect()
+    });
     enforce_gates(&reports);
-    let leveled = bench_policy(&cfg, CompactionConfig::Leveled { fanout: 10 }, "leveled");
-    let tiered = bench_policy(&cfg, CompactionConfig::Tiered { tiers_per_level: 3 }, "tiered");
+    let (leveled, tiered) = j.arr("policies", |j| {
+        (
+            bench_policy(&cfg, CompactionConfig::Leveled { fanout: 10 }, "leveled", j),
+            bench_policy(&cfg, CompactionConfig::Tiered { tiers_per_level: 3 }, "tiered", j),
+        )
+    });
     enforce_policy_gates(&leveled, &tiered);
-    write_json(&cfg, &reports, &[leveled, tiered]);
+    j.write_checked(
+        &args.out,
+        &[
+            "meta", "n_keys", "n_probes", "smoke", "kinds", "kind", "tables", "per_key",
+            "batches", "batch", "mops", "block_reads", "probe_passes", "keys_probed",
+            "policies", "policy", "block_writes", "write_amp", "read_amp", "space_amp",
+            "used_bytes",
+        ],
+    );
 }

@@ -22,42 +22,10 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_recovery`
 
+use memtree_bench::harness::{BenchArgs, Json};
 use memtree_bench::{mops, time};
 use memtree_common::key::encode_u64;
 use memtree_lsm::{Db, DbOptions, FilterKind};
-
-struct Config {
-    n_keys: usize,
-    out_path: String,
-    smoke: bool,
-}
-
-fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-    Config {
-        n_keys: if smoke { 20_000 } else { 120_000 },
-        out_path: out.unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_recovery_smoke.json".into()
-            } else {
-                "BENCH_recovery.json".into()
-            }
-        }),
-        smoke,
-    }
-}
 
 fn key_of(i: u64) -> [u8; 8] {
     encode_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) // scattered inserts
@@ -75,19 +43,16 @@ fn opts(filter: FilterKind, wal: bool, group: usize) -> DbOptions {
     }
 }
 
+/// What the WAL gates compare across durability settings.
 struct WalLine {
     name: &'static str,
-    wal: bool,
-    group: usize,
-    mops: f64,
     syncs: u64,
     wal_bytes: u64,
-    logical_bytes: u64,
     write_amp: f64,
 }
 
 /// The same insert workload under each durability setting.
-fn bench_wal_overhead(cfg: &Config) -> Vec<WalLine> {
+fn bench_wal_overhead(n_keys: usize, j: &mut Json) -> Vec<WalLine> {
     let configs: [(&'static str, bool, usize); 4] = [
         ("wal_off", false, 1),
         ("group_1", true, 1),
@@ -98,39 +63,31 @@ fn bench_wal_overhead(cfg: &Config) -> Vec<WalLine> {
     for (name, wal, group) in configs {
         let mut db = Db::new(opts(FilterKind::None, wal, group));
         let elapsed = time(|| {
-            for i in 0..cfg.n_keys as u64 {
+            for i in 0..n_keys as u64 {
                 db.put(&key_of(i), VALUE).unwrap();
             }
         });
-        let rate = mops(cfg.n_keys, elapsed);
-        let w = db.wal_stats();
-        let logical = (cfg.n_keys * (8 + VALUE.len())) as u64;
-        let line = WalLine {
-            name,
-            wal,
-            group,
-            mops: rate,
-            syncs: db.io_stats().syncs,
-            wal_bytes: w.appended_bytes,
-            logical_bytes: logical,
-            write_amp: w.appended_bytes as f64 / logical as f64,
-        };
+        let rate = mops(n_keys, elapsed);
+        let syncs = db.io_stats().syncs;
+        let wal_bytes = db.wal_stats().appended_bytes;
+        let logical = (n_keys * (8 + VALUE.len())) as u64;
+        let write_amp = wal_bytes as f64 / logical as f64;
         println!(
-            "{name:<9} {:>8.3} Mops/s  {:>8} syncs  {:>9} WAL bytes  amp {:.2}",
-            line.mops, line.syncs, line.wal_bytes, line.write_amp
+            "{name:<9} {rate:>8.3} Mops/s  {syncs:>8} syncs  {wal_bytes:>9} WAL bytes  amp {write_amp:.2}"
         );
-        lines.push(line);
+        j.item(|j| {
+            j.str("config", name);
+            j.bool("wal", wal);
+            j.int("group_commit", group);
+            j.num("mops", rate, 3);
+            j.int("syncs", syncs);
+            j.int("wal_bytes", wal_bytes);
+            j.int("logical_bytes", logical);
+            j.num("write_amp", write_amp, 3);
+        });
+        lines.push(WalLine { name, syncs, wal_bytes, write_amp });
     }
     lines
-}
-
-struct RecoveryLine {
-    kind: &'static str,
-    open_ms: f64,
-    replayed: u64,
-    block_reads: u64,
-    tables: u64,
-    filters_loaded: u64,
 }
 
 /// Clean-shutdown recovery cost per filter kind. Persistent filter
@@ -138,17 +95,16 @@ struct RecoveryLine {
 /// block reads per table (the filter image, plus slack for an index
 /// probe) and requires every filter to come from its image, none from a
 /// data-block rebuild.
-fn bench_recovery_time(cfg: &Config) -> Vec<RecoveryLine> {
+fn bench_recovery_time(n_keys: usize, j: &mut Json) {
     let kinds: [(FilterKind, &'static str); 3] = [
         (FilterKind::None, "none"),
         (FilterKind::Bloom(14.0), "bloom14"),
         (FilterKind::SurfReal(8), "surf_real8"),
     ];
-    let mut lines = Vec::new();
     for (filter, kind) in kinds {
         let o = opts(filter, true, 8);
         let mut db = Db::new(o.clone());
-        for i in 0..cfg.n_keys as u64 {
+        for i in 0..n_keys as u64 {
             db.put(&key_of(i), VALUE).unwrap();
         }
         let disk = db.close().expect("clean close");
@@ -158,55 +114,41 @@ fn bench_recovery_time(cfg: &Config) -> Vec<RecoveryLine> {
             reopened = Some(Db::open(disk.clone(), o.clone()).expect("clean reopen"));
         });
         let db = reopened.unwrap();
-        let w = db.wal_stats();
-        assert_eq!(
-            w.replayed_records, 0,
-            "{kind}: clean shutdown must replay zero WAL records"
-        );
-        let tables: usize = db.level_sizes().iter().sum();
+        let replayed = db.wal_stats().replayed_records;
+        assert_eq!(replayed, 0, "{kind}: clean shutdown must replay zero WAL records");
+        let tables = db.level_sizes().iter().sum::<usize>() as u64;
         let block_reads = db.io_stats().block_reads;
         assert!(
-            block_reads <= 2 * tables as u64,
+            block_reads <= 2 * tables,
             "{kind}: reopen read {block_reads} blocks for {tables} tables — \
              persistent filter images should make recovery O(tables)"
         );
+        let filters_loaded = db.filters_loaded();
         if !matches!(filter, FilterKind::None) {
             assert_eq!(
-                db.filters_loaded() as usize, tables,
+                filters_loaded, tables,
                 "{kind}: every filter should load from its persisted image"
             );
             assert_eq!(db.filters_rebuilt(), 0, "{kind}: no filter should need a data-block rebuild");
         }
-        let line = RecoveryLine {
-            kind,
-            open_ms: elapsed.as_secs_f64() * 1e3,
-            replayed: w.replayed_records,
-            block_reads,
-            tables: tables as u64,
-            filters_loaded: db.filters_loaded(),
-        };
+        let open_ms = elapsed.as_secs_f64() * 1e3;
         println!(
-            "recover {kind:<11} {:>8.2} ms  {:>3} replayed  {:>7} block reads  ({} tables, {} filters from images)",
-            line.open_ms, line.replayed, line.block_reads, line.tables, line.filters_loaded
+            "recover {kind:<11} {open_ms:>8.2} ms  {replayed:>3} replayed  {block_reads:>7} block reads  ({tables} tables, {filters_loaded} filters from images)"
         );
-        lines.push(line);
+        j.item(|j| {
+            j.str("kind", kind);
+            j.num("open_ms", open_ms, 3);
+            j.int("replayed_records", replayed);
+            j.int("block_reads", block_reads);
+            j.int("tables", tables);
+            j.int("filters_loaded", filters_loaded);
+        });
     }
-    lines
-}
-
-struct TornReport {
-    group: usize,
-    issued: u64,
-    acked: u64,
-    recovered: u64,
-    lost: u64,
-    replayed: u64,
-    torn_truncated: u64,
 }
 
 /// Power loss mid-workload with a torn final write: the acknowledged
 /// prefix must survive, and only the unsynced suffix may be lost.
-fn bench_torn_tail() -> TornReport {
+fn bench_torn_tail(j: &mut Json) {
     let group = 8usize;
     // Large memtable: everything rides on the WAL, nothing is flushed —
     // the hardest case for recovery.
@@ -247,19 +189,16 @@ fn bench_torn_tail() -> TornReport {
     for i in recovered..issued {
         assert_eq!(db.get(&key_of(i)), None, "phantom record {i}");
     }
-    let report = TornReport {
-        group,
-        issued,
-        acked,
-        recovered,
-        lost,
-        replayed: w.replayed_records,
-        torn_truncated: w.torn_tail_truncated,
-    };
     println!(
         "torn tail: issued {issued}, acked {acked}, recovered {recovered}, lost {lost} (< group {group})"
     );
-    report
+    j.int("group_commit", group);
+    j.int("issued", issued);
+    j.int("acked", acked);
+    j.int("recovered", recovered);
+    j.int("lost", lost);
+    j.int("replayed_records", w.replayed_records);
+    j.int("torn_tail_truncated", w.torn_tail_truncated);
 }
 
 fn enforce_gates(wal: &[WalLine]) {
@@ -287,67 +226,26 @@ fn enforce_gates(wal: &[WalLine]) {
     assert_eq!(by("wal_off").wal_bytes, 0, "disabled WAL must write nothing");
 }
 
-fn write_json(cfg: &Config, wal: &[WalLine], rec: &[RecoveryLine], torn: &TornReport) {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"meta\": {{\n    \"n_keys\": {},\n    \"smoke\": {},\n    \"note\": \"WAL write-path overhead, clean-shutdown recovery cost per filter kind, and torn-tail crash-recovery gates on the simulated disk\"\n  }},\n",
-        cfg.n_keys, cfg.smoke
-    ));
-    json.push_str("  \"wal_overhead\": [\n");
-    for (i, l) in wal.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"config\": \"{}\", \"wal\": {}, \"group_commit\": {}, \"mops\": {:.3}, \"syncs\": {}, \"wal_bytes\": {}, \"logical_bytes\": {}, \"write_amp\": {:.3} }}{}\n",
-            l.name, l.wal, l.group, l.mops, l.syncs, l.wal_bytes, l.logical_bytes, l.write_amp,
-            if i + 1 < wal.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"recovery\": [\n");
-    for (i, l) in rec.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"kind\": \"{}\", \"open_ms\": {:.3}, \"replayed_records\": {}, \"block_reads\": {}, \"tables\": {}, \"filters_loaded\": {} }}{}\n",
-            l.kind, l.open_ms, l.replayed, l.block_reads, l.tables, l.filters_loaded,
-            if i + 1 < rec.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"torn_tail\": {{ \"group_commit\": {}, \"issued\": {}, \"acked\": {}, \"recovered\": {}, \"lost\": {}, \"replayed_records\": {}, \"torn_tail_truncated\": {} }}\n",
-        torn.group, torn.issued, torn.acked, torn.recovered, torn.lost, torn.replayed,
-        torn.torn_truncated
-    ));
-    json.push_str("}\n");
-
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-
-    // Schema self-check: every key the downstream tooling greps for.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_recovery.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"wal_overhead\"", "\"config\"",
-        "\"group_commit\"", "\"mops\"", "\"syncs\"", "\"wal_bytes\"", "\"write_amp\"",
-        "\"recovery\"", "\"kind\"", "\"open_ms\"", "\"replayed_records\"", "\"block_reads\"",
-        "\"tables\"", "\"filters_loaded\"",
-        "\"torn_tail\"", "\"issued\"", "\"acked\"", "\"recovered\"", "\"lost\"",
-        "\"torn_tail_truncated\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
-}
-
 fn main() {
-    let cfg = config();
-    let wal = bench_wal_overhead(&cfg);
-    let rec = bench_recovery_time(&cfg);
-    let torn = bench_torn_tail();
+    let args = BenchArgs::from_env("recovery");
+    let n_keys = if args.smoke { 20_000 } else { 120_000 };
+    let mut j = Json::default();
+    j.obj("meta", |j| {
+        j.int("n_keys", n_keys);
+        j.bool("smoke", args.smoke);
+        j.str("note", "WAL write-path overhead, clean-shutdown recovery cost per filter kind, and torn-tail crash-recovery gates on the simulated disk");
+    });
+    let wal = j.arr("wal_overhead", |j| bench_wal_overhead(n_keys, j));
+    j.arr("recovery", |j| bench_recovery_time(n_keys, j));
+    j.obj("torn_tail", bench_torn_tail);
     enforce_gates(&wal);
-    write_json(&cfg, &wal, &rec, &torn);
+    j.write_checked(
+        &args.out,
+        &[
+            "meta", "n_keys", "smoke", "wal_overhead", "config", "group_commit", "mops", "syncs",
+            "wal_bytes", "write_amp", "recovery", "kind", "open_ms", "replayed_records",
+            "block_reads", "tables", "filters_loaded", "torn_tail", "issued", "acked",
+            "recovered", "lost", "torn_tail_truncated",
+        ],
+    );
 }

@@ -8,13 +8,18 @@
 //! ```
 
 use memtree_bench::experiments::registry;
+use memtree_bench::harness::parse_args;
 use memtree_bench::Scale;
 
+const USAGE: &str = "usage: repro <id>|all [--quick]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let scale = if quick { Scale::quick() } else { Scale::standard() };
+    let args = parse_args(std::env::args().skip(1), &["--quick"], &[]).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let ids = &args.positional;
+    let scale = if args.has("--quick") { Scale::quick() } else { Scale::standard() };
 
     let registry = registry();
     if ids.is_empty() || ids[0] == "list" {
@@ -22,7 +27,7 @@ fn main() {
         for (id, desc, _) in &registry {
             println!("  {id:<10} {desc}");
         }
-        println!("\nusage: repro <id>|all [--quick]");
+        println!("\n{USAGE}");
         return;
     }
     if ids[0] == "all" {

@@ -2,8 +2,11 @@
 //!
 //! Every experiment of DESIGN.md's index lives under [`experiments`]; run
 //! them with `cargo run -p memtree-bench --release --bin repro -- <id>`.
+//! The `bench_*` binaries (each writes one `BENCH_*.json`) share
+//! [`harness`].
 
 pub mod experiments;
+pub mod harness;
 
 use std::time::{Duration, Instant};
 
@@ -61,4 +64,16 @@ pub fn mb(bytes: usize) -> f64 {
 pub fn header(id: &str, title: &str) {
     println!();
     println!("=== {id}: {title} ===");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn experiment_ids_are_unique() {
+        let mut ids: Vec<&str> = crate::experiments::registry().iter().map(|e| e.0).collect();
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "`repro <id>` runs the first match only");
+    }
 }

@@ -346,6 +346,11 @@ fn shard_opts(base: &DbOptions, stall: StallConfig, shard: usize) -> DbOptions {
     }
 }
 
+/// The shard index of a file in a shard namespace (`s<i>-…`).
+fn shard_of_file(name: &str) -> Option<usize> {
+    name.strip_prefix('s')?.split_once('-')?.0.parse().ok()
+}
+
 impl ShardedDb {
     /// Opens a sharded database on a fresh simulated disk.
     pub fn new(opts: ServeOptions) -> Self {
@@ -356,17 +361,11 @@ impl ShardedDb {
     /// Opens (or recovers) every shard from `disk`, runs the cross-shard
     /// orphan GC, and starts the worker, committer, and supervisor
     /// threads. On a disk that already holds a sharded database the
-    /// persisted shard count wins over `opts.shards`.
+    /// persisted shard count wins over `opts.shards`; a count that is
+    /// unreadable or disagrees with the shard namespaces on the disk is
+    /// [`MemtreeError::Corruption`] with context `"serve-meta"`.
     pub fn open(disk: Arc<SimDisk>, opts: ServeOptions) -> Result<Self> {
-        let n = match Self::read_meta(&disk) {
-            Some(n) => n,
-            None => {
-                let n = opts.shards.max(1);
-                disk.write_file_atomic(META_FILE, n.to_string().as_bytes())?;
-                disk.sync();
-                n
-            }
-        };
+        let n = Self::shard_count(&disk, opts.shards)?;
         let stall = opts
             .stall
             .unwrap_or_else(|| StallConfig::serving(opts.db.l0_tables, opts.db.memtable_bytes));
@@ -446,9 +445,41 @@ impl ShardedDb {
         })
     }
 
-    fn read_meta(disk: &SimDisk) -> Option<usize> {
+    /// The shard count this disk was partitioned with. A disk with no
+    /// meta file and no shard namespace is fresh and records `requested`.
+    /// Anything else must carry a readable positive count whose shards
+    /// `0..n` are exactly the namespaces present (none yet is fine: the
+    /// first open wrote the count and stopped before any shard): guessing
+    /// a count re-partitions the keyspace and silently hides acknowledged
+    /// keys, so a mismatch is a typed corruption and the file is left
+    /// as found.
+    fn shard_count(disk: &SimDisk, requested: usize) -> Result<usize> {
+        let present: std::collections::BTreeSet<usize> =
+            disk.file_names().iter().filter_map(|f| shard_of_file(f)).collect();
         let raw = disk.read_file(META_FILE);
-        std::str::from_utf8(&raw).ok()?.trim().parse().ok().filter(|&n| n > 0)
+        if raw.is_empty() && present.is_empty() {
+            let n = requested.max(1);
+            disk.write_file_atomic(META_FILE, n.to_string().as_bytes())?;
+            disk.sync();
+            return Ok(n);
+        }
+        let n = std::str::from_utf8(&raw)
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| {
+                MemtreeError::corruption(
+                    "serve-meta",
+                    format!("shard count unreadable: {:?}", String::from_utf8_lossy(&raw)),
+                )
+            })?;
+        if !present.is_empty() && !present.iter().copied().eq(0..n) {
+            return Err(MemtreeError::corruption(
+                "serve-meta",
+                format!("records {n} shards but the disk holds shard namespaces {present:?}"),
+            ));
+        }
+        Ok(n)
     }
 
     /// Number of shards.
@@ -1299,6 +1330,50 @@ mod tests {
             );
         }
         reopened.close().unwrap();
+    }
+
+    /// 200 acked keys on 2 shards, closed cleanly.
+    fn closed_two_shard_disk() -> Arc<SimDisk> {
+        let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
+        for i in 0..200u32 {
+            sdb.put(format!("key-{i:05}").as_bytes(), b"v").unwrap();
+        }
+        sdb.close().unwrap()
+    }
+
+    /// `open` must refuse `meta` with a typed error and leave it as found;
+    /// with the writer's count back in place every acked key reads back.
+    fn assert_meta_refused(meta: &[u8], requested: usize) {
+        let _g = memtree_faults::test_lock();
+        let disk = closed_two_shard_disk();
+        disk.write_file_atomic(META_FILE, meta).unwrap();
+        disk.sync();
+        let opts = ServeOptions { shards: requested, ..ServeOptions::default() };
+        match ShardedDb::open(Arc::clone(&disk), opts.clone()) {
+            Err(MemtreeError::Corruption { context: "serve-meta", .. }) => {}
+            Err(e) => panic!("expected serve-meta corruption, got {e:?}"),
+            Ok(db) => panic!("opened {} shards over a 2-shard disk", db.shards()),
+        }
+        assert_eq!(disk.read_file(META_FILE), meta, "a refused open must not rewrite the file");
+        disk.write_file_atomic(META_FILE, b"2").unwrap();
+        disk.sync();
+        let reopened = ShardedDb::open(disk, opts).unwrap();
+        for i in 0..200u32 {
+            let k = format!("key-{i:05}");
+            assert_eq!(reopened.get(k.as_bytes()).as_deref(), Some(&b"v"[..]), "{k}");
+        }
+        reopened.close().unwrap();
+    }
+
+    #[test]
+    fn shard_count_disagreeing_with_the_disk_fails_open() {
+        assert_meta_refused(b"3", 2); // one flipped bit of "2"
+    }
+
+    #[test]
+    fn unparsable_shard_count_fails_open() {
+        assert_meta_refused(b"\xffgarbage", 5);
+        assert_meta_refused(b"", 2); // shard namespaces without a count
     }
 
     #[test]

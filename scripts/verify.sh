@@ -27,8 +27,8 @@ cargo run -p memtree-bench --release --offline --bin bench_recovery -- --smoke
 echo "== bench_faults --smoke (CRC tax + scrub/degraded/enospc gates, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
 
-echo "== bench_serve --smoke (sharded serving: YCSB clients, p99, plausibility gates, offline) =="
-cargo run -p memtree-bench --release --offline --bin bench_serve -- --smoke
+echo "== overload gates (stall bands, admission shedding, slow-I/O storm on the virtual clock, offline) =="
+cargo test -q --offline -p memtree-serve --test overload
 
 echo "== memtree-benchmark tests + --smoke (every workload, plain and traced, against the live crate signatures, offline) =="
 cargo test -q --offline -p memtree-benchmark
@@ -36,6 +36,7 @@ cargo run --release --offline -p memtree-benchmark -- --smoke
 
 echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve under real parallelism, offline) =="
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
+RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test overload
 
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
