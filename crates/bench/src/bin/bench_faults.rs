@@ -232,7 +232,7 @@ fn bench_degraded_reads(cfg: &Config, j: &mut Json) {
     let picks: Vec<u64> = (0..cfg.n_reads).map(|_| z.next_scrambled() as u64).collect();
 
     let db = Db::open(disk.clone(), lsm_opts(FilterKind::Bloom(14.0))).expect("healthy reopen");
-    assert_eq!(db.degraded_tables(), 0, "healthy database opened degraded");
+    assert_eq!(db.open_report().degraded_tables, 0, "healthy database opened degraded");
     let filter_images = db.filter_block_ids();
     let healthy = best_of(RUNS, || {
         let mut hits = 0usize;
@@ -256,7 +256,7 @@ fn bench_degraded_reads(cfg: &Config, j: &mut Json) {
         .expect("no live data blocks");
     disk.bitrot_block(victim, 42).expect("bitrot");
     let db = Db::open(disk, lsm_opts(FilterKind::Bloom(14.0))).expect("degraded reopen");
-    assert!(db.degraded_tables() > 0, "corruption did not degrade any table");
+    assert!(db.open_report().degraded_tables > 0, "corruption did not degrade any table");
     let degraded = best_of(RUNS, || {
         let mut hits = 0usize;
         for &i in &picks {
@@ -267,7 +267,7 @@ fn bench_degraded_reads(cfg: &Config, j: &mut Json) {
 
     let (healthy_mops, degraded_mops) = (mops(cfg.n_reads, healthy), mops(cfg.n_reads, degraded));
     let tax_pct = pct_overhead(healthy_mops, degraded_mops).abs();
-    let degraded_tables = db.degraded_tables();
+    let degraded_tables = db.open_report().degraded_tables;
     println!(
         "degraded reads   healthy {healthy_mops:.3} Mops/s   degraded {degraded_mops:.3} Mops/s   tax {tax_pct:.1}%  ({degraded_tables} table filterless)"
     );

@@ -123,13 +123,13 @@ fn bench_recovery_time(n_keys: usize, j: &mut Json) {
             "{kind}: reopen read {block_reads} blocks for {tables} tables — \
              persistent filter images should make recovery O(tables)"
         );
-        let filters_loaded = db.filters_loaded();
+        let filters_loaded = db.open_report().filters_loaded;
         if !matches!(filter, FilterKind::None) {
             assert_eq!(
                 filters_loaded, tables,
                 "{kind}: every filter should load from its persisted image"
             );
-            assert_eq!(db.filters_rebuilt(), 0, "{kind}: no filter should need a data-block rebuild");
+            assert_eq!(db.open_report().filters_rebuilt, 0, "{kind}: no filter should need a data-block rebuild");
         }
         let open_ms = elapsed.as_secs_f64() * 1e3;
         println!(

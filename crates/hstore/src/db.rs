@@ -6,6 +6,7 @@ use crate::row::{decode_tuples, encode_key, encode_tuples, row_bytes, Row, Val};
 use memtree_btree::BPlusTree;
 use memtree_common::error::MemtreeError;
 use memtree_compress::{decode_block, encode_block};
+use memtree_faults::Faults;
 use memtree_hybrid::{HybridBTree, HybridCompressedBTree, SecondaryIndex};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -122,6 +123,8 @@ struct AntiCache {
     quarantined: u64,
     evict_failures: u64,
     tuples_per_block: usize,
+    /// The `hstore.anticache.*` fail points.
+    faults: Faults,
 }
 
 /// Memory and anti-caching statistics (the Table 1.1 / Figure 5.11 view).
@@ -198,7 +201,15 @@ impl Database {
             quarantined: 0,
             evict_failures: 0,
             tuples_per_block: 256,
+            faults: Faults::default(),
         });
+    }
+
+    /// The anti-cache's fail points ([`FP_ANTICACHE_FETCH`],
+    /// [`FP_ANTICACHE_EVICT`], [`FP_ANTICACHE_CORRUPT`]); `None` while
+    /// anti-caching is off.
+    pub fn anticache_faults(&self) -> Option<&Faults> {
+        self.anti.as_ref().map(|a| &a.faults)
     }
 
     /// Registers a table; returns its id.
@@ -446,7 +457,7 @@ impl Database {
         // The simulated storage read is retried on transient failure
         // (injected via `hstore.anticache.fetch`).
         let mut attempt = 1;
-        while memtree_faults::should_fail(FP_ANTICACHE_FETCH) {
+        while anti.faults.should_fail(FP_ANTICACHE_FETCH) {
             if attempt >= FETCH_MAX_ATTEMPTS {
                 return Err(MemtreeError::Injected {
                     point: FP_ANTICACHE_FETCH.to_string(),
@@ -511,11 +522,11 @@ impl Database {
             // An eviction round that fails here aborts before any slot or
             // block is touched — memory stays over budget (recorded in
             // `evict_failures`) but no data is lost or half-moved.
-            if memtree_faults::should_fail(FP_ANTICACHE_EVICT) {
-                if let Some(anti) = self.anti.as_mut() {
+            if let Some(anti) = self.anti.as_mut() {
+                if anti.faults.should_fail(FP_ANTICACHE_EVICT) {
                     anti.evict_failures += 1;
+                    return;
                 }
-                return;
             }
             let victim_table = self
                 .tables
@@ -558,18 +569,18 @@ impl Database {
             if batch.is_empty() {
                 return; // everything referenced; give up this round
             }
+            let Some(anti) = self.anti.as_mut() else {
+                return;
+            };
             // Serialize, compress, and checksum-frame the block image.
             let mut frame = encode_block(&encode_tuples(&batch));
-            if memtree_faults::should_fail(FP_ANTICACHE_CORRUPT) {
+            if anti.faults.should_fail(FP_ANTICACHE_CORRUPT) {
                 // Simulated storage corruption: damage a payload byte.
                 // The CRC catches it at fetch time.
                 let at = frame.len() / 2;
                 frame[at] ^= 0x40;
             }
             let locs: Vec<(u16, u32)> = batch.iter().map(|(t, s, _)| (*t, *s)).collect();
-            let Some(anti) = self.anti.as_mut() else {
-                return;
-            };
             anti.evictions += 1;
             let block = match anti.free_blocks.pop() {
                 Some(b) => {

@@ -11,7 +11,6 @@
 use memtree_common::check::Gen;
 use memtree_common::error::MemtreeError;
 use memtree_compress::decode_block;
-use memtree_faults as faults;
 use memtree_hstore::db::{
     Database, IndexChoice, FP_ANTICACHE_CORRUPT, FP_ANTICACHE_EVICT, FP_ANTICACHE_FETCH,
 };
@@ -35,11 +34,16 @@ fn row_for(id: i64, g: &mut Gen) -> Row {
     ]
 }
 
-/// One differential run. The model only applies a mutation when the
-/// database reports success, so injected failures must not desynchronize.
+/// One differential run with fetch (25 %) and eviction (10 %) faults
+/// armed. The model only applies a mutation when the database reports
+/// success, so injected failures must not desynchronize.
 fn run_differential(seed: u64) -> Result<(), String> {
     let mut g = Gen::new(seed ^ 0xD1FF);
     let mut db = small_db(200 << 10);
+    let faults = db.anticache_faults().expect("anti-caching on");
+    faults.enable(seed);
+    faults.arm(FP_ANTICACHE_FETCH, 0.25, None);
+    faults.arm(FP_ANTICACHE_EVICT, 0.10, None);
     let t = db.table_id("items");
     let pk = db.unique_id("items_pk");
     let mut model: BTreeMap<i64, Row> = BTreeMap::new();
@@ -129,7 +133,7 @@ fn run_differential(seed: u64) -> Result<(), String> {
     }
 
     // Faults off: every surviving row must read back exactly.
-    faults::disable();
+    db.anticache_faults().expect("anti-caching on").disable();
     for (id, want) in &model {
         let Some(s) = db.get_unique(pk, &[Val::I64(*id)]).unwrap() else {
             return Err(format!("seed {seed}: post-run lost pk {id}"));
@@ -145,23 +149,17 @@ fn run_differential(seed: u64) -> Result<(), String> {
 
 #[test]
 fn differential_under_injected_anticache_faults_32_seeds() {
-    let _guard = faults::test_lock();
     for seed in 0..32u64 {
-        faults::enable(seed);
-        faults::arm(FP_ANTICACHE_FETCH, 0.25, None);
-        faults::arm(FP_ANTICACHE_EVICT, 0.10, None);
         if let Err(msg) = run_differential(seed) {
-            faults::disable();
             panic!("{msg}");
         }
     }
-    faults::disable();
 }
 
-/// Builds a database whose anti-cache holds at least one live block, and
-/// returns (db, table, pk index, highest id loaded).
-fn evicted_db() -> (Database, usize, usize, i64) {
-    let mut db = small_db(60 << 10);
+/// Loads 3000 rows into `db` — a `small_db(60 << 10)`, so its anti-cache
+/// ends up holding live blocks — and returns (db, table, pk index,
+/// highest id loaded).
+fn evicted_db(mut db: Database) -> (Database, usize, usize, i64) {
     let t = db.table_id("items");
     let pk = db.unique_id("items_pk");
     let mut g = Gen::new(0xB10C);
@@ -174,9 +172,7 @@ fn evicted_db() -> (Database, usize, usize, i64) {
 
 #[test]
 fn every_bit_flip_in_an_anticache_block_is_detected() {
-    let _guard = faults::test_lock();
-    faults::disable();
-    let (db, ..) = evicted_db();
+    let (db, ..) = evicted_db(small_db(60 << 10));
     // Exhaustively damage the actual stored image of a live block: every
     // single-bit flip must surface as a Corruption error from the frame
     // decoder — never a successful decode of different bytes.
@@ -202,9 +198,7 @@ fn every_bit_flip_in_an_anticache_block_is_detected() {
 
 #[test]
 fn corrupted_block_is_quarantined_and_only_its_tuples_fail() {
-    let _guard = faults::test_lock();
-    faults::disable();
-    let (mut db, t, pk, n) = evicted_db();
+    let (mut db, t, pk, n) = evicted_db(small_db(60 << 10));
     let damaged = db.corrupt_anticache_block(17, 0x20).expect("a live block");
 
     let mut quarantined_errors = 0;
@@ -244,11 +238,12 @@ fn corrupted_block_is_quarantined_and_only_its_tuples_fail() {
 
 #[test]
 fn injected_corruption_at_eviction_time_quarantines() {
-    let _guard = faults::test_lock();
-    faults::enable(0xC0);
-    faults::arm(FP_ANTICACHE_CORRUPT, 1.0, Some(1)); // damage exactly one block
-    let (mut db, t, pk, n) = evicted_db();
-    faults::disable();
+    let db = small_db(60 << 10);
+    let faults = db.anticache_faults().expect("anti-caching on");
+    faults.enable(0xC0);
+    faults.arm(FP_ANTICACHE_CORRUPT, 1.0, Some(1)); // damage exactly one block
+    let (mut db, t, pk, n) = evicted_db(db);
+    db.anticache_faults().expect("anti-caching on").disable();
     let mut outcomes = (0, 0);
     for id in 0..n {
         let slot = db.get_unique(pk, &[Val::I64(id)]).unwrap().expect("pk");
@@ -265,10 +260,10 @@ fn injected_corruption_at_eviction_time_quarantines() {
 
 #[test]
 fn transient_fetch_faults_are_retried() {
-    let _guard = faults::test_lock();
-    faults::enable(0xF3);
-    let (mut db, t, pk, _) = evicted_db();
-    faults::arm(FP_ANTICACHE_FETCH, 1.0, Some(2)); // two failures, then heal
+    let (mut db, t, pk, _) = evicted_db(small_db(60 << 10));
+    let faults = db.anticache_faults().expect("anti-caching on");
+    faults.enable(0xF3);
+    faults.arm(FP_ANTICACHE_FETCH, 1.0, Some(2)); // two failures, then heal
     // Find an evicted tuple by probing ids until a read triggers a fetch.
     let before = db.stats().fetches;
     let mut fetched = false;
@@ -283,5 +278,4 @@ fn transient_fetch_faults_are_retried() {
     }
     assert!(fetched, "no fetch was exercised");
     assert_eq!(db.stats().fetch_retries, 2);
-    faults::disable();
 }

@@ -17,6 +17,7 @@
 
 use memtree_common::error::MemtreeError;
 use memtree_common::traits::{BatchProbe, OrderedIndex, PointFilter, StaticIndex, Value};
+use memtree_faults::{fail_point, Faults};
 use memtree_filters::DynamicBloom;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -95,6 +96,8 @@ pub struct DualStage<D: OrderedIndex + Default, S: StaticIndex> {
     tombstones: HashSet<Vec<u8>>,
     stats: MergeStats,
     len: usize,
+    /// The `hybrid.merge.*` fail points of this index's merges.
+    faults: Faults,
 }
 
 /// Expected dynamic-stage capacity used to size the Bloom filter.
@@ -133,12 +136,19 @@ impl<D: OrderedIndex + Default, S: StaticIndex> DualStage<D, S> {
             tombstones: HashSet::new(),
             stats: MergeStats::default(),
             len: 0,
+            faults: Faults::default(),
         }
     }
 
     /// Lifetime merge statistics.
     pub fn merge_stats(&self) -> MergeStats {
         self.stats
+    }
+
+    /// The fail points this index's merges evaluate:
+    /// `hybrid.merge.prepare`, `hybrid.merge.build`, `hybrid.merge.swap`.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// Entries currently in the dynamic stage.
@@ -186,8 +196,8 @@ impl<D: OrderedIndex + Default, S: StaticIndex> DualStage<D, S> {
     ///
     /// The merge builds the replacement static stage entirely off to the
     /// side and commits it with an atomic in-memory swap only after the
-    /// build succeeds. If the merge fails partway (e.g. via an armed
-    /// [`memtree_faults`] point such as `hybrid.merge.prepare`,
+    /// build succeeds. If the merge fails partway (e.g. via a point armed
+    /// on [`DualStage::faults`]: `hybrid.merge.prepare`,
     /// `hybrid.merge.build`, or `hybrid.merge.swap`), the index is left
     /// exactly as it was: both stages, tombstones, Bloom filter, and hot
     /// set are untouched, and every key remains readable.
@@ -203,7 +213,7 @@ impl<D: OrderedIndex + Default, S: StaticIndex> DualStage<D, S> {
 
     fn try_merge(&mut self) -> Result<(), MemtreeError> {
         let start = Instant::now();
-        memtree_faults::fail_point!("hybrid.merge.prepare");
+        fail_point!(self.faults, "hybrid.merge.prepare");
         // Snapshot the dynamic stage without draining it — nothing is
         // mutated until the commit point below.
         let mut dyn_entries: Vec<(Vec<u8>, Value)> = Vec::with_capacity(self.dynamic.len());
@@ -262,9 +272,9 @@ impl<D: OrderedIndex + Default, S: StaticIndex> DualStage<D, S> {
                 }
             }
         }
-        memtree_faults::fail_point!("hybrid.merge.build");
+        fail_point!(self.faults, "hybrid.merge.build");
         let new_stat = S::build(&merged);
-        memtree_faults::fail_point!("hybrid.merge.swap");
+        fail_point!(self.faults, "hybrid.merge.swap");
 
         // ---- commit point: everything below is infallible. ----
         // Retained hot keys that shadow a surviving static copy must not

@@ -9,7 +9,6 @@
 
 use memtree_common::check::Gen;
 use memtree_common::error::MemtreeError;
-use memtree_faults as faults;
 use memtree_hybrid::{HybridBTree, MergeTrigger};
 use memtree_common::traits::OrderedIndex;
 use std::collections::BTreeMap;
@@ -24,12 +23,17 @@ fn key(g: &mut Gen) -> Vec<u8> {
     g.bytes_from(b"abcd", 1..8)
 }
 
-/// One YCSB-ish differential run; returns an error string on divergence.
+/// One YCSB-ish differential run with every merge point armed at 35 %;
+/// returns an error string on divergence.
 fn run_differential(seed: u64, ops: usize) -> Result<(), String> {
     let mut g = Gen::new(seed);
     // Tiny byte trigger so merges fire constantly and fault points get
     // plenty of evaluations.
     let mut h = HybridBTree::with_config(MergeTrigger::ConstantBytes(2048), true);
+    h.faults().enable(seed);
+    for p in MERGE_POINTS {
+        h.faults().arm(p, 0.35, None);
+    }
     let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
     for step in 0..ops {
         match g.range(0..10) {
@@ -95,7 +99,7 @@ fn run_differential(seed: u64, ops: usize) -> Result<(), String> {
         }
     }
     // Faults off: the index must merge cleanly and still match the model.
-    faults::disable();
+    h.faults().disable();
     h.force_merge().map_err(|e| format!("seed {seed}: final merge failed clean: {e}"))?;
     for (k, v) in &model {
         if h.get(k) != Some(*v) {
@@ -107,24 +111,15 @@ fn run_differential(seed: u64, ops: usize) -> Result<(), String> {
 
 #[test]
 fn differential_under_injected_merge_faults_32_seeds() {
-    let _guard = faults::test_lock();
     for seed in 0..32u64 {
-        faults::enable(seed);
-        for p in MERGE_POINTS {
-            faults::arm(p, 0.35, None);
-        }
         if let Err(msg) = run_differential(seed, 1500) {
-            faults::disable();
             panic!("{msg}");
         }
     }
-    faults::disable();
 }
 
 #[test]
 fn failed_merge_leaves_index_intact() {
-    let _guard = faults::test_lock();
-    faults::disable();
     let mut h = HybridBTree::with_config(MergeTrigger::Manual, true);
     for i in 0..3000u64 {
         h.insert(&i.to_be_bytes(), i);
@@ -142,13 +137,13 @@ fn failed_merge_leaves_index_intact() {
 
     // Fail at every stage of the merge, including right before the swap.
     for point in MERGE_POINTS {
-        faults::enable(77);
-        faults::arm(point, 1.0, None);
+        h.faults().enable(77);
+        h.faults().arm(point, 1.0, None);
         match h.force_merge() {
             Err(MemtreeError::Injected { point: p }) => assert_eq!(p, point),
             other => panic!("expected injected failure at {point}, got {other:?}"),
         }
-        faults::disable();
+        h.faults().disable();
         // Stage shape untouched, every key still readable, order intact.
         assert_eq!(h.dynamic_len(), dyn_before, "{point} disturbed the dynamic stage");
         assert_eq!(h.static_len(), stat_before, "{point} disturbed the static stage");
@@ -169,10 +164,9 @@ fn failed_merge_leaves_index_intact() {
 
 #[test]
 fn merge_retry_recovers_from_transient_faults() {
-    let _guard = faults::test_lock();
-    faults::enable(5);
-    faults::arm("hybrid.merge.prepare", 1.0, Some(2)); // fail twice, then heal
     let mut h = HybridBTree::with_config(MergeTrigger::Manual, false);
+    h.faults().enable(5);
+    h.faults().arm("hybrid.merge.prepare", 1.0, Some(2)); // fail twice, then heal
     for i in 0..500u64 {
         h.insert(&i.to_be_bytes(), i);
     }
@@ -182,15 +176,13 @@ fn merge_retry_recovers_from_transient_faults() {
     assert_eq!(stats.failed_merges, 2);
     assert_eq!(stats.merge_retries, 2);
     assert_eq!(h.static_len(), 500);
-    faults::disable();
 }
 
 #[test]
 fn merge_retry_gives_up_after_budgeted_attempts() {
-    let _guard = faults::test_lock();
-    faults::enable(6);
-    faults::arm("hybrid.merge.build", 1.0, None); // permanent failure
     let mut h = HybridBTree::with_config(MergeTrigger::Manual, false);
+    h.faults().enable(6);
+    h.faults().arm("hybrid.merge.build", 1.0, None); // permanent failure
     for i in 0..500u64 {
         h.insert(&i.to_be_bytes(), i);
     }
@@ -204,5 +196,4 @@ fn merge_retry_gives_up_after_budgeted_attempts() {
         assert_eq!(h.get(&i.to_be_bytes()), Some(i));
     }
     assert!(h.insert(&9999u64.to_be_bytes(), 1));
-    faults::disable();
 }

@@ -25,7 +25,7 @@ use crate::cache::BlockCache;
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::read::{Faults, Mem, ReadView, SeekResult};
+use crate::read::{Handle, Mem, ReadView, SeekResult};
 use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
 use crate::snapshot::{MemView, TableSet};
 use crate::sstable::SsTable;
@@ -272,23 +272,12 @@ pub struct Db {
     pub(crate) quarantined: RefCell<HashSet<(u64, u32)>>,
     /// Reads that hit a transient fault and were retried.
     pub(crate) transient_retries: Cell<u64>,
-    /// Tables left filterless at open because a block was unreadable or
-    /// quarantined (a partial filter would give false negatives).
-    degraded_tables: Cell<u64>,
     /// The active compaction policy (instantiated from
     /// [`DbOptions::compaction`] / the manifest's persisted policy).
     policy: Box<dyn CompactionPolicy>,
     /// Cached `policy.overlapping_levels()`: true when levels ≥ 1 hold
     /// overlapping age-ordered runs that reads must scan newest-first.
     pub(crate) overlapping: bool,
-    /// Filters restored from persisted images at open (one block read
-    /// each — the O(tables) recovery fast path).
-    filters_loaded: Cell<u64>,
-    /// Filters rebuilt from data blocks at open (the O(data) fallback).
-    filters_rebuilt: Cell<u64>,
-    /// Persisted filter images that failed validation at open (fell back
-    /// to rebuild — never to a wrong filter).
-    filter_images_corrupt: Cell<u64>,
     /// Writes rejected by the slowdown band since open.
     backpressure_rejections: Cell<u64>,
     /// Writes rejected by the stop band since open.
@@ -468,12 +457,8 @@ impl Db {
             read_repairs: Cell::new(0),
             quarantined: RefCell::new(version.quarantined.iter().copied().collect()),
             transient_retries: Cell::new(0),
-            degraded_tables: Cell::new(degraded),
             policy,
             overlapping,
-            filters_loaded: Cell::new(loaded),
-            filters_rebuilt: Cell::new(rebuilt),
-            filter_images_corrupt: Cell::new(images_corrupt),
             backpressure_rejections: Cell::new(0),
             stall_rejections: Cell::new(0),
             compact_steps: Cell::new(0),
@@ -700,8 +685,8 @@ impl Db {
             // are written but unreferenced — a crash here leaves orphans
             // for recovery's GC, the exact scenario the crash oracle's
             // `lsm.flush.filter_block` point exercises.
-            fail_point!("lsm.flush.filter_block");
-            fail_point!("lsm.flush.sync");
+            fail_point!(self.disk.faults(), "lsm.flush.filter_block");
+            fail_point!(self.disk.faults(), "lsm.flush.sync");
             self.disk.sync();
             self.manifest.borrow_mut().append(
                 &self.disk,
@@ -728,7 +713,7 @@ impl Db {
         *self.mem_view.get_mut() = MemView::default();
         let mut wal_bytes = 0u64;
         if self.opts.wal {
-            fail_point!("lsm.wal.reset");
+            fail_point!(self.disk.faults(), "lsm.wal.reset");
             wal_bytes = self.disk.file_len(self.wal.file()) as u64;
             self.disk.truncate_file(self.wal.file(), 0);
             self.disk.sync();
@@ -845,7 +830,7 @@ impl Db {
     /// One merge at `level` (the body of a [`Db::compact_step`]).
     fn compact_at(&mut self, level: usize) -> Result<()> {
         {
-            fail_point!("lsm.compact.begin");
+            fail_point!(self.disk.faults(), "lsm.compact.begin");
             self.tables_changed();
             if self.levels.len() == level + 1 {
                 self.levels.push(Vec::new());
@@ -921,7 +906,7 @@ impl Db {
                     )?);
                     next_id += 1;
                 }
-                fail_point!("lsm.compact.sync");
+                fail_point!(self.disk.faults(), "lsm.compact.sync");
                 self.disk.sync();
                 let mut edits: Vec<Edit> = victim_ids
                     .iter()
@@ -1019,7 +1004,7 @@ impl Db {
             overlapping: self.overlapping,
             disk: &self.disk,
             cache: &self.cache,
-            faults: Faults::Writer(self),
+            handle: Handle::Writer(self),
         }
     }
 
@@ -1112,34 +1097,10 @@ impl Db {
         self.transient_retries.set(0);
     }
 
-    /// Tables serving filterless because a block was unreadable or
-    /// quarantined when their filter was (re)built at open.
-    pub fn degraded_tables(&self) -> u64 {
-        self.degraded_tables.get()
-    }
-
     /// The compaction configuration actually in force (after manifest
     /// resolution — may differ from the options passed to [`Db::open`]).
     pub fn compaction_config(&self) -> CompactionConfig {
         self.opts.compaction
-    }
-
-    /// Filters attached straight from their persisted image at open — the
-    /// O(tables) fast path (one meta-block read, no data-block scan).
-    pub fn filters_loaded(&self) -> u64 {
-        self.filters_loaded.get()
-    }
-
-    /// Filters rebuilt from data blocks at open because no usable image
-    /// existed (legacy table, kind mismatch, or corrupt image).
-    pub fn filters_rebuilt(&self) -> u64 {
-        self.filters_rebuilt.get()
-    }
-
-    /// Persisted filter images that failed to decode at open (the table
-    /// fell back to a rebuild — slower, never wrong).
-    pub fn filter_images_corrupt(&self) -> u64 {
-        self.filter_images_corrupt.get()
     }
 
     /// The live version as the manifest would describe it (used by scrub
@@ -1351,6 +1312,7 @@ pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
 mod tests {
     use super::*;
     use memtree_common::key::encode_u64;
+    use memtree_faults::Faults;
 
     fn db_with(filter: FilterKind, n: u64) -> Db {
         let mut db = Db::new(DbOptions {
@@ -1827,7 +1789,6 @@ mod tests {
     /// the writer quarantines and persists.
     #[test]
     fn corrupt_read_is_reread_then_degrades_per_handle() {
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -1843,11 +1804,12 @@ mod tests {
             (db.io_stats().quarantined_blocks, manifest)
         };
         let before = state(&db);
-        memtree_faults::enable(7);
+        let faults = db.disk.faults();
+        faults.enable(7);
         let reads: [&dyn Fn() -> Option<Vec<u8>>; 2] =
             [&|| snap.get(&encode_u64(0)), &|| db.get(&encode_u64(0))];
         for read in reads {
-            memtree_faults::arm("lsm.disk.read_corrupt", 1.0, Some(1));
+            faults.arm("lsm.disk.read_corrupt", 1.0, Some(1));
             assert_eq!(read(), Some(b"payload".to_vec()), "one corrupt copy must be re-read");
         }
         assert_eq!(db.io_stats().read_repairs, 1, "the writer counts its repair");
@@ -1855,35 +1817,37 @@ mod tests {
         // re-read round's budget: absent for this query on both handles,
         // and — transients never quarantine — nothing else. A point has no
         // "skip the first hit", so pick the seed whose stream spares the
-        // first read and fails the next eight.
+        // first read and fails the next eight — drawn from a scratch
+        // registry, so the disk's own trip counts start from zero.
         let storm = "lsm.disk.read_transient";
-        let arm_storm = |seed| {
-            memtree_faults::enable(seed);
-            memtree_faults::arm(storm, 0.9, None);
+        let arm_storm = |f: &Faults, seed| {
+            f.enable(seed);
+            f.arm(storm, 0.9, None);
         };
         let spares_first_only = |seed: &u64| {
-            arm_storm(*seed);
-            !memtree_faults::should_fail(storm) && (0..8).all(|_| memtree_faults::should_fail(storm))
+            let scratch = Faults::default();
+            arm_storm(&scratch, *seed);
+            !scratch.should_fail(storm) && (0..8).all(|_| scratch.should_fail(storm))
         };
         let seed = (0..).find(spares_first_only).expect("some seed fits");
         for read in reads {
-            arm_storm(seed);
-            memtree_faults::arm("lsm.disk.read_corrupt", 1.0, Some(1));
+            arm_storm(faults, seed);
+            faults.arm("lsm.disk.read_corrupt", 1.0, Some(1));
             assert_eq!(read(), None, "storm in the re-read round serves the block empty");
-            assert_eq!(memtree_faults::trips("lsm.disk.read_corrupt"), 1);
-            assert_eq!(memtree_faults::trips(storm), 8, "the whole re-read budget");
-            memtree_faults::disable();
+            assert_eq!(faults.trips("lsm.disk.read_corrupt"), 1);
+            assert_eq!(faults.trips(storm), 8, "the whole re-read budget");
+            faults.disable();
             assert_eq!(state(&db), before, "a transient storm quarantined or persisted");
             assert_eq!(read(), Some(b"payload".to_vec()), "and the next query is whole");
         }
         assert_eq!(db.io_stats().read_repairs, 1);
-        memtree_faults::enable(7);
+        faults.enable(7);
         // Every copy corrupt: the snapshot answers "absent" and writes nothing.
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        faults.arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(snap.get(&encode_u64(0)), None);
         assert_eq!(state(&db), before, "a snapshot read quarantined or persisted something");
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined block reads as absent");
-        memtree_faults::disable();
+        faults.disable();
         let after = state(&db);
         assert_eq!(after.0, 1);
         assert!(after.1.len() > before.1.len(), "the quarantine edit is in the manifest");
@@ -1893,7 +1857,6 @@ mod tests {
 
     #[test]
     fn compaction_rescues_quarantined_block_when_reread_is_clean() {
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -1907,10 +1870,10 @@ mod tests {
         db.flush().unwrap();
         // Wire-level rot on every read quarantines the first block; the
         // stored bytes underneath are untouched.
-        memtree_faults::enable(7);
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        db.disk.faults().enable(7);
+        db.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
-        memtree_faults::disable();
+        db.disk.faults().disable();
         assert_eq!(db.io_stats().quarantined_blocks, 1);
         let repairs_before = db.io_stats().read_repairs;
         // Compacting the table re-reads the quarantined block; the clean
@@ -2059,7 +2022,6 @@ mod tests {
 
     #[test]
     fn quarantine_persists_across_reopen_and_degrades_filters() {
-        let _g = memtree_faults::test_lock();
         let opts = DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -2073,10 +2035,10 @@ mod tests {
         db.flush().unwrap();
         // Persistent corruption on key 0's block: the read path
         // quarantines it and records the quarantine in the manifest.
-        memtree_faults::enable(11);
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        db.disk.faults().enable(11);
+        db.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
-        memtree_faults::disable();
+        db.disk.faults().disable();
         assert_eq!(db.io_stats().quarantined_blocks, 1);
         let disk = db.close().unwrap();
         let db = Db::open(disk, opts).unwrap();
@@ -2085,9 +2047,10 @@ mod tests {
         // covers the quarantined keys too, which only means safe false
         // positives — never a wrong miss. No degraded, no rebuild.
         assert_eq!(db.io_stats().quarantined_blocks, 1);
-        assert_eq!(db.degraded_tables(), 0);
-        assert_eq!(db.filters_loaded(), 1);
-        assert_eq!(db.filters_rebuilt(), 0);
+        let report = db.open_report();
+        assert_eq!(report.degraded_tables, 0);
+        assert_eq!(report.filters_loaded, 1);
+        assert_eq!(report.filters_rebuilt, 0);
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined data stays absent");
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
     }
@@ -2097,7 +2060,6 @@ mod tests {
     /// what the cache ends up holding.
     #[test]
     fn cache_miss_allocates_frame_offsets_and_arc_only() {
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 1,
@@ -2126,7 +2088,6 @@ mod tests {
     /// the next flush (quarantined, key reads `None`).
     #[test]
     fn overlong_key_or_value_is_rejected_before_the_wal() {
-        let _g = memtree_faults::test_lock();
         let opts = DbOptions {
             memtable_bytes: 1 << 20,
             ..Default::default()
@@ -2161,7 +2122,6 @@ mod tests {
 
     #[test]
     fn transient_read_faults_heal_without_quarantine() {
-        let _g = memtree_faults::test_lock();
         let db = {
             let mut db = Db::new(DbOptions {
                 memtable_bytes: 1 << 20,
@@ -2174,8 +2134,8 @@ mod tests {
             db.flush().unwrap();
             db
         };
-        memtree_faults::enable(23);
-        memtree_faults::arm("lsm.disk.read_transient", 0.25, None);
+        db.disk.faults().enable(23);
+        db.disk.faults().arm("lsm.disk.read_transient", 0.25, None);
         for i in (0..2000u64).step_by(37) {
             assert_eq!(
                 db.get(&encode_u64(i)),
@@ -2183,7 +2143,6 @@ mod tests {
                 "transient fault leaked to a query answer at key {i}"
             );
         }
-        memtree_faults::disable();
         let s = db.io_stats();
         assert!(s.transient_retries > 0, "no transient was ever injected");
         assert_eq!(s.quarantined_blocks, 0, "transient faults must never quarantine");
@@ -2313,10 +2272,11 @@ mod policy_tests {
         let disk = db.close().unwrap();
         let _ = disk.bitrot_block(fb, 99);
         let db = Db::open(disk, opts).unwrap();
-        assert_eq!(db.filter_images_corrupt(), 1);
-        assert_eq!(db.filters_loaded(), 0);
-        assert_eq!(db.filters_rebuilt(), 1);
-        assert_eq!(db.degraded_tables(), 0, "rebuild succeeded, no degrade");
+        let report = db.open_report();
+        assert_eq!(report.filter_images_corrupt, 1);
+        assert_eq!(report.filters_loaded, 0);
+        assert_eq!(report.filters_rebuilt, 1);
+        assert_eq!(report.degraded_tables, 0, "rebuild succeeded, no degrade");
         for i in (0..2000u64).step_by(61) {
             assert_eq!(db.get(&encode_u64(i)), Some(b"payload".to_vec()));
             assert_eq!(db.get(&encode_u64(i + 100_000)), None);
@@ -2355,8 +2315,8 @@ mod policy_tests {
         let disk = db.close().unwrap();
         disk.reset_stats();
         let db = Db::open(disk, opts).unwrap();
-        assert_eq!(db.filters_loaded(), tables);
-        assert_eq!(db.filters_rebuilt(), 0);
+        assert_eq!(db.open_report().filters_loaded, tables);
+        assert_eq!(db.open_report().filters_rebuilt, 0);
         let reads = db.io_stats().block_reads;
         assert!(
             reads <= 2 * tables,

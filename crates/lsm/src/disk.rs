@@ -55,9 +55,19 @@
 //!
 //! Reads are served through the buffer (like the OS page cache), so a
 //! process that never crashes observes its own unsynced writes.
+//!
+//! ## Fail points
+//!
+//! The named fail points of the LSM engine belong to this device: each
+//! `SimDisk` owns one [`Faults`] registry ([`SimDisk::faults`]), and every
+//! `lsm.*` point — the four `lsm.disk.*` points below plus the WAL,
+//! manifest, table-build, flush, compaction and scrub points the engine
+//! evaluates on the disk it is writing — and the serving layer's
+//! `serve.worker.panic` fire from it. Arming a point on one disk never
+//! touches another, so tests running side by side cannot trip each other.
 
 use memtree_common::error::{MemtreeError, Result};
-use memtree_faults::Backoff;
+use memtree_faults::{Backoff, Faults};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -252,10 +262,12 @@ pub struct SimDisk {
     slow_delay_us: AtomicU64,
     /// Optional seeded latency profile.
     slow: Mutex<Option<SlowState>>,
+    /// This device's fail points (see the module docs).
+    faults: Faults,
 }
 
 /// Fixed virtual delay added per firing of the `lsm.disk.slow_io` fail
-/// point (a storm armed through the faults registry, probability- and
+/// point (a storm armed through the disk's registry, probability- and
 /// budget-controlled like every other fault class).
 const SLOW_IO_STORM_US: u64 = 800;
 
@@ -280,7 +292,14 @@ impl SimDisk {
             clock_us: AtomicU64::new(0),
             slow_delay_us: AtomicU64::new(0),
             slow: Mutex::new(None),
+            faults: Faults::default(),
         }
+    }
+
+    /// The fail points owned by this device: every `lsm.*` point and
+    /// `serve.worker.panic` evaluate here.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// The virtual clock, in microseconds. Monotone; ticks at least once
@@ -325,7 +344,7 @@ impl SimDisk {
                 }
             }
         }
-        if memtree_faults::should_fail("lsm.disk.slow_io") {
+        if self.faults.should_fail("lsm.disk.slow_io") {
             delay += SLOW_IO_STORM_US;
         }
         if delay > 0 {
@@ -360,7 +379,7 @@ impl SimDisk {
     /// Fails typed — and allocates nothing — on `Enospc` or an armed
     /// `lsm.disk.write_fault`.
     pub fn write(&self, data: Box<[u8]>) -> Result<u32> {
-        memtree_faults::fail_point!("lsm.disk.write_fault");
+        memtree_faults::fail_point!(self.faults, "lsm.disk.write_fault");
         let mut st = self.st();
         st.check_capacity("block-write", data.len())?;
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -397,7 +416,7 @@ impl SimDisk {
         // Transient media fault: the stored bytes are intact; the caller
         // may retry. Evaluated before the corrupting fault so the two
         // classes exercise distinct read-path reactions.
-        if memtree_faults::should_fail("lsm.disk.read_transient") {
+        if self.faults.should_fail("lsm.disk.read_transient") {
             return Err(MemtreeError::TransientIo { context: "sim-disk" });
         }
         let st = self.st();
@@ -437,7 +456,7 @@ impl SimDisk {
         // Injection point for media errors: corrupts this read's returned
         // bytes only (the stored block is untouched), so a retry can
         // succeed — exercises the Db quarantine-and-read-repair path.
-        if memtree_faults::should_fail("lsm.disk.read_corrupt") {
+        if self.faults.should_fail("lsm.disk.read_corrupt") {
             let n = data.len();
             if n > 0 {
                 data[n / 2] ^= 0x40;
@@ -873,18 +892,44 @@ mod tests {
 
     #[test]
     fn transient_read_fault_is_typed_and_heals_on_retry() {
-        let _g = memtree_faults::test_lock();
         let d = SimDisk::new(Duration::ZERO);
         let a = d.write(Box::from(&b"payload"[..])).unwrap();
         d.sync();
-        memtree_faults::enable(5);
-        memtree_faults::arm("lsm.disk.read_transient", 1.0, Some(1));
+        d.faults().enable(5);
+        d.faults().arm("lsm.disk.read_transient", 1.0, Some(1));
         match d.read(a) {
             Err(e) => assert!(e.is_transient(), "typed transient, got {e:?}"),
             Ok(_) => panic!("armed transient fault must fire"),
         }
         assert_eq!(&*d.read(a).unwrap(), b"payload", "retry heals");
-        memtree_faults::disable();
+    }
+
+    /// Two disks, one process: a point armed on one device never fires on
+    /// another, and the armed device counts only its own reads.
+    #[test]
+    fn fail_points_belong_to_their_disk() {
+        let (a, b) = (SimDisk::new(Duration::ZERO), SimDisk::new(Duration::ZERO));
+        let (block_a, block_b) = (
+            a.write(Box::from(&b"disk-a"[..])).unwrap(),
+            b.write(Box::from(&b"disk-b"[..])).unwrap(),
+        );
+        a.faults().enable(1);
+        a.faults().arm("lsm.disk.read_corrupt", 1.0, None);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..1000 {
+                    assert_eq!(&*b.read(block_b).unwrap(), b"disk-b", "A's fault hit B");
+                }
+            });
+            start.wait();
+            for _ in 0..1000 {
+                assert_ne!(&*a.read(block_a).unwrap(), b"disk-a", "armed read must corrupt");
+            }
+        });
+        assert_eq!(a.faults().trips("lsm.disk.read_corrupt"), 1000, "A counts A's reads only");
+        assert_eq!(b.faults().trips("lsm.disk.read_corrupt"), 0);
     }
 
     #[test]
@@ -943,16 +988,15 @@ mod tests {
 
     #[test]
     fn slow_io_fail_point_adds_storm_delay() {
-        let _g = memtree_faults::test_lock();
         let d = SimDisk::new(Duration::ZERO);
         let a = d.write(Box::from(&b"x"[..])).unwrap();
         d.sync();
-        memtree_faults::enable(3);
-        memtree_faults::arm("lsm.disk.slow_io", 1.0, Some(2));
+        d.faults().enable(3);
+        d.faults().arm("lsm.disk.slow_io", 1.0, Some(2));
         let t0 = d.now_us();
         d.read(a).unwrap();
         assert!(d.now_us() >= t0 + SLOW_IO_STORM_US, "armed point slows the read");
-        memtree_faults::disable();
+        d.faults().disable();
         let t1 = d.now_us();
         d.read(a).unwrap();
         assert!(d.now_us() < t1 + SLOW_IO_STORM_US, "disarmed point is fast");

@@ -363,7 +363,7 @@ impl Manifest {
                 next_txn: 1,
                 appended_txns: 0,
             };
-            fail_point!("lsm.current.swap");
+            fail_point!(disk.faults(), "lsm.current.swap");
             disk.write_file_atomic(&current_name, &encode_single(manifest.file.as_bytes()))?;
             disk.sync();
             return Ok((manifest, Version::default(), true));
@@ -411,13 +411,13 @@ impl Manifest {
     /// Appends one transaction (all of `edits` in a single frame) to the
     /// active manifest and syncs it durable.
     pub fn append(&mut self, disk: &SimDisk, edits: &[Edit]) -> Result<()> {
-        fail_point!("lsm.manifest.append");
+        fail_point!(disk.faults(), "lsm.manifest.append");
         let mut payload = Vec::new();
         for e in edits {
             e.encode(&mut payload);
         }
         disk.append(&self.file, &encode_frame(self.next_txn, &payload))?;
-        fail_point!("lsm.manifest.sync");
+        fail_point!(disk.faults(), "lsm.manifest.sync");
         disk.sync();
         self.next_txn += 1;
         self.appended_txns += 1;
@@ -437,7 +437,7 @@ impl Manifest {
                 MemtreeError::corruption("manifest", format!("bad manifest name {}", self.file))
             })?;
         let next_file = format!("{prefix}{}", n + 1);
-        fail_point!("lsm.manifest.rotate");
+        fail_point!(disk.faults(), "lsm.manifest.rotate");
         let mut payload = Vec::new();
         for e in version.snapshot_edits() {
             e.encode(&mut payload);
@@ -448,7 +448,7 @@ impl Manifest {
         // two txn-1 frames and poison the next open.
         disk.write_file_atomic(&next_file, &encode_frame(1, &payload))?;
         disk.sync();
-        fail_point!("lsm.current.swap");
+        fail_point!(disk.faults(), "lsm.current.swap");
         disk.write_file_atomic(
             &current_file_name(&self.namespace),
             &encode_single(next_file.as_bytes()),

@@ -9,7 +9,7 @@
 //! The two handles differ in exactly two places:
 //!
 //! * [`Mem`] — where a MemTable entry comes from;
-//! * [`Faults`] — what a block that stays unreadable does. The writer keeps
+//! * [`Handle`] — what a block that stays unreadable does. The writer keeps
 //!   score (probe, retry and repair counters), quarantines the block and
 //!   persists that through the manifest; a snapshot serves the block empty
 //!   for this view and writes nothing.
@@ -114,7 +114,7 @@ impl<'a> Mem<'a> {
 
 /// What a block that stays unreadable does, and who keeps score.
 #[derive(Clone, Copy)]
-pub(crate) enum Faults<'a> {
+pub(crate) enum Handle<'a> {
     /// The single writer: counts filter probes, transient retries and read
     /// repairs, and quarantines through [`Db::quarantine`].
     Writer(&'a Db),
@@ -139,7 +139,7 @@ pub(crate) struct ReadView<'a> {
     pub(crate) overlapping: bool,
     pub(crate) disk: &'a SimDisk,
     pub(crate) cache: &'a BlockCache,
-    pub(crate) faults: Faults<'a>,
+    pub(crate) handle: Handle<'a>,
 }
 
 /// One ordered source feeding the merge in [`ReadView::scan_from`].
@@ -201,7 +201,7 @@ impl<'a> ReadView<'a> {
     ) -> Result<Arc<Run>> {
         let mut backoff = Backoff::new(max_attempts);
         let raw = self.disk.read_retrying(table.blocks[block], &mut backoff);
-        if let Faults::Writer(db) = self.faults {
+        if let Handle::Writer(db) = self.handle {
             bump(&db.transient_retries, u64::from(backoff.attempts() - 1));
         }
         Ok(Arc::new(Run::from_frame(raw?)?))
@@ -214,15 +214,15 @@ impl<'a> ReadView<'a> {
     /// for this one query); a **persistent** decode failure gets one more
     /// round (the read repair: a fault on the returned copy vanishes on
     /// re-read); a block that still fails is **unreadable** — it reads as
-    /// empty, and [`Faults`] decides what else happens. Nothing panics.
+    /// empty, and [`Handle`] decides what else happens. Nothing panics.
     pub(crate) fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
         if let Some(hit) = self.cache.get(table.id, block) {
             return hit;
         }
         let at = (table.id, block as u32);
-        let quarantined = match self.faults {
-            Faults::Writer(db) => db.quarantined.borrow().contains(&at),
-            Faults::Frozen(set) => set.contains(&at),
+        let quarantined = match self.handle {
+            Handle::Writer(db) => db.quarantined.borrow().contains(&at),
+            Handle::Frozen(set) => set.contains(&at),
         };
         if quarantined {
             return Arc::default();
@@ -230,7 +230,7 @@ impl<'a> ReadView<'a> {
         for reread in [false, true] {
             match self.read_retrying(table, block, 8) {
                 Ok(run) => {
-                    if let (true, Faults::Writer(db)) = (reread, self.faults) {
+                    if let (true, Handle::Writer(db)) = (reread, self.handle) {
                         bump(&db.read_repairs, 1);
                     }
                     self.cache.insert(table.id, block, Arc::clone(&run));
@@ -240,7 +240,7 @@ impl<'a> ReadView<'a> {
                 Err(_) => {}
             }
         }
-        if let Faults::Writer(db) = self.faults {
+        if let Handle::Writer(db) = self.handle {
             db.quarantine(at);
         }
         Arc::default()
@@ -248,7 +248,7 @@ impl<'a> ReadView<'a> {
 
     /// Accounts one filter pass over `keys` keys ([`FilterStats`]).
     fn count_probes(&self, keys: usize) {
-        if let Faults::Writer(db) = self.faults {
+        if let Handle::Writer(db) = self.handle {
             let s = db.filter_stats.get();
             db.filter_stats.set(FilterStats {
                 probe_passes: s.probe_passes + 1,

@@ -361,7 +361,7 @@ impl Db {
         // live and the repair blocks as recoverable orphans — the
         // scrub-republish crash-oracle case drives this point.
         let abort = (|| -> Result<()> {
-            fail_point!("lsm.scrub.republish");
+            fail_point!(self.disk.faults(), "lsm.scrub.republish");
             Ok(())
         })();
         if let Err(e) = abort {

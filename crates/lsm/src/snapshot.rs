@@ -44,7 +44,7 @@
 use crate::cache::BlockCache;
 use crate::db::Db;
 use crate::disk::SimDisk;
-use crate::read::{Faults, Mem, ReadView, SeekResult};
+use crate::read::{Handle, Mem, ReadView, SeekResult};
 use crate::run::{Run, RunBuilder};
 use crate::sstable::SsTable;
 use std::collections::{BTreeMap, HashSet};
@@ -163,7 +163,7 @@ impl DbSnapshot {
             overlapping: self.tables.overlapping,
             disk: &self.disk,
             cache: &self.cache,
-            faults: Faults::Frozen(&self.tables.quarantined),
+            handle: Handle::Frozen(&self.tables.quarantined),
         }
     }
 
@@ -268,10 +268,6 @@ mod tests {
 
     #[test]
     fn snapshot_survives_compaction_of_its_tables() {
-        // Serialize with fault-arming tests: an armed read_corrupt window
-        // in a sibling test corrupts this test's uncached compaction and
-        // snapshot reads (the registry is process-global).
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(small_opts());
         for i in 0..400u64 {
             db.put(&encode_u64(i), &[i as u8; 16]).unwrap();
@@ -345,8 +341,6 @@ mod tests {
     #[test]
     fn scan_and_publish_allocate_no_growth_ladders() {
         use crate::alloc_probe::measure;
-        // Serialize with fault-arming tests (the registry is process-global).
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions::default());
         db.put(b"warm", b"up").unwrap();
         drop(db.snapshot()); // builds the base and the shared table set

@@ -91,7 +91,7 @@ impl SsTable {
                     bytes += entry_bytes(&entries[end]);
                     end += 1;
                 }
-                fail_point!("lsm.table.block_write");
+                fail_point!(disk.faults(), "lsm.table.block_write");
                 let block = disk.write(Run::encode_frame(&entries[start..end])?)?;
                 fences.push(entries[start].0.to_vec());
                 blocks.push(block);
@@ -371,15 +371,14 @@ mod tests {
 
     #[test]
     fn failed_build_releases_partial_blocks() {
-        let _g = memtree_faults::test_lock();
         let owned = entries(1000);
         let e = refs(&owned);
         // Injected write fault partway through the build (seeded schedules
         // decide where; every seed must leave zero orphans on failure).
         for seed in 0..16u64 {
             let disk = SimDisk::new(Duration::ZERO);
-            memtree_faults::enable(seed);
-            memtree_faults::arm("lsm.disk.write_fault", 0.2, Some(1));
+            disk.faults().enable(seed);
+            disk.faults().arm("lsm.disk.write_fault", 0.2, Some(1));
             match SsTable::build(1, &disk, &e, 1024, &FilterKind::None) {
                 Err(_) => assert_eq!(
                     disk.live_blocks(),
@@ -388,7 +387,6 @@ mod tests {
                 ),
                 Ok(t) => t.release(&disk).unwrap(),
             }
-            memtree_faults::disable();
         }
 
         // ENOSPC path: capacity admits some blocks but not all.

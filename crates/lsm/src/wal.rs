@@ -263,7 +263,7 @@ impl Wal {
         value: Option<&[u8]>,
         group_commit: usize,
     ) -> Result<u64> {
-        fail_point!("lsm.wal.append");
+        fail_point!(disk.faults(), "lsm.wal.append");
         let seq = self.next_seq;
         let (kind, value) = match value {
             Some(v) => (KIND_PUT, v),
@@ -289,7 +289,7 @@ impl Wal {
 
     /// Forces the log durable; every appended record becomes acknowledged.
     pub fn sync(&mut self, disk: &SimDisk) -> Result<()> {
-        fail_point!("lsm.wal.sync");
+        fail_point!(disk.faults(), "lsm.wal.sync");
         disk.sync();
         self.synced_seq = self.appended_seq;
         self.unsynced = 0;

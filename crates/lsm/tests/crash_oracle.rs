@@ -23,7 +23,6 @@
 
 use memtree_common::check::seed_range;
 use memtree_common::error::MemtreeError;
-use memtree_faults as faults;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, StallConfig};
 use std::collections::BTreeMap;
 
@@ -110,11 +109,12 @@ fn assert_matches_model(db: &Db, model: &BTreeMap<Vec<u8>, Vec<u8>>, ctx: &str) 
 fn run_case(point: &str, seed: u64) -> bool {
     let opts = opts_for(seed);
     let mut db = Db::new(opts.clone());
+    let disk = db.disk_handle();
     // Probability tiers: always / often / rarely — late firings crash in
     // deeper states (mid-compaction chains) than first-call firings.
     let probability = [1.0, 0.3, 0.05][(seed % 3) as usize];
-    faults::enable(seed);
-    faults::arm(point, probability, Some(1));
+    disk.faults().enable(seed);
+    disk.faults().arm(point, probability, Some(1));
 
     // ~2000 puts of ~15 bytes against a 2 KiB memtable: ≈15 flushes and a
     // steady stream of compactions, so every point gets many evaluations.
@@ -137,11 +137,10 @@ fn run_case(point: &str, seed: u64) -> bool {
             }
         }
     }
-    let fired = faults::trips(point) > 0;
-    faults::disable();
+    let fired = disk.faults().trips(point) > 0;
+    disk.faults().disable();
 
     let acked = db.last_synced_seq();
-    let disk = db.disk_handle();
     drop(db);
     let tear = if seed % 2 == 0 { Some(seed.wrapping_mul(0x9E37_79B9)) } else { None };
     disk.crash(tear);
@@ -187,7 +186,6 @@ fn run_case(point: &str, seed: u64) -> bool {
 
 #[test]
 fn every_crashpoint_recovers_the_acknowledged_prefix() {
-    let _guard = faults::test_lock();
     let seeds = seed_range();
     assert!(!seeds.is_empty(), "empty MEMTREE_FAULT_SEEDS range");
     for point in CRASHPOINTS {
@@ -212,7 +210,6 @@ fn crash_during_recovery_is_survivable() {
     // Double-fault: the first recovery itself is interrupted (rotation and
     // CURRENT swap are on the recovery path), then a second recovery runs
     // clean. Nothing acknowledged may be lost across the pile-up.
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = opts_for(seed);
         let mut db = Db::new(opts.clone());
@@ -229,10 +226,10 @@ fn crash_during_recovery_is_survivable() {
         disk.crash(if seed % 2 == 0 { Some(seed) } else { None });
 
         let point = ["lsm.manifest.rotate", "lsm.current.swap"][(seed % 2) as usize];
-        faults::enable(seed);
-        faults::arm(point, 1.0, Some(1));
+        disk.faults().enable(seed);
+        disk.faults().arm(point, 1.0, Some(1));
         let first = Db::open(disk.clone(), opts.clone());
-        faults::disable();
+        disk.faults().disable();
         if let Ok(db) = first {
             // Rotation fired after its durable work or never evaluated;
             // either way this handle is fully recovered.
@@ -258,7 +255,6 @@ fn crash_during_recovery_is_survivable() {
 /// acknowledged prefix.
 #[test]
 fn stall_bands_reject_typed_then_drain_and_recover_across_crash() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = DbOptions {
             stall: StallConfig {
@@ -333,7 +329,6 @@ fn stall_bands_reject_typed_then_drain_and_recover_across_crash() {
 /// compaction policies.
 #[test]
 fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = DbOptions {
             // Force a filter (a filterless config has no image to rot).
@@ -354,7 +349,7 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
         let images = clean.filter_block_ids();
         assert!(!images.is_empty(), "seed {seed}: no filter images to corrupt");
         let tables: u64 = clean.level_sizes().iter().map(|&s| s as u64).sum();
-        assert_eq!(clean.filters_loaded(), tables, "seed {seed}: clean open loads all");
+        assert_eq!(clean.open_report().filters_loaded, tables, "seed {seed}: clean open loads all");
         let disk = clean.close().unwrap();
         for &b in &images {
             disk.bitrot_block(b, seed).unwrap();
@@ -362,13 +357,14 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
         let db = Db::open(disk, opts)
             .unwrap_or_else(|e| panic!("seed {seed}: open died on rotten images: {e:?}"));
         db.check_invariants().unwrap();
+        let report = db.open_report();
         assert_eq!(
-            db.filter_images_corrupt(),
+            report.filter_images_corrupt,
             images.len() as u64,
             "seed {seed}: every single-bit flip must be caught"
         );
-        assert_eq!(db.filters_rebuilt(), images.len() as u64, "seed {seed}: rebuild fallback");
-        assert_eq!(db.degraded_tables(), 0, "seed {seed}: data is intact, no degrade");
+        assert_eq!(report.filters_rebuilt, images.len() as u64, "seed {seed}: rebuild fallback");
+        assert_eq!(report.degraded_tables, 0, "seed {seed}: data is intact, no degrade");
         let model = fold_model(seed, total);
         assert_matches_model(&db, &model, &format!("seed {seed} after image bitrot"));
     }
@@ -381,7 +377,6 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
 /// value here.
 #[test]
 fn deleted_keys_stay_dead_across_crash_and_compaction() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = opts_for(seed);
         let mut db = Db::new(opts.clone());

@@ -12,7 +12,6 @@
 use memtree_common::check::seed_range;
 use memtree_common::hash::splitmix64;
 use memtree_common::key::encode_u64;
-use memtree_faults as faults;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FileScrubOutcome, FilterKind, ScrubReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -105,7 +104,6 @@ fn live_blocks(disk: &Arc<memtree_lsm::SimDisk>) -> Vec<u32> {
 /// quarantines and rewrites must persist through the manifest.
 #[test]
 fn bitrot_differential_never_loses_a_key_silently() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let (db, model) = build_workload(seed, 1200);
         let disk = db.close().unwrap();
@@ -153,14 +151,13 @@ fn bitrot_differential_never_loses_a_key_silently() {
 /// counter proves the fault path actually ran.
 #[test]
 fn transient_read_storms_heal_without_quarantine_or_wrong_answers() {
-    let _guard = faults::test_lock();
     let mut retries_across_seeds = 0u64;
     for seed in seed_range() {
         let (db, model) = build_workload(seed, 1000);
         let disk = db.close().unwrap();
-        let db = Db::open(disk, opts_for(seed)).unwrap();
-        faults::enable(seed);
-        faults::arm("lsm.disk.read_transient", 0.25, Some(400));
+        let db = Db::open(Arc::clone(&disk), opts_for(seed)).unwrap();
+        disk.faults().enable(seed);
+        disk.faults().arm("lsm.disk.read_transient", 0.25, Some(400));
         for i in 0..KEYSPACE {
             let k = key_of(i);
             assert_eq!(
@@ -169,7 +166,6 @@ fn transient_read_storms_heal_without_quarantine_or_wrong_answers() {
                 "seed {seed}: wrong answer under transient storm at key {i}"
             );
         }
-        faults::disable();
         let stats = db.io_stats();
         assert_eq!(stats.quarantined_blocks, 0, "seed {seed}: transient must not quarantine");
         retries_across_seeds += stats.transient_retries;
@@ -186,7 +182,6 @@ fn transient_read_storms_heal_without_quarantine_or_wrong_answers() {
 /// the same flush succeed with zero data loss.
 #[test]
 fn enospc_is_typed_leak_free_and_retryable() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let (mut db, mut model) = build_workload(seed, 600);
         let disk = db.disk_handle();
@@ -243,7 +238,6 @@ fn enospc_is_typed_leak_free_and_retryable() {
 /// fully clean.
 #[test]
 fn scrub_repairs_rotted_blocks_from_the_cache() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let (db, model) = build_workload(seed, 900);
         let disk = db.close().unwrap();
@@ -286,7 +280,6 @@ fn scrub_repairs_rotted_blocks_from_the_cache() {
 /// back to clean by the next scrub — and only then.
 #[test]
 fn restored_blocks_are_unquarantined_by_scrub_only() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         // Filterless config: the open does not read blocks, so the
         // quarantine must come from the runtime read path.
@@ -358,7 +351,6 @@ fn restored_blocks_are_unquarantined_by_scrub_only() {
 /// and an exact model match.
 #[test]
 fn crash_during_scrub_republish_recovers_under_tiered() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = DbOptions {
             filter: FilterKind::None,
@@ -409,11 +401,11 @@ fn crash_during_scrub_republish_recovers_under_tiered() {
         assert!(tripped, "seed {seed}: no reachable block quarantined");
 
         // Scrub dies mid-republish.
-        faults::enable(seed);
-        faults::arm("lsm.scrub.republish", 1.0, Some(1));
+        disk.faults().enable(seed);
+        disk.faults().arm("lsm.scrub.republish", 1.0, Some(1));
         let interrupted = db.scrub();
-        let fired = faults::trips("lsm.scrub.republish") > 0;
-        faults::disable();
+        let fired = disk.faults().trips("lsm.scrub.republish") > 0;
+        disk.faults().disable();
         assert!(fired, "seed {seed}: republish point never evaluated — stale name?");
         assert!(interrupted.is_err(), "seed {seed}: injected republish fault must surface");
         drop(db);
@@ -442,7 +434,6 @@ fn crash_during_scrub_republish_recovers_under_tiered() {
 /// truncate for the WAL, rotation for the manifest) with zero data loss.
 #[test]
 fn live_wal_and_manifest_rot_are_repaired_in_place() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         // Leave the workload dirty: memtable + WAL hold the newest writes.
         let (mut db, model) = build_workload(seed, 700);

@@ -1096,7 +1096,7 @@ fn shard_worker(
             // Client-sent requests were admission-counted.
             slot.sub_depth();
         }
-        if memtree_faults::should_fail("serve.worker.panic") {
+        if disk.faults().should_fail("serve.worker.panic") {
             panic!("injected: serve.worker.panic (shard {shard})");
         }
         match msg {
@@ -1291,10 +1291,6 @@ mod tests {
 
     #[test]
     fn writes_route_and_reads_see_them_after_barrier() {
-        // Workers consume process-global fault firings; serialize with
-        // fault-arming tests so an armed window never leaks here (and
-        // never steals a counted firing from the arming test).
-        let _g = memtree_faults::test_lock();
         let sdb = ShardedDb::new(ServeOptions { shards: 3, ..ServeOptions::default() });
         for i in 0..500u32 {
             let k = format!("key-{i:05}");
@@ -1344,7 +1340,6 @@ mod tests {
     /// `open` must refuse `meta` with a typed error and leave it as found;
     /// with the writer's count back in place every acked key reads back.
     fn assert_meta_refused(meta: &[u8], requested: usize) {
-        let _g = memtree_faults::test_lock();
         let disk = closed_two_shard_disk();
         disk.write_file_atomic(META_FILE, meta).unwrap();
         disk.sync();
@@ -1378,10 +1373,6 @@ mod tests {
 
     #[test]
     fn deletes_are_visible_and_durable() {
-        // Workers consume process-global fault firings; serialize with
-        // fault-arming tests so an armed window never leaks here (and
-        // never steals a counted firing from the arming test).
-        let _g = memtree_faults::test_lock();
         let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
         for i in 0..100u32 {
             sdb.put(format!("k{i}").as_bytes(), b"v").unwrap();
@@ -1413,10 +1404,6 @@ mod tests {
 
     #[test]
     fn group_commit_batches_syncs_across_shards() {
-        // Workers consume process-global fault firings; serialize with
-        // fault-arming tests so an armed window never leaks here (and
-        // never steals a counted firing from the arming test).
-        let _g = memtree_faults::test_lock();
         let sdb = ShardedDb::new(ServeOptions { shards: 4, ..ServeOptions::default() });
         let sdb = Arc::new(sdb);
         let writers: Vec<_> = (0..4)
@@ -1444,7 +1431,6 @@ mod tests {
 
     #[test]
     fn overlong_value_fails_only_its_own_request() {
-        let _g = memtree_faults::test_lock();
         let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
         sdb.put(b"a", b"1").unwrap();
         // Typed, not retried as overload, and acked without reaching the
@@ -1466,10 +1452,6 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_typed_and_cancels_nothing_durable() {
-        // Workers consume process-global fault firings; serialize with
-        // fault-arming tests so an armed window never leaks here (and
-        // never steals a counted firing from the arming test).
-        let _g = memtree_faults::test_lock();
         let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
         let disk = sdb.disk_handle();
         sdb.put(b"k1", b"v1").unwrap();
@@ -1490,13 +1472,13 @@ mod tests {
 
     #[test]
     fn worker_panic_recovers_without_losing_acked_writes() {
-        let _g = memtree_faults::test_lock();
-        memtree_faults::enable(0xC0FFEE);
         let sdb = ShardedDb::new(ServeOptions {
             shards: 2,
             max_restarts: 64,
             ..ServeOptions::default()
         });
+        let disk = sdb.disk_handle();
+        disk.faults().enable(0xC0FFEE);
         let mut acked = Vec::new();
         for i in 0..200u32 {
             let k = format!("k{i:04}");
@@ -1505,13 +1487,13 @@ mod tests {
             }
             if i == 50 || i == 120 {
                 // Kill the next worker that dequeues anything.
-                memtree_faults::arm("serve.worker.panic", 1.0, Some(1));
+                disk.faults().arm("serve.worker.panic", 1.0, Some(1));
                 // Poke both shards so the armed point actually fires.
                 let _ = sdb.put(b"poke-a", b"x");
                 let _ = sdb.put(b"poke-b", b"x");
             }
         }
-        memtree_faults::disarm("serve.worker.panic");
+        disk.faults().disarm("serve.worker.panic");
         let stats = sdb.stats();
         assert!(stats.worker_restarts >= 1, "no restart happened: {stats:?}");
         assert_eq!(stats.poisoned_shards, 0);
@@ -1523,20 +1505,20 @@ mod tests {
                 "acked write {k} lost after worker restart"
             );
         }
-        memtree_faults::disable();
+        disk.faults().disable();
         sdb.close().unwrap();
     }
 
     #[test]
     fn poisoned_shard_fails_fast_and_siblings_keep_serving() {
-        let _g = memtree_faults::test_lock();
-        memtree_faults::enable(7);
         let sdb = ShardedDb::new(ServeOptions {
             shards: 2,
             max_restarts: 1,
             retry_attempts: 3,
             ..ServeOptions::default()
         });
+        let disk = sdb.disk_handle();
+        disk.faults().enable(7);
         // Find one key per shard.
         let mut keys: Vec<Option<String>> = vec![None, None];
         for i in 0.. {
@@ -1552,7 +1534,7 @@ mod tests {
         let (k0, k1) = (keys[0].take().unwrap(), keys[1].take().unwrap());
         let victim = sdb.shard_of(k0.as_bytes());
         // Exhaust the restart budget: every dequeue panics.
-        memtree_faults::arm("serve.worker.panic", 1.0, None);
+        disk.faults().arm("serve.worker.panic", 1.0, None);
         for _ in 0..8 {
             let _ = sdb.put(k0.as_bytes(), b"x");
             if sdb.stats().poisoned_shards > 0 {
@@ -1560,7 +1542,7 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        memtree_faults::disarm("serve.worker.panic");
+        disk.faults().disarm("serve.worker.panic");
         // Wait for the supervisor to finish poisoning.
         for _ in 0..200 {
             if sdb.stats().poisoned_shards > 0 {
@@ -1579,17 +1561,13 @@ mod tests {
         assert!(sdb.shard_of(k1.as_bytes()) != victim);
         sdb.put(k1.as_bytes(), b"v").unwrap();
         assert_eq!(sdb.get_fresh(k1.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
-        memtree_faults::disable();
+        disk.faults().disable();
         // Close reports the poisoning as a typed error.
         assert!(sdb.close().is_err());
     }
 
     #[test]
     fn backpressure_is_retried_transparently_under_debt() {
-        // Serialize with fault-arming tests: an armed serve.worker.panic
-        // window in a sibling test would hit this test's worker too (the
-        // registry is process-global).
-        let _g = memtree_faults::test_lock();
         // Tiny memtable + a stop band *below* the flush threshold: nothing
         // drains a memtable but the write path, so every band crossing
         // must reject typed, and success proves the retry loop and

@@ -175,14 +175,14 @@ fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     // Slow I/O: alternate between a seeded storm profile and calm.
     if roll % 2 == 0 {
         disk.set_slow_io(Some(SlowIo::storm(seed ^ phase as u64)));
-        memtree_faults::arm("lsm.disk.slow_io", 0.2, Some(200));
+        disk.faults().arm("lsm.disk.slow_io", 0.2, Some(200));
     } else {
         disk.set_slow_io(None);
-        memtree_faults::disarm("lsm.disk.slow_io");
+        disk.faults().disarm("lsm.disk.slow_io");
     }
     // Transient reads and wire-level bit rot, throttled by budgets.
-    memtree_faults::arm("lsm.disk.read_transient", 0.10, Some(150));
-    memtree_faults::arm("lsm.disk.read_corrupt", 0.05, Some(40));
+    disk.faults().arm("lsm.disk.read_transient", 0.10, Some(150));
+    disk.faults().arm("lsm.disk.read_corrupt", 0.05, Some(40));
     // A temporary ENOSPC window roughly every third phase.
     if roll % 3 == 0 {
         disk.set_capacity_bytes(Some(disk.used_bytes() + 6 * 1024));
@@ -192,9 +192,9 @@ fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     // Worker kills in half the phases (budgeted, so the supervisor
     // restart path runs a handful of times per seed, not constantly).
     if roll % 2 == 1 {
-        memtree_faults::arm("serve.worker.panic", 0.01, Some(2));
+        disk.faults().arm("serve.worker.panic", 0.01, Some(2));
     } else {
-        memtree_faults::disarm("serve.worker.panic");
+        disk.faults().disarm("serve.worker.panic");
     }
 }
 
@@ -207,7 +207,7 @@ fn disarm_all(disk: &memtree_lsm::SimDisk) {
         "lsm.disk.read_corrupt",
         "serve.worker.panic",
     ] {
-        memtree_faults::disarm(p);
+        disk.faults().disarm(p);
     }
 }
 
@@ -249,9 +249,9 @@ fn settle(sdb: &ShardedDb, seed: u64) {
 }
 
 fn run_seed(seed: u64) {
-    memtree_faults::enable(seed);
     let sdb = Arc::new(ShardedDb::new(soak_opts(seed)));
     let disk = sdb.disk_handle();
+    disk.faults().enable(seed);
 
     let ops_done = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -373,13 +373,11 @@ fn run_seed(seed: u64) {
         }
         reopened.close().unwrap();
     }
-    memtree_faults::disable();
     let _ = watchdog.join();
 }
 
 #[test]
 fn chaos_soak_combined_fault_storms() {
-    let _guard = memtree_faults::test_lock();
     let seeds = seed_range();
     assert!(!seeds.is_empty(), "empty MEMTREE_FAULT_SEEDS range");
     for seed in seeds {

@@ -247,8 +247,6 @@ fn enospc_on_one_shard_is_isolated_and_recoverable() {
 
 #[test]
 fn transient_read_faults_heal_on_every_shard() {
-    let _guard = memtree_faults::test_lock();
-    memtree_faults::enable(7);
     let sdb = ShardedDb::new(ServeOptions {
         shards: 2,
         db: DbOptions {
@@ -258,6 +256,8 @@ fn transient_read_faults_heal_on_every_shard() {
         },
         ..ServeOptions::default()
     });
+    let disk = sdb.disk_handle();
+    disk.faults().enable(7);
     let mut keys = Vec::new();
     for i in 0..200u32 {
         let k = format!("tr-{i:04}").into_bytes();
@@ -270,7 +270,7 @@ fn transient_read_faults_heal_on_every_shard() {
     // Every third disk read fails transiently; the snapshot read path
     // retries with backoff and must still produce every value on both
     // shards, without wedging either worker.
-    memtree_faults::arm("lsm.disk.read_transient", 0.34, None);
+    disk.faults().arm("lsm.disk.read_transient", 0.34, None);
     for (i, k) in keys.iter().enumerate() {
         assert_eq!(
             sdb.get(k).as_deref(),
@@ -278,7 +278,6 @@ fn transient_read_faults_heal_on_every_shard() {
             "transient faults must heal for key {i}"
         );
     }
-    memtree_faults::disarm("lsm.disk.read_transient");
-    memtree_faults::disable();
+    disk.faults().disable();
     sdb.close().unwrap();
 }

@@ -36,6 +36,10 @@ cargo run --release --offline -p memtree-benchmark -- --smoke
 
 echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve under real parallelism, offline) =="
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
+for i in 1 2 3 4 5; do
+  echo "-- lsm + serve unit tests, pass $i/5 (a race fails here, not one run in five) --"
+  RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve --lib
+done
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test overload
 
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
