@@ -1,20 +1,12 @@
-//! Batched LSM read-path benchmark, written to `BENCH_lsm.json`.
+//! LSM filter and compaction-policy benchmark, written to `BENCH_lsm.json`.
 //!
 //! For every filter configuration (None / Bloom / SuRF-Hash / SuRF-Real /
-//! SuRF-Mixed) the same negative-lookup workload runs twice: a per-key
-//! `get` loop and chunked `multi_get` at several batch sizes. Because the
-//! disk simulator counts every block read and the engine counts every
-//! filter probe, the comparison is exact, not just a wall-clock race:
-//! batching must perform **fewer filter passes** (one batch descent per
-//! table instead of one per key) and **no more block fetches** (sorted
-//! survivors share candidate blocks).
-//!
-//! Correctness gates run before any timing and in `--smoke` mode too:
-//! `multi_get` must equal the per-key loop and `multi_scan` must equal a
-//! per-range seek/next_after walk, on probe sets mixing hits, misses and
-//! duplicates. The counter assertions (batched ≤ per-key everywhere;
-//! strictly fewer filter passes and aggregate block fetches at batch ≥ 64)
-//! also always run — they are deterministic, not timing-dependent.
+//! SuRF-Mixed) the same negative-lookup workload runs as a per-key `get`
+//! loop with the block cache off. The disk simulator counts every block
+//! read and the engine counts every filter probe, so each kind's cost is
+//! exact, not just a wall-clock race. One counter gate always runs, in
+//! `--smoke` mode too, because it is deterministic: every filter kind
+//! reads strictly fewer blocks than `none`.
 //!
 //! A second section sweeps the **compaction policy**: the same
 //! overwrite-heavy load and the same point-read probe run under leveled
@@ -29,7 +21,7 @@
 use memtree_bench::harness::{best_of, BenchArgs, Json};
 use memtree_bench::mops;
 use memtree_common::key::encode_u64;
-use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats, SeekResult};
+use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats};
 
 struct Config {
     n_keys: usize,
@@ -86,10 +78,7 @@ fn build_db(cfg: &Config, filter: FilterKind) -> Db {
 /// Scattered *clusters* of in-range misses: bases hop around the
 /// keyspace, and each cluster of 64 visits consecutive gaps in a
 /// scrambled order (37 is coprime to 64, so `j * 37 mod 64` permutes the
-/// cluster). Clustering is what makes block sharing possible at all —
-/// with one probe per ~2000 stored keys no batch size puts two probes in
-/// the same data block — while the scrambled order leaves the batched
-/// path real sorting work.
+/// cluster).
 fn negative_probes(cfg: &Config) -> Vec<[u8; 8]> {
     let n = cfg.n_keys as u64;
     (0..cfg.n_probes as u64)
@@ -99,63 +88,6 @@ fn negative_probes(cfg: &Config) -> Vec<[u8; 8]> {
             negative_key((base + offset) % n)
         })
         .collect()
-}
-
-/// Hits, misses and duplicates interleaved, for the differential gates.
-fn mixed_probes(cfg: &Config) -> Vec<[u8; 8]> {
-    (0..cfg.n_probes as u64)
-        .map(|i| match i % 4 {
-            0 => stored_key((i * 31) % cfg.n_keys as u64),
-            1 => negative_key((i * 13) % cfg.n_keys as u64),
-            2 => stored_key(((i / 4) * 31) % cfg.n_keys as u64), // duplicate of a recent hit
-            _ => encode_u64(u64::MAX - i),                       // out of range entirely
-        })
-        .collect()
-}
-
-fn check_differential(db: &Db, name: &str, probes: &[[u8; 8]]) {
-    let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-    let expect: Vec<Option<Vec<u8>>> = refs.iter().map(|k| db.get(k)).collect();
-    for chunk in [1usize, 16, 64, 333] {
-        let mut got = Vec::with_capacity(refs.len());
-        for c in refs.chunks(chunk) {
-            got.extend(db.multi_get(c));
-        }
-        assert_eq!(got, expect, "{name}: multi_get differs from per-key gets at chunk {chunk}");
-    }
-
-    // multi_scan against a per-range seek-then-next walk.
-    let ranges: Vec<(&[u8], usize)> = refs
-        .iter()
-        .take(200)
-        .enumerate()
-        .map(|(i, k)| (*k, [0usize, 1, 8, 64][i % 4]))
-        .collect();
-    let want: Vec<Vec<Vec<u8>>> = ranges
-        .iter()
-        .map(|&(low, n)| {
-            let mut acc: Vec<Vec<u8>> = Vec::new();
-            if n == 0 {
-                return acc;
-            }
-            let mut cur = match db.seek(low, None) {
-                SeekResult::Found { key } => Some(key),
-                SeekResult::NotFound => None,
-            };
-            while let Some(k) = cur.take() {
-                acc.push(k);
-                if acc.len() == n {
-                    break;
-                }
-                cur = match db.next_after(acc.last().unwrap(), None) {
-                    SeekResult::Found { key } => Some(key),
-                    SeekResult::NotFound => None,
-                };
-            }
-            acc
-        })
-        .collect();
-    assert_eq!(db.multi_scan(&ranges), want, "{name}: multi_scan differs from seek walk");
 }
 
 struct Counters {
@@ -174,11 +106,10 @@ fn counted<F: FnOnce()>(db: &Db, f: F) -> Counters {
     }
 }
 
-/// What the batching gates compare for one filter kind.
+/// What the filter gate compares for one filter kind.
 struct KindReport {
     name: &'static str,
     per_key: Counters,
-    batches: Vec<(usize, Counters)>,
 }
 
 fn counters(j: &mut Json, mops: f64, c: &Counters) {
@@ -190,7 +121,6 @@ fn counters(j: &mut Json, mops: f64, c: &Counters) {
 
 fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str, j: &mut Json) -> KindReport {
     let db = build_db(cfg, filter);
-    check_differential(&db, name, &mixed_probes(cfg));
 
     let probes = negative_probes(cfg);
     let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
@@ -215,74 +145,20 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str, j: &mut Json
     j.str("kind", name);
     j.int("tables", tables);
     j.obj("per_key", |j| counters(j, per_key_mops, &per_key));
-
-    let mut batches = Vec::new();
-    j.arr("batches", |j| {
-        for batch in [16usize, 64, 256] {
-            let c = counted(&db, || {
-                for chunk in refs.chunks(batch) {
-                    std::hint::black_box(db.multi_get(chunk).len());
-                }
-            });
-            let rate = mops(
-                refs.len(),
-                best_of(cfg.runs, || {
-                    for chunk in refs.chunks(batch) {
-                        std::hint::black_box(db.multi_get(chunk).len());
-                    }
-                }),
-            );
-            println!(
-                "{:<14} batch {batch:>3}  {rate:>8.3} Mops/s  {:>7} reads  {:>7} passes  ({:.2}x)",
-                "", c.block_reads, c.filter.probe_passes, rate / per_key_mops
-            );
-            j.item(|j| {
-                j.int("batch", batch);
-                counters(j, rate, &c);
-            });
-            batches.push((batch, c));
-        }
-    });
-    KindReport { name, per_key, batches }
+    KindReport { name, per_key }
 }
 
+/// Every filter kind rejects in-range misses that `none` must fetch a
+/// block for, so it reads strictly fewer blocks.
 fn enforce_gates(reports: &[KindReport]) {
-    for r in reports {
-        let has_filter = r.per_key.filter.keys_probed > 0;
-        for (batch, c) in &r.batches {
-            assert!(
-                c.block_reads <= r.per_key.block_reads,
-                "{}: batched gets at batch {} fetched more blocks ({} > {})",
-                r.name, batch, c.block_reads, r.per_key.block_reads
-            );
-            if has_filter {
-                assert_eq!(
-                    c.filter.keys_probed, r.per_key.filter.keys_probed,
-                    "{}: batch {} probed a different key set through the filters",
-                    r.name, batch
-                );
-                if *batch >= 64 {
-                    assert!(
-                        c.filter.probe_passes < r.per_key.filter.probe_passes,
-                        "{}: batch {} should need strictly fewer filter passes ({} vs {})",
-                        r.name, batch, c.filter.probe_passes, r.per_key.filter.probe_passes
-                    );
-                }
-            }
-        }
+    let none = reports.iter().find(|r| r.name == "none").expect("kinds() has none");
+    for r in reports.iter().filter(|r| r.name != "none") {
+        assert!(
+            r.per_key.block_reads < none.per_key.block_reads,
+            "{}: a filter should read strictly fewer blocks than none ({} vs {})",
+            r.name, r.per_key.block_reads, none.per_key.block_reads
+        );
     }
-    // Aggregate at batch >= 64: strictly fewer block fetches too. The
-    // filterless configuration guarantees this (every probe fetches a
-    // block per key, and sorted batches share candidate blocks).
-    let (mut agg_per_key, mut agg_batched) = (0u64, 0u64);
-    for r in reports {
-        agg_per_key += r.per_key.block_reads;
-        agg_batched += r.batches.iter().filter(|(batch, _)| *batch == 64).map(|(_, c)| c.block_reads).sum::<u64>();
-    }
-    assert!(
-        agg_batched < agg_per_key,
-        "batched negative lookups should fetch strictly fewer blocks overall ({agg_batched} vs {agg_per_key})"
-    );
 }
 
 /// What the policy gates compare: blocks written by the load, blocks
@@ -404,7 +280,7 @@ fn main() {
         j.int("n_probes", cfg.n_probes);
         j.int("runs", cfg.runs);
         j.bool("smoke", cfg.smoke);
-        j.str("note", "negative point lookups, per-key get loop vs chunked multi_get; cache disabled so block_reads counts every fetch");
+        j.str("note", "negative point lookups through a per-key get loop, one row per filter kind; cache disabled so block_reads counts every fetch");
     });
     let reports: Vec<KindReport> = j.arr("kinds", |j| {
         kinds().iter().map(|&(filter, name)| j.item(|j| bench_kind(&cfg, filter, name, j))).collect()
@@ -421,7 +297,7 @@ fn main() {
         &args.out,
         &[
             "meta", "n_keys", "n_probes", "smoke", "kinds", "kind", "tables", "per_key",
-            "batches", "batch", "mops", "block_reads", "probe_passes", "keys_probed",
+            "mops", "block_reads", "probe_passes", "keys_probed",
             "policies", "policy", "block_writes", "write_amp", "read_amp", "space_amp",
             "used_bytes",
         ],

@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod check;
 pub mod crc;
 pub mod dispatch;
@@ -40,7 +39,6 @@ pub mod probe;
 pub mod snapshot;
 pub mod traits;
 
-pub use bitset::BitSet;
 pub use crc::{crc32c, crc32c_update, crc32c_update_slicing16};
 pub use dispatch::{hardware_allowed, kernel_mode, KernelMode};
 pub use error::MemtreeError;

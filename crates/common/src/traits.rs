@@ -5,7 +5,6 @@
 //! single trait covers the thesis's three key types (random u64, mono-inc
 //! u64, email strings).
 
-use crate::bitset::BitSet;
 
 /// The value type stored in every index: a 64-bit "tuple pointer", matching
 /// the thesis microbenchmarks where all values are 64-bit record pointers.
@@ -249,23 +248,6 @@ pub fn multi_scan_merged(
 pub trait PointFilter {
     /// May `key` be present?
     fn may_contain(&self, key: &[u8]) -> bool;
-
-    /// Batched membership probe: bit `i` of the result answers `keys[i]`
-    /// (the positional contract of [`BatchProbe::multi_get`], packed).
-    ///
-    /// Same one-sided error as [`Self::may_contain`]: a zero bit guarantees
-    /// absence, a set bit may be a false positive. Must answer exactly like
-    /// a per-key `may_contain` loop; the default *is* that loop. SuRF
-    /// overrides it with a level-synchronous descent of the sorted batch.
-    fn may_contain_batch(&self, keys: &[&[u8]]) -> BitSet {
-        let mut out = BitSet::new(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            if self.may_contain(k) {
-                out.set(i);
-            }
-        }
-        out
-    }
 
     /// Filter size in bytes (for bits-per-key accounting).
     fn size_bytes(&self) -> usize;

@@ -281,7 +281,7 @@ mod tests {
     fn long_match_split_has_no_short_tail() {
         // A very long run exercises the multi-token match splitting.
         let mut data = b"0123456789".to_vec();
-        data.extend(std::iter::repeat(b'x').take(1000));
+        data.extend(std::iter::repeat_n(b'x', 1000));
         data.extend_from_slice(b"0123456789");
         roundtrip(&data);
     }

@@ -24,7 +24,7 @@ fn roundtrip_low_entropy() {
         for _ in 0..g.range(0..40) {
             let b = g.u64() as u8;
             let n = g.range(1..200);
-            data.extend(std::iter::repeat(b).take(n));
+            data.extend(std::iter::repeat_n(b, n));
         }
         let c = compress(&data);
         check!(c.len() <= data.len() + data.len() / 127 + 2);

@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn wrapped_btree_matches_plain() {
         let keys = urls(3000);
-        let hope = Hope::train_keys(Scheme::ThreeGrams, &keys[..500].to_vec(), 8192);
+        let hope = Hope::train_keys(Scheme::ThreeGrams, &keys[..500], 8192);
         let mut wrapped = HopeIndex::new(BPlusTree::new(), hope);
         let mut plain = BPlusTree::new();
         for (i, k) in keys.iter().enumerate() {

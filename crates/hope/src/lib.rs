@@ -278,7 +278,7 @@ mod tests {
         // Completeness: keys with bytes never seen in the sample.
         let sample = email_sample(500, 5);
         for scheme in Scheme::all() {
-            let hope = Hope::train_keys(scheme, &sample, 1024.max(256));
+            let hope = Hope::train_keys(scheme, &sample, 1024);
             for key in [
                 &[0x01u8, 0x02, 0x03][..],
                 b"ZZZZZZZZ",

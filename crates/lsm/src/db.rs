@@ -199,16 +199,16 @@ pub struct DbStats {
     pub compact_steps: u64,
 }
 
-/// Point-filter probe counters, split so batched and per-key read paths
-/// can be compared: one `filter_may_contain_batch` over 64 keys is one
-/// *pass* probing 64 *keys*; a per-key loop over the same table is 64
-/// passes probing 64 keys. Only tables that actually carry a filter count.
+/// Point-filter probe counters of the writer's reads. Only tables that
+/// actually carry a filter count. Every pass probes one key, so
+/// `probe_passes == keys_probed`; both fields stay because the serving
+/// benchmark reports `probe_passes` per get (`lsm.filter_passes_per_get`)
+/// next to `keys_probed`, and that benchmark is held fixed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
-    /// Filter traversals started (one per `may_contain` call, one per
-    /// whole `may_contain_batch` call).
+    /// Filter probes started (one per `may_contain` call).
     pub probe_passes: u64,
-    /// Keys answered across all passes.
+    /// Keys answered across all probes.
     pub keys_probed: u64,
 }
 
@@ -1031,45 +1031,10 @@ impl Db {
         self.view().get(key)
     }
 
-    /// Batched point lookup: one `Option<value>` per key, in input order,
-    /// each identical to what [`Db::get`] returns for that key, at one
-    /// filter pass per table and shared block fetches.
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        self.view().multi_get(keys)
-    }
-
-    /// Batched range read: for each `(low, n)` pair, the keys of the `n`
-    /// smallest entries `>= low` — positionally identical to a per-range
-    /// [`Db::seek`]-then-[`Db::next_after`] loop, sharing one candidate
-    /// memo across the batch.
-    pub fn multi_scan(&self, ranges: &[(&[u8], usize)]) -> Vec<Vec<Vec<u8>>> {
-        self.view().multi_scan(ranges)
-    }
-
     /// Seek (Figure 4.3): smallest live key `>= lk`, bounded by `hk` when
     /// given. SuRF-assisted and tombstone-aware.
     pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
         self.view().seek(lk, hk)
-    }
-
-    /// Batched closed-range seek: for each `(lk, hk)` pair the smallest
-    /// live key in `[lk, hk)`, exactly as [`Db::seek`] would answer it,
-    /// with candidate pruning and block fetches shared across the batch.
-    pub fn multi_seek(&self, ranges: &[(&[u8], &[u8])]) -> Vec<SeekResult> {
-        self.view().multi_seek(ranges)
-    }
-
-    /// `Next` (Figure 4.3): the smallest entry strictly greater than
-    /// `key`, bounded by `hk`.
-    pub fn next_after(&self, key: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        self.view().next_after(key, hk)
-    }
-
-    /// Approximate range count (Figure 4.3, Count path). With SuRF the
-    /// count is served from the filters (no data I/O); otherwise data
-    /// blocks are scanned.
-    pub fn count(&self, lk: &[u8], hk: &[u8]) -> usize {
-        self.view().count(lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -1447,202 +1412,43 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_truth_closely() {
+    fn seek_through_a_deleted_run_pins_its_block_reads() {
+        // Three L0 tables, no block cache. The oldest holds a run of 30
+        // keys that the newest deletes; the middle one holds filler plus
+        // one key past the run, alone under a 6-byte SuRF prefix that
+        // every key of the run extends, so its prefix cannot be pruned.
+        // Each tombstone restart of the seek re-asks all three tables.
         let mut db = Db::new(DbOptions {
-            memtable_bytes: 4 << 10,
+            memtable_bytes: 1 << 20, // manual flushes
+            l0_tables: 100,          // keep all three tables in L0
             filter: FilterKind::SurfReal(8),
+            cache_blocks: 0,
             ..Default::default()
         });
-        for i in 0..3000u64 {
-            db.put(&encode_u64(i * 2), b"v").unwrap();
+        let base = 1u64 << 16;
+        let run = base + 100..base + 130;
+        for i in (0..1000).chain(run.clone()) {
+            db.put(&encode_u64(i), b"old").unwrap();
         }
         db.flush().unwrap();
-        let got = db.count(&encode_u64(1000), &encode_u64(3000));
-        let truth = 1000; // keys 1000,1002,...,2998
-        assert!(
-            got >= truth && got <= truth + 2 * db.level_sizes().iter().sum::<usize>(),
-            "count {got} vs truth {truth}"
-        );
-    }
-
-    #[test]
-    fn multi_get_matches_per_key_gets() {
-        for filter in [
-            FilterKind::None,
-            FilterKind::Bloom(14.0),
-            FilterKind::SurfHash(8),
-            FilterKind::SurfReal(8),
-            FilterKind::SurfMixed(4, 4),
-        ] {
-            let mut db = db_with(filter, 6000);
-            // Leave some keys in the memtable.
-            for i in 0..50u64 {
-                db.put(&encode_u64(i * 3), b"memresident").unwrap();
-            }
-            // Probes mix stored keys, memtable keys, and misses, shuffled
-            // with duplicates.
-            let mut probes: Vec<Vec<u8>> = Vec::new();
-            let mut state = 42u64; // same seed as db_with: every 3rd is a hit
-            for j in 0..3000u64 {
-                let k = memtree_common::hash::splitmix64(&mut state);
-                probes.push(encode_u64(if j % 3 == 0 { k } else { k ^ 0x5555 }).to_vec());
-                if j % 7 == 0 {
-                    probes.push(encode_u64(j * 3).to_vec()); // memtable hit
-                    probes.push(probes[probes.len() - 2].clone()); // duplicate
-                }
-            }
-            let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-            let expect: Vec<Option<Vec<u8>>> = refs.iter().map(|k| db.get(k)).collect();
-            for chunk in [1usize, 16, 64, 333, refs.len()] {
-                let mut got = Vec::new();
-                for c in refs.chunks(chunk) {
-                    got.extend(db.multi_get(c));
-                }
-                assert_eq!(got, expect, "{filter:?} chunk {chunk}");
-            }
-            assert_eq!(db.multi_get(&[]), Vec::<Option<Vec<u8>>>::new());
-        }
-    }
-
-    #[test]
-    fn batched_gets_save_filter_passes_and_block_reads() {
-        // Negative lookups against a cold cache: the batched path must do
-        // one filter pass per table (not per key) and share block fetches.
-        for filter in [FilterKind::Bloom(14.0), FilterKind::SurfReal(8)] {
-            let mut db = Db::new(DbOptions {
-                memtable_bytes: 16 << 10,
-                filter,
-                cache_blocks: 0,
-                ..Default::default()
-            });
-            for i in 0..8000u64 {
-                db.put(&encode_u64(i << 12), b"valuevalue").unwrap();
-            }
-            db.flush().unwrap();
-            let probes: Vec<Vec<u8>> = (0..512u64)
-                .map(|i| encode_u64((i * 13 % 8000) << 12 | 777).to_vec())
-                .collect();
-            let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-
-            db.reset_io_stats();
-            db.reset_filter_stats();
-            for k in &refs {
-                assert_eq!(db.get(k), None);
-            }
-            let (per_key_io, per_key_f) = (db.io_stats().block_reads, db.filter_stats());
-
-            db.reset_io_stats();
-            db.reset_filter_stats();
-            for c in refs.chunks(64) {
-                assert!(db.multi_get(c).iter().all(|r| r.is_none()));
-            }
-            let (batch_io, batch_f) = (db.io_stats().block_reads, db.filter_stats());
-
-            assert_eq!(per_key_f.keys_probed, batch_f.keys_probed, "{filter:?}");
-            assert!(
-                batch_f.probe_passes < per_key_f.probe_passes,
-                "{filter:?}: batched passes {} vs per-key {}",
-                batch_f.probe_passes,
-                per_key_f.probe_passes
-            );
-            assert!(
-                batch_io <= per_key_io,
-                "{filter:?}: batched reads {batch_io} vs per-key {per_key_io}"
-            );
-        }
-    }
-
-    #[test]
-    fn multi_scan_matches_per_range_seek_walk() {
-        for filter in [FilterKind::None, FilterKind::SurfReal(8)] {
-            let mut db = Db::new(DbOptions {
-                memtable_bytes: 8 << 10,
-                filter,
-                ..Default::default()
-            });
-            for i in 0..4000u64 {
-                db.put(&encode_u64(i * 10), b"v").unwrap();
-            }
-            // Shuffled, overlapping starts; some in gaps, some past the end.
-            let mut state = 5u64;
-            let mut lows: Vec<Vec<u8>> = (0..120)
-                .map(|_| {
-                    encode_u64(memtree_common::hash::splitmix64(&mut state) % 45_000).to_vec()
-                })
-                .collect();
-            lows.push(encode_u64(0).to_vec());
-            lows.push(encode_u64(u64::MAX).to_vec());
-            let ranges: Vec<(&[u8], usize)> = lows
-                .iter()
-                .enumerate()
-                .map(|(i, low)| (low.as_slice(), [0usize, 1, 6, 40][i % 4]))
-                .collect();
-            let expect: Vec<Vec<Vec<u8>>> = ranges
-                .iter()
-                .map(|&(low, n)| {
-                    let mut one = Vec::new();
-                    if n > 0 {
-                        let mut cur = match db.seek(low, None) {
-                            SeekResult::Found { key } => key,
-                            SeekResult::NotFound => return one,
-                        };
-                        loop {
-                            one.push(cur.clone());
-                            if one.len() == n {
-                                break;
-                            }
-                            match db.next_after(&cur, None) {
-                                SeekResult::Found { key } => cur = key,
-                                SeekResult::NotFound => break,
-                            }
-                        }
-                    }
-                    one
-                })
-                .collect();
-            assert_eq!(db.multi_scan(&ranges), expect, "{filter:?}");
-        }
-    }
-
-    #[test]
-    fn multi_seek_matches_per_range_seeks_with_less_io() {
-        // The batched form must be a pure optimization: identical answers
-        // to a per-range seek loop, strictly fewer device reads (the
-        // shared memo resolves each table's lower bound once per batch
-        // instead of once per range).
-        let mut db = Db::new(DbOptions {
-            memtable_bytes: 4 << 10,
-            cache_blocks: 0, // every fetch hits the device and is counted
-            filter: FilterKind::SurfReal(8),
-            ..Default::default()
-        });
-        for i in 0..3000u64 {
-            db.put(&encode_u64(i * 8), b"v").unwrap();
+        for i in (0..1000).chain([base + 200]) {
+            db.put(&encode_u64(i), b"mid").unwrap();
         }
         db.flush().unwrap();
-        // Clustered, overlapping ranges: nearby lows resolve to the same
-        // table lower bounds, which is exactly the sharing the memo sells.
-        let mut state = 11u64;
-        let bounds: Vec<(Vec<u8>, Vec<u8>)> = (0..64)
-            .map(|_| {
-                let lo = memtree_common::hash::splitmix64(&mut state) % 2_000;
-                (encode_u64(lo).to_vec(), encode_u64(lo + 600).to_vec())
-            })
-            .collect();
-        let ranges: Vec<(&[u8], &[u8])> =
-            bounds.iter().map(|(l, h)| (l.as_slice(), h.as_slice())).collect();
+        for i in run {
+            db.delete(&encode_u64(i)).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.level_sizes()[0], 3);
         db.reset_io_stats();
-        let batched = db.multi_seek(&ranges);
-        let batched_reads = db.io_stats().block_reads;
-        db.reset_io_stats();
-        let looped: Vec<SeekResult> =
-            ranges.iter().map(|&(l, h)| db.seek(l, Some(h))).collect();
-        let loop_reads = db.io_stats().block_reads;
-        assert_eq!(batched, looped);
-        assert!(
-            batched_reads < loop_reads,
-            "batched multi_seek read {batched_reads} blocks, per-range loop {loop_reads}"
+        assert_eq!(
+            db.seek(&encode_u64(base + 105), None),
+            SeekResult::Found { key: encode_u64(base + 200).to_vec() }
         );
+        // 78 block reads: the middle table's exact lower bound is resolved
+        // once and answered from the seek's memo on every later restart.
+        // Without the memo the same seek reads 103 blocks.
+        assert_eq!(db.io_stats().block_reads, 78);
     }
 
     #[test]
@@ -1914,13 +1720,7 @@ mod tests {
                     assert_eq!(got, Some(b"live".to_vec()), "live key {i} lost");
                 }
             }
-            // Batched gets and tombstone-aware seeks agree with `get`.
-            let keys: Vec<Vec<u8>> = (0..60u64).map(|i| encode_u64(i).to_vec()).collect();
-            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let batch = db.multi_get(&refs);
-            for (i, got) in batch.iter().enumerate() {
-                assert_eq!(*got, db.get(refs[i]), "multi_get key {i}");
-            }
+            // Tombstone-aware seeks agree with `get`.
             match db.seek(&encode_u64(0), None) {
                 SeekResult::Found { key } => {
                     assert_eq!(memtree_common::key::decode_u64(&key), 1, "key 0 is deleted")
@@ -1961,7 +1761,7 @@ mod tests {
         assert_eq!(db.table_entries(), 0, "bottom-level merge kept dead entries");
         assert_eq!(db.get(&encode_u64(250)), None, "dropping a tombstone resurrected data");
         assert_eq!(db.seek(&encode_u64(0), None), SeekResult::NotFound);
-        assert_eq!(db.count(&encode_u64(0), &encode_u64(10_000)), 0);
+        assert!(db.scan_from(&encode_u64(0), None, 10).is_empty());
     }
 
     #[test]
@@ -2177,7 +1977,7 @@ mod policy_tests {
         for _ in 0..4000 {
             let r = memtree_common::hash::splitmix64(&mut state);
             let k = encode_u64(r % 600);
-            if r % 7 == 0 {
+            if r.is_multiple_of(7) {
                 db.delete(&k).unwrap();
                 model.remove(&k[..]);
             } else {
@@ -2353,43 +2153,5 @@ mod diag_tests {
         let per_op = db.io_stats().block_reads as f64 / n as f64;
         println!("no-filter seek IO/op = {per_op}");
         assert!(per_op > 1.2, "expected multi-level I/O, got {per_op}");
-    }
-}
-
-#[cfg(test)]
-mod next_tests {
-    use super::*;
-    use memtree_common::key::encode_u64;
-
-    #[test]
-    fn next_after_walks_the_key_sequence() {
-        for filter in [FilterKind::None, FilterKind::SurfMixed(4, 4)] {
-            let mut db = Db::new(DbOptions {
-                memtable_bytes: 4 << 10,
-                filter,
-                ..Default::default()
-            });
-            for i in 0..2000u64 {
-                db.put(&encode_u64(i * 5), b"v").unwrap();
-            }
-            db.flush().unwrap();
-            // Walk forward from 100 via repeated Next.
-            let mut cur = encode_u64(100).to_vec();
-            for expect in [105u64, 110, 115, 120] {
-                match db.next_after(&cur, None) {
-                    SeekResult::Found { key } => {
-                        assert_eq!(memtree_common::key::decode_u64(&key), expect, "{filter:?}");
-                        cur = key;
-                    }
-                    SeekResult::NotFound => panic!("{filter:?}: next missed {expect}"),
-                }
-            }
-            // Bounded Next stops at hk.
-            assert_eq!(
-                db.next_after(&encode_u64(120), Some(&encode_u64(125))),
-                SeekResult::NotFound
-            );
-            assert_eq!(db.next_after(&encode_u64(5 * 1999), None), SeekResult::NotFound);
-        }
     }
 }

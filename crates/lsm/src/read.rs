@@ -1,10 +1,10 @@
 //! The read path, implemented once: [`ReadView`] borrows everything a read
 //! needs — a MemTable source, the levels, the device and the block cache —
-//! and carries the Figure 4.3 execution paths (Get, Seek / Next, Count),
-//! their batched forms, the merged range scan and the one block-fetch
-//! ladder. [`Db`] builds a view over its live skip list,
-//! [`DbSnapshot`](crate::DbSnapshot) over its frozen runs; every public
-//! read method on either is a one-line delegation to this module.
+//! and carries the Figure 4.3 execution paths (Get, Seek), the merged
+//! range scan and the one block-fetch ladder. [`Db`] builds a view over
+//! its live skip list, [`DbSnapshot`](crate::DbSnapshot) over its frozen
+//! runs; every public read method on either is a one-line delegation to
+//! this module.
 //!
 //! The two handles differ in exactly two places:
 //!
@@ -25,7 +25,7 @@ use memtree_common::traits::OrderedIndex;
 use memtree_faults::Backoff;
 use memtree_skiplist::SkipList;
 use std::cell::Cell;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ pub enum SeekResult {
 /// (EXPERIMENTS.md, PR 16).
 pub const SCAN_RESERVE_ROWS: usize = 1024;
 
-/// Per-batch cache of exact table lower bounds: table id → `(lk₀,
+/// One seek's cache of exact table lower bounds: table id → `(lk₀,
 /// smallest stored key ≥ lk₀)`. See [`ReadView::seek_candidate`]'s doc for
 /// the reuse rule that keeps cached entries exact.
 type SeekMemo = HashMap<u64, (Vec<u8>, Option<Vec<u8>>)>;
@@ -246,13 +246,13 @@ impl<'a> ReadView<'a> {
         Arc::default()
     }
 
-    /// Accounts one filter pass over `keys` keys ([`FilterStats`]).
-    fn count_probes(&self, keys: usize) {
+    /// Accounts one single-key filter probe ([`FilterStats`]).
+    fn count_probe(&self) {
         if let Handle::Writer(db) = self.handle {
             let s = db.filter_stats.get();
             db.filter_stats.set(FilterStats {
                 probe_passes: s.probe_passes + 1,
-                keys_probed: s.keys_probed + keys as u64,
+                keys_probed: s.keys_probed + 1,
             });
         }
     }
@@ -281,7 +281,7 @@ impl<'a> ReadView<'a> {
                     continue;
                 }
                 if table.has_filter() {
-                    self.count_probes(1);
+                    self.count_probe();
                     if !table.filter_may_contain(key) {
                         continue;
                     }
@@ -295,154 +295,30 @@ impl<'a> ReadView<'a> {
         None
     }
 
-    /// Resolves the not-yet-answered candidate keys `cand` (indexes into
-    /// `keys`) against one table: one batched filter probe over the whole
-    /// candidate set, then block fetches shared across survivors that are
-    /// sorted into the same block. `out[i]` is written only on a hit
-    /// (where a tombstone hit writes `Some(None)`, resolving the key as
-    /// deleted).
-    fn multi_get_in_table(
-        &self,
-        table: &SsTable,
-        keys: &[&[u8]],
-        cand: &[u32],
-        out: &mut [Option<Option<Vec<u8>>>],
-    ) {
-        let mut survivors = cand.to_vec();
-        if table.has_filter() {
-            let probe: Vec<&[u8]> = cand.iter().map(|&i| keys[i as usize]).collect();
-            let bits = table.filter_may_contain_batch(&probe);
-            self.count_probes(probe.len());
-            let mut j = 0;
-            survivors.retain(|_| {
-                j += 1;
-                bits.get(j - 1)
-            });
-        }
-        // Key order clusters probes of the same data block behind a single
-        // fetch — the block-level analogue of the sorted-batch descent.
-        survivors.sort_unstable_by(|&a, &b| keys[a as usize].cmp(keys[b as usize]));
-        let mut cur: Option<(usize, Arc<Run>)> = None;
-        for &i in &survivors {
-            let key = keys[i as usize];
-            let b = table.candidate_block(key);
-            if cur.as_ref().is_none_or(|(cb, _)| *cb != b) {
-                cur = Some((b, self.fetch_block(table, b)));
-            }
-            let blk = &cur.as_ref().expect("fetched just above").1;
-            if let Some(v) = blk.get(key) {
-                out[i as usize] = Some(v.map(<[u8]>::to_vec));
-            }
-        }
-    }
-
-    /// See [`Db::multi_get`]. The batch walks the same newest-to-oldest
-    /// path as `get`, but per *table* instead of per key; keys answered by
-    /// a newer level are dropped from the batch before older tables are
-    /// consulted (the short-circuit a per-key loop gets for free).
-    pub(crate) fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        // Inner `Option` is the resolution (`Some(None)` = tombstoned);
-        // flattened to the public shape at the end.
-        let mut out: Vec<Option<Option<Vec<u8>>>> = keys
-            .iter()
-            .map(|key| self.mem.get(key).map(|v| v.map(<[u8]>::to_vec)))
-            .collect();
-        let mut unresolved: Vec<u32> = (0..keys.len() as u32)
-            .filter(|&i| out[i as usize].is_none())
-            .collect();
-        for (depth, level) in self.levels.iter().enumerate() {
-            // (table, key): every unresolved key is a candidate of each
-            // table that covers it — one table in a disjoint level, maybe
-            // several where ranges overlap. Newest table first; a key
-            // answered there is not asked of the older ones.
-            let mut cands: Vec<(Reverse<usize>, u32)> = Vec::new();
-            for &i in &unresolved {
-                let key = keys[i as usize];
-                let covering = self.tables_at(depth, key).filter(|&t| level[t].covers(key));
-                cands.extend(covering.map(|t| (Reverse(t), i)));
-            }
-            cands.sort_unstable();
-            for group in cands.chunk_by(|a, b| a.0 == b.0) {
-                let cand: Vec<u32> = group
-                    .iter()
-                    .map(|&(_, i)| i)
-                    .filter(|&i| out[i as usize].is_none())
-                    .collect();
-                if !cand.is_empty() {
-                    self.multi_get_in_table(&level[group[0].0 .0], keys, &cand, &mut out);
-                }
-            }
-            unresolved.retain(|&i| out[i as usize].is_none());
-        }
-        out.into_iter().map(|r| r.flatten()).collect()
-    }
-
-    /// See [`Db::multi_scan`]. Ranges are walked in sorted-low order so
-    /// nearby ranges reuse each other's just-cached blocks, and the whole
-    /// batch shares one candidate memo, so a table's lower bound resolved
-    /// for one range answers the next range's seek without re-probing it.
-    pub(crate) fn multi_scan(&self, ranges: &[(&[u8], usize)]) -> Vec<Vec<Vec<u8>>> {
-        let mut results: Vec<Vec<Vec<u8>>> = ranges.iter().map(|_| Vec::new()).collect();
-        let mut order: Vec<usize> = (0..ranges.len()).collect();
-        order.sort_by_key(|&ri| ranges[ri].0);
-        let mut memo = SeekMemo::new();
-        for ri in order {
-            let (mut low, n) = (ranges[ri].0.to_vec(), ranges[ri].1);
-            while results[ri].len() < n {
-                let Some(key) = self.seek_memoized(&low, None, &mut memo) else { break };
-                low = successor(&key);
-                results[ri].push(key);
-            }
-        }
-        results
-    }
-
-    /// See [`Db::multi_seek`]: resolved in sorted-`lk` order against one
-    /// shared candidate memo, so SuRF's `moveToNext` candidate pruning and
-    /// the candidate block fetches are shared across the batch.
-    pub(crate) fn multi_seek(&self, ranges: &[(&[u8], &[u8])]) -> Vec<SeekResult> {
-        let mut out = vec![SeekResult::NotFound; ranges.len()];
-        let mut order: Vec<usize> = (0..ranges.len()).collect();
-        order.sort_by_key(|&ri| ranges[ri].0);
-        let mut memo = SeekMemo::new();
-        for ri in order {
-            out[ri] = found(self.seek_memoized(ranges[ri].0, Some(ranges[ri].1), &mut memo));
-        }
-        out
-    }
-
     /// See [`Db::seek`].
-    pub(crate) fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        // A fresh memo still helps one seek: the tombstone resolution loop
-        // re-queries the same tables with a strictly increasing `lk`.
-        found(self.seek_memoized(lk, hk, &mut SeekMemo::new()))
-    }
-
-    /// See [`Db::next_after`].
-    pub(crate) fn next_after(&self, key: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        self.seek(&successor(key), hk)
-    }
-
-    /// A seek resolved against a (possibly shared) candidate memo.
     ///
     /// Tombstone-aware: the structural candidate (smallest stored entry,
     /// live or deleted) is verified against the merged view and, when it
     /// turns out to be a shadowed delete, the seek restarts past it. The
     /// verification `get` is skipped entirely while the store holds no
     /// tombstones, which keeps the delete-free fast path at its original
-    /// I/O cost.
-    fn seek_memoized(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> Option<Vec<u8>> {
+    /// I/O cost. The restarts re-query the same tables with a strictly
+    /// increasing `lk`, so one [`SeekMemo`] spans them.
+    pub(crate) fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
         let any_tombstones =
             self.mem_tombstones > 0 || self.levels.iter().flatten().any(|t| t.num_tombstones > 0);
+        let mut memo = SeekMemo::new();
         let mut low = lk.to_vec();
         loop {
-            let cand = self.seek_candidate(&low, hk, memo)?;
+            let Some(cand) = self.seek_candidate(&low, hk, &mut memo) else {
+                return SeekResult::NotFound;
+            };
             if !any_tombstones || self.get(&cand).is_some() {
-                return Some(cand);
+                return SeekResult::Found { key: cand };
             }
             low = successor(&cand);
             if hk.is_some_and(|hk| low.as_slice() >= hk) {
-                return None;
+                return SeekResult::NotFound;
             }
         }
     }
@@ -474,8 +350,8 @@ impl<'a> ReadView<'a> {
     /// `[lk, candidate)`, and a `None` candidate means the table holds no
     /// key `≥ lk₀` at all. Entries that can't answer (`lk < lk₀`, or a
     /// candidate now below `lk`) are re-resolved and overwritten, so the
-    /// memo is correct for *any* query order — sorted batches merely make
-    /// it effective.
+    /// memo is correct for *any* query order; [`ReadView::seek`]'s
+    /// increasing restarts are what make it pay.
     fn seek_candidate(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> Option<Vec<u8>> {
         fn keep_smaller(best: &mut Option<Vec<u8>>, k: Option<Vec<u8>>) {
             if k.is_some() && best.as_ref().is_none_or(|b| k.as_ref() < Some(b)) {
@@ -536,32 +412,6 @@ impl<'a> ReadView<'a> {
             keep_smaller(&mut best, self.table_lower_bound(table, lk, memo));
         }
         best.filter(|k| hk.is_none_or(|hk| k.as_slice() < hk))
-    }
-
-    /// See [`Db::count`].
-    pub(crate) fn count(&self, lk: &[u8], hk: &[u8]) -> usize {
-        let mut total = 0usize;
-        self.mem.range_from(lk, |k, v| {
-            total += usize::from(k < hk && v.is_some());
-            k < hk
-        });
-        for table in self.levels.iter().flatten().filter(|t| t.overlaps(lk, hk)) {
-            if let Some(surf) = table.surf() {
-                total += surf.count(lk, hk);
-                continue;
-            }
-            'blocks: for b in table.candidate_block(lk)..table.blocks.len() {
-                let blk = self.fetch_block(table, b);
-                for i in blk.lower_bound(lk)..blk.len() {
-                    let (k, v) = blk.entry(i);
-                    if k >= hk {
-                        break 'blocks;
-                    }
-                    total += usize::from(v.is_some());
-                }
-            }
-        }
-        total
     }
 
     /// The MemTable from `lk` up to `hk` or its `limit`-th live entry as
@@ -660,8 +510,4 @@ impl<'a> ReadView<'a> {
         }
         out
     }
-}
-
-fn found(key: Option<Vec<u8>>) -> SeekResult {
-    key.map_or(SeekResult::NotFound, |key| SeekResult::Found { key })
 }

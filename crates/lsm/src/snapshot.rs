@@ -174,34 +174,9 @@ impl DbSnapshot {
         self.view().get(key)
     }
 
-    /// [`Db::multi_get`] at snapshot time.
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        self.view().multi_get(keys)
-    }
-
-    /// [`Db::multi_scan`] at snapshot time.
-    pub fn multi_scan(&self, ranges: &[(&[u8], usize)]) -> Vec<Vec<Vec<u8>>> {
-        self.view().multi_scan(ranges)
-    }
-
     /// [`Db::seek`] at snapshot time.
     pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
         self.view().seek(lk, hk)
-    }
-
-    /// [`Db::multi_seek`] at snapshot time.
-    pub fn multi_seek(&self, ranges: &[(&[u8], &[u8])]) -> Vec<SeekResult> {
-        self.view().multi_seek(ranges)
-    }
-
-    /// [`Db::next_after`] at snapshot time.
-    pub fn next_after(&self, key: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        self.view().next_after(key, hk)
-    }
-
-    /// [`Db::count`] at snapshot time.
-    pub fn count(&self, lk: &[u8], hk: &[u8]) -> usize {
-        self.view().count(lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -370,7 +345,7 @@ mod tests {
         for _ in 0..800 {
             let r = memtree_common::hash::splitmix64(&mut state);
             let k = encode_u64(r % 300);
-            if r % 5 == 0 {
+            if r.is_multiple_of(5) {
                 db.delete(&k).unwrap();
             } else {
                 db.put(&k, &r.to_le_bytes()).unwrap();

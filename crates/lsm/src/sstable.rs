@@ -14,7 +14,6 @@ use crate::disk::SimDisk;
 use crate::manifest::TableMeta;
 use crate::run::{EntryRef, Run};
 use crate::wal::{decode_single_ref, encode_single};
-use memtree_common::bitset::BitSet;
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::mem::{vec_bytes, vec_of_bytes};
 use memtree_common::traits::PointFilter;
@@ -291,20 +290,9 @@ impl SsTable {
         }
     }
 
-    /// True when a filter is attached (so a batch probe is worth counting).
+    /// True when a filter is attached (so a probe is worth counting).
     pub(crate) fn has_filter(&self) -> bool {
         self.filter.is_some()
-    }
-
-    /// Batched filter check: bit `i` answers `keys[i]`. All-ones when no
-    /// filter is attached. SuRF descends the whole batch
-    /// level-synchronously; Bloom takes the per-key default loop.
-    pub(crate) fn filter_may_contain_batch(&self, keys: &[&[u8]]) -> BitSet {
-        match &self.filter {
-            None => BitSet::full(keys.len()),
-            Some(TableFilter::Bloom(b)) => b.may_contain_batch(keys),
-            Some(TableFilter::Surf(s)) => s.may_contain_batch(keys),
-        }
     }
 
     /// The SuRF filter, when configured.

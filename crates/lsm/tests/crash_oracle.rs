@@ -23,6 +23,7 @@
 
 use memtree_common::check::seed_range;
 use memtree_common::error::MemtreeError;
+use memtree_common::key::successor;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, StallConfig};
 use std::collections::BTreeMap;
 
@@ -56,7 +57,7 @@ fn opts_for(seed: u64) -> DbOptions {
         wal_group_commit: [1usize, 4, 16][(seed / 3 % 3) as usize],
         // Half the matrix runs each compaction policy: crash consistency
         // must hold under both level shapes.
-        compaction: if seed % 2 == 0 {
+        compaction: if seed.is_multiple_of(2) {
             CompactionConfig::Leveled { fanout: 10 }
         } else {
             CompactionConfig::Tiered { tiers_per_level: 3 }
@@ -80,7 +81,7 @@ fn value_of(i: u64) -> Vec<u8> {
 /// through every flush, compaction, and crash the oracle provokes.
 fn op_is_delete(seed: u64, i: u64) -> bool {
     let mut s = seed ^ i.wrapping_mul(0x517c_c1b7_2722_0a95);
-    memtree_common::hash::splitmix64(&mut s) % 5 == 0
+    memtree_common::hash::splitmix64(&mut s).is_multiple_of(5)
 }
 
 /// The fold of operations `1..=p` (puts and deletes) into final state.
@@ -142,7 +143,7 @@ fn run_case(point: &str, seed: u64) -> bool {
 
     let acked = db.last_synced_seq();
     drop(db);
-    let tear = if seed % 2 == 0 { Some(seed.wrapping_mul(0x9E37_79B9)) } else { None };
+    let tear = if seed.is_multiple_of(2) { Some(seed.wrapping_mul(0x9E37_79B9)) } else { None };
     disk.crash(tear);
 
     let db = Db::open(disk, opts.clone()).unwrap_or_else(|e| {
@@ -438,15 +439,10 @@ fn deleted_keys_stay_dead_across_crash_and_compaction() {
         // model's keys — a tombstone visible to `seek` is a live leak.
         let mut at = Vec::new();
         let mut seen = 0usize;
-        loop {
-            match db.next_after(&at, None) {
-                memtree_lsm::SeekResult::Found { key } => {
-                    assert!(model.contains_key(&key), "seed {seed}: seek surfaced dead key");
-                    seen += 1;
-                    at = key;
-                }
-                memtree_lsm::SeekResult::NotFound => break,
-            }
+        while let memtree_lsm::SeekResult::Found { key } = db.seek(&successor(&at), None) {
+            assert!(model.contains_key(&key), "seed {seed}: seek surfaced dead key");
+            seen += 1;
+            at = key;
         }
         assert_eq!(seen, model.len(), "seed {seed}: seek missed live keys");
     }

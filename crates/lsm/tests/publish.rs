@@ -6,9 +6,8 @@
 //!
 //! It is also the gate that the two handles are one read path: at every
 //! snapshot instant the `Db` and the `DbSnapshot` just cut from it answer
-//! the same inputs — `get`, `multi_get`, `seek` / `next_after` /
-//! `multi_seek`, `multi_scan`, `count`, `scan_from` — each against the
-//! exact model, and `count` (an over-approximation) against each other.
+//! the same inputs — `get`, `seek`, `scan_from` — each against the exact
+//! model.
 //!
 //! Case seeds come from `MEMTREE_FAULT_SEEDS` (`"lo..hi"`, default
 //! `0..32`), like the crash and scrub oracles; replay a failing seed `n`
@@ -20,7 +19,6 @@ use memtree_lsm::{
     gc_orphans, CompactionConfig, Db, DbOptions, DbSnapshot, FilterKind, SeekResult,
 };
 use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
@@ -42,18 +40,17 @@ fn found(r: SeekResult) -> Option<Vec<u8>> {
 /// One set of inputs, drawn once so that every handle checked at an
 /// instant answers the same questions.
 struct Probes {
-    /// Point keys, hits and misses, shuffled with duplicates — read one by
-    /// one and as one `multi_get` batch.
+    /// Point keys, hits and misses, shuffled with duplicates.
     keys: Vec<Vec<u8>>,
     /// The bounded, limited scan: `lo` and `hi` drawn independently (so the
     /// range spans anything from the whole key space to nothing, `hi < lo`
     /// included) and a limit that crosses blocks and tables.
     scan: (Vec<u8>, Vec<u8>, usize),
-    /// `lo <= hi` pairs, narrow and wide: closed seeks, counts, short
-    /// scans. Half the lows are keys the model does not hold — in this
-    /// workload mostly tombstones, so the seek starts on a deleted entry.
+    /// `lo <= hi` pairs, narrow and wide: closed seeks and short scans.
+    /// Half the lows are keys the model does not hold — in this workload
+    /// mostly tombstones, so the seek starts on a deleted entry.
     ranges: Vec<(Vec<u8>, Vec<u8>)>,
-    /// `multi_scan` lengths, one per range.
+    /// Short-scan lengths, one per range.
     lens: Vec<usize>,
 }
 
@@ -78,17 +75,13 @@ impl Probes {
 }
 
 /// Every read op of `$h` (a `Db` or a `DbSnapshot` — the same methods, no
-/// common trait) against `$model`; evaluates to its `count` answers, the
-/// one op the model only bounds.
+/// common trait) against `$model`.
 macro_rules! check_ops {
     ($h:expr, $who:expr, $model:expr, $p:expr) => {{
         let (h, who, model, p): (_, &str, &Model, &Probes) = ($h, $who, $model, $p);
-        let refs: Vec<&[u8]> = p.keys.iter().map(|k| k.as_slice()).collect();
-        let want: Vec<Option<Vec<u8>>> = refs.iter().map(|k| model.get(*k).cloned()).collect();
-        for (k, want) in refs.iter().zip(&want) {
-            check_eq!(h.get(k), *want, "{who} get {:?}", String::from_utf8_lossy(k));
+        for k in &p.keys {
+            check_eq!(h.get(k), model.get(k).cloned(), "{who} get {:?}", String::from_utf8_lossy(k));
         }
-        check_eq!(h.multi_get(&refs), want, "{who} multi_get");
         let rows = |lo: &[u8], hi: Option<&[u8]>, n: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
             model
                 .range(lo.to_vec()..)
@@ -102,31 +95,12 @@ macro_rules! check_ops {
         let (lo, hi, limit) = &p.scan;
         check_eq!(h.scan_from(lo, Some(hi), *limit), rows(lo, Some(hi), *limit), "{who} long scan");
         check_eq!(found(h.seek(lo, Some(hi))), first(lo, Some(hi)), "{who} seek {lo:?}..{hi:?}");
-        let mut counts = Vec::new();
         for ((lo, hi), &n) in p.ranges.iter().zip(&p.lens) {
             let (hk, n) = (Some(hi.as_slice()), n.max(1));
             check_eq!(found(h.seek(lo, None)), first(lo, None), "{who} open seek {lo:?}");
             check_eq!(found(h.seek(lo, hk)), first(lo, hk), "{who} seek {lo:?}..{hi:?}");
-            let next = model.range((Excluded(lo.clone()), Unbounded)).next();
-            check_eq!(found(h.next_after(lo, None)), next.map(|(k, _)| k.clone()), "{who} next");
             check_eq!(h.scan_from(lo, hk, n), rows(lo, hk, n), "{who} bounded scan {lo:?}");
-            let (got, truth) = (h.count(lo, hi), rows(lo, hk, usize::MAX).len());
-            check!(got >= truth, "{who} count {got} < {truth}");
-            counts.push(got);
         }
-        let closed: Vec<(&[u8], &[u8])> =
-            p.ranges.iter().map(|(lo, hi)| (lo.as_slice(), hi.as_slice())).collect();
-        let want: Vec<_> = closed.iter().map(|&(lo, hi)| first(lo, Some(hi))).collect();
-        let got: Vec<Option<Vec<u8>>> = h.multi_seek(&closed).into_iter().map(found).collect();
-        check_eq!(got, want, "{who} multi_seek");
-        let scans: Vec<(&[u8], usize)> =
-            p.ranges.iter().zip(&p.lens).map(|((lo, _), &n)| (lo.as_slice(), n)).collect();
-        let want: Vec<Vec<Vec<u8>>> = scans
-            .iter()
-            .map(|&(lo, n)| rows(lo, None, n).into_iter().map(|(k, _)| k).collect())
-            .collect();
-        check_eq!(h.multi_scan(&scans), want, "{who} multi_scan");
-        counts
     }};
 }
 
@@ -135,9 +109,9 @@ macro_rules! check_ops {
 /// inputs, op for op.
 fn agrees(db: Option<&Db>, snap: &DbSnapshot, model: &Model, g: &mut Gen) -> Result<(), String> {
     let probes = Probes::draw(model, g);
-    let snap_counts = check_ops!(snap, "snapshot", model, &probes);
+    check_ops!(snap, "snapshot", model, &probes);
     if let Some(db) = db {
-        check_eq!(check_ops!(db, "db", model, &probes), snap_counts, "db vs snapshot count");
+        check_ops!(db, "db", model, &probes);
     }
     Ok(())
 }

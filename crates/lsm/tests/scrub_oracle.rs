@@ -44,7 +44,7 @@ fn value_of(i: u64) -> Vec<u8> {
 
 fn op_is_delete(seed: u64, i: u64) -> bool {
     let mut s = seed ^ i.wrapping_mul(0x517c_c1b7_2722_0a95);
-    splitmix64(&mut s) % 5 == 0
+    splitmix64(&mut s).is_multiple_of(5)
 }
 
 /// Seeded put/delete workload; returns the database and its model.

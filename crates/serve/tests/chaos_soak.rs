@@ -130,7 +130,7 @@ fn writer_loop(
             Op::Update(_) | Op::Insert(_) => {
                 // One in six mutations is a delete, so tombstones ride
                 // through every fault class too.
-                if splitmix64(&mut state) % 6 == 0 {
+                if splitmix64(&mut state).is_multiple_of(6) {
                     match sdb.delete(&k) {
                         Ok(_) => record_ok(&mut model, ki, None),
                         Err(e) => {
@@ -173,7 +173,7 @@ fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ phase as u64;
     let roll = splitmix64(&mut s);
     // Slow I/O: alternate between a seeded storm profile and calm.
-    if roll % 2 == 0 {
+    if roll.is_multiple_of(2) {
         disk.set_slow_io(Some(SlowIo::storm(seed ^ phase as u64)));
         disk.faults().arm("lsm.disk.slow_io", 0.2, Some(200));
     } else {
@@ -184,7 +184,7 @@ fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     disk.faults().arm("lsm.disk.read_transient", 0.10, Some(150));
     disk.faults().arm("lsm.disk.read_corrupt", 0.05, Some(40));
     // A temporary ENOSPC window roughly every third phase.
-    if roll % 3 == 0 {
+    if roll.is_multiple_of(3) {
         disk.set_capacity_bytes(Some(disk.used_bytes() + 6 * 1024));
     } else {
         disk.set_capacity_bytes(None);
@@ -295,7 +295,7 @@ fn run_seed(seed: u64) {
                 let w = (splitmix64(&mut state) % WRITERS as u64) as usize;
                 let ki = (splitmix64(&mut state) % KEYS_PER_WRITER as u64) as usize;
                 let _ = sdb.get(&key(w, ki));
-                if splitmix64(&mut state) % 16 == 0 {
+                if splitmix64(&mut state).is_multiple_of(16) {
                     let _ = sdb.scan(&key(w, 0), None, 8);
                 }
             }
@@ -354,7 +354,7 @@ fn run_seed(seed: u64) {
 
     stop.store(true, Ordering::Relaxed);
     let sdb = Arc::try_unwrap(sdb).ok().expect("sole owner");
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         // Graceful close + reopen: everything survives verbatim.
         let disk = sdb.close().unwrap_or_else(|e| panic!("seed {seed}: close failed: {e:?}"));
         let reopened = ShardedDb::open(disk, soak_opts(seed)).expect("reopen");

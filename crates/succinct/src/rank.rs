@@ -167,7 +167,7 @@ mod tests {
     fn rank_on_random_bits() {
         let mut state = 42u64;
         let bv: BitVector = (0..4096)
-            .map(|_| memtree_common::hash::splitmix64(&mut state) % 3 == 0)
+            .map(|_| memtree_common::hash::splitmix64(&mut state).is_multiple_of(3))
             .collect();
         check_all(&bv, 64);
         check_all(&bv, 512);

@@ -161,7 +161,7 @@ mod tests {
     fn select_random() {
         let mut state = 7u64;
         let bv: BitVector = (0..8192)
-            .map(|_| memtree_common::hash::splitmix64(&mut state) % 4 == 0)
+            .map(|_| memtree_common::hash::splitmix64(&mut state).is_multiple_of(4))
             .collect();
         check(&bv, 64);
     }

@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-use memtree_common::bitset::BitSet;
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::hash64;
 use memtree_common::mem::vec_bytes;
@@ -346,28 +345,6 @@ impl PointFilter for Surf {
         self.lookup(key)
     }
 
-    /// Batched point membership test: the whole batch descends the trie
-    /// level-synchronously ([`LoudsTrie::lookup_batch`]) so the cache
-    /// misses of independent probes overlap — an LSM read path checks one
-    /// SuRF per run for the same set of keys, making this the hot shape.
-    fn may_contain_batch(&self, keys: &[&[u8]]) -> BitSet {
-        let mut results = Vec::with_capacity(keys.len());
-        self.trie.lookup_batch(keys, &mut results);
-        let mut out = BitSet::new(keys.len());
-        for (i, (r, key)) in results.iter().zip(keys).enumerate() {
-            let hit = match *r {
-                LookupResult::Found { value_idx, depth } => {
-                    self.check_suffix(value_idx, key, depth)
-                }
-                LookupResult::NotFound => false,
-            };
-            if hit {
-                out.set(i);
-            }
-        }
-        out
-    }
-
     fn size_bytes(&self) -> usize {
         self.trie.mem_usage() + self.suffixes.mem_usage()
     }
@@ -447,38 +424,6 @@ mod tests {
                 let s = Surf::from_keys(&keys, cfg);
                 for k in &keys {
                     assert!(s.may_contain(k), "false negative {k:?} cfg {cfg:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_membership_matches_per_key() {
-        for keys in [random_keys(4000, 21), email_keys(4000)] {
-            for cfg in all_configs() {
-                let s = Surf::from_keys(&keys, cfg);
-                let mut probes: Vec<Vec<u8>> = Vec::new();
-                for (i, k) in keys.iter().enumerate() {
-                    probes.push(k.clone());
-                    if i % 2 == 0 {
-                        let mut q = k.clone();
-                        q.push(b'!');
-                        probes.push(q);
-                    }
-                    if i % 3 == 0 && k.len() > 1 {
-                        probes.push(k[..k.len() - 1].to_vec());
-                    }
-                }
-                let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-                let expect: Vec<bool> = refs.iter().map(|k| s.may_contain(k)).collect();
-                for chunk in [1usize, 16, 128, refs.len()] {
-                    let mut got = Vec::new();
-                    for c in refs.chunks(chunk) {
-                        let bits = s.may_contain_batch(c);
-                        assert_eq!(bits.len(), c.len());
-                        got.extend((0..c.len()).map(|i| bits.get(i)));
-                    }
-                    assert_eq!(got, expect, "cfg {cfg:?} chunk {chunk}");
                 }
             }
         }
@@ -680,11 +625,6 @@ mod tests {
                 let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
                 for k in &refs {
                     assert_eq!(s.may_contain(k), d.may_contain(k), "cfg {cfg:?} key {k:?}");
-                }
-                let a = s.may_contain_batch(&refs);
-                let b = d.may_contain_batch(&refs);
-                for i in 0..refs.len() {
-                    assert_eq!(a.get(i), b.get(i), "cfg {cfg:?} batch probe {i}");
                 }
                 // Range behavior survives too (iterator + count machinery).
                 for k in keys.iter().step_by(37) {

@@ -106,5 +106,5 @@ fn count_degenerate_ranges() {
     assert_eq!(s.count(b"k050", b"k050"), 0, "empty range");
     assert_eq!(s.count(b"k051", b"k050"), 0, "inverted range");
     let full = s.count(b"", b"z");
-    assert!(full >= 100 && full <= 102, "full-range count {full}");
+    assert!((100..=102).contains(&full), "full-range count {full}");
 }

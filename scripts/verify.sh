@@ -18,7 +18,7 @@ MEMTREE_KERNELS=scalar cargo test -q --workspace --offline
 echo "== bench_hotpath --smoke (kernel cross-checks, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
 
-echo "== bench_lsm --smoke (batched read-path + leveled/tiered amp gates, offline) =="
+echo "== bench_lsm --smoke (per-filter block-read gate + leveled/tiered amp gates, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_lsm -- --smoke
 
 echo "== bench_recovery --smoke (WAL overhead + O(tables) filter-image recovery + torn-tail gates, offline) =="
@@ -45,7 +45,7 @@ RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test overload
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
 
-echo "== cargo clippy --all-targets -D warnings (offline) =="
-cargo clippy --all-targets --offline -- -D warnings
+echo "== cargo clippy --workspace --all-targets -D warnings (offline) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "verify: OK"
