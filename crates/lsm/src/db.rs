@@ -1041,7 +1041,12 @@ impl Db {
     /// `lk <= key` (`< hk` when bounded), in key order, newest version
     /// each.
     pub fn scan_from(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.view().scan_from(lk, hk, limit)
+        // A skip list has no cursor to merge from: the live MemTable's part
+        // of the range is copied out first (every live entry of the newest
+        // source is an output row, so `limit` of them are enough).
+        let view = self.view();
+        let live = view.mem_run(lk, hk, limit);
+        view.cursor(&[&live], lk, hk).collect_rows(limit)
     }
 
     /// Read-I/O, sync, and degradation statistics (the repair/quarantine

@@ -11,13 +11,14 @@
 //! #3 in DESIGN.md). Each SSTable carries a fence index (first key per
 //! block) and an optional filter: Bloom, SuRF-Hash, or SuRF-Real.
 //!
-//! `Get`, `Seek` (open and closed) and `Count` follow the Figure 4.3
-//! execution paths, including SuRF's `moveToNext`-based candidate pruning
-//! for seeks. They, their batched forms and the merged range scan are
-//! implemented once, in the `read` module, over a borrowed view of a
-//! MemTable source, the levels, the device and the block cache; [`Db`]
-//! (over its live skip list) and [`DbSnapshot`] (over its frozen runs)
-//! expose the same read methods as delegations to it.
+//! `Get` and `Seek` (open and closed) follow the Figure 4.3 execution
+//! paths, including SuRF's `moveToNext`-based candidate pruning for seeks.
+//! They and the merged range scan — a lazy [`ScanCursor`] that reads a
+//! block only when its walk reaches it — are implemented once, in the
+//! `read` module, over a borrowed view of a MemTable source, the levels,
+//! the device and the block cache; [`Db`] (over its live skip list) and
+//! [`DbSnapshot`] (over its frozen runs) expose the same read methods as
+//! delegations to it.
 //!
 //! Since the durability PR the engine is crash-consistent: puts are logged
 //! to a CRC-framed WAL before touching the MemTable, flushes and
@@ -48,7 +49,7 @@ pub use db::{
     StallConfig,
 };
 pub use disk::{IoStats, SimDisk, SlowIo};
-pub use read::{SeekResult, SCAN_RESERVE_ROWS};
+pub use read::{ScanCursor, SeekResult, SCAN_RESERVE_ROWS};
 pub use scrub::{FileScrubOutcome, LostRange, ScrubReport};
 pub use snapshot::DbSnapshot;
 pub use sstable::SsTable;

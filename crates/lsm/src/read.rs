@@ -1,7 +1,7 @@
 //! The read path, implemented once: [`ReadView`] borrows everything a read
 //! needs — a MemTable source, the levels, the device and the block cache —
 //! and carries the Figure 4.3 execution paths (Get, Seek), the merged
-//! range scan and the one block-fetch ladder. [`Db`] builds a view over
+//! range scan ([`ScanCursor`]) and the one block-fetch ladder. [`Db`] builds a view over
 //! its live skip list, [`DbSnapshot`](crate::DbSnapshot) over its frozen
 //! runs; every public read method on either is a one-line delegation to
 //! this module.
@@ -142,51 +142,221 @@ pub(crate) struct ReadView<'a> {
     pub(crate) handle: Handle<'a>,
 }
 
-/// One ordered source feeding the merge in [`ReadView::scan_from`].
-/// Sources are consulted newest-first; on a key tie the newest wins.
+/// One ordered source feeding a [`ScanCursor`]. Sources are consulted
+/// newest-first; on a key tie the newest wins.
 enum Source<'a> {
-    /// One run of the MemTable source.
+    /// One run of the MemTable.
     Mem { run: &'a Run, pos: usize },
-    /// A streaming cursor over one table's blocks.
-    Table(TableCursor<'a>),
+    /// A walk over one table, or over a disjoint level's tables in order.
+    Tables(TableCursor<'a>),
 }
 
+/// A table walk that reads a block only when the merge reaches it.
 struct TableCursor<'a> {
-    table: &'a SsTable,
-    /// Index into `table.blocks`.
+    /// The table being walked, then (in a disjoint level) the ones after
+    /// it; empty once exhausted.
+    tables: &'a [Arc<SsTable>],
+    /// Index into `tables[0].blocks`.
     block: usize,
-    data: Arc<Run>,
+    /// The scan's low key: the walk starts at the first key `>= from`.
+    from: &'a [u8],
+    /// The fetched block, `None` until the merge needs it. While unread,
+    /// the head is the block's fence (its first key) or `from`, whichever
+    /// is larger: a lower bound on the real head, known without a read.
+    data: Option<Arc<Run>>,
+    /// Head position in `data`; always in range while `data` is `Some`.
     pos: usize,
 }
 
 impl TableCursor<'_> {
-    /// Moves past exhausted and degraded-empty blocks.
-    fn settle(&mut self, view: &ReadView<'_>) {
-        while self.pos >= self.data.len() && self.block + 1 < self.table.blocks.len() {
-            self.block += 1;
-            self.data = view.fetch_block(self.table, self.block);
+    fn key(&self) -> Option<&[u8]> {
+        let table = self.tables.first()?;
+        Some(match &self.data {
+            Some(run) => run.key(self.pos),
+            None => table.fences[self.block].as_slice().max(self.from),
+        })
+    }
+
+    /// Fetches the head block and finds the first key `>= from` in it.
+    fn load(&mut self, view: &ReadView<'_>) {
+        let run = view.fetch_block(&self.tables[0], self.block);
+        self.pos = run.lower_bound(self.from);
+        self.data = Some(run);
+        self.skip_exhausted();
+    }
+
+    fn step(&mut self) {
+        self.pos += 1;
+        self.skip_exhausted();
+    }
+
+    /// Moves past an exhausted (or degraded-empty) block to the next one,
+    /// unread.
+    fn skip_exhausted(&mut self) {
+        if self.data.as_ref().is_some_and(|run| self.pos >= run.len()) {
+            self.data = None;
             self.pos = 0;
+            self.block += 1;
+            if self.block == self.tables[0].blocks.len() {
+                self.tables = &self.tables[1..];
+                self.block = 0;
+            }
         }
     }
 }
 
 impl Source<'_> {
-    fn peek(&self) -> Option<EntryRef<'_>> {
-        let (run, pos) = match self {
-            Source::Mem { run, pos } => (*run, *pos),
-            Source::Table(c) => (&*c.data, c.pos),
-        };
-        (pos < run.len()).then(|| run.entry(pos))
+    /// The head key: exact, except for an unread block (see
+    /// [`TableCursor::data`]).
+    fn key(&self) -> Option<&[u8]> {
+        match self {
+            Source::Mem { run, pos } => (*pos < run.len()).then(|| run.key(*pos)),
+            Source::Tables(c) => c.key(),
+        }
     }
 
-    fn advance(&mut self, view: &ReadView<'_>) {
+    /// The head entry; `None` while its block is unread.
+    fn entry(&self) -> Option<EntryRef<'_>> {
+        match self {
+            Source::Mem { run, pos } => (*pos < run.len()).then(|| run.entry(*pos)),
+            Source::Tables(c) => c.data.as_ref().map(|run| run.entry(c.pos)),
+        }
+    }
+
+    fn unread(&self) -> bool {
+        matches!(self, Source::Tables(c) if c.data.is_none())
+    }
+
+    fn step(&mut self) {
         match self {
             Source::Mem { pos, .. } => *pos += 1,
-            Source::Table(c) => {
-                c.pos += 1;
-                c.settle(view);
+            Source::Tables(c) => c.step(),
+        }
+    }
+}
+
+/// A lazy merged walk over a read view's live entries in `[lk, hk)`, in
+/// key order, each the newest version; tombstones are merged away.
+///
+/// Opening reads nothing. A table's block is read only when the walk's
+/// smallest key reaches it — an unread block stands in the merge as its
+/// fence, the first key it holds — so a walk reads the blocks that hold
+/// the rows it is asked for (and the tombstones among them), not one
+/// block per table in range, and nothing past the last row it returns.
+/// [`ScanCursor::bound`] exposes that read-free lower bound so that a
+/// caller merging several cursors (one per shard) reads a cursor's blocks
+/// only when its rows are next.
+pub struct ScanCursor<'a> {
+    view: ReadView<'a>,
+    hk: Option<&'a [u8]>,
+    sources: Vec<Source<'a>>,
+    /// Sources whose head is the smallest key below `hk`, newest first
+    /// (`heads[0]` holds the authoritative version); empty until found
+    /// again after every step.
+    heads: Vec<usize>,
+}
+
+impl<'a> ScanCursor<'a> {
+    fn find_heads(&mut self) {
+        let mut best: Option<&[u8]> = None;
+        for (i, s) in self.sources.iter().enumerate() {
+            let Some(k) = s.key() else { continue };
+            if self.hk.is_some_and(|hk| k >= hk) {
+                continue;
+            }
+            match best.map(|b| k.cmp(b)) {
+                Some(Ordering::Greater) => {}
+                Some(Ordering::Equal) => self.heads.push(i),
+                Some(Ordering::Less) | None => {
+                    best = Some(k);
+                    self.heads.clear();
+                    self.heads.push(i);
+                }
             }
         }
+    }
+
+    /// Reads until `heads` holds the next live row: fetches the unread
+    /// blocks at the smallest key and steps past deleted keys. `false`
+    /// once the walk is exhausted.
+    fn settle(&mut self) -> bool {
+        loop {
+            if self.heads.is_empty() {
+                self.find_heads();
+            }
+            let Some(&newest) = self.heads.first() else { return false };
+            let mut read = false;
+            for &i in &self.heads {
+                if let Source::Tables(c) = &mut self.sources[i] {
+                    if c.data.is_none() {
+                        c.load(&self.view);
+                        read = true;
+                    }
+                }
+            }
+            if read {
+                // The real heads may lie past the fences that stood in
+                // for them: choose again.
+                self.heads.clear();
+            } else if matches!(self.sources[newest].entry(), Some((_, Some(_)))) {
+                return true;
+            } else {
+                self.step_heads(); // a tombstone: the key is deleted
+            }
+        }
+    }
+
+    fn step_heads(&mut self) {
+        for &i in &self.heads {
+            self.sources[i].step();
+        }
+        self.heads.clear();
+    }
+
+    /// The smallest key the next row can have, found without a block
+    /// read, and whether it is the next row's key (`true` once
+    /// [`ScanCursor::peek`] has returned that row). `None` once exhausted.
+    pub fn bound(&mut self) -> Option<(&[u8], bool)> {
+        if self.heads.is_empty() {
+            self.find_heads();
+        }
+        let &newest = self.heads.first()?;
+        let known = !self.heads.iter().any(|&i| self.sources[i].unread())
+            && matches!(self.sources[newest].entry(), Some((_, Some(_))));
+        Some((self.sources[newest].key()?, known))
+    }
+
+    /// The next row, reading the blocks it takes to know it; `None` once
+    /// the walk is exhausted.
+    pub fn peek(&mut self) -> Option<(&[u8], &[u8])> {
+        if !self.settle() {
+            return None;
+        }
+        match self.sources[self.heads[0]].entry() {
+            Some((k, Some(v))) => Some((k, v)),
+            _ => None,
+        }
+    }
+
+    /// Steps past the row [`ScanCursor::peek`] returns.
+    pub fn advance(&mut self) {
+        if self.settle() {
+            self.step_heads();
+        }
+    }
+
+    /// Up to `limit` rows, copied out.
+    pub(crate) fn collect_rows(mut self, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        // Sized once: a scan's allocations are its output rows plus a
+        // constant, never a growth ladder of odd sizes interleaved with
+        // them (see `SCAN_RESERVE_ROWS`).
+        let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
+        while out.len() < limit {
+            let Some((k, v)) = self.peek() else { break };
+            out.push((k.to_vec(), v.to_vec()));
+            self.advance();
+        }
+        out
     }
 }
 
@@ -430,84 +600,42 @@ impl<'a> ReadView<'a> {
         })
     }
 
-    /// See [`Db::scan_from`]: a k-way merge over newest-first sources.
-    pub(crate) fn scan_from(
-        &self,
-        lk: &[u8],
-        hk: Option<&[u8]>,
-        limit: usize,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        if limit == 0 {
-            return Vec::new();
+    /// A [`ScanCursor`] over `mem` (the MemTable's runs, newest first)
+    /// and the tables that can hold keys in `[lk, hk)`.
+    pub(crate) fn cursor(
+        self,
+        mem: &[&'a Run],
+        lk: &'a [u8],
+        hk: Option<&'a [u8]>,
+    ) -> ScanCursor<'a> {
+        let mut sources: Vec<Source<'a>> =
+            Vec::with_capacity(mem.len() + self.levels.iter().map(Vec::len).sum::<usize>());
+        for &run in mem {
+            sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
         }
-        // Every vector below is sized once: a scan's allocations are its
-        // output rows plus a constant, never a growth ladder of odd sizes
-        // interleaved with them (see `SCAN_RESERVE_ROWS`).
-        let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
-        // A skip list has no cursor to merge from: the live MemTable's part
-        // of the range is copied out first (every live entry of the newest
-        // source is an output row, so `limit` of them are enough).
-        let live;
-        // Newest first: the MemTable's runs, then per level the tables in
-        // range, newest-last reversed (which matters where ranges overlap;
-        // the tables of a disjoint level never tie on a key).
-        let mut sources: Vec<Source<'_>> =
-            Vec::with_capacity(2 + self.levels.iter().map(Vec::len).sum::<usize>());
-        match self.mem {
-            Mem::Frozen { delta, base } => {
-                for run in [delta, base] {
-                    sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
-                }
-            }
-            Mem::Live { .. } => {
-                live = self.mem_run(lk, hk, limit);
-                sources.push(Source::Mem { run: &live, pos: 0 });
-            }
-        }
-        for table in self.levels.iter().flat_map(|level| level.iter().rev()) {
-            if table.max_key.as_slice() >= lk && hk.is_none_or(|hk| table.min_key.as_slice() < hk)
-            {
-                let block = table.candidate_block(lk);
-                let data = self.fetch_block(table, block);
-                let mut cursor = TableCursor { table, block, pos: data.lower_bound(lk), data };
-                cursor.settle(self);
-                sources.push(Source::Table(cursor));
-            }
-        }
-        // Sources whose head is the round's smallest key, newest first:
-        // `heads[0]` provides the authoritative value, all of them step
-        // past the key. Nothing is copied while choosing.
-        let mut heads: Vec<usize> = Vec::with_capacity(sources.len());
-        loop {
-            heads.clear();
-            let mut best: Option<&[u8]> = None;
-            for (i, s) in sources.iter().enumerate() {
-                let Some((k, _)) = s.peek() else { continue };
-                if hk.is_some_and(|hk| k >= hk) {
-                    continue;
-                }
-                match best.map(|b| k.cmp(b)) {
-                    Some(Ordering::Greater) => {}
-                    Some(Ordering::Equal) => heads.push(i),
-                    Some(Ordering::Less) | None => {
-                        best = Some(k);
-                        heads.clear();
-                        heads.push(i);
+        let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key.as_slice() < hk);
+        let mut walk = |tables: &'a [Arc<SsTable>]| {
+            let block = tables[0].candidate_block(lk);
+            sources.push(Source::Tables(TableCursor { tables, block, from: lk, data: None, pos: 0 }));
+        };
+        // Newest first: where ranges overlap, each table is its own source,
+        // newest-last reversed; a disjoint level is one walk from the table
+        // where `lk` falls, on into the tables after it.
+        for (depth, level) in self.levels.iter().enumerate() {
+            if depth == 0 || self.overlapping {
+                for table in level.iter().rev() {
+                    if table.max_key.as_slice() >= lk && in_range(table) {
+                        walk(std::slice::from_ref(table));
                     }
                 }
-            }
-            let Some(&winner) = heads.first() else { break };
-            if let Some((key, Some(value))) = sources[winner].peek() {
-                out.push((key.to_vec(), value.to_vec()));
-                if out.len() == limit {
-                    break;
+            } else {
+                let first = level.partition_point(|t| t.max_key.as_slice() < lk);
+                if first < level.len() && in_range(&level[first]) {
+                    walk(&level[first..]);
                 }
             }
-            // Keys are unique within a source: one step clears the key.
-            for &i in &heads {
-                sources[i].advance(self);
-            }
         }
-        out
+        let heads = Vec::with_capacity(sources.len());
+        ScanCursor { view: self, hk, sources, heads }
     }
 }

@@ -44,7 +44,7 @@
 use crate::cache::BlockCache;
 use crate::db::Db;
 use crate::disk::SimDisk;
-use crate::read::{Handle, Mem, ReadView, SeekResult};
+use crate::read::{Handle, Mem, ReadView, ScanCursor, SeekResult};
 use crate::run::{Run, RunBuilder};
 use crate::sstable::SsTable;
 use std::collections::{BTreeMap, HashSet};
@@ -183,7 +183,13 @@ impl DbSnapshot {
     /// `lk <= key` (`< hk` when bounded), in key order, each the newest
     /// version at snapshot time. Tombstones are merged away.
     pub fn scan_from(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.view().scan_from(lk, hk, limit)
+        self.cursor(lk, hk).collect_rows(limit)
+    }
+
+    /// The rows of [`DbSnapshot::scan_from`] one at a time, borrowed from
+    /// the snapshot, reading each block only when the walk reaches it.
+    pub fn cursor<'a>(&'a self, lk: &'a [u8], hk: Option<&'a [u8]>) -> ScanCursor<'a> {
+        self.view().cursor(&[&self.mem_delta, &self.mem_base], lk, hk)
     }
 }
 
@@ -336,6 +342,59 @@ mod tests {
         snap.get(&encode_u64(7));
         let (got, allocs, _) = measure(|| snap.get(&encode_u64(7)));
         assert_eq!((got, allocs), (Some(vec![7u8; 100]), 1));
+    }
+
+    /// A scan reads a block only when its walk reaches the block's first
+    /// row: it reads exactly the blocks its rows lie in — none for no rows,
+    /// none past its last row, none of a table it never reaches. (The
+    /// eager merge this replaced opened every table in range with a read
+    /// and fetched the next block on stepping off one: 4, 4 and 19 reads
+    /// for the 1-, 37- and 600-row scans below, against 1, 2 and 18.)
+    #[test]
+    fn scan_reads_exactly_the_blocks_its_rows_lie_in() {
+        let mut db = Db::new(DbOptions {
+            memtable_bytes: 16 << 10,
+            cache_blocks: 0,
+            ..DbOptions::default()
+        });
+        // Ascending keys: every table holds a key range of its own, so no
+        // row is shadowed and each key lies in exactly one block.
+        for i in 0..3000u64 {
+            db.put(&encode_u64(i), &[7u8; 100]).unwrap();
+        }
+        db.flush().unwrap();
+        assert!(
+            db.level_sizes()[1..].iter().any(|&n| n > 1),
+            "no disjoint level of several tables"
+        );
+        let tables: Vec<Arc<SsTable>> = db.levels.iter().flatten().cloned().collect();
+        let blocks_holding = |rows: &[(Vec<u8>, Vec<u8>)]| -> u64 {
+            let blocks: HashSet<(u64, usize)> = rows
+                .iter()
+                .map(|(k, _)| {
+                    let t = tables
+                        .iter()
+                        .find(|t| t.covers(k))
+                        .expect("every key is in a table");
+                    (t.id, t.candidate_block(k))
+                })
+                .collect();
+            blocks.len() as u64
+        };
+        let snap = db.snapshot();
+        for (lo, rows) in [
+            (0, 0),
+            (500, 1),
+            (1000, 37),
+            (1500, 600),
+            (2900, usize::MAX),
+        ] {
+            let before = db.io_stats().block_reads;
+            let got = snap.scan_from(&encode_u64(lo), None, rows);
+            let reads = db.io_stats().block_reads - before;
+            assert_eq!(got.len(), rows.min(3000 - lo as usize));
+            assert_eq!(reads, blocks_holding(&got), "scan of {rows} rows from {lo}");
+        }
     }
 
     #[test]

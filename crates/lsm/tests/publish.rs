@@ -7,7 +7,7 @@
 //! It is also the gate that the two handles are one read path: at every
 //! snapshot instant the `Db` and the `DbSnapshot` just cut from it answer
 //! the same inputs — `get`, `seek`, `scan_from` — each against the exact
-//! model.
+//! model; the snapshot's `cursor` is walked row by row as well.
 //!
 //! Case seeds come from `MEMTREE_FAULT_SEEDS` (`"lo..hi"`, default
 //! `0..32`), like the crash and scrub oracles; replay a failing seed `n`
@@ -110,9 +110,45 @@ macro_rules! check_ops {
 fn agrees(db: Option<&Db>, snap: &DbSnapshot, model: &Model, g: &mut Gen) -> Result<(), String> {
     let probes = Probes::draw(model, g);
     check_ops!(snap, "snapshot", model, &probes);
+    walk_cursor(snap, model, &probes.scan)?;
     if let Some(db) = db {
         check_ops!(db, "db", model, &probes);
     }
+    Ok(())
+}
+
+/// The snapshot's cursor walked by hand over the bounded scan's range: the
+/// bound taken before each row never passes the row, is the row's key once
+/// the row is known, and runs out with the rows.
+fn walk_cursor(
+    snap: &DbSnapshot,
+    model: &Model,
+    (lo, hi, _): &(Vec<u8>, Vec<u8>, usize),
+) -> Result<(), String> {
+    let mut cursor = snap.cursor(lo, Some(hi));
+    let mut walked = Vec::new();
+    loop {
+        let bound = cursor.bound().map(|(b, _)| b.to_vec());
+        let Some((k, v)) = cursor.peek().map(|(k, v)| (k.to_vec(), v.to_vec())) else {
+            break;
+        };
+        check!(
+            bound.as_ref().is_some_and(|b| *b <= k),
+            "cursor bound {bound:?} past row {k:?}"
+        );
+        check_eq!(
+            cursor.bound().map(|(b, known)| (b.to_vec(), known)),
+            Some((k.clone(), true))
+        );
+        walked.push((k, v));
+        cursor.advance();
+    }
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+        .iter()
+        .filter(|(k, _)| *k >= lo && *k < hi)
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
+    check_eq!(walked, want, "cursor walk {lo:?}..{hi:?}");
     Ok(())
 }
 

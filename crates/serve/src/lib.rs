@@ -73,7 +73,7 @@ use memtree_common::hash::hash64;
 use memtree_common::SnapshotCell;
 use memtree_faults::Backoff;
 use memtree_lsm::{
-    gc_orphans, Db, DbOptions, DbSnapshot, DbStats, ScrubReport, SimDisk, StallConfig,
+    gc_orphans, Db, DbOptions, DbSnapshot, DbStats, ScanCursor, ScrubReport, SimDisk, StallConfig,
     SCAN_RESERVE_ROWS,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -715,27 +715,34 @@ impl ShardedDb {
     /// Merged cross-shard range scan over the current snapshots: up to
     /// `limit` live entries with `lk <= key` (`< hk` when bounded), in
     /// global key order.
+    ///
+    /// One lazy merge over one [`ScanCursor`] per shard: a shard reads a
+    /// block only when its smallest unread key is the merge's next, and
+    /// only the rows returned are copied out — the scan reads the rows it
+    /// returns, not `limit` rows from every shard.
     pub fn scan(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut streams: Vec<_> = self
-            .slots
-            .iter()
-            .map(|s| s.snap.load().scan_from(lk, hk, limit).into_iter().peekable())
-            .collect();
-        // Shards partition the key space, so the streams are disjoint:
-        // a plain k-way merge by key suffices, moving each row out of the
-        // per-shard vector that already owns it.
+        let snaps = self.shard_snapshots();
+        let mut cursors: Vec<ScanCursor<'_>> = snaps.iter().map(|s| s.cursor(lk, hk)).collect();
         let mut out = Vec::with_capacity(limit.min(SCAN_RESERVE_ROWS));
         while out.len() < limit {
-            let mut best: Option<(usize, &[u8])> = None;
-            for (s, stream) in streams.iter_mut().enumerate() {
-                if let Some((k, _)) = stream.peek() {
-                    if best.is_none_or(|(_, b)| k.as_slice() < b) {
-                        best = Some((s, k));
+            // Shards partition the key space, so their keys never tie:
+            // the shard with the smallest bound goes next.
+            let mut next: Option<(usize, &[u8], bool)> = None;
+            for (s, cursor) in cursors.iter_mut().enumerate() {
+                if let Some((k, known)) = cursor.bound() {
+                    if next.is_none_or(|(_, b, _)| k < b) {
+                        next = Some((s, k, known));
                     }
                 }
             }
-            let Some((s, _)) = best else { break };
-            out.extend(streams[s].next());
+            let Some((s, _, known)) = next else { break };
+            // A bound that is not yet a known row is read first and the
+            // shards compared again: its key may turn out deleted.
+            let cursor = &mut cursors[s];
+            if let (true, Some((k, v))) = (known, cursor.peek()) {
+                out.push((k.to_vec(), v.to_vec()));
+                cursor.advance();
+            }
         }
         out
     }
@@ -1326,6 +1333,57 @@ mod tests {
             );
         }
         reopened.close().unwrap();
+    }
+
+    /// A served scan reads what each shard reads when asked for only its
+    /// own share of the rows: the cross-shard merge reads nothing past the
+    /// rows it returns. The counts are pinned; asking every shard for
+    /// `limit` rows, as the merge did before it was lazy, read 7, 12 and 6
+    /// blocks for the three non-empty scans below.
+    #[test]
+    fn scan_reads_only_the_blocks_of_the_rows_it_returns() {
+        let sdb = ShardedDb::new(ServeOptions {
+            shards: 2,
+            db: DbOptions {
+                cache_blocks: 0,
+                ..DbOptions::default()
+            },
+            ..ServeOptions::default()
+        });
+        // Three interleaved flushes per shard, below the L0 trigger: no
+        // compaction reads behind the counts taken here.
+        for round in 0..3u32 {
+            for i in (round..3000).step_by(3) {
+                sdb.put(format!("key-{i:05}").as_bytes(), &[7u8; 100])
+                    .unwrap();
+            }
+            sdb.flush_all().unwrap();
+        }
+        sdb.barrier().unwrap();
+        let reads = |scan: &dyn Fn()| {
+            let before = sdb.disk.stats().block_reads;
+            scan();
+            sdb.disk.stats().block_reads - before
+        };
+        let snaps = sdb.shard_snapshots();
+        for (start, limit, want) in [(0, 0, 0), (100, 50, 6), (1234, 100, 10), (2950, 100, 6)] {
+            let lo = format!("key-{start:05}");
+            let lo = lo.as_bytes();
+            let rows = sdb.scan(lo, None, limit);
+            assert_eq!(rows.len(), limit.min(3000 - start));
+            let own_share: u64 = (0..2)
+                .map(|s| {
+                    let n = rows.iter().filter(|(k, _)| sdb.shard_of(k) == s).count();
+                    reads(&|| drop(snaps[s].scan_from(lo, None, n)))
+                })
+                .sum();
+            let served = reads(&|| drop(sdb.scan(lo, None, limit)));
+            assert_eq!(
+                (served, own_share),
+                (want, want),
+                "scan of {limit} from {start}"
+            );
+        }
     }
 
     /// 200 acked keys on 2 shards, closed cleanly.

@@ -154,6 +154,24 @@ fn check_equal(sdb: &ShardedDb, seed: u64, model: &BTreeMap<usize, Option<u64>>,
         .filter_map(|(&ki, v)| v.map(|ver| (key(seed, ki), value(seed, ki, ver))))
         .collect();
     assert_eq!(got, want, "{when}: seed {seed} scan mismatch");
+    // Short scans from every fifth key, live or deleted: the lazy merge
+    // stops after `limit` rows whichever shard holds them.
+    for start in (0..KEYS).step_by(5) {
+        let from = key(seed, start);
+        for limit in [1, 7] {
+            let want: Vec<_> = want
+                .iter()
+                .filter(|(k, _)| *k >= from)
+                .take(limit)
+                .cloned()
+                .collect();
+            assert_eq!(
+                sdb.scan(&from, Some(&hi), limit),
+                want,
+                "{when}: seed {seed} scan from {start}"
+            );
+        }
+    }
 }
 
 #[test]
