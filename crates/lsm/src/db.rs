@@ -486,7 +486,14 @@ impl Db {
             db.apply_write(&r.key, r.value.as_deref());
         }
         if !fresh {
-            db.manifest.borrow_mut().rotate(&db.disk, &version)?;
+            // Rotation only compacts the manifest log. On a full disk it
+            // fails before CURRENT moves, the old manifest stays the live
+            // one, and the database opens without it: a full disk must
+            // fail writes, not recovery.
+            match db.manifest.borrow_mut().rotate(&db.disk, &version) {
+                Ok(()) | Err(MemtreeError::Enospc { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
         db.check_invariants()?;
         Ok(db)
@@ -1795,6 +1802,32 @@ mod tests {
         db.flush().unwrap().expect("retried flush flushes");
         assert!(db.table_entries() > 0);
         assert_eq!(db.get(&encode_u64(1999)), Some(vec![0x5a; 64]));
+    }
+
+    #[test]
+    fn open_on_a_full_disk_recovers_and_fails_only_writes() {
+        let opts = DbOptions { memtable_bytes: 1 << 20, ..Default::default() };
+        let mut db = Db::new(opts.clone());
+        for i in 0..200u64 {
+            db.put(&encode_u64(i), &[0x5a; 64]).unwrap();
+        }
+        db.flush().unwrap();
+        db.put(&encode_u64(500), b"in the wal").unwrap();
+        db.sync().unwrap();
+        let disk = db.disk_handle();
+        drop(db);
+        disk.set_capacity_bytes(Some(disk.used_bytes()));
+        // The open-time manifest rotation has no room; recovery goes on.
+        let mut db = Db::open(Arc::clone(&disk), opts.clone()).unwrap();
+        assert_eq!(db.get(&encode_u64(7)), Some(vec![0x5a; 64]));
+        assert_eq!(db.get(&encode_u64(500)).as_deref(), Some(&b"in the wal"[..]));
+        let err = db.put(&encode_u64(501), b"x").unwrap_err();
+        assert!(matches!(err, MemtreeError::Enospc { .. }), "want Enospc, got {err}");
+        disk.set_capacity_bytes(None);
+        db.put(&encode_u64(501), b"x").unwrap();
+        let db = Db::open(db.close().unwrap(), opts).unwrap();
+        assert_eq!(db.get(&encode_u64(500)).as_deref(), Some(&b"in the wal"[..]));
+        assert_eq!(db.get(&encode_u64(501)).as_deref(), Some(&b"x"[..]));
     }
 
     #[test]

@@ -14,17 +14,19 @@
 //!   these snapshots from the caller's thread; the only shared mutable
 //!   state they touch is the striped block cache.
 //! * **Cross-shard group commit.** Workers append WAL frames without
-//!   syncing; a single **committer thread** batches the append
-//!   notifications from every shard, issues *one* `disk.sync()` for the
-//!   whole batch, acknowledges every write in it, and tells each worker
-//!   the sequence number its WAL is durable through
-//!   ([`Db::mark_synced_through`]). One sync barrier is amortized over
-//!   all shards — the multi-shard generalization of single-`Db` group
-//!   commit.
+//!   syncing and hold the acks. Whenever its queue drains (and at the
+//!   latest every [`ServeOptions::publish_every`] writes) a worker
+//!   commits its batch itself: it draws a ticket from the shared group
+//!   commit, and unless another shard's sync already covers the ticket
+//!   it issues *one* `disk.sync()` covering every ticket drawn so far, on
+//!   any shard. It then marks its own WAL durable
+//!   ([`Db::mark_synced_through`]) and acks each write. A durable put is
+//!   two thread hand-offs (client → worker → client), and one sync
+//!   barrier is amortized over all shards — the multi-shard
+//!   generalization of single-`Db` group commit.
 //! * **Fault isolation.** A typed error on one shard (`Enospc`, a failed
 //!   flush) fails *that request's* acknowledgement and nothing else: the
-//!   worker keeps serving, sibling shards never see the error, and the
-//!   committer keeps batching whatever still succeeds.
+//!   worker keeps serving, and sibling shards never see the error.
 //!
 //! # Overload survival
 //!
@@ -78,7 +80,7 @@ use memtree_lsm::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,18 +101,15 @@ pub struct ServeOptions {
     /// Per-shard engine options. `namespace`, `gc_orphans`,
     /// `wal_group_commit`, `compact_on_flush`, and `stall` are overridden
     /// by the serving layer (namespaced files, cross-shard GC,
-    /// committer-owned syncing, worker-paced compaction, serving stall
+    /// cross-shard group commit, worker-paced compaction, serving stall
     /// bands).
     pub db: DbOptions,
     /// Bounded depth of each shard's request queue.
     pub queue_depth: usize,
-    /// A worker republishes its read snapshot at the latest after this
-    /// many writes (sooner whenever its queue drains).
+    /// A worker republishes its read snapshot and group-commits its
+    /// pending writes at the latest after this many writes (sooner
+    /// whenever its queue drains), so this also bounds a commit batch.
     pub publish_every: usize,
-    /// The committer syncs after collecting at most this many pending
-    /// write acknowledgements (it never waits for the batch to fill — a
-    /// drained queue syncs immediately).
-    pub commit_batch: usize,
     /// Default per-request deadline budget in virtual microseconds
     /// ([`SimDisk::now_us`]). `u64::MAX` disables deadlines. Per-call
     /// overrides: [`ShardedDb::put_with_deadline`] and friends.
@@ -138,7 +137,6 @@ impl Default for ServeOptions {
             db: DbOptions::default(),
             queue_depth: 256,
             publish_every: 256,
-            commit_batch: 256,
             deadline_us: u64::MAX,
             est_service_us: 50,
             retry_attempts: 8,
@@ -253,26 +251,8 @@ enum Request {
     Stats { ack: SyncSender<DbStats> },
     /// Online scrub & repair, republishing the snapshot afterwards.
     Scrub { ack: SyncSender<Result<ScrubReport>> },
-    /// Committer notification: the WAL is durable through `seq`.
-    MarkSynced { seq: u64 },
     /// Drop the database without closing it (simulated power loss).
     Die,
-}
-
-/// Append notification from a worker to the committer.
-struct Appended {
-    shard: usize,
-    seq: u64,
-    ack: SyncSender<Result<u64>>,
-}
-
-/// What flows into the committer. `Stop` exists so shutdown never relies
-/// on sender-count disconnection: workers hold committer-channel clones
-/// and the committer reaches workers through the shared slots, so waiting
-/// for either side's channel to disconnect first would deadlock the pair.
-enum CommitMsg {
-    Write(Appended),
-    Stop,
 }
 
 /// Supervision events. Workers report their own panic (caught by the
@@ -311,16 +291,62 @@ impl Slot {
     }
 }
 
+/// The cross-shard group commit every worker shares: one `disk.sync()`
+/// covers the appends of every shard that drew a ticket before it.
+///
+/// A worker draws a ticket only after its appends are on the disk, so a
+/// sync issued after reading the ticket counter covers every ticket up
+/// to the value read — whichever shard issued it.
+#[derive(Default)]
+struct GroupCommit {
+    /// Tickets drawn so far.
+    tickets: AtomicU64,
+    /// Every ticket up to this one is covered by a completed sync.
+    synced: Mutex<u64>,
+}
+
+/// Acks a worker owes for writes it has applied but not yet committed:
+/// each caller's channel with its write's WAL seq, in seq order.
+type PendingAcks = Vec<(SyncSender<Result<u64>>, u64)>;
+
+impl GroupCommit {
+    /// Makes every append that finished before this call durable, with a
+    /// sync of its own only if no other shard's sync already covers it.
+    fn sync(&self, disk: &SimDisk) {
+        let ticket = self.tickets.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut synced = self
+            .synced
+            .lock()
+            .expect("group-commit lock: a worker panicked in a sync");
+        if *synced < ticket {
+            let upto = self.tickets.load(Ordering::SeqCst);
+            disk.sync();
+            *synced = upto;
+        }
+    }
+
+    /// Commits a worker's pending writes: one group sync, then the WAL's
+    /// durable mark, then each caller's ack with its own seq. Calls
+    /// `disk.sync()` directly, not [`Db::sync`], so the serving path
+    /// evaluates no WAL fail point.
+    fn commit(&self, disk: &SimDisk, db: &mut Db, pending: &mut PendingAcks) {
+        let Some(&(_, high)) = pending.last() else { return };
+        self.sync(disk);
+        db.mark_synced_through(high);
+        for (ack, seq) in pending.drain(..) {
+            let _ = ack.send(Ok(seq));
+        }
+    }
+}
+
 /// A hash-partitioned, multi-threaded serving layer over `N` LSM shards.
 ///
-/// Writes route to the owning shard's worker and block until the
+/// Writes route to the owning shard's worker and block until its
 /// cross-shard group commit makes them durable. Reads are served from
 /// per-shard immutable snapshots without ever blocking behind writers.
 /// See the module docs for the full architecture and the overload model.
 pub struct ShardedDb {
     slots: Vec<Arc<Slot>>,
-    committer_tx: Option<SyncSender<CommitMsg>>,
-    committer: Option<JoinHandle<()>>,
     supervisor_tx: Option<SyncSender<SupMsg>>,
     supervisor: Option<JoinHandle<Result<()>>>,
     disk: Arc<SimDisk>,
@@ -330,13 +356,13 @@ pub struct ShardedDb {
 }
 
 /// The engine options a shard runs with: namespaced files, cross-shard
-/// GC, committer-owned syncing, worker-paced compaction, and the serving
-/// stall bands.
+/// GC, syncing left to the group commit, worker-paced compaction, and the
+/// serving stall bands.
 fn shard_opts(base: &DbOptions, stall: StallConfig, shard: usize) -> DbOptions {
     DbOptions {
         namespace: format!("s{shard}-"),
         gc_orphans: false,
-        // The committer owns syncing; appends must never sync.
+        // The group commit owns syncing; appends must never sync.
         wal_group_commit: usize::MAX,
         // Compaction is paced by the worker (idle steps + overload
         // relief) so a flush never hides an unbounded merge.
@@ -359,8 +385,9 @@ impl ShardedDb {
     }
 
     /// Opens (or recovers) every shard from `disk`, runs the cross-shard
-    /// orphan GC, and starts the worker, committer, and supervisor
-    /// threads. On a disk that already holds a sharded database the
+    /// orphan GC, and starts N + 1 threads: one worker per shard, which
+    /// also group-commits and acks that shard's writes, and the
+    /// supervisor. On a disk that already holds a sharded database the
     /// persisted shard count wins over `opts.shards`; a count that is
     /// unreadable or disagrees with the shard namespaces on the disk is
     /// [`MemtreeError::Corruption`] with context `"serve-meta"`.
@@ -377,7 +404,7 @@ impl ShardedDb {
 
         let counters = Arc::new(Counters::default());
         let closing = Arc::new(AtomicBool::new(false));
-        let (commit_tx, commit_rx) = sync_channel::<CommitMsg>(n * opts.queue_depth + 1);
+        let group = Arc::new(GroupCommit::default());
         let (sup_tx, sup_rx) = sync_channel::<SupMsg>(n + 2);
         let mut slots = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
@@ -395,7 +422,7 @@ impl ShardedDb {
                 db,
                 i,
                 rx,
-                commit_tx.clone(),
+                Arc::clone(&group),
                 Arc::clone(&slot),
                 opts.publish_every.max(1),
                 Arc::clone(&disk),
@@ -404,20 +431,11 @@ impl ShardedDb {
             )));
             slots.push(slot);
         }
-        let committer = {
-            let disk = Arc::clone(&disk);
-            let slots = slots.clone();
-            let batch = opts.commit_batch.max(1);
-            std::thread::Builder::new()
-                .name("memtree-committer".into())
-                .spawn(move || committer(commit_rx, disk, slots, batch))
-                .expect("spawn committer")
-        };
         let supervisor = {
             let ctx = SupervisorCtx {
                 disk: Arc::clone(&disk),
                 slots: slots.clone(),
-                commit_tx: commit_tx.clone(),
+                group,
                 base: opts.db.clone(),
                 stall,
                 queue_depth: opts.queue_depth,
@@ -434,8 +452,6 @@ impl ShardedDb {
         };
         Ok(Self {
             slots,
-            committer_tx: Some(commit_tx),
-            committer: Some(committer),
             supervisor_tx: Some(sup_tx),
             supervisor: Some(supervisor),
             disk,
@@ -534,10 +550,11 @@ impl ShardedDb {
     }
 
     /// Inserts or overwrites `key`, returning its WAL sequence number on
-    /// the owning shard. Blocks until the cross-shard group commit has
-    /// made the write durable. Typed overload rejections are retried
-    /// with jittered backoff up to [`ServeOptions::retry_attempts`]
-    /// times under the default [`ShardedDb::deadline`].
+    /// the owning shard. Blocks until the owning worker's cross-shard
+    /// group commit has made the write durable. Typed overload rejections
+    /// are retried with jittered backoff up to
+    /// [`ServeOptions::retry_attempts`] times under the default
+    /// [`ShardedDb::deadline`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<u64> {
         self.put_with_deadline(key, value, self.deadline())
     }
@@ -864,24 +881,10 @@ impl ShardedDb {
         disk
     }
 
-    /// Stops the committer, tells every worker to exit (`die` skips the
-    /// graceful close), and stops the supervisor — which reaps the
-    /// workers.
+    /// Tells every worker to exit (`die` skips the graceful close) and
+    /// stops the supervisor, which reaps the workers.
     fn shutdown(&mut self, die: bool) {
         self.closing.store(true, Ordering::SeqCst);
-        // Committer first, via an explicit `Stop`: it cannot exit on
-        // channel disconnection because every live worker still holds a
-        // committer-sender clone (and the committer reaches workers
-        // through the shared slots — waiting out either disconnection
-        // first would deadlock the pair). Writes a worker drains after
-        // this point fall back to self-sync in `finish_write`, so their
-        // acks still mean durable.
-        if let Some(tx) = self.committer_tx.take() {
-            let _ = tx.send(CommitMsg::Stop);
-        }
-        if let Some(c) = self.committer.take() {
-            let _ = c.join();
-        }
         if die {
             for slot in &self.slots {
                 let _ = slot.tx.read().expect("slot lock").send(Request::Die);
@@ -901,9 +904,9 @@ impl ShardedDb {
 
 impl Drop for ShardedDb {
     fn drop(&mut self) {
-        // A plain drop (no close/crash) must still unwind the thread
-        // trio; `shutdown` is idempotent through the `take()`s.
-        if self.committer_tx.is_some() || self.supervisor_tx.is_some() {
+        // A plain drop (no close/crash) must still stop the threads;
+        // `shutdown` is idempotent through the `take()`.
+        if self.supervisor_tx.is_some() {
             self.shutdown(false);
         }
         if let Some(h) = self.supervisor.take() {
@@ -916,7 +919,7 @@ impl Drop for ShardedDb {
 struct SupervisorCtx {
     disk: Arc<SimDisk>,
     slots: Vec<Arc<Slot>>,
-    commit_tx: SyncSender<CommitMsg>,
+    group: Arc<GroupCommit>,
     base: DbOptions,
     stall: StallConfig,
     queue_depth: usize,
@@ -934,7 +937,7 @@ fn spawn_worker(
     db: Db,
     shard: usize,
     rx: Receiver<Request>,
-    commit_tx: SyncSender<CommitMsg>,
+    group: Arc<GroupCommit>,
     slot: Arc<Slot>,
     publish_every: usize,
     disk: Arc<SimDisk>,
@@ -945,7 +948,7 @@ fn spawn_worker(
         .name(format!("memtree-shard-{shard}"))
         .spawn(move || {
             let trapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shard_worker(db, shard, rx, commit_tx, slot, publish_every, disk, counters)
+                shard_worker(db, shard, rx, &group, slot, publish_every, disk, counters)
             }));
             match trapped {
                 Ok(res) => res,
@@ -1031,7 +1034,7 @@ fn supervisor(
                     db,
                     i,
                     wrx,
-                    ctx.commit_tx.clone(),
+                    Arc::clone(&ctx.group),
                     Arc::clone(&ctx.slots[i]),
                     ctx.publish_every,
                     Arc::clone(&ctx.disk),
@@ -1063,34 +1066,32 @@ fn supervisor(
     }
 }
 
-/// One shard's event loop: apply writes, forward durability acks to the
-/// committer, republish snapshots when idle or due, drain compaction
-/// debt during idle moments and after overload rejections, and never let
-/// one request's typed error take the worker down.
+/// One shard's event loop: apply writes, group-commit and ack them,
+/// republish snapshots when idle or due, drain compaction debt during
+/// idle moments and after overload rejections, and never let one
+/// request's typed error take the worker down.
 #[allow(clippy::too_many_arguments)]
 fn shard_worker(
     mut db: Db,
     shard: usize,
     rx: Receiver<Request>,
-    commit_tx: SyncSender<CommitMsg>,
+    group: &GroupCommit,
     slot: Arc<Slot>,
     publish_every: usize,
     disk: Arc<SimDisk>,
     counters: Arc<Counters>,
 ) -> Result<()> {
     let mut dirty = 0usize;
+    let mut pending = PendingAcks::new();
     let mut die = false;
     loop {
-        // Drain eagerly; republish the snapshot on a momentarily-empty
-        // queue so readers see a fresh view whenever the shard is idle,
+        // Drain eagerly; on a momentarily-empty queue publish and commit
+        // so readers and writers hear back whenever the shard is idle,
         // and use the lull to retire one level of compaction debt.
         let msg = match rx.try_recv() {
             Ok(m) => m,
             Err(TryRecvError::Empty) => {
-                if dirty > 0 {
-                    slot.snap.swap(Arc::new(db.snapshot()));
-                    dirty = 0;
-                }
+                publish_and_commit(&mut db, &slot, group, &disk, &mut dirty, &mut pending);
                 let _ = db.compact_debt();
                 match rx.recv() {
                     Ok(m) => m,
@@ -1099,7 +1100,7 @@ fn shard_worker(
             }
             Err(TryRecvError::Disconnected) => break,
         };
-        if !matches!(msg, Request::MarkSynced { .. } | Request::Die) {
+        if !matches!(msg, Request::Die) {
             // Client-sent requests were admission-counted.
             slot.sub_depth();
         }
@@ -1107,27 +1108,21 @@ fn shard_worker(
             panic!("injected: serve.worker.panic (shard {shard})");
         }
         match msg {
-            Request::Put { key, value, deadline, ack } => {
-                if deadline.expired(&disk) {
-                    counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    let _ = ack.send(Err(deadline.exceeded()));
-                } else {
-                    let applied = db.put(&key, &value);
-                    relieve_overload(&mut db, &applied);
-                    finish_write(&mut db, shard, applied, ack, &commit_tx);
-                    dirty += 1;
-                }
+            Request::Put { deadline, ack, .. } | Request::Delete { deadline, ack, .. }
+                if deadline.expired(&disk) =>
+            {
+                counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
+                let _ = ack.send(Err(deadline.exceeded()));
             }
-            Request::Delete { key, deadline, ack } => {
-                if deadline.expired(&disk) {
-                    counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    let _ = ack.send(Err(deadline.exceeded()));
-                } else {
-                    let applied = db.delete(&key);
-                    relieve_overload(&mut db, &applied);
-                    finish_write(&mut db, shard, applied, ack, &commit_tx);
-                    dirty += 1;
-                }
+            Request::Put { key, value, ack, .. } => {
+                let applied = db.put(&key, &value);
+                stage_write(&mut db, applied, ack, &mut pending);
+                dirty += 1;
+            }
+            Request::Delete { key, ack, .. } => {
+                let applied = db.delete(&key);
+                stage_write(&mut db, applied, ack, &mut pending);
+                dirty += 1;
             }
             Request::Get { key, deadline, ack } => {
                 let reply = if deadline.expired(&disk) {
@@ -1159,26 +1154,43 @@ fn shard_worker(
                 dirty = 0;
                 let _ = ack.send(report);
             }
-            Request::MarkSynced { seq } => {
-                db.mark_synced_through(seq);
-            }
             Request::Die => {
                 die = true;
                 break;
             }
         }
         if dirty >= publish_every {
-            slot.snap.swap(Arc::new(db.snapshot()));
-            dirty = 0;
+            publish_and_commit(&mut db, &slot, group, &disk, &mut dirty, &mut pending);
         }
     }
     if die {
-        // Simulated power loss: drop the Db as-is — no flush, no sync.
+        // Simulated power loss: drop the Db as-is — no flush, no sync —
+        // and the pending acks unsent, since nothing made them durable.
         drop(db);
         return Ok(());
     }
     slot.snap.swap(Arc::new(db.snapshot()));
+    group.commit(&disk, &mut db, &mut pending);
     db.close().map(|_| ())
+}
+
+/// Republishes the snapshot if anything changed since the last one, then
+/// group-commits the pending writes and acks their callers — publishing
+/// first, so a write is already visible to snapshot readers when its
+/// caller hears back.
+fn publish_and_commit(
+    db: &mut Db,
+    slot: &Slot,
+    group: &GroupCommit,
+    disk: &SimDisk,
+    dirty: &mut usize,
+    pending: &mut PendingAcks,
+) {
+    if *dirty > 0 {
+        slot.snap.swap(Arc::new(db.snapshot()));
+        *dirty = 0;
+    }
+    group.commit(disk, db, pending);
 }
 
 /// After a typed overload rejection, spend the worker's turn draining
@@ -1200,88 +1212,20 @@ fn relieve_overload(db: &mut Db, applied: &Result<u64>) {
     }
 }
 
-/// A write's worker-side second half: hand the durability ack to the
-/// committer. A typed error acks the originating request and nothing
-/// else; if the committer is already gone (shutdown), the worker syncs
-/// its own appends so the last acks still mean durable.
-fn finish_write(
+/// A write's worker-side second half: an appended write waits in
+/// `pending` for the next group commit; a typed error acks the
+/// originating request at once and touches nothing else.
+fn stage_write(
     db: &mut Db,
-    shard: usize,
     applied: Result<u64>,
     ack: SyncSender<Result<u64>>,
-    commit_tx: &SyncSender<CommitMsg>,
+    pending: &mut PendingAcks,
 ) {
+    relieve_overload(db, &applied);
     match applied {
-        Ok(seq) => {
-            if commit_tx
-                .send(CommitMsg::Write(Appended { shard, seq, ack: ack.clone() }))
-                .is_err()
-            {
-                let synced = db.sync().map(|()| {
-                    db.mark_synced_through(seq);
-                    seq
-                });
-                let _ = ack.send(synced);
-            }
-        }
+        Ok(seq) => pending.push((ack, seq)),
         Err(e) => {
             let _ = ack.send(Err(e));
-        }
-    }
-}
-
-/// The cross-shard group committer: collect a batch of append
-/// notifications from any mix of shards, make them all durable with one
-/// `disk.sync()`, acknowledge every caller, and tell each shard its new
-/// durable high-water mark.
-fn committer(
-    rx: Receiver<CommitMsg>,
-    disk: Arc<SimDisk>,
-    slots: Vec<Arc<Slot>>,
-    max_batch: usize,
-) {
-    while let Ok(first) = rx.recv() {
-        let mut stop = false;
-        let mut batch = match first {
-            CommitMsg::Write(a) => vec![a],
-            CommitMsg::Stop => break,
-        };
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(CommitMsg::Write(a)) => batch.push(a),
-                Ok(CommitMsg::Stop) => {
-                    stop = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        // One sync covers every WAL frame appended (on any shard) before
-        // the notifications we just collected.
-        disk.sync();
-        let mut high = vec![0u64; slots.len()];
-        for m in &batch {
-            high[m.shard] = high[m.shard].max(m.seq);
-        }
-        // Bookkeeping first, acks second: `try_send` because a full
-        // worker queue must not deadlock the committer (the mark is
-        // monotone — a later batch re-delivers a higher one). A
-        // restarted shard sees an old mark at worst, which recovery
-        // already tolerates.
-        for (i, &seq) in high.iter().enumerate() {
-            if seq > 0 {
-                let _ = slots[i]
-                    .tx
-                    .read()
-                    .expect("slot lock")
-                    .try_send(Request::MarkSynced { seq });
-            }
-        }
-        for m in batch {
-            let _ = m.ack.send(Ok(m.seq));
-        }
-        if stop {
-            break;
         }
     }
 }
@@ -1487,12 +1431,77 @@ mod tests {
         Arc::try_unwrap(sdb).ok().expect("sole owner").close().unwrap();
     }
 
+    /// The ticket protocol, without timing. In each contended round the
+    /// test holds the group-commit lock until all four threads have
+    /// appended a record to their own file and drawn a ticket, so exactly
+    /// one of them syncs for all four. Then each file gets one commit on
+    /// its own, which no other sync covers. Every acked record survives a
+    /// crash; the one appended after the last commit does not.
+    #[test]
+    fn group_commit_tickets_make_every_acked_append_durable() {
+        const THREADS: usize = 4;
+        const ROUNDS: u32 = 50;
+        let disk = Arc::new(SimDisk::new(Duration::ZERO));
+        let group = Arc::new(GroupCommit::default());
+        let start = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let done = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (disk, group) = (Arc::clone(&disk), Arc::clone(&group));
+                let (start, done) = (Arc::clone(&start), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut acked = Vec::new();
+                    for r in 0..ROUNDS {
+                        start.wait();
+                        disk.append(&format!("t{t}"), &r.to_le_bytes()).unwrap();
+                        group.sync(&disk);
+                        acked.push(r);
+                        done.wait();
+                    }
+                    acked
+                })
+            })
+            .collect();
+        for round in 1..=ROUNDS as u64 {
+            let held = group.synced.lock().unwrap();
+            start.wait();
+            while group.tickets.load(Ordering::SeqCst) < round * THREADS as u64 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            done.wait();
+        }
+        let mut acked: Vec<Vec<u32>> = threads.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(disk.stats().syncs, ROUNDS as u64, "one sync per round of {THREADS} commits");
+        for (t, acked) in acked.iter_mut().enumerate() {
+            disk.append(&format!("t{t}"), &ROUNDS.to_le_bytes()).unwrap();
+            group.sync(&disk);
+            acked.push(ROUNDS);
+        }
+        let commits = (ROUNDS as u64 + 1) * THREADS as u64;
+        let syncs = disk.stats().syncs;
+        assert_eq!(syncs, ROUNDS as u64 + THREADS as u64, "a lone commit syncs for itself");
+        assert!(syncs < commits);
+        for t in 0..THREADS {
+            disk.append(&format!("t{t}"), &(ROUNDS + 1).to_le_bytes()).unwrap();
+        }
+        disk.crash(None);
+        for (t, acked) in acked.iter().enumerate() {
+            let durable: Vec<u32> = disk
+                .read_file(&format!("t{t}"))
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(&durable, acked, "thread {t}: durable records after the crash");
+        }
+    }
+
     #[test]
     fn overlong_value_fails_only_its_own_request() {
         let sdb = ShardedDb::new(ServeOptions { shards: 2, ..ServeOptions::default() });
         sdb.put(b"a", b"1").unwrap();
         // Typed, not retried as overload, and acked without reaching the
-        // WAL: neither the worker nor the committer notices.
+        // WAL: neither the worker nor the group commit notices.
         let err = sdb.put(b"b", &vec![0x5a; 70_000]).unwrap_err();
         assert_eq!(err, MemtreeError::Allocation { bytes: 70_000 });
         let err = sdb.delete(&vec![0x5a; 70_000]).unwrap_err();
@@ -1564,6 +1573,82 @@ mod tests {
             );
         }
         disk.faults().disable();
+        sdb.close().unwrap();
+
+        // Panics landing while acks are pending: four writers on one
+        // shard, so the worker dies with a commit batch in hand. Every
+        // `Ok` survives a torn crash; every `Err` is a typed transient.
+        let sdb = Arc::new(ShardedDb::new(ServeOptions {
+            shards: 1,
+            max_restarts: 64,
+            ..ServeOptions::default()
+        }));
+        let disk = sdb.disk_handle();
+        disk.faults().enable(0xC0FFEE);
+        disk.faults().arm("serve.worker.panic", 0.05, Some(5));
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let sdb = Arc::clone(&sdb);
+                std::thread::spawn(move || {
+                    let mut acked = Vec::new();
+                    for i in 0..100u32 {
+                        let k = format!("w{t}-k{i:03}");
+                        match sdb.put(k.as_bytes(), k.as_bytes()) {
+                            Ok(_) => acked.push(k),
+                            Err(e) => assert!(
+                                matches!(e, MemtreeError::TransientIo { .. }),
+                                "untyped failure for {k}: {e:?}"
+                            ),
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        let acked: Vec<String> = writers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        disk.faults().disable();
+        sdb.barrier().unwrap(); // a restart still under way has finished
+        let stats = sdb.stats();
+        assert!(stats.worker_restarts >= 1, "no restart happened: {stats:?}");
+        assert_eq!(stats.poisoned_shards, 0);
+        let sdb = Arc::try_unwrap(sdb).ok().expect("sole owner");
+        let reopened = ShardedDb::open(sdb.crash(Some(0xC0FFEE)), ServeOptions::default()).unwrap();
+        for k in &acked {
+            assert_eq!(
+                reopened.get(k.as_bytes()).as_deref(),
+                Some(k.as_bytes()),
+                "acked write {k} lost across a panic and a crash"
+            );
+        }
+        reopened.close().unwrap();
+    }
+
+    /// A worker that dies while the disk is full comes back: recovery
+    /// needs no free space, so the shard keeps serving reads and fails
+    /// writes typed until space returns, instead of being poisoned.
+    #[test]
+    fn worker_panic_on_a_full_disk_restarts_instead_of_poisoning() {
+        // Retries outlast the restart, so the put's answer comes from
+        // the reopened worker.
+        let sdb = ShardedDb::new(ServeOptions {
+            shards: 1,
+            retry_attempts: 64,
+            ..ServeOptions::default()
+        });
+        for i in 0..50u32 {
+            sdb.put(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        let disk = sdb.disk_handle();
+        disk.set_capacity_bytes(Some(disk.used_bytes()));
+        disk.faults().enable(1);
+        disk.faults().arm("serve.worker.panic", 1.0, Some(1));
+        let err = sdb.put(b"x", b"y").unwrap_err();
+        assert!(matches!(err, MemtreeError::Enospc { .. }), "{err:?}");
+        let stats = sdb.stats();
+        assert_eq!((stats.worker_restarts, stats.poisoned_shards), (1, 0), "{stats:?}");
+        assert_eq!(sdb.get(b"k7").as_deref(), Some(&b"v"[..]));
+        disk.set_capacity_bytes(None);
+        sdb.put(b"x", b"y").unwrap();
         sdb.close().unwrap();
     }
 

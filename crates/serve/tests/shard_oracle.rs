@@ -137,10 +137,10 @@ fn run_seed(seed: u64, crash: bool) {
     reopened.close().unwrap();
 }
 
-/// Every acknowledged write is durable (acks follow the committer's
-/// sync), so both graceful close and crash recovery must reproduce the
-/// model exactly: point gets per key, and the merged scan against the
-/// model's live entries.
+/// Every acknowledged write is durable (a worker acks only after the
+/// group-commit sync that covers it), so both graceful close and crash
+/// recovery must reproduce the model exactly: point gets per key, and
+/// the merged scan against the model's live entries.
 fn check_equal(sdb: &ShardedDb, seed: u64, model: &BTreeMap<usize, Option<u64>>, when: &str) {
     for ki in 0..KEYS {
         let want = model.get(&ki).cloned().flatten().map(|ver| value(seed, ki, ver));

@@ -42,6 +42,9 @@ for i in 1 2 3 4 5; do
 done
 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test overload
 
+echo "== chaos soak, seeds 0..128, 4 test threads (worker-owned group commit under panics and fault storms, offline) =="
+MEMTREE_FAULT_SEEDS=0..128 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test chaos_soak
+
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
 
