@@ -26,11 +26,8 @@ pub struct TxTrie {
 impl StaticIndex for TxTrie {
     fn build(entries: &[(Vec<u8>, Value)]) -> Self {
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
-        let trie = LoudsTrie::build(&keys, TrieOpts::baseline());
-        let mut values = vec![0; entries.len()];
-        for (value_idx, &key_idx) in trie.leaf_key_order().iter().enumerate() {
-            values[value_idx] = entries[key_idx as usize].1;
-        }
+        let (trie, order) = LoudsTrie::build(&keys, TrieOpts::baseline());
+        let values = order.iter().map(|&k| entries[k as usize].1).collect();
         Self { trie, values }
     }
 

@@ -45,12 +45,8 @@ impl Fst {
     /// Builds with non-default options (ablation / tuning).
     pub fn build_with(entries: &[(Vec<u8>, Value)], opts: TrieOpts) -> Self {
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
-        let trie = LoudsTrie::build(&keys, opts);
-        // value_idx -> original key index mapping re-orders the values.
-        let mut values = vec![0; entries.len()];
-        for (value_idx, &key_idx) in trie.leaf_key_order().iter().enumerate() {
-            values[value_idx] = entries[key_idx as usize].1;
-        }
+        let (trie, order) = LoudsTrie::build(&keys, opts);
+        let values = order.iter().map(|&k| entries[k as usize].1).collect();
         Self { trie, values }
     }
 
@@ -246,14 +242,23 @@ mod tests {
         keys.dedup();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         for opts in [TrieOpts::default(), TrieOpts::baseline(), TrieOpts::surf()] {
-            let t = LoudsTrie::build(&refs, opts);
+            let (t, _) = LoudsTrie::build(&refs, opts);
             let mut img = Vec::new();
             t.serialize(&mut img);
             let d = LoudsTrie::deserialize(&img).unwrap();
             assert_eq!(d.num_nodes(), t.num_nodes());
             assert_eq!(d.num_values(), t.num_values());
             assert_eq!(d.height(), t.height());
-            assert_eq!(d.leaf_key_order(), t.leaf_key_order());
+            // Every key keeps its value slot: a full walk yields the same
+            // (key, slot) sequence on both tries.
+            let (mut ti, mut di) = (t.lower_bound(&[]), d.lower_bound(&[]));
+            while ti.valid() {
+                assert!(di.valid(), "walk ended early after round-trip");
+                assert_eq!((ti.key(), ti.value_idx()), (di.key(), di.value_idx()));
+                ti.next();
+                di.next();
+            }
+            assert!(!di.valid(), "walk ran long after round-trip");
             // Heap usage tracks Vec capacities, which differ by allocator
             // slack between push-built and exact-sized vectors; the stored
             // data is identical, so sizes agree within that slack.
@@ -286,7 +291,7 @@ mod tests {
         }
         // Degenerate images: empty key set and empty-key-only.
         for keyset in [&[][..], &[&b""[..]][..]] {
-            let t = LoudsTrie::build(keyset, TrieOpts::surf());
+            let (t, _) = LoudsTrie::build(keyset, TrieOpts::surf());
             let mut img = Vec::new();
             t.serialize(&mut img);
             let d = LoudsTrie::deserialize(&img).unwrap();

@@ -164,19 +164,15 @@ pub struct LoudsTrie {
     pub(crate) height: usize,
     pub(crate) num_nodes: usize,
     pub(crate) num_values: usize,
-    /// `leaf_key_order[value_idx] = key index` in the build input.
-    leaf_key_order: Vec<u32>,
 }
 
 impl LoudsTrie {
-    /// Builds the trie over sorted, duplicate-free keys.
-    pub fn build(keys: &[&[u8]], opts: TrieOpts) -> Self {
+    /// Builds the trie over sorted, duplicate-free keys. Also returns the
+    /// leaf order, `order[value_idx] = index into keys`, so the caller can
+    /// place its per-key payload in value-slot order; the trie keeps no
+    /// copy of it.
+    pub fn build(keys: &[&[u8]], opts: TrieOpts) -> (Self, Vec<u32>) {
         Builder::new(keys, opts).finish()
-    }
-
-    /// Mapping from level-ordered value slots to input key indexes.
-    pub fn leaf_key_order(&self) -> &[u32] {
-        &self.leaf_key_order
     }
 
     /// Total trie nodes (including dense levels).
@@ -722,11 +718,11 @@ impl LoudsTrie {
     // ------------------------------------------------------------------
 
     /// Appends this trie's raw image to `out`: opts flags, the counts, the
-    /// five LOUDS-DS bit vectors as `(len, words)`, the sparse labels, the
-    /// per-level node boundaries, and the leaf→key mapping. Rank/select
-    /// support structures are *not* stored — [`LoudsTrie::deserialize`]
-    /// rebuilds them exactly as the builder does, so an image holds only
-    /// the data that cannot be recomputed from itself.
+    /// five LOUDS-DS bit vectors as `(len, words)`, the sparse labels and
+    /// the per-level node boundaries. Rank/select support structures are
+    /// *not* stored — [`LoudsTrie::deserialize`] rebuilds them exactly as
+    /// the builder does, so an image holds only the data that cannot be
+    /// recomputed from itself.
     pub fn serialize(&self, out: &mut Vec<u8>) {
         let mut flags = 0u8;
         for (bit, on) in [
@@ -775,10 +771,6 @@ impl LoudsTrie {
         for &v in &self.level_node_starts {
             put_u64(out, v as u64);
         }
-        put_u64(out, self.leaf_key_order.len() as u64);
-        for &v in &self.leaf_key_order {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
     /// Rebuilds a trie from a [`LoudsTrie::serialize`] image, recomputing
@@ -818,28 +810,20 @@ impl LoudsTrie {
         let s_has_child = r.bitvec()?;
         let s_louds = r.bitvec()?;
         let s_labels = r.bytes()?;
-        let starts_len = r.u64()? as usize;
-        if starts_len != height + 1 {
+        let starts_len = r.count(8)?;
+        if height.checked_add(1) != Some(starts_len) {
             return Err(bad("level boundary count disagrees with height"));
         }
         let mut level_node_starts = Vec::with_capacity(starts_len);
         for _ in 0..starts_len {
             level_node_starts.push(r.u64()? as usize);
         }
-        let leaf_len = r.u64()? as usize;
-        if leaf_len != num_values {
-            return Err(bad("leaf order length disagrees with value count"));
-        }
-        let mut leaf_key_order = Vec::with_capacity(leaf_len);
-        for _ in 0..leaf_len {
-            leaf_key_order.push(r.u32()?);
-        }
         r.done()?;
 
         // Structural cross-checks: everything `finish()` guarantees and the
         // navigation code relies on for in-bounds indexing.
         let padded = |n: usize| n.max(1); // `ensure` pads empties to one bit
-        if d_labels.len() != padded(dense_node_count * 256)
+        if dense_node_count.checked_mul(256).map(padded) != Some(d_labels.len())
             || d_has_child.len() != d_labels.len()
             || d_is_prefix.len() != padded(dense_node_count)
             || s_has_child.len() != padded(s_labels.len())
@@ -906,7 +890,6 @@ impl LoudsTrie {
             height,
             num_nodes,
             num_values,
-            leaf_key_order,
         })
     }
 }
@@ -951,12 +934,23 @@ impl ImgReader<'_> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A `u64` element count, rejected unless `count` elements of `width`
+    /// bytes each fit in the rest of the body — so no count read from an
+    /// image can size an allocation larger than the image itself.
+    fn count(&mut self, width: usize) -> Result<usize> {
+        let n = self.u64()?;
+        let room = (self.buf.len() - self.at) / width;
+        if n > room as u64 {
+            return Err(MemtreeError::corruption(
+                "louds-image",
+                format!("count {n} exceeds remaining body ({room} elements)"),
+            ));
+        }
+        Ok(n as usize)
     }
 
     /// A length-prefixed run of words reassembled via
@@ -964,14 +958,15 @@ impl ImgReader<'_> {
     /// padding bits.
     fn bitvec(&mut self) -> Result<BitVector> {
         let len = self.u64()? as usize;
-        if len > self.buf.len().saturating_sub(self.at) * 64 {
+        let nwords = len.div_ceil(64);
+        if nwords > (self.buf.len() - self.at) / 8 {
             return Err(MemtreeError::corruption(
                 "louds-image",
                 format!("bit vector length {len} exceeds remaining body"),
             ));
         }
-        let mut words = Vec::with_capacity(len.div_ceil(64));
-        for _ in 0..len.div_ceil(64) {
+        let mut words = Vec::with_capacity(nwords);
+        for _ in 0..nwords {
             words.push(self.u64()?);
         }
         BitVector::from_words(words, len).ok_or_else(|| {
@@ -1102,7 +1097,7 @@ impl<'k> Builder<'k> {
         }
     }
 
-    fn finish(self) -> LoudsTrie {
+    fn finish(self) -> (LoudsTrie, Vec<u32>) {
         let opts = self.opts;
         let h = self.levels.len();
         let cut = self.cutoff();
@@ -1113,9 +1108,10 @@ impl<'k> Builder<'k> {
         let mut s_labels: Vec<u8> = Vec::new();
         let mut s_has_child = BitVector::new();
         let mut s_louds = BitVector::new();
-        let mut leaf_key_order: Vec<u32> = Vec::new();
+        // `order[value_idx]` = input key index, in value-slot order.
+        let mut order: Vec<u32> = Vec::with_capacity(self.keys.len());
         if self.empty_key {
-            leaf_key_order.push(0);
+            order.push(0);
         }
 
         let empty_offset = usize::from(self.empty_key);
@@ -1134,7 +1130,7 @@ impl<'k> Builder<'k> {
                     d_has_child.push_n(false, 256);
                     d_is_prefix.push(node.prefix_key.is_some());
                     if let Some(k) = node.prefix_key {
-                        leaf_key_order.push(k);
+                        order.push(k);
                     }
                     // Values of terminal branches follow in label order —
                     // but the slot order must match d_values_before, which
@@ -1143,7 +1139,7 @@ impl<'k> Builder<'k> {
                     for (b, br) in &node.branches {
                         d_labels.set(base + *b as usize);
                         match br {
-                            Branch::Terminal(k) => leaf_key_order.push(*k),
+                            Branch::Terminal(k) => order.push(*k),
                             Branch::Child => d_has_child.set(base + *b as usize),
                         }
                     }
@@ -1155,7 +1151,7 @@ impl<'k> Builder<'k> {
                         s_has_child.push(false);
                         s_louds.push(true);
                         first = false;
-                        leaf_key_order.push(k);
+                        order.push(k);
                     }
                     for (b, br) in &node.branches {
                         s_labels.push(*b);
@@ -1164,7 +1160,7 @@ impl<'k> Builder<'k> {
                         match br {
                             Branch::Terminal(k) => {
                                 s_has_child.push(false);
-                                leaf_key_order.push(*k);
+                                order.push(*k);
                             }
                             Branch::Child => s_has_child.push(true),
                         }
@@ -1178,7 +1174,7 @@ impl<'k> Builder<'k> {
             }
             if l + 1 == cut {
                 dense_node_count = node_id;
-                dense_value_count = leaf_key_order.len() - empty_offset;
+                dense_value_count = order.len() - empty_offset;
             }
         }
         if cut == 0 {
@@ -1186,7 +1182,7 @@ impl<'k> Builder<'k> {
             dense_value_count = 0;
         } else if cut >= h {
             dense_node_count = node_id;
-            dense_value_count = leaf_key_order.len() - empty_offset;
+            dense_value_count = order.len() - empty_offset;
         }
         level_node_starts.push(node_id);
 
@@ -1202,7 +1198,6 @@ impl<'k> Builder<'k> {
         ] {
             bv.shrink_to_fit();
         }
-        leaf_key_order.shrink_to_fit();
         // Keep rank/select LUT construction happy on empty vectors.
         let ensure = |bv: &mut BitVector| {
             if bv.is_empty() {
@@ -1223,7 +1218,7 @@ impl<'k> Builder<'k> {
         let s_louds_rank = RankSupport::new(&s_louds, 512);
         let s_louds_select = SelectSupport::new(&s_louds, 64);
 
-        LoudsTrie {
+        let trie = LoudsTrie {
             opts,
             d_labels,
             d_has_child,
@@ -1245,8 +1240,8 @@ impl<'k> Builder<'k> {
             level_node_starts,
             height: h,
             num_nodes: node_id,
-            num_values: leaf_key_order.len(),
-            leaf_key_order,
-        }
+            num_values: order.len(),
+        };
+        (trie, order)
     }
 }

@@ -73,7 +73,7 @@ fn count_before_matches_reference() {
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     let probes = random_keys(200, 55, 4, 12);
     for opts in configs() {
-        let trie = LoudsTrie::build(&refs, opts);
+        let (trie, _) = LoudsTrie::build(&refs, opts);
         for probe in probes.iter().chain(keys.iter().step_by(31)) {
             let it = trie.lower_bound(probe);
             let expect = keys.partition_point(|k| k < probe);
@@ -93,7 +93,7 @@ fn full_iteration_every_config() {
     let keys = random_keys(2500, 31, 5, 10);
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     for opts in configs() {
-        let trie = LoudsTrie::build(&refs, opts);
+        let (trie, _) = LoudsTrie::build(&refs, opts);
         let mut it = trie.lower_bound(&[]);
         let mut got = Vec::new();
         while it.valid() {
@@ -108,7 +108,7 @@ fn full_iteration_every_config() {
 fn truncated_trie_has_no_false_negatives() {
     let keys = random_keys(3000, 77, 6, 16);
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let trie = LoudsTrie::build(
+    let (trie, _) = LoudsTrie::build(
         &refs,
         TrieOpts {
             truncate: true,
@@ -131,7 +131,7 @@ fn truncated_lower_bound_never_overshoots() {
     // before the true lower bound (one-sided error for range queries).
     let keys = random_keys(2000, 13, 4, 12);
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let trie = LoudsTrie::build(
+    let (trie, _) = LoudsTrie::build(
         &refs,
         TrieOpts {
             truncate: true,

@@ -1913,7 +1913,7 @@ mod tests {
         db.view().fetch_block(&table, 0);
         let frame = db.disk.read(table.blocks[1]).unwrap();
         let (blk, allocations, largest) =
-            crate::alloc_probe::measure(|| db.view().fetch_block(&table, 1));
+            memtree_alloc_probe::measure(|| db.view().fetch_block(&table, 1));
         assert_eq!(allocations, 3, "frame copy off the device, offset table, Arc");
         assert_eq!(largest, frame.len().max(8 * (blk.len() + 1)));
         assert_eq!(blk.frame(), Some(&*frame), "the frame is kept, not re-encoded");
@@ -2120,6 +2120,52 @@ mod policy_tests {
             assert_eq!(db.get(&encode_u64(i + 100_000)), None);
         }
         // The rebuilt filter actually prunes negative lookups.
+        db.reset_io_stats();
+        for i in 0..200u64 {
+            assert_eq!(db.get(&encode_u64(i + 200_000)), None);
+        }
+        assert!(
+            db.io_stats().block_reads < 20,
+            "rebuilt filter is not pruning: {} reads",
+            db.io_stats().block_reads
+        );
+    }
+
+    /// An image of an older format version — CRC-valid, so no bit rot — is
+    /// not decoded: the open counts it corrupt and rebuilds the filter from
+    /// the data blocks, the same rung bit rot takes.
+    #[test]
+    fn old_version_filter_image_is_rebuilt() {
+        use crate::wal::{decode_single_ref, encode_single};
+        let opts = DbOptions {
+            memtable_bytes: 1 << 20,
+            cache_blocks: 0,
+            filter: FilterKind::SurfReal(8),
+            ..Default::default()
+        };
+        let mut db = Db::new(opts.clone());
+        for i in 0..2000u64 {
+            db.put(&encode_u64(i), b"payload").unwrap();
+        }
+        db.flush().unwrap();
+        let fb = db.levels[0][0].filter_block.expect("flushed table has a filter image");
+        let disk = db.close().unwrap();
+        let mut payload = decode_single_ref(&disk.read(fb).unwrap(), "t").unwrap().to_vec();
+        assert_eq!(payload[0], crate::sstable::FILTER_IMAGE_VERSION);
+        payload[0] = 1;
+        disk.release(fb).unwrap();
+        let rewritten = disk.write(encode_single(&payload).into_boxed_slice()).unwrap();
+        assert_eq!(rewritten, fb, "the freed slot is reused for the patched image");
+        disk.sync();
+        let db = Db::open(disk, opts).unwrap();
+        let report = db.open_report();
+        assert_eq!(report.filter_images_corrupt, 1);
+        assert_eq!(report.filters_loaded, 0);
+        assert_eq!(report.filters_rebuilt, 1);
+        assert_eq!(report.degraded_tables, 0);
+        for i in 0..2000u64 {
+            assert_eq!(db.get(&encode_u64(i)), Some(b"payload".to_vec()), "key {i}");
+        }
         db.reset_io_stats();
         for i in 0..200u64 {
             assert_eq!(db.get(&encode_u64(i + 200_000)), None);

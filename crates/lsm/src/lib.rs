@@ -29,8 +29,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(test)]
-mod alloc_probe;
 mod cache;
 mod compaction;
 mod db;

@@ -308,7 +308,7 @@ impl RunBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc_probe::measure as measure_allocs;
+    use memtree_alloc_probe::measure as measure_allocs;
     use memtree_common::check::{prop_check, Gen};
     use memtree_common::{check, check_eq};
 

@@ -321,7 +321,7 @@ mod tests {
     /// bimodal, see `SCAN_RESERVE_ROWS`).
     #[test]
     fn scan_and_publish_allocate_no_growth_ladders() {
-        use crate::alloc_probe::measure;
+        use memtree_alloc_probe::measure;
         let mut db = Db::new(DbOptions::default());
         db.put(b"warm", b"up").unwrap();
         drop(db.snapshot()); // builds the base and the shared table set

@@ -22,7 +22,9 @@ use memtree_filters::BloomFilter;
 use memtree_surf::{SuffixConfig, Surf};
 
 /// Filter-image format version (first payload byte inside the CRC frame).
-const FILTER_IMAGE_VERSION: u8 = 1;
+/// An image of any other version fails to decode, and `Db::open` rebuilds
+/// that table's filter from its data blocks.
+pub(crate) const FILTER_IMAGE_VERSION: u8 = 2;
 /// Filter-image kind tags (second payload byte).
 const FILTER_KIND_BLOOM: u8 = 0;
 const FILTER_KIND_SURF: u8 = 1;
@@ -434,6 +436,10 @@ mod tests {
 
     #[test]
     fn filter_image_roundtrips_for_every_kind() {
+        // version + kind, then the filter's own fields: Bloom's geometry,
+        // or SuRF's config and suffix length plus the trie's flags, ratio,
+        // counts and one length word per bit vector and array.
+        const IMAGE_HEADER_BYTES: usize = 160;
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(400);
         let e = refs(&owned);
@@ -446,6 +452,17 @@ mod tests {
             let t = SsTable::build(1, &disk, &e, 2048, &kind).unwrap();
             let fb = t.filter_block.expect("filtered build writes an image block");
             let raw = disk.read(fb).unwrap();
+            // An image holds the filter's data but no rank/select support,
+            // so its payload fits in the resident size plus fixed headers.
+            let payload = decode_single_ref(&raw, "t").unwrap().len();
+            let resident = match t.filter.as_ref().unwrap() {
+                TableFilter::Bloom(b) => b.size_bytes(),
+                TableFilter::Surf(s) => s.size_bytes(),
+            };
+            assert!(
+                payload <= resident + IMAGE_HEADER_BYTES,
+                "kind {kind:?}: image payload {payload} B vs resident filter {resident} B"
+            );
             let decoded = SsTable::decode_filter_image(&raw).unwrap();
             // The decoded filter answers membership identically.
             let mut clone = SsTable::from_meta(t.meta(1));

@@ -112,7 +112,6 @@ pub struct Surf {
     trie: LoudsTrie,
     suffixes: PackedBits,
     config: SuffixConfig,
-    num_keys: usize,
 }
 
 /// Extracts `bits` key bits starting at byte offset `depth` (zero-padded
@@ -133,13 +132,13 @@ fn real_suffix_bits(key: &[u8], depth: usize, bits: u32) -> u64 {
 impl Surf {
     /// Builds a SuRF over sorted, duplicate-free keys.
     pub fn new(keys: &[&[u8]], config: SuffixConfig) -> Self {
-        let trie = LoudsTrie::build(keys, TrieOpts::surf());
+        let (trie, order) = LoudsTrie::build(keys, TrieOpts::surf());
         let mut suffixes = PackedBits::new(config.total_bits(), trie.num_values());
         if config.total_bits() > 0 {
             // Stored-prefix depth of key i = max LCP with its neighbors + 1
             // (capped at the key length) — exactly where truncation cut it.
             let lcp = |a: &[u8], b: &[u8]| memtree_common::key::common_prefix_len(a, b);
-            for (value_idx, &key_idx) in trie.leaf_key_order().iter().enumerate() {
+            for (value_idx, &key_idx) in order.iter().enumerate() {
                 let k = keys[key_idx as usize];
                 let mut depth = 0usize;
                 if key_idx > 0 {
@@ -165,7 +164,6 @@ impl Surf {
             trie,
             suffixes,
             config,
-            num_keys: keys.len(),
         }
     }
 
@@ -175,14 +173,15 @@ impl Surf {
         Self::new(&refs, config)
     }
 
-    /// Number of keys the filter was built over.
+    /// Number of keys the filter was built over: each key owns exactly
+    /// one value slot of the trie.
     pub fn num_keys(&self) -> usize {
-        self.num_keys
+        self.trie.num_values()
     }
 
     /// Bits of filter per stored key.
     pub fn bits_per_key(&self) -> f64 {
-        (self.size_bytes() as f64 * 8.0) / self.num_keys.max(1) as f64
+        (self.size_bytes() as f64 * 8.0) / self.num_keys().max(1) as f64
     }
 
     /// The underlying truncated trie.
@@ -251,8 +250,8 @@ impl Surf {
         (it, fp)
     }
 
-    /// Appends this filter's raw image to `out`: the suffix config, key
-    /// count, the packed suffix words, and the underlying trie image
+    /// Appends this filter's raw image to `out`: the suffix config, the
+    /// packed suffix words, and the underlying trie image
     /// ([`LoudsTrie::serialize`]). No framing or checksum — the storage
     /// layer wraps images in its own CRC frame.
     pub fn serialize(&self, out: &mut Vec<u8>) {
@@ -263,7 +262,6 @@ impl Surf {
             SuffixConfig::Mixed(h, r) => (3, h, r),
         };
         out.extend_from_slice(&[tag, a, b]);
-        out.extend_from_slice(&(self.num_keys as u64).to_le_bytes());
         out.extend_from_slice(&(self.suffixes.words.len() as u64).to_le_bytes());
         for &w in &self.suffixes.words {
             out.extend_from_slice(&w.to_le_bytes());
@@ -300,9 +298,8 @@ impl Surf {
             *at += 8;
             Ok(v)
         };
-        let num_keys = u64_at(buf, &mut at)? as usize;
         let nwords = u64_at(buf, &mut at)? as usize;
-        if nwords > buf.len() / 8 {
+        if nwords > (buf.len() - at) / 8 {
             return Err(bad("suffix store larger than image"));
         }
         let mut words = Vec::with_capacity(nwords);
@@ -318,7 +315,6 @@ impl Surf {
             trie,
             suffixes: PackedBits { words, width },
             config,
-            num_keys,
         })
     }
 
@@ -673,6 +669,29 @@ mod tests {
         let mut bad_tag = img.clone();
         bad_tag[0] = 9;
         assert!(Surf::deserialize(&bad_tag).is_err());
+        // Crafted lengths: counts that overflow arithmetic or would size an
+        // allocation far past the image. Offsets: the trie image starts
+        // after the config and the suffix words; its header is flags, the
+        // ratio, then seven u64 counts (height is the fifth); the level
+        // boundary count sits just before the last `height + 1` words.
+        let trie_at = 3 + 8 + 8 * s.suffixes.words.len();
+        let (dense_nodes_at, height_at) = (trie_at + 1 + 8 + 8, trie_at + 1 + 8 + 4 * 8);
+        let starts_at = img.len() - 8 * (s.trie().height() + 1) - 8;
+        let patched = |fields: &[(usize, u64)]| {
+            let mut b = img.clone();
+            for &(at, v) in fields {
+                b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            b
+        };
+        for crafted in [
+            patched(&[(height_at, u64::MAX)]),
+            patched(&[(height_at, (1 << 44) - 1), (starts_at, 1 << 44)]),
+            patched(&[(dense_nodes_at, 1 << 60)]),
+            patched(&[(3, u64::MAX / 8)]),
+        ] {
+            assert!(Surf::deserialize(&crafted).is_err());
+        }
     }
 
     #[test]
