@@ -4,8 +4,10 @@
 //!
 //! 1. **Kernels** — in-word select (scalar byte-stepping vs SWAR broadword
 //!    vs runtime-dispatched PDEP), `rank1` with the one-popcount `B = 64`
-//!    fast path vs `B = 512` blocks, and byte-label search (scalar vs SWAR
-//!    vs runtime-dispatched SSE2).
+//!    fast path vs `B = 512` blocks, byte-label search (scalar vs SWAR
+//!    vs runtime-dispatched SSE2), the rank/select Pareto sweep, and
+//!    select over sparse ones (sampled scan vs rank-block skip vs rank
+//!    binary search).
 //! 2. **FST point lookups** — `TrieOpts::baseline()` (all §3.6
 //!    optimizations off) vs `TrieOpts::default()` (vectorized), plus the
 //!    batched `multi_get` against the per-key loop at several batch sizes
@@ -312,6 +314,81 @@ fn bench_rank_select_pareto(cfg: &Config, doc: &mut Json) -> usize {
     points
 }
 
+/// Best-of Mops of `select` over `qsel`, `iters` queries.
+fn select_mops(cfg: &Config, iters: usize, qsel: &[usize], select: impl Fn(usize) -> usize) -> f64 {
+    mops(
+        iters,
+        best_of(cfg.runs, || {
+            let mut acc = 0usize;
+            for i in 0..iters {
+                acc = acc.wrapping_add(select(qsel[i % qsel.len()]));
+            }
+            std::hint::black_box(acc);
+        }),
+    )
+}
+
+/// Select over ones 100–2 000 bits apart, as on a LOUDS-Sparse level of
+/// wide nodes, three ways: the sampled scan (`select1`), the sample plus a
+/// skip through the 512-bit rank blocks (`select1_ranked`, what
+/// LOUDS-Sparse runs) and the rank binary search (`select1_via_rank`, the
+/// `select_opt = false` ablation). Every one of the vector's ones is
+/// cross-checked against naive select first, in whichever kernel tier
+/// the process runs.
+fn bench_sparse_select(cfg: &Config, doc: &mut Json) {
+    let nbits: usize = if cfg.smoke { 1 << 20 } else { 1 << 24 };
+    let mut state = 0x5A5E_1EC7_0000_0001u64;
+    let mut positions = Vec::new();
+    let mut pos = 0usize;
+    loop {
+        pos += 100 + (splitmix64(&mut state) % 1901) as usize;
+        if pos >= nbits {
+            break;
+        }
+        positions.push(pos);
+    }
+    let mut bv: BitVector = (0..nbits).map(|_| false).collect();
+    for &p in &positions {
+        bv.set(p);
+    }
+    let sel = SelectSupport::new(&bv, 64);
+    let rank = RankSupport::new(&bv, 512);
+    let ones = positions.len();
+    for (i, &want) in positions.iter().enumerate() {
+        assert_eq!(sel.select1(&bv, i + 1), want, "sparse select1({})", i + 1);
+        assert_eq!(
+            sel.select1_ranked(&bv, &rank, i + 1),
+            want,
+            "sparse select1_ranked({})",
+            i + 1
+        );
+        assert_eq!(
+            SelectSupport::select1_via_rank(&bv, &rank, i + 1),
+            want,
+            "sparse via rank({})",
+            i + 1
+        );
+    }
+    let qsel: Vec<usize> = (0..65_536)
+        .map(|_| 1 + (splitmix64(&mut state) % ones as u64) as usize)
+        .collect();
+    let iters = (cfg.kernel_iters / 4).max(qsel.len());
+    let scan = select_mops(cfg, iters, &qsel, |i| sel.select1(&bv, i));
+    let ranked = select_mops(cfg, iters, &qsel, |i| sel.select1_ranked(&bv, &rank, i));
+    let via_rank = select_mops(cfg, iters, &qsel, |i| {
+        SelectSupport::select1_via_rank(&bv, &rank, i)
+    });
+    println!(
+        "sparse select ({ones} ones, 100-2000 bits apart): sampled scan {scan:.1}  rank-block skip {ranked:.1}  rank binary search {via_rank:.1} Mops/s"
+    );
+    doc.int("nbits", nbits);
+    doc.int("ones", ones);
+    doc.str("gap_bits", "100-2000");
+    doc.num("sampled_scan_mops", scan, 3);
+    doc.num("sampled_rank_skip_mops", ranked, 3);
+    doc.num("rank_binary_search_mops", via_rank, 3);
+}
+
 // ---------------------------------------------------------------------------
 // Layer 2: FST point lookups (scalar vs vectorized) and batched multi-get
 // ---------------------------------------------------------------------------
@@ -476,6 +553,7 @@ fn main() {
     });
     j.obj("kernels", |j| bench_kernels(&cfg, j));
     let pareto_points = j.arr("rank_select_pareto", |j| bench_rank_select_pareto(&cfg, j));
+    j.obj("select_sparse", |j| bench_sparse_select(&cfg, j));
     let speedup = j.obj("fst_point_lookup", |j| bench_point_lookup(&cfg, &entries, j));
 
     // Batched multi-get across the tree zoo, same probe set everywhere.

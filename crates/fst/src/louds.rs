@@ -19,7 +19,8 @@ pub struct TrieOpts {
     /// Dense rank LUT with B = 64 (one popcount per rank); `false` falls
     /// back to B = 512 everywhere (the Poppy-style baseline).
     pub rank_opt: bool,
-    /// Sampled select LUT (S = 64); `false` uses binary search over the
+    /// Sampled select LUT (S = 64), skipping from the sample through the
+    /// LOUDS-Sparse rank LUT's blocks; `false` uses binary search over the
     /// rank LUT.
     pub select_opt: bool,
     /// 8-byte-SWAR label comparison in LOUDS-Sparse nodes ("SIMD" in the
@@ -278,7 +279,8 @@ impl LoudsTrie {
     #[inline]
     pub(crate) fn s_node_start(&self, k: usize) -> usize {
         if self.opts.select_opt {
-            self.s_louds_select.select1(&self.s_louds, k + 1)
+            self.s_louds_select
+                .select1_ranked(&self.s_louds, &self.s_louds_rank, k + 1)
         } else {
             SelectSupport::select1_via_rank(&self.s_louds, &self.s_louds_rank, k + 1)
         }

@@ -411,8 +411,9 @@ impl Db {
                         table_degraded = true;
                         continue;
                     }
-                    let raw = disk.read_retrying(b, &mut Backoff::new(4));
-                    match raw.and_then(Run::from_frame) {
+                    let mut frame = Vec::new();
+                    let raw = disk.read_retrying(b, &mut Backoff::new(4), &mut frame);
+                    match raw.and_then(|()| Run::from_frame(frame)) {
                         Ok(blk) => runs.push(blk),
                         Err(e) => {
                             if !e.is_transient() {
@@ -1893,11 +1894,14 @@ mod tests {
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
     }
 
-    /// What a block costs in memory: the frame buffer the device handed
-    /// back plus one offset table, behind one `Arc` — and that is exactly
-    /// what the cache ends up holding.
+    /// What a block miss costs: nothing, once the cache is full and its
+    /// victim unpinned — the device reads into the frame and offset table
+    /// of the block the stripe evicted last, inside that block's `Arc`.
+    /// A victim a reader still holds stays that reader's, byte for byte,
+    /// and the miss after it allocates a frame, an offset table and an
+    /// `Arc`, as every miss did before blocks were recycled.
     #[test]
-    fn cache_miss_allocates_frame_offsets_and_arc_only() {
+    fn cache_miss_refills_an_unpinned_victim_and_allocates_only_past_a_pinned_one() {
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 1,
@@ -1908,17 +1912,37 @@ mod tests {
         }
         db.flush().unwrap();
         let table = Arc::clone(&db.levels[0][0]);
-        assert!(table.blocks.len() > 2);
-        // The one-slot ring and its index are allocated from here on.
+        assert!(table.blocks.len() > 4);
+        let frames: Vec<Box<[u8]>> =
+            (0..4).map(|b| db.disk.read(table.blocks[b]).unwrap()).collect();
+        assert!(
+            frames.iter().all(|f| f.len() == frames[0].len()),
+            "equal-sized entries make equal-sized blocks, so any frame fits any other"
+        );
+        // The one-slot ring and its index, then the spare: block 0, evicted
+        // by block 1 while nothing held it.
         db.view().fetch_block(&table, 0);
-        let frame = db.disk.read(table.blocks[1]).unwrap();
-        let (blk, allocations, largest) =
-            memtree_alloc_probe::measure(|| db.view().fetch_block(&table, 1));
+        db.view().fetch_block(&table, 1);
+        let (two, allocations, _) =
+            memtree_alloc_probe::measure(|| db.view().fetch_block(&table, 2));
+        assert_eq!(allocations, 0, "block 2 refills evicted block 0's buffers");
+        assert_eq!(two.frame(), Some(&*frames[2]), "the frame is the device's, not re-encoded");
+        assert!(Arc::ptr_eq(&db.cache.get(table.id, 2).unwrap(), &two));
+        assert!(db.cache.get(table.id, 1).is_none(), "one slot: block 1 was evicted");
+        // `two` pins the victim of the next miss, which still refills the
+        // spare block 1 left behind …
+        let (three, allocations, _) =
+            memtree_alloc_probe::measure(|| db.view().fetch_block(&table, 3));
+        assert_eq!(allocations, 0, "block 3 refills evicted block 1's buffers");
+        assert_eq!(three.frame(), Some(&*frames[3]));
+        assert_eq!(two.frame(), Some(&*frames[2]), "a pinned victim keeps its bytes");
+        // … but leaves no spare behind, so the miss after it allocates.
+        let (zero, allocations, largest) =
+            memtree_alloc_probe::measure(|| db.view().fetch_block(&table, 0));
         assert_eq!(allocations, 3, "frame copy off the device, offset table, Arc");
-        assert_eq!(largest, frame.len().max(8 * (blk.len() + 1)));
-        assert_eq!(blk.frame(), Some(&*frame), "the frame is kept, not re-encoded");
-        assert!(Arc::ptr_eq(&db.cache.get(table.id, 1).unwrap(), &blk));
-        assert!(db.cache.get(table.id, 0).is_none(), "one slot: block 0 was evicted");
+        assert_eq!(largest, frames[0].len().max(8 * (zero.len() + 1)));
+        assert_eq!(zero.frame(), Some(&*frames[0]));
+        assert_eq!(three.frame(), Some(&*frames[3]));
     }
 
     /// Regression: `encode_block` used to write `len as u16`, so an

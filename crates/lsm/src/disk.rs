@@ -69,7 +69,7 @@
 use memtree_common::error::{MemtreeError, Result};
 use memtree_faults::{Backoff, Faults};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -262,6 +262,9 @@ pub struct SimDisk {
     slow_delay_us: AtomicU64,
     /// Optional seeded latency profile.
     slow: Mutex<Option<SlowState>>,
+    /// `slow` holds a profile: without one, device ops never take its
+    /// lock. Written only under that lock.
+    slow_set: AtomicBool,
     /// This device's fail points (see the module docs).
     faults: Faults,
 }
@@ -292,6 +295,7 @@ impl SimDisk {
             clock_us: AtomicU64::new(0),
             slow_delay_us: AtomicU64::new(0),
             slow: Mutex::new(None),
+            slow_set: AtomicBool::new(false),
             faults: Faults::default(),
         }
     }
@@ -318,8 +322,9 @@ impl SimDisk {
     /// Installs (or clears) a seeded latency profile. Deterministic: the
     /// same profile over the same op sequence charges the same delays.
     pub fn set_slow_io(&self, profile: Option<SlowIo>) {
-        *self.slow.lock().unwrap_or_else(|e| e.into_inner()) =
-            profile.map(|cfg| SlowState { cfg, ops: 0 });
+        let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+        *slow = profile.map(|cfg| SlowState { cfg, ops: 0 });
+        self.slow_set.store(slow.is_some(), Ordering::Release);
     }
 
     /// Charges one device op to the virtual clock: a 1us base tick, the
@@ -327,7 +332,7 @@ impl SimDisk {
     /// `lsm.disk.slow_io` storm delay when that point fires.
     fn charge_op(&self, block: Option<u32>) {
         let mut delay = 0u64;
-        {
+        if self.slow_set.load(Ordering::Acquire) {
             let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(s) = slow.as_mut() {
                 let i = s.ops;
@@ -400,11 +405,22 @@ impl SimDisk {
         Ok(id)
     }
 
-    /// Reads a block (counted, latency-charged) through the write buffer.
-    /// Out-of-range and freed ids return typed errors instead of
-    /// panicking — a stale manifest or a buggy caller must degrade one
-    /// read, not the process.
+    /// Reads a block (counted, latency-charged) through the write buffer
+    /// into a new buffer: [`SimDisk::read_into`] with nothing to reuse.
     pub fn read(&self, id: u32) -> Result<Box<[u8]>> {
+        let mut buf = Vec::new();
+        self.read_into(id, &mut buf)?;
+        Ok(buf.into_boxed_slice())
+    }
+
+    /// Reads a block (counted, latency-charged) through the write buffer
+    /// into `buf`, replacing its contents and reusing its capacity: a
+    /// buffer already as large as the block takes the read without an
+    /// allocation. Out-of-range and freed ids return typed errors instead
+    /// of panicking — a stale manifest or a buggy caller must degrade one
+    /// read, not the process. On any error `buf` is left as it was or
+    /// empty, never holding part of a block.
+    pub fn read_into(&self, id: u32, buf: &mut Vec<u8>) -> Result<()> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.charge_op(Some(id));
         if !self.read_latency.is_zero() {
@@ -414,8 +430,8 @@ impl SimDisk {
             }
         }
         // Transient media fault: the stored bytes are intact; the caller
-        // may retry. Evaluated before the corrupting fault so the two
-        // classes exercise distinct read-path reactions.
+        // may retry. Evaluated before the copy and before the corrupting
+        // fault so the two classes exercise distinct read-path reactions.
         if self.faults.should_fail("lsm.disk.read_transient") {
             return Err(MemtreeError::TransientIo { context: "sim-disk" });
         }
@@ -437,9 +453,9 @@ impl SimDisk {
         }
         // Newest buffered write wins (page-cache semantics). Only the
         // reference is taken under the device lock; the caller's copy —
-        // an allocation and a block-sized `memcpy` — is made after it is
-        // released, so concurrent readers do not queue behind each
-        // other's allocator.
+        // a block-sized `memcpy`, and an allocation when `buf` is too
+        // small — is made after it is released, so concurrent readers do
+        // not queue behind each other's copies.
         let stored = 'found: {
             for op in st.pending.iter().rev() {
                 if let PendingOp::Block { id: bid, data } = op {
@@ -451,28 +467,37 @@ impl SimDisk {
             Arc::clone(&st.blocks[id as usize])
         };
         drop(st);
-        let mut data: Box<[u8]> = Box::from(&*stored);
+        buf.clear();
+        // Exact, so a fresh buffer is exactly the block (`read` boxes it
+        // without a reallocation).
+        buf.reserve_exact(stored.len());
+        buf.extend_from_slice(&stored);
         drop(stored);
-        // Injection point for media errors: corrupts this read's returned
-        // bytes only (the stored block is untouched), so a retry can
-        // succeed — exercises the Db quarantine-and-read-repair path.
+        // Injection point for media errors: corrupts this read's copy
+        // only (the stored block is untouched), so a retry can succeed —
+        // exercises the Db quarantine-and-read-repair path.
         if self.faults.should_fail("lsm.disk.read_corrupt") {
-            let n = data.len();
+            let n = buf.len();
             if n > 0 {
-                data[n / 2] ^= 0x40;
+                buf[n / 2] ^= 0x40;
             }
         }
-        Ok(data)
+        Ok(())
     }
 
-    /// [`SimDisk::read`] repeated under `backoff` while the fault is
+    /// [`SimDisk::read_into`] repeated under `backoff` while the fault is
     /// *transient* — the one retry step every block reader shares.
     /// Persistent errors (dead block) return on the first attempt, and a
     /// corrupt copy is the decoder's to find; `backoff.attempts() - 1`
     /// retries were taken.
-    pub(crate) fn read_retrying(&self, id: u32, backoff: &mut Backoff) -> Result<Box<[u8]>> {
+    pub(crate) fn read_retrying(
+        &self,
+        id: u32,
+        backoff: &mut Backoff,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
         loop {
-            match self.read(id) {
+            match self.read_into(id, buf) {
                 Err(e) if backoff.retry(&e) => continue,
                 done => return done,
             }

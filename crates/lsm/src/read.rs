@@ -361,34 +361,57 @@ impl<'a> ScanCursor<'a> {
 }
 
 impl<'a> ReadView<'a> {
-    /// One decoded-block read with bounded retry of transient faults only
-    /// ([`SimDisk::read_retrying`]); the writer counts the retries.
+    /// One block read with bounded retry of transient faults only
+    /// ([`SimDisk::read_retrying`]), refilled into `into` ([`Run::refill`]);
+    /// the writer counts the retries. On an error `into` is empty.
+    fn read_block(
+        &self,
+        table: &SsTable,
+        block: usize,
+        max_attempts: u32,
+        into: &mut Run,
+    ) -> Result<()> {
+        let mut backoff = Backoff::new(max_attempts);
+        let id = table.blocks[block];
+        let res = into.refill(|buf| self.disk.read_retrying(id, &mut backoff, buf));
+        if let Handle::Writer(db) = self.handle {
+            bump(&db.transient_retries, u64::from(backoff.attempts() - 1));
+        }
+        res
+    }
+
+    /// [`ReadView::read_block`] into a new block, outside the cache.
     pub(crate) fn read_retrying(
         &self,
         table: &SsTable,
         block: usize,
         max_attempts: u32,
     ) -> Result<Arc<Run>> {
-        let mut backoff = Backoff::new(max_attempts);
-        let raw = self.disk.read_retrying(table.blocks[block], &mut backoff);
-        if let Handle::Writer(db) = self.handle {
-            bump(&db.transient_retries, u64::from(backoff.attempts() - 1));
-        }
-        Ok(Arc::new(Run::from_frame(raw?)?))
+        let mut run = Run::default();
+        self.read_block(table, block, max_attempts, &mut run)?;
+        Ok(Arc::new(run))
     }
 
     /// The block-fetch ladder of every query path: the block **cache**; a
     /// **quarantined** block is empty without a read; **transient** read
     /// errors are retried under [`Backoff`] and never quarantine (the
     /// on-disk data is intact — an exhausted budget serves the block empty
-    /// for this one query); a **persistent** decode failure gets one more
-    /// round (the read repair: a fault on the returned copy vanishes on
-    /// re-read); a block that still fails is **unreadable** — it reads as
-    /// empty, and [`Handle`] decides what else happens. Nothing panics.
+    /// for this one query and caches nothing); a **persistent** decode
+    /// failure gets one more round (the read repair: a fault on the
+    /// returned copy vanishes on re-read); a block that still fails is
+    /// **unreadable** — it reads as empty, and [`Handle`] decides what else
+    /// happens. Nothing panics.
+    ///
+    /// A miss reads into the spare block its stripe hands back with the
+    /// failed lookup ([`BlockCache::get_or_spare`]) and allocates a new
+    /// block only when there is none, so a steady-state miss allocates
+    /// nothing. Whatever the read leaves in it — the new block, or nothing
+    /// — is what the query gets.
     pub(crate) fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<Run> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return hit;
-        }
+        let spare = match self.cache.get_or_spare(table.id, block) {
+            Ok(hit) => return hit,
+            Err(spare) => spare,
+        };
         let at = (table.id, block as u32);
         let quarantined = match self.handle {
             Handle::Writer(db) => db.quarantined.borrow().contains(&at),
@@ -397,23 +420,25 @@ impl<'a> ReadView<'a> {
         if quarantined {
             return Arc::default();
         }
+        let mut run = spare.unwrap_or_default();
+        let fresh = Arc::get_mut(&mut run).expect("a spare or a new block has no other holder");
         for reread in [false, true] {
-            match self.read_retrying(table, block, 8) {
-                Ok(run) => {
+            match self.read_block(table, block, 8, fresh) {
+                Ok(()) => {
                     if let (true, Handle::Writer(db)) = (reread, self.handle) {
                         bump(&db.read_repairs, 1);
                     }
                     self.cache.insert(table.id, block, Arc::clone(&run));
                     return run;
                 }
-                Err(e) if e.is_transient() => return Arc::default(),
+                Err(e) if e.is_transient() => return run,
                 Err(_) => {}
             }
         }
         if let Handle::Writer(db) = self.handle {
             db.quarantine(at);
         }
-        Arc::default()
+        run
     }
 
     /// Accounts one single-key filter probe ([`FilterStats`]).

@@ -4,10 +4,13 @@
 //!
 //! Every read-mostly structure a served read walks is a `Run`:
 //!
-//! * a **data block** — [`Run::from_frame`] validates the CRC frame the
-//!   device returned, checks the encoded length table, and *keeps the frame
-//!   bytes*; the block cache holds exactly that buffer plus the offset
-//!   table, and readers binary-search it in place;
+//! * a **data block** — [`Run::refill`] has the device write a CRC frame
+//!   into the run's own buffer, validates it, checks the encoded length
+//!   table, and indexes the frame bytes in place; the block cache holds
+//!   exactly that buffer plus the offset table, and readers binary-search
+//!   it. Both buffers outlive the block they hold: once the cache evicts a
+//!   block no reader holds, the next miss refills the same run (see
+//!   [`crate::cache`]), so a steady-state block miss allocates nothing;
 //! * the **published MemTable view** — [`RunBuilder`] copies the skip list
 //!   into one exactly sized buffer (see [`crate::snapshot`]).
 //!
@@ -46,20 +49,24 @@ const TOMBSTONE: u32 = 1 << 31;
 pub(crate) struct Run {
     /// Keys, contiguous and in order, then values, contiguous and in order
     /// (for a block: the whole validated frame, header and length table
-    /// included).
-    buf: Box<[u8]>,
+    /// included). `Vec`s, so that a refill reuses their capacity.
+    buf: Vec<u8>,
     /// `len + 1` rows of `(key start, value start | TOMBSTONE)` into `buf`.
     /// An entry ends where the next one starts; the last row is the
-    /// sentinel `(keys end, values end)`.
-    offs: Box<[(u32, u32)]>,
+    /// sentinel `(keys end, values end)`. Empty for the empty run.
+    offs: Vec<(u32, u32)>,
     /// `buf` is a validated block frame ([`Run::frame`]).
     framed: bool,
 }
 
 impl Default for Run {
-    /// The empty run.
+    /// The empty run; allocates nothing.
     fn default() -> Self {
-        RunBuilder::sized(0, 0, 0).finish()
+        Self {
+            buf: Vec::new(),
+            offs: Vec::new(),
+            framed: false,
+        }
     }
 }
 
@@ -69,17 +76,47 @@ fn offset(pos: usize) -> Option<u32> {
 }
 
 impl Run {
-    /// Takes ownership of a block frame as read from the device, validates
-    /// it, and indexes it in place. A bad CRC frame, an inconsistent length
-    /// table, unknown flags, a tombstone carrying a value, and keys that
-    /// are not strictly ascending are all typed
-    /// [`MemtreeError::Corruption`] — never a panic, never a wrong pair.
+    /// Takes ownership of a block frame and decodes it into a new run, as
+    /// [`Run::refill`] does into an existing one.
+    pub(crate) fn from_frame(frame: Vec<u8>) -> Result<Self> {
+        let mut run = Self { buf: frame, ..Self::default() };
+        run.index_frame()?;
+        Ok(run)
+    }
+
+    /// Makes this run the block frame `read` writes into its (cleared)
+    /// buffer: validates the frame and indexes it in place, reusing the
+    /// capacity of both the frame buffer and the offset table. A bad CRC
+    /// frame, an inconsistent length table, unknown flags, a tombstone
+    /// carrying a value, and keys that are not strictly ascending are all
+    /// typed [`MemtreeError::Corruption`] — never a panic, never a wrong
+    /// pair. On any error, `read`'s included, the run is left empty.
     /// Nothing is allocated before the entry count is checked against the
-    /// bytes actually present, so a corrupt count cannot ask for more than
-    /// a small multiple of the frame.
-    pub(crate) fn from_frame(frame: Box<[u8]>) -> Result<Self> {
+    /// bytes actually present, so a corrupt count cannot ask for more
+    /// than a small multiple of the frame.
+    pub(crate) fn refill(&mut self, read: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+        self.clear();
+        let res = read(&mut self.buf).and_then(|()| self.index_frame());
+        if res.is_err() {
+            self.clear();
+        }
+        res
+    }
+
+    /// Empties the run, keeping both buffers' capacity.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.offs.clear();
+        self.framed = false;
+    }
+
+    /// Validates the frame in `buf` and fills `offs` (see
+    /// [`Run::refill`]); `offs` is empty on entry.
+    fn index_frame(&mut self) -> Result<()> {
         let bad = |what: &str| MemtreeError::corruption("sstable-block", what.to_string());
-        let payload = decode_single_ref(&frame, "sstable-block")?;
+        let Self { buf, offs, framed } = self;
+        let frame: &[u8] = buf;
+        let payload = decode_single_ref(frame, "sstable-block")?;
         let Some((count, rest)) = payload.split_first_chunk::<4>() else {
             return Err(bad("payload shorter than entry count"));
         };
@@ -113,7 +150,8 @@ impl Run {
         let off = |pos: usize| offset(pos).ok_or_else(|| bad("frame exceeds the offset range"));
         let mut k = FRAME_HEADER + 4 + table_len;
         let mut v = k + ktotal;
-        let mut offs = Vec::with_capacity(n + 1);
+        // Exact, so a fresh table is exactly `n + 1` rows.
+        offs.reserve_exact(n + 1);
         let mut prev: Option<&[u8]> = None;
         for r in table.chunks_exact(ROW_BYTES) {
             let (kl, vl, flags) = row(r);
@@ -128,11 +166,8 @@ impl Run {
             v += vl;
         }
         offs.push((off(k)?, off(v)?));
-        Ok(Self {
-            offs: offs.into_boxed_slice(),
-            buf: frame,
-            framed: true,
-        })
+        *framed = true;
+        Ok(())
     }
 
     /// Serializes sorted `entries` into one block frame (see the module
@@ -170,7 +205,7 @@ impl Run {
 
     /// Number of entries, tombstones included.
     pub(crate) fn len(&self) -> usize {
-        self.offs.len() - 1
+        self.offs.len().saturating_sub(1)
     }
 
     /// Key of entry `i`.
@@ -298,8 +333,8 @@ impl RunBuilder {
         self.offs
             .push((self.key_bytes as u32, self.buf.len() as u32));
         Run {
-            buf: self.buf.into_boxed_slice(),
-            offs: self.offs.into_boxed_slice(),
+            buf: self.buf,
+            offs: self.offs,
             framed: false,
         }
     }
@@ -382,7 +417,7 @@ mod tests {
             agrees(&built(&model), &model, g)?;
             check!(built(&model).frame().is_none());
             let frame = Run::encode_frame(&refs(&model)).map_err(|e| e.to_string())?;
-            let run = Run::from_frame(frame.clone()).map_err(|e| e.to_string())?;
+            let run = Run::from_frame(frame.to_vec()).map_err(|e| e.to_string())?;
             agrees(&run, &model, g)?;
             check_eq!(
                 run.frame(),
@@ -402,7 +437,9 @@ mod tests {
     fn from_frame_allocates_only_the_offset_table() {
         prop_check("from_frame_allocations", 50, |g| {
             let model = sorted_entries(g, 60);
-            let frame = Run::encode_frame(&refs(&model)).map_err(|e| e.to_string())?;
+            let frame = Run::encode_frame(&refs(&model))
+                .map_err(|e| e.to_string())?
+                .into_vec();
             let (run, count, largest) = measure_allocs(|| Run::from_frame(frame));
             check!(run.is_ok());
             check_eq!(count, 1, "the offset table is the only allocation");
@@ -410,6 +447,53 @@ mod tests {
                 largest,
                 8 * (model.len() + 1),
                 "8 B per entry plus the sentinel"
+            );
+            Ok(())
+        });
+    }
+
+    /// A device read stand-in: copies `frame` into the run's buffer.
+    fn copy_of(frame: &[u8]) -> impl FnOnce(&mut Vec<u8>) -> Result<()> + '_ {
+        move |buf| {
+            buf.extend_from_slice(frame);
+            Ok(())
+        }
+    }
+
+    /// A refill reuses the run's two buffers: a frame that fits them
+    /// costs no allocation, and the refilled run answers for the new block
+    /// only. A failed refill leaves the run empty.
+    #[test]
+    fn refill_reuses_both_buffers_and_fails_empty() {
+        prop_check("refill_reuse", 50, |g| {
+            let (a, b) = (sorted_entries(g, 60), sorted_entries(g, 60));
+            let frame_a = Run::encode_frame(&refs(&a)).map_err(|e| e.to_string())?;
+            let frame_b = Run::encode_frame(&refs(&b)).map_err(|e| e.to_string())?;
+            let mut run = Run::default();
+            // Grow both buffers to fit either block.
+            for frame in [&frame_a, &frame_b, &frame_a] {
+                run.refill(copy_of(frame)).map_err(|e| e.to_string())?;
+            }
+            agrees(&run, &a, g)?;
+            let (res, count, _) = measure_allocs(|| run.refill(copy_of(&frame_b)));
+            check!(res.is_ok());
+            check_eq!(count, 0, "a refill that fits allocates nothing");
+            agrees(&run, &b, g)?;
+            check_eq!(run.frame(), Some(&*frame_b));
+            let mut torn = frame_a.to_vec();
+            torn.pop();
+            check!(run.refill(copy_of(&torn)).is_err());
+            check_eq!(
+                (run.len(), run.frame()),
+                (0, None),
+                "a bad frame leaves it empty"
+            );
+            let failed = run.refill(|_| Err(MemtreeError::TransientIo { context: "test" }));
+            check!(failed.is_err());
+            check_eq!(
+                (run.len(), run.frame()),
+                (0, None),
+                "a failed read leaves it empty"
             );
             Ok(())
         });
@@ -447,7 +531,7 @@ mod tests {
             }
         };
         let frame = Run::encode_frame(&refs(&model)).unwrap();
-        let check_one = |bytes: Box<[u8]>, what: String| {
+        let check_one = |bytes: Vec<u8>, what: String| {
             // Room for the offset table, or for an error's detail string.
             let cap = 2 * bytes.len() + 64;
             let (res, _, largest) = measure_allocs(|| Run::from_frame(bytes));
@@ -466,10 +550,10 @@ mod tests {
             }
         };
         for cut in 0..frame.len() {
-            check_one(frame[..cut].into(), format!("cut at {cut}"));
+            check_one(frame[..cut].to_vec(), format!("cut at {cut}"));
         }
         for bit in 0..frame.len() * 8 {
-            let mut flipped = frame.clone();
+            let mut flipped = frame.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             check_one(flipped, format!("flip of bit {bit}"));
         }
@@ -489,7 +573,7 @@ mod tests {
             [&1u32.to_le_bytes()[..], &[0xff, 0xff, 0xff, 0xff, 0]].concat(),
         ];
         for p in payloads {
-            let frame = encode_single(&p).into_boxed_slice();
+            let frame = encode_single(&p);
             let cap = 2 * frame.len() + 64;
             let (res, _, largest) = measure_allocs(|| Run::from_frame(frame));
             assert!(
@@ -511,9 +595,9 @@ mod tests {
                 payload.push(flags);
             }
             payload.extend_from_slice(data);
-            encode_single(&payload).into_boxed_slice()
+            encode_single(&payload)
         };
-        let rejected = |frame: Box<[u8]>, why: &str| {
+        let rejected = |frame: Vec<u8>, why: &str| {
             assert!(
                 matches!(Run::from_frame(frame), Err(MemtreeError::Corruption { .. })),
                 "{why} must be typed corruption"
@@ -549,7 +633,7 @@ mod tests {
         }
         // The limit itself round-trips.
         let frame = Run::encode_frame(&[(&exact, Some(&exact))]).unwrap();
-        let run = Run::from_frame(frame).unwrap();
+        let run = Run::from_frame(frame.into_vec()).unwrap();
         assert_eq!(run.entry(0), (&exact[..], Some(&exact[..])));
     }
 }

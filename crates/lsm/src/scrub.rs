@@ -222,15 +222,16 @@ impl Db {
         for (bi, &block_id) in blocks.iter().enumerate() {
             let was_quarantined = self.quarantined.borrow().contains(&(old_id, bi as u32));
             let mut backoff = Backoff::new(8);
-            let read = self.disk.read_retrying(block_id, &mut backoff);
+            let mut frame = Vec::new();
+            let read = self.disk.read_retrying(block_id, &mut backoff, &mut frame);
             report.blocks_scanned += 1;
             let decoded = match read {
-                Ok(raw) => {
-                    report.bytes_scanned += raw.len() as u64;
+                Ok(()) => {
+                    report.bytes_scanned += frame.len() as u64;
                     if backoff.attempts() > 1 {
                         report.transient_healed += 1;
                     }
-                    Run::from_frame(raw).map(Arc::new)
+                    Run::from_frame(frame).map(Arc::new)
                 }
                 // A transient storm that outlasts the retry budget aborts
                 // the scrub: the data is intact on disk and every table

@@ -216,7 +216,8 @@ impl SsTable {
                 FILTER_KIND_SURF
             }
         };
-        let raw = disk.read_retrying(block, &mut Backoff::new(8))?;
+        let mut raw = Vec::new();
+        disk.read_retrying(block, &mut Backoff::new(8), &mut raw)?;
         let decoded = Self::decode_filter_image(&raw)?;
         let got_tag = match &decoded {
             TableFilter::Bloom(_) => FILTER_KIND_BLOOM,
@@ -402,7 +403,7 @@ mod tests {
         for probe in [0u64, 999, 1500, 2997] {
             let key = memtree_common::key::encode_u64(probe);
             let b = t.candidate_block(&key);
-            let blk = Run::from_frame(disk.read(t.blocks[b]).unwrap()).unwrap();
+            let blk = Run::from_frame(disk.read(t.blocks[b]).unwrap().into_vec()).unwrap();
             if probe % 3 == 0 && probe <= 2997 {
                 assert!(
                     blk.get(&key).is_some(),

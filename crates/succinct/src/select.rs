@@ -6,6 +6,14 @@
 //! (1–2 % of the whole trie) because the only select-supported bit vector,
 //! `S-LOUDS`, is dense and evenly distributed.
 //!
+//! Dense on average is not dense everywhere: on a LOUDS-Sparse level of
+//! wide nodes the ones lie hundreds of bits apart, and the word-by-word
+//! scan from a sample runs long. [`SelectSupport::select1_ranked`] jumps
+//! over whole rank blocks through the rank LUT the bit vector already
+//! carries (a binary search between the two samples around the answer),
+//! the way Poppy's combined sampling jumps through its rank index, so the
+//! popcount scan covers at most one block.
+//!
 //! [`SelectSupport::select1_via_rank`] provides the slower, LUT-free
 //! baseline (binary search over the rank LUT) used in the Figure 3.6
 //! ablation.
@@ -59,26 +67,57 @@ impl SelectSupport {
     #[inline]
     pub fn select1(&self, bv: &BitVector, i: usize) -> usize {
         debug_assert!(i >= 1 && i <= self.ones, "select1({i}) of {} ones", self.ones);
-        let j = (i - 1) / self.sample;
-        let mut pos = self.lut[j] as usize;
-        let mut remaining = (i - 1) - j * self.sample; // set bits still to skip after `pos`
+        let (pos, remaining) = self.sample_before(i);
         if remaining == 0 {
             return pos;
         }
-        let words = bv.words();
-        // Finish the word containing `pos`, excluding bits <= pos.
-        let mut wi = pos / 64;
-        let mut w = words[wi] & (u64::MAX << (pos % 64)) & !(1u64 << (pos % 64));
-        loop {
-            let cnt = w.count_ones() as usize;
-            if cnt >= remaining {
-                pos = wi * 64 + select_in_word(w, remaining as u32) as usize;
-                return pos;
-            }
-            remaining -= cnt;
-            wi += 1;
-            w = words[wi];
+        scan_after(bv.words(), pos, remaining)
+    }
+
+    /// [`SelectSupport::select1`] that jumps from the sample to the rank
+    /// block holding the answer through `rank`'s LUT (built over the same
+    /// `bv`), then scans at most that one block. Same answer, no extra
+    /// bytes.
+    #[inline]
+    pub fn select1_ranked(&self, bv: &BitVector, rank: &RankSupport, i: usize) -> usize {
+        debug_assert!(i >= 1 && i <= self.ones, "select1({i}) of {} ones", self.ones);
+        let (pos, remaining) = self.sample_before(i);
+        if remaining == 0 {
+            return pos;
         }
+        // `block_rank(b)` counts the ones before block `b`; the sentinel
+        // entry makes `b = num_blocks()` valid. The answer lies in the
+        // last block `lo` with `block_rank(lo) < i`.
+        let mut lo = pos / rank.block_bits() + 1;
+        if rank.block_rank(lo) >= i {
+            return scan_after(bv.words(), pos, remaining);
+        }
+        // The next sample lies past the answer, so the block after it
+        // bounds the search from above.
+        let mut hi = self
+            .lut
+            .get((i - 1) / self.sample + 1)
+            .map_or(rank.num_blocks(), |&next| {
+                next as usize / rank.block_bits() + 1
+            });
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if rank.block_rank(mid) < i {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let wi = lo * (rank.block_bits() / 64);
+        scan_from(bv.words(), wi, bv.words()[wi], i - rank.block_rank(lo))
+    }
+
+    /// The last sampled one at or before the `i`-th, and how many ones
+    /// after it remain to be skipped.
+    #[inline]
+    fn sample_before(&self, i: usize) -> (usize, usize) {
+        let j = (i - 1) / self.sample;
+        (self.lut[j] as usize, (i - 1) - j * self.sample)
     }
 
     /// Heap bytes used by the sample LUT.
@@ -103,18 +142,33 @@ impl SelectSupport {
             }
         }
         let block = lo.saturating_sub(1);
-        let mut remaining = i - rank.block_rank(block);
-        let words = bv.words();
-        let mut wi = block * (rank.block_bits() / 64);
-        loop {
-            let w = words[wi];
-            let cnt = w.count_ones() as usize;
-            if cnt >= remaining {
-                return wi * 64 + select_in_word(w, remaining as u32) as usize;
-            }
-            remaining -= cnt;
-            wi += 1;
+        let wi = block * (rank.block_bits() / 64);
+        scan_from(bv.words(), wi, bv.words()[wi], i - rank.block_rank(block))
+    }
+}
+
+/// Position of the `remaining`-th set bit after position `pos`.
+#[inline]
+fn scan_after(words: &[u64], pos: usize, remaining: usize) -> usize {
+    // Finish the word containing `pos`, excluding bits <= pos.
+    let wi = pos / 64;
+    let first = words[wi] & (u64::MAX << (pos % 64)) & !(1u64 << (pos % 64));
+    scan_from(words, wi, first, remaining)
+}
+
+/// Position of the `remaining`-th set bit (1-based) of `first` (word `wi`,
+/// possibly masked) and the words after it.
+#[inline]
+fn scan_from(words: &[u64], mut wi: usize, first: u64, mut remaining: usize) -> usize {
+    let mut w = first;
+    loop {
+        let cnt = w.count_ones() as usize;
+        if cnt >= remaining {
+            return wi * 64 + select_in_word(w, remaining as u32) as usize;
         }
+        remaining -= cnt;
+        wi += 1;
+        w = words[wi];
     }
 }
 
@@ -129,10 +183,20 @@ mod tests {
     fn check(bv: &BitVector, sample: usize) {
         let ss = SelectSupport::new(bv, sample);
         let rs = RankSupport::new(bv, 512);
+        let rs64 = RankSupport::new(bv, 64);
         let naive = naive_selects(bv);
         assert_eq!(ss.ones(), naive.len());
         for (k, &pos) in naive.iter().enumerate() {
             assert_eq!(ss.select1(bv, k + 1), pos, "k={} sample={}", k + 1, sample);
+            for rank in [&rs, &rs64] {
+                assert_eq!(
+                    ss.select1_ranked(bv, rank, k + 1),
+                    pos,
+                    "ranked k={} sample={sample} B={}",
+                    k + 1,
+                    rank.block_bits()
+                );
+            }
             assert_eq!(
                 SelectSupport::select1_via_rank(bv, &rs, k + 1),
                 pos,
@@ -164,6 +228,29 @@ mod tests {
             .map(|_| memtree_common::hash::splitmix64(&mut state).is_multiple_of(4))
             .collect();
         check(&bv, 64);
+    }
+
+    /// Ones 100–2 000 bits apart, as on a LOUDS-Sparse level of wide
+    /// nodes: a sample 64 ones back lies many rank blocks before the
+    /// answer, so the ranked select skips whole blocks — also across the
+    /// end of the vector, where the last block is partial.
+    #[test]
+    fn select_sparse_ones_skip_whole_blocks() {
+        let mut state = 11u64;
+        let mut ones = Vec::new();
+        let mut pos = 37usize;
+        while pos < 300_000 {
+            ones.push(pos);
+            pos += 100 + memtree_common::hash::splitmix64(&mut state) as usize % 1901;
+        }
+        let len = ones.last().unwrap() + 1 + 200;
+        let mut bv: BitVector = (0..len).map(|_| false).collect();
+        for &p in &ones {
+            bv.set(p);
+        }
+        for sample in [64, 3, 1] {
+            check(&bv, sample);
+        }
     }
 
     #[test]

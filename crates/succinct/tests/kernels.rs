@@ -128,11 +128,13 @@ fn select_via_support_still_consistent_with_rank() {
         let bv: BitVector = bits.iter().copied().collect();
         let ss = memtree_succinct::SelectSupport::new(&bv, 64);
         let rs = RankSupport::new(&bv, 64);
+        let rs512 = RankSupport::new(&bv, 512);
         let mut k = 0usize;
         for (pos, &b) in bits.iter().enumerate() {
             if b {
                 k += 1;
                 check_eq!(ss.select1(&bv, k), pos, "k={k}");
+                check_eq!(ss.select1_ranked(&bv, &rs512, k), pos, "ranked k={k}");
                 check_eq!(rs.rank1(&bv, pos), k, "pos={pos}");
             }
         }
