@@ -25,8 +25,8 @@ use crate::cache::BlockCache;
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::read::{Handle, Mem, ReadView, SeekResult};
-use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
+use crate::read::{Handle, Mem, ReadView};
+use crate::run::{EntryRef, Run, RunBuilder, MAX_ENTRY_BYTES};
 use crate::snapshot::{MemView, TableSet};
 use crate::sstable::SsTable;
 use crate::wal::{wal_file_name, Wal, WalStats};
@@ -238,9 +238,6 @@ pub struct Db {
     /// Value arena; `None` slots are delete tombstones.
     mem_values: Vec<Option<Vec<u8>>>,
     mem_bytes: usize,
-    /// Tombstones written into this MemTable generation (upper bound:
-    /// overwrites of a tombstone don't decrement it).
-    pub(crate) mem_tombstones: usize,
     /// What [`Db::snapshot`] publishes of the MemTable: a shared base run
     /// plus the writes since. `RefCell` because publishing is `&self`.
     pub(crate) mem_view: RefCell<MemView>,
@@ -440,7 +437,6 @@ impl Db {
             mem: SkipList::new(),
             mem_values: Vec::new(),
             mem_bytes: 0,
-            mem_tombstones: 0,
             mem_view: RefCell::default(),
             table_set: RefCell::new(None),
             // Filters were attached above, while the tables were still
@@ -557,7 +553,6 @@ impl Db {
             self.mem.update(key, slot);
         }
         self.mem_view.get_mut().record(key, slot);
-        self.mem_tombstones += usize::from(value.is_none());
         self.mem_bytes += key.len() + value.map_or(0, <[u8]>::len) + 1;
     }
 
@@ -717,7 +712,6 @@ impl Db {
         self.mem.clear();
         self.mem_values.clear();
         self.mem_bytes = 0;
-        self.mem_tombstones = 0;
         *self.mem_view.get_mut() = MemView::default();
         let mut wal_bytes = 0u64;
         if self.opts.wal {
@@ -1007,7 +1001,6 @@ impl Db {
     pub(crate) fn view(&self) -> ReadView<'_> {
         ReadView {
             mem: Mem::Live { list: &self.mem, values: &self.mem_values },
-            mem_tombstones: self.mem_tombstones,
             levels: &self.levels,
             overlapping: self.overlapping,
             disk: &self.disk,
@@ -1040,9 +1033,11 @@ impl Db {
     }
 
     /// Seek (Figure 4.3): smallest live key `>= lk`, bounded by `hk` when
-    /// given. SuRF-assisted and tombstone-aware.
-    pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        self.view().seek(lk, hk)
+    /// given — the first row of [`Db::scan_from`]. A closed seek skips
+    /// the tables whose SuRF holds no key in `[lk, hk)` without a read.
+    pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> Option<Vec<u8>> {
+        let live = self.mem_run(lk, hk, 1);
+        self.view().seek(&[&live], lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -1052,9 +1047,8 @@ impl Db {
         // A skip list has no cursor to merge from: the live MemTable's part
         // of the range is copied out first (every live entry of the newest
         // source is an output row, so `limit` of them are enough).
-        let view = self.view();
-        let live = view.mem_run(lk, hk, limit);
-        view.cursor(&[&live], lk, hk).collect_rows(limit)
+        let live = self.mem_run(lk, hk, limit);
+        self.view().cursor(&[&live], lk, hk).collect_rows(limit)
     }
 
     /// Read-I/O, sync, and degradation statistics (the repair/quarantine
@@ -1105,7 +1099,24 @@ impl Db {
     /// The whole MemTable, tombstones included, as one sorted run (flush
     /// input, and the base of the published MemTable view).
     pub(crate) fn memtable_run(&self) -> Run {
-        self.view().mem_run(&[], None, usize::MAX)
+        self.mem_run(&[], None, usize::MAX)
+    }
+
+    /// The MemTable from `lk` up to `hk` or its `limit`-th live entry as
+    /// one sorted run, tombstones included.
+    fn mem_run(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Run {
+        RunBuilder::collect(|push| {
+            let mut live = 0usize;
+            self.mem.range_from(lk, &mut |k, slot| {
+                if live == limit || hk.is_some_and(|hk| k >= hk) {
+                    return false;
+                }
+                let v = self.mem_value(slot);
+                live += usize::from(v.is_some());
+                push(k, v);
+                true
+            });
+        })
     }
 
     /// The value a MemTable entry points at; `None` = tombstone.
@@ -1363,25 +1374,20 @@ mod tests {
                 db.put(&encode_u64(i * 10), b"v").unwrap();
             }
             // Open seek.
-            match db.seek(&encode_u64(995), None) {
-                SeekResult::Found { key } => {
-                    assert_eq!(memtree_common::key::decode_u64(&key), 1000, "{filter:?}")
-                }
-                SeekResult::NotFound => panic!("{filter:?}: open seek missed"),
-            }
+            let key = db
+                .seek(&encode_u64(995), None)
+                .unwrap_or_else(|| panic!("{filter:?}: open seek missed"));
+            assert_eq!(memtree_common::key::decode_u64(&key), 1000, "{filter:?}");
             // Closed seek hit.
-            assert!(matches!(
-                db.seek(&encode_u64(995), Some(&encode_u64(1005))),
-                SeekResult::Found { .. }
-            ));
+            assert!(db.seek(&encode_u64(995), Some(&encode_u64(1005))).is_some());
             // Closed seek in a gap.
             assert_eq!(
                 db.seek(&encode_u64(991), Some(&encode_u64(999))),
-                SeekResult::NotFound,
+                None,
                 "{filter:?}"
             );
             // Past the end.
-            assert_eq!(db.seek(&encode_u64(40_000), None), SeekResult::NotFound);
+            assert_eq!(db.seek(&encode_u64(40_000), None), None);
         }
     }
 
@@ -1400,7 +1406,9 @@ mod tests {
             db.flush().unwrap();
             db
         };
-        let io_for = |db: &Db| {
+        // Through the writer and through a snapshot: one read path.
+        let io_for = |db: &Db, snapshot: bool| {
+            let snap = db.snapshot();
             db.reset_io_stats();
             let mut state = 7u64;
             for _ in 0..200 {
@@ -1408,7 +1416,11 @@ mod tests {
                 // Range strictly inside a gap: almost always empty.
                 let lo = encode_u64(base + 1000);
                 let hi = encode_u64(base + 2000);
-                db.seek(&lo, Some(&hi));
+                if snapshot {
+                    snap.seek(&lo, Some(&hi));
+                } else {
+                    db.seek(&lo, Some(&hi));
+                }
             }
             db.io_stats().block_reads
         };
@@ -1417,11 +1429,133 @@ mod tests {
         // from the stored keys (4 bits cannot refute them — expected FPR
         // behaviour, not a bug).
         let surf = build(FilterKind::SurfReal(8));
-        let (io_none, io_surf) = (io_for(&none), io_for(&surf));
-        assert!(
-            io_surf * 3 < io_none,
-            "SuRF should cut empty-seek I/O: {io_surf} vs {io_none}"
-        );
+        for snapshot in [false, true] {
+            let (io_none, io_surf) = (io_for(&none, snapshot), io_for(&surf, snapshot));
+            assert!(
+                io_surf * 3 < io_none,
+                "SuRF should cut empty-seek I/O (snapshot: {snapshot}): {io_surf} vs {io_none}"
+            );
+        }
+    }
+
+    /// A closed walk asks each table's SuRF before it reads anything: a
+    /// closed scan or seek into a gap reads no block, and one whose first
+    /// row lies deep in a table starts at that row's block.
+    #[test]
+    fn closed_cursor_uses_surf_as_a_range_filter() {
+        // Three interleaved L0 tables: table `t` holds `x << 16` for every
+        // `x ≡ t (mod 3)`. Every key's SuRF prefix is its first six bytes,
+        // and 8 real suffix bits refute a range that starts inside a gap.
+        let build = |filter, tables: u64| {
+            let mut db = Db::new(DbOptions {
+                memtable_bytes: 1 << 20, // manual flushes
+                l0_tables: 100,          // keep every table in L0
+                filter,
+                cache_blocks: 0,
+                ..Default::default()
+            });
+            for t in 0..tables {
+                for x in (t..3000).step_by(tables as usize) {
+                    db.put(&encode_u64(x << 16), &[7u8; 100]).unwrap();
+                }
+                db.flush().unwrap();
+            }
+            assert_eq!(db.level_sizes()[0], tables as usize);
+            db
+        };
+        // Closed scans and seeks into gaps, through both handles.
+        let gaps = |db: &Db| {
+            let snap = db.snapshot();
+            db.reset_io_stats();
+            for x in (5..3000u64).step_by(97) {
+                let (lo, hi) = (encode_u64((x << 16) + 0x100), encode_u64((x << 16) + 0x200));
+                assert_eq!(db.seek(&lo, Some(&hi)), None);
+                assert_eq!(snap.seek(&lo, Some(&hi)), None);
+                assert!(db.scan_from(&lo, Some(&hi), 10).is_empty());
+                assert!(snap.scan_from(&lo, Some(&hi), 10).is_empty());
+            }
+            db.io_stats().block_reads
+        };
+        let queries = 4 * (5..3000u64).step_by(97).count() as u64;
+        assert_eq!(gaps(&build(FilterKind::SurfReal(8), 3)), 0, "SuRF-empty tables read");
+        let none = gaps(&build(FilterKind::None, 3));
+        assert!(none >= 3 * queries, "{none} reads for {queries} gap queries over 3 tables");
+
+        // One table; a range whose rows lie in its seventh block. The walk
+        // reads that block and no other.
+        for filter in [FilterKind::None, FilterKind::SurfReal(8)] {
+            let db = build(filter, 1);
+            let table = Arc::clone(&db.levels[0][0]);
+            assert!(table.blocks.len() > 8, "workload too small");
+            let first = memtree_common::key::decode_u64(&table.fences[6]);
+            let lo = encode_u64(first + 0x100);
+            let hi = encode_u64(first + (5 << 16) + 0x100);
+            db.reset_io_stats();
+            let rows = db.scan_from(&lo, Some(&hi), usize::MAX);
+            assert_eq!(rows.len(), 5);
+            assert_eq!(db.io_stats().block_reads, 1, "{filter:?} scan");
+            db.reset_io_stats();
+            assert_eq!(db.seek(&lo, Some(&hi)), Some(encode_u64(first + (1 << 16)).to_vec()));
+            assert_eq!(db.io_stats().block_reads, 1, "{filter:?} seek");
+        }
+    }
+
+    /// A SuRF prefix can be a whole stored key that other keys of the
+    /// table extend, across many blocks. A closed walk from below it must
+    /// still start at that key's block: starting later would skip it, and
+    /// a tombstone there would stop shadowing older tables.
+    #[test]
+    fn closed_cursor_starts_at_a_prefix_keys_block() {
+        let ext = |i: u16| [b"a".as_slice(), &i.to_be_bytes()].concat();
+        for tombstone in [false, true] {
+            let mut db = Db::new(DbOptions {
+                memtable_bytes: 1 << 20, // manual flushes
+                l0_tables: 100,          // keep every table in L0
+                filter: FilterKind::SurfReal(8),
+                cache_blocks: 0,
+                ..Default::default()
+            });
+            let mut model = std::collections::BTreeMap::new();
+            if tombstone {
+                // An older table the newer one's tombstone on "a" shadows.
+                for key in [b"a".to_vec(), ext(500), b"c".to_vec()] {
+                    db.put(&key, b"old").unwrap();
+                    model.insert(key, b"old".to_vec());
+                }
+                db.flush().unwrap();
+                db.delete(b"a").unwrap();
+                model.remove(b"a".as_slice());
+            } else {
+                db.put(b"a", &[1u8; 100]).unwrap();
+                model.insert(b"a".to_vec(), vec![1u8; 100]);
+            }
+            for i in 0..200 {
+                db.put(&ext(i), &[2u8; 100]).unwrap();
+                model.insert(ext(i), vec![2u8; 100]);
+            }
+            db.flush().unwrap();
+            let newest = Arc::clone(db.levels[0].last().unwrap());
+            assert!(newest.blocks.len() > 3, "workload too small");
+            let snap = db.snapshot();
+            let lows = [b"".to_vec(), b"0".to_vec(), b"a".to_vec(), ext(0), ext(150)];
+            let highs = [b"a\x01".to_vec(), ext(100), b"b".to_vec(), b"d".to_vec()];
+            for lk in &lows {
+                for hk in &highs {
+                    let want: Vec<_> = model
+                        .range(lk.clone()..)
+                        .take_while(|(k, _)| *k < hk)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    let first = want.first().map(|(k, _)| k.clone());
+                    let at = format!("tombstone {tombstone}, [{lk:?}, {hk:?})");
+                    assert_eq!(db.seek(lk, Some(hk)), first, "seek {at}");
+                    assert_eq!(snap.seek(lk, Some(hk)), first, "snapshot seek {at}");
+                    assert_eq!(db.scan_from(lk, Some(hk), usize::MAX), want, "scan {at}");
+                    let rows = snap.scan_from(lk, Some(hk), usize::MAX);
+                    assert_eq!(rows, want, "snapshot scan {at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1429,8 +1563,8 @@ mod tests {
         // Three L0 tables, no block cache. The oldest holds a run of 30
         // keys that the newest deletes; the middle one holds filler plus
         // one key past the run, alone under a 6-byte SuRF prefix that
-        // every key of the run extends, so its prefix cannot be pruned.
-        // Each tombstone restart of the seek re-asks all three tables.
+        // every key of the run extends. The seek is the scan's first row:
+        // one merged walk that steps over the tombstones in order.
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20, // manual flushes
             l0_tables: 100,          // keep all three tables in L0
@@ -1454,20 +1588,18 @@ mod tests {
         db.flush().unwrap();
         assert_eq!(db.level_sizes()[0], 3);
         db.reset_io_stats();
-        assert_eq!(
-            db.seek(&encode_u64(base + 105), None),
-            SeekResult::Found { key: encode_u64(base + 200).to_vec() }
-        );
-        // 78 block reads: the middle table's exact lower bound is resolved
-        // once and answered from the seek's memo on every later restart.
-        // Without the memo the same seek reads 103 blocks.
-        assert_eq!(db.io_stats().block_reads, 78);
+        assert_eq!(db.seek(&encode_u64(base + 105), None), Some(encode_u64(base + 200).to_vec()));
+        // 4 block reads, each block the walk reaches read once: the
+        // newest table's tombstones, the two blocks of the oldest table
+        // the deleted run spans, and the middle table's block holding the
+        // answer.
+        assert_eq!(db.io_stats().block_reads, 4);
     }
 
     #[test]
     fn closed_seek_skips_tables_above_hk() {
         // Regression: tables entirely at/above `hk` used to pay a block
-        // fetch in `table_lower_bound` during closed seeks.
+        // fetch during closed seeks.
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20, // flush manually
             l0_tables: 100,          // keep both tables in L0, uncompacted
@@ -1487,22 +1619,15 @@ mod tests {
         db.reset_io_stats();
         // [200, 300) misses both tables: the low table tops out at 99 and
         // the high table starts at 1000 >= hk.
-        assert_eq!(
-            db.seek(&encode_u64(200), Some(&encode_u64(300))),
-            SeekResult::NotFound
-        );
+        assert_eq!(db.seek(&encode_u64(200), Some(&encode_u64(300))), None);
         assert_eq!(
             db.io_stats().block_reads,
             0,
             "closed seek into a gap should touch no blocks"
         );
         // Sanity: the same seek unbounded still finds the high table's min.
-        match db.seek(&encode_u64(200), None) {
-            SeekResult::Found { key } => {
-                assert_eq!(memtree_common::key::decode_u64(&key), 1000)
-            }
-            SeekResult::NotFound => panic!("open seek should find 1000"),
-        }
+        let key = db.seek(&encode_u64(200), None).expect("open seek should find 1000");
+        assert_eq!(memtree_common::key::decode_u64(&key), 1000);
     }
 
     #[test]
@@ -1734,17 +1859,10 @@ mod tests {
                 }
             }
             // Tombstone-aware seeks agree with `get`.
-            match db.seek(&encode_u64(0), None) {
-                SeekResult::Found { key } => {
-                    assert_eq!(memtree_common::key::decode_u64(&key), 1, "key 0 is deleted")
-                }
-                SeekResult::NotFound => panic!("seek found nothing"),
-            }
+            let key = db.seek(&encode_u64(0), None).expect("seek found nothing");
+            assert_eq!(memtree_common::key::decode_u64(&key), 1, "key 0 is deleted");
             // A range holding only deleted keys (just key 141, = 3*47).
-            assert_eq!(
-                db.seek(&encode_u64(141), Some(&encode_u64(142))),
-                SeekResult::NotFound
-            );
+            assert_eq!(db.seek(&encode_u64(141), Some(&encode_u64(142))), None);
         };
         check(&db);
         let disk = db.close().unwrap();
@@ -1773,7 +1891,7 @@ mod tests {
         db.flush().unwrap();
         assert_eq!(db.table_entries(), 0, "bottom-level merge kept dead entries");
         assert_eq!(db.get(&encode_u64(250)), None, "dropping a tombstone resurrected data");
-        assert_eq!(db.seek(&encode_u64(0), None), SeekResult::NotFound);
+        assert_eq!(db.seek(&encode_u64(0), None), None);
         assert!(db.scan_from(&encode_u64(0), None, 10).is_empty());
     }
 
@@ -2062,7 +2180,7 @@ mod policy_tests {
             // Seek-walk recovers exactly the model's key sequence.
             let mut low: Vec<u8> = Vec::new();
             let mut walked = Vec::new();
-            while let SeekResult::Found { key } = db.seek(&low, None) {
+            while let Some(key) = db.seek(&low, None) {
                 walked.push(key.clone());
                 low = memtree_common::key::successor(&key);
             }
@@ -2250,16 +2368,18 @@ mod diag_tests {
         }
         db.flush().unwrap();
         let sizes = db.level_sizes();
-        println!("level sizes: {sizes:?}");
         assert!(sizes.iter().filter(|&&s| s > 0).count() >= 2, "{sizes:?}");
         db.reset_io_stats();
         let n = 200;
         for i in 0..n {
-            let k = encode_u64((i * 9973 % 30_000) * 64 + 1);
-            db.seek(&k, None);
+            let at = i * 9973 % 30_000;
+            let want = encode_u64((at + 1) * 64);
+            assert_eq!(db.seek(&encode_u64(at * 64 + 1), None), Some(want.to_vec()), "seek {at}");
         }
-        let per_op = db.io_stats().block_reads as f64 / n as f64;
-        println!("no-filter seek IO/op = {per_op}");
-        assert!(per_op > 1.2, "expected multi-level I/O, got {per_op}");
+        // Every level's candidate stands in the merge as its block fence:
+        // only the block holding the answer is read (1.03 reads per seek,
+        // the extra ones where `lk` falls past the last key of a block).
+        let reads = db.io_stats().block_reads;
+        assert!(reads <= 206, "{reads} block reads for {n} seeks");
     }
 }

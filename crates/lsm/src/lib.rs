@@ -47,7 +47,7 @@ pub use db::{
     StallConfig,
 };
 pub use disk::{IoStats, SimDisk, SlowIo};
-pub use read::{ScanCursor, SeekResult, SCAN_RESERVE_ROWS};
+pub use read::{ScanCursor, SCAN_RESERVE_ROWS};
 pub use scrub::{FileScrubOutcome, LostRange, ScrubReport};
 pub use snapshot::DbSnapshot;
 pub use sstable::SsTable;

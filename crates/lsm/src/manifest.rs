@@ -59,8 +59,8 @@ pub(crate) struct TableMeta {
     /// by builds that predate the image format).
     pub filter_block: Option<u32>,
     pub num_entries: usize,
-    /// Delete tombstones among `num_entries` (tombstone-free tables skip
-    /// tombstone resolution on reads).
+    /// Delete tombstones among `num_entries` (a table statistic; no read
+    /// consults it).
     pub num_tombstones: usize,
 }
 

@@ -1,14 +1,18 @@
 //! The read path, implemented once: [`ReadView`] borrows everything a read
 //! needs — a MemTable source, the levels, the device and the block cache —
-//! and carries the Figure 4.3 execution paths (Get, Seek), the merged
-//! range scan ([`ScanCursor`]) and the one block-fetch ladder. [`Db`] builds a view over
-//! its live skip list, [`DbSnapshot`](crate::DbSnapshot) over its frozen
-//! runs; every public read method on either is a one-line delegation to
-//! this module.
+//! and carries the point read (Figure 4.3's Get path), one ordered walk
+//! ([`ScanCursor`]) and the one block-fetch ladder. Every ordered read is
+//! that walk: a scan is its rows, a seek is its first row's key, and a
+//! closed walk drops the tables whose SuRF holds no key in its range
+//! (Figure 4.3's Seek paths). [`Db`] builds a view over its live skip
+//! list, [`DbSnapshot`](crate::DbSnapshot) over its frozen runs; every
+//! public read method on either is a one-line delegation to this module.
 //!
 //! The two handles differ in exactly two places:
 //!
-//! * [`Mem`] — where a MemTable entry comes from;
+//! * [`Mem`] — where a point read finds a MemTable entry (a walk takes
+//!   the MemTable as sorted runs: the writer copies its part of the range
+//!   out of the skip list, a snapshot passes its two runs);
 //! * [`Handle`] — what a block that stays unreadable does. The writer keeps
 //!   score (probe, retry and repair counters), quarantines the block and
 //!   persists that through the manifest; a snapshot serves the block empty
@@ -17,30 +21,17 @@
 use crate::cache::BlockCache;
 use crate::db::{Db, FilterStats};
 use crate::disk::SimDisk;
-use crate::run::{EntryRef, Run, RunBuilder};
+use crate::run::{EntryRef, Run};
 use crate::sstable::SsTable;
 use memtree_common::error::Result;
-use memtree_common::key::successor;
 use memtree_common::traits::OrderedIndex;
 use memtree_faults::Backoff;
 use memtree_skiplist::SkipList;
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Result of a seek.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SeekResult {
-    /// Smallest entry `>= lk` (and `< hk` for closed seeks).
-    Found {
-        /// The entry's key.
-        key: Vec<u8>,
-    },
-    /// No qualifying entry.
-    NotFound,
-}
 
 /// Most output rows a scan reserves room for up front (48 KiB of row
 /// headers); a longer scan grows from there. Reserving is a steadiness
@@ -50,11 +41,6 @@ pub enum SeekResult {
 /// fragmentation state the calling thread's heap has fallen into
 /// (EXPERIMENTS.md, PR 16).
 pub const SCAN_RESERVE_ROWS: usize = 1024;
-
-/// One seek's cache of exact table lower bounds: table id → `(lk₀,
-/// smallest stored key ≥ lk₀)`. See [`ReadView::seek_candidate`]'s doc for
-/// the reuse rule that keeps cached entries exact.
-type SeekMemo = HashMap<u64, (Vec<u8>, Option<Vec<u8>>)>;
 
 /// Where a MemTable entry comes from.
 #[derive(Clone, Copy)]
@@ -79,37 +65,6 @@ impl<'a> Mem<'a> {
             Mem::Frozen { delta, base } => delta.get(key).or_else(|| base.get(key)),
         }
     }
-
-    /// Visits the newest buffered version of every key `>= lk` in key
-    /// order, tombstones included, until `f` returns `false`.
-    fn range_from(&self, lk: &[u8], mut f: impl FnMut(&[u8], Option<&[u8]>) -> bool) {
-        match *self {
-            Mem::Live { list, values } => {
-                list.range_from(lk, &mut |k, slot| f(k, values[slot as usize].as_deref()))
-            }
-            Mem::Frozen { delta, base } => {
-                let (mut d, mut b) = (delta.lower_bound(lk), base.lower_bound(lk));
-                loop {
-                    let order = match (d < delta.len(), b < base.len()) {
-                        (false, false) => return,
-                        (true, false) => Ordering::Less,
-                        (false, true) => Ordering::Greater,
-                        (true, true) => delta.key(d).cmp(base.key(b)),
-                    };
-                    let (k, v) = if order == Ordering::Greater {
-                        base.entry(b)
-                    } else {
-                        delta.entry(d)
-                    };
-                    d += usize::from(order != Ordering::Greater);
-                    b += usize::from(order != Ordering::Less);
-                    if !f(k, v) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// What a block that stays unreadable does, and who keeps score.
@@ -130,8 +85,6 @@ fn bump(counter: &Cell<u64>, by: u64) {
 /// Everything one read borrows. See the module docs.
 pub(crate) struct ReadView<'a> {
     pub(crate) mem: Mem<'a>,
-    /// Upper bound on the tombstones `mem` holds.
-    pub(crate) mem_tombstones: usize,
     /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint, or —
     /// when `overlapping` (tiered compaction) — age-ordered newest-last
     /// runs that are read newest-first like L0.
@@ -490,143 +443,29 @@ impl<'a> ReadView<'a> {
         None
     }
 
-    /// See [`Db::seek`].
-    ///
-    /// Tombstone-aware: the structural candidate (smallest stored entry,
-    /// live or deleted) is verified against the merged view and, when it
-    /// turns out to be a shadowed delete, the seek restarts past it. The
-    /// verification `get` is skipped entirely while the store holds no
-    /// tombstones, which keeps the delete-free fast path at its original
-    /// I/O cost. The restarts re-query the same tables with a strictly
-    /// increasing `lk`, so one [`SeekMemo`] spans them.
-    pub(crate) fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        let any_tombstones =
-            self.mem_tombstones > 0 || self.levels.iter().flatten().any(|t| t.num_tombstones > 0);
-        let mut memo = SeekMemo::new();
-        let mut low = lk.to_vec();
-        loop {
-            let Some(cand) = self.seek_candidate(&low, hk, &mut memo) else {
-                return SeekResult::NotFound;
-            };
-            if !any_tombstones || self.get(&cand).is_some() {
-                return SeekResult::Found { key: cand };
-            }
-            low = successor(&cand);
-            if hk.is_some_and(|hk| low.as_slice() >= hk) {
-                return SeekResult::NotFound;
-            }
-        }
-    }
-
-    /// Exact smallest key `>= lk` within one table (1–2 block reads),
-    /// recorded in `memo`.
-    fn table_lower_bound(
-        &self,
-        table: &SsTable,
-        lk: &[u8],
-        memo: &mut SeekMemo,
+    /// See [`Db::seek`]: the key of the cursor's first row.
+    pub(crate) fn seek(
+        self,
+        mem: &[&'a Run],
+        lk: &'a [u8],
+        hk: Option<&'a [u8]>,
     ) -> Option<Vec<u8>> {
-        let k = (table.candidate_block(lk)..table.blocks.len()).find_map(|b| {
-            let blk = self.fetch_block(table, b);
-            let i = blk.lower_bound(lk);
-            (i < blk.len()).then(|| blk.key(i).to_vec())
-        });
-        memo.insert(table.id, (lk.to_vec(), k.clone()));
-        k
-    }
-
-    /// The structural part of a seek: smallest *stored* key in `[lk, hk)`
-    /// across the MemTable and the tables, tombstones included.
-    ///
-    /// `memo` caches each table's resolved exact lower bound as
-    /// `(lk₀, candidate)`. A cached entry answers a later query at
-    /// `lk ≥ lk₀` for free: `candidate` (when `≥ lk`) is still exact
-    /// because the table holds no key in `[lk₀, candidate)` ⊇
-    /// `[lk, candidate)`, and a `None` candidate means the table holds no
-    /// key `≥ lk₀` at all. Entries that can't answer (`lk < lk₀`, or a
-    /// candidate now below `lk`) are re-resolved and overwritten, so the
-    /// memo is correct for *any* query order; [`ReadView::seek`]'s
-    /// increasing restarts are what make it pay.
-    fn seek_candidate(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> Option<Vec<u8>> {
-        fn keep_smaller(best: &mut Option<Vec<u8>>, k: Option<Vec<u8>>) {
-            if k.is_some() && best.as_ref().is_none_or(|b| k.as_ref() < Some(b)) {
-                *best = k;
-            }
-        }
-        // The MemTable candidate is exact and free.
-        let mut best: Option<Vec<u8>> = None;
-        self.mem.range_from(lk, |k, _| {
-            best = Some(k.to_vec());
-            false
-        });
-        // SuRF tables: (candidate prefix from an in-memory `moveToNext`,
-        // table), resolved to exact keys below only as far as needed.
-        let mut pending: Vec<(Vec<u8>, &SsTable)> = Vec::new();
-        for (depth, level) in self.levels.iter().enumerate() {
-            for table in &level[self.tables_at(depth, lk)] {
-                // A table can serve the seek only if its range intersects
-                // [lk, hk): one entirely below has no key >= lk, one
-                // entirely at or above `hk` has no key < hk — and, if
-                // filterless, would pay a block fetch to say so.
-                if table.max_key.as_slice() < lk
-                    || hk.is_some_and(|hk| table.min_key.as_slice() >= hk)
-                {
-                    continue;
-                }
-                // Memo hit: answers without touching the filter or a block.
-                match memo.get(&table.id) {
-                    Some((lk0, None)) if lk >= lk0.as_slice() => continue,
-                    Some((lk0, Some(c))) if lk >= lk0.as_slice() && c.as_slice() >= lk => {
-                        keep_smaller(&mut best, Some(c.clone()));
-                        continue;
-                    }
-                    _ => {}
-                }
-                match table.surf() {
-                    Some(surf) => {
-                        let (it, _fp) = surf.move_to_next(lk);
-                        // Prune candidates definitely past hk.
-                        if it.valid() && hk.is_none_or(|hk| it.key() < hk) {
-                            pending.push((it.key().to_vec(), table));
-                        }
-                    }
-                    // No usable range filter: fetch the candidate block.
-                    None => keep_smaller(&mut best, self.table_lower_bound(table, lk, memo)),
-                }
-            }
-        }
-        // Smallest prefix first, until the best exact key cannot be beaten.
-        pending.sort_by(|a, b| a.0.cmp(&b.0));
-        for (prefix, table) in pending {
-            // A prefix >= the best exact key cannot yield a smaller key...
-            // unless it is a prefix of `best` (its extension could be
-            // smaller), so only prune on strictly-greater non-prefixes.
-            if best.as_ref().is_some_and(|b| prefix >= *b && !b.starts_with(&prefix)) {
-                break;
-            }
-            keep_smaller(&mut best, self.table_lower_bound(table, lk, memo));
-        }
-        best.filter(|k| hk.is_none_or(|hk| k.as_slice() < hk))
-    }
-
-    /// The MemTable from `lk` up to `hk` or its `limit`-th live entry as
-    /// one sorted run, tombstones included.
-    pub(crate) fn mem_run(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Run {
-        RunBuilder::collect(|push| {
-            let mut live = 0usize;
-            self.mem.range_from(lk, |k, v| {
-                if live == limit || hk.is_some_and(|hk| k >= hk) {
-                    return false;
-                }
-                live += usize::from(v.is_some());
-                push(k, v);
-                true
-            });
-        })
+        self.cursor(mem, lk, hk).peek().map(|(k, _)| k.to_vec())
     }
 
     /// A [`ScanCursor`] over `mem` (the MemTable's runs, newest first)
     /// and the tables that can hold keys in `[lk, hk)`.
+    ///
+    /// A closed cursor uses SuRF as a range filter (Figure 4.3's closed
+    /// seek): the first table of each walk is asked for `moveToNext(lk)`,
+    /// in memory, before the walk is built. A table whose next stored
+    /// prefix is missing or `>= hk` holds no key in `[lk, hk)` and is not
+    /// a source; otherwise its walk starts at the block where the prefix
+    /// or `lk`, whichever is larger, falls. An open cursor never probes:
+    /// every table it walks holds a key `>= lk`, so a probe could only
+    /// skip the one block whose tail `lk` falls past, and on the served
+    /// scan workload the probe cost more time than that block saved
+    /// (EXPERIMENTS.md, "one ordered walk").
     pub(crate) fn cursor(
         self,
         mem: &[&'a Run],
@@ -639,8 +478,19 @@ impl<'a> ReadView<'a> {
             sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
         }
         let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key.as_slice() < hk);
-        let mut walk = |tables: &'a [Arc<SsTable>]| {
-            let block = tables[0].candidate_block(lk);
+        // The block a walk over `t` starts at; `None` when SuRF rules out
+        // every key in `[lk, hk)`. The prefix SuRF returns is a prefix of
+        // the first key in range, so neither it nor `lk` lies above that
+        // key.
+        let start = |t: &SsTable| match (hk, t.surf()) {
+            (Some(hk), Some(surf)) => {
+                let (it, _fp) = surf.move_to_next(lk);
+                let p = it.valid().then(|| it.key()).filter(|p| *p < hk)?;
+                Some(t.candidate_block(p.max(lk)))
+            }
+            _ => Some(t.candidate_block(lk)),
+        };
+        let mut walk = |tables: &'a [Arc<SsTable>], block| {
             sources.push(Source::Tables(TableCursor { tables, block, from: lk, data: None, pos: 0 }));
         };
         // Newest first: where ranges overlap, each table is its own source,
@@ -650,13 +500,21 @@ impl<'a> ReadView<'a> {
             if depth == 0 || self.overlapping {
                 for table in level.iter().rev() {
                     if table.max_key.as_slice() >= lk && in_range(table) {
-                        walk(std::slice::from_ref(table));
+                        if let Some(block) = start(table) {
+                            walk(std::slice::from_ref(table), block);
+                        }
                     }
                 }
             } else {
-                let first = level.partition_point(|t| t.max_key.as_slice() < lk);
-                if first < level.len() && in_range(&level[first]) {
-                    walk(&level[first..]);
+                let tables = &level[level.partition_point(|t| t.max_key.as_slice() < lk)..];
+                match tables.first().filter(|t| in_range(t)).map(|t| start(t)) {
+                    Some(Some(block)) => walk(tables, block),
+                    // The next table starts above `lk`: its first key is
+                    // in range exactly when it starts below `hk`.
+                    Some(None) if tables.get(1).is_some_and(|t| in_range(t)) => {
+                        walk(&tables[1..], 0)
+                    }
+                    _ => {}
                 }
             }
         }

@@ -44,7 +44,7 @@
 use crate::cache::BlockCache;
 use crate::db::Db;
 use crate::disk::SimDisk;
-use crate::read::{Handle, Mem, ReadView, ScanCursor, SeekResult};
+use crate::read::{Handle, Mem, ReadView, ScanCursor};
 use crate::run::{Run, RunBuilder};
 use crate::sstable::SsTable;
 use std::collections::{BTreeMap, HashSet};
@@ -119,8 +119,6 @@ pub struct DbSnapshot {
     mem_delta: Run,
     /// The MemTable as of the last base rebuild before snapshot time.
     mem_base: Arc<Run>,
-    /// Upper bound on the tombstones the two MemTable runs hold.
-    mem_tombstones: usize,
     tables: Arc<TableSet>,
     disk: Arc<SimDisk>,
     cache: Arc<BlockCache>,
@@ -140,7 +138,6 @@ impl Db {
         DbSnapshot {
             mem_delta,
             mem_base,
-            mem_tombstones: self.mem_tombstones,
             tables: self.table_set(),
             disk: self.disk_handle(),
             cache: Arc::clone(&self.cache),
@@ -158,7 +155,6 @@ impl DbSnapshot {
     fn view(&self) -> ReadView<'_> {
         ReadView {
             mem: Mem::Frozen { delta: &self.mem_delta, base: &self.mem_base },
-            mem_tombstones: self.mem_tombstones,
             levels: &self.tables.levels,
             overlapping: self.tables.overlapping,
             disk: &self.disk,
@@ -175,8 +171,8 @@ impl DbSnapshot {
     }
 
     /// [`Db::seek`] at snapshot time.
-    pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> SeekResult {
-        self.view().seek(lk, hk)
+    pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> Option<Vec<u8>> {
+        self.view().seek(&[&self.mem_delta, &self.mem_base], lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -415,7 +411,7 @@ mod tests {
         // Reference: walk the Db with seek/get.
         let mut want: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let mut low: Vec<u8> = Vec::new();
-        while let SeekResult::Found { key } = db.seek(&low, None) {
+        while let Some(key) = db.seek(&low, None) {
             if let Some(v) = db.get(&key) {
                 want.push((key.clone(), v));
             }

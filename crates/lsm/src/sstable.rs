@@ -57,8 +57,8 @@ pub struct SsTable {
     pub(crate) filter_block: Option<u32>,
     pub(crate) num_entries: usize,
     /// Entries that are delete tombstones (`num_tombstones <=
-    /// num_entries`). Persisted in the manifest so reopened databases know
-    /// whether tombstone resolution is needed without reading blocks.
+    /// num_entries`), persisted in the manifest. No read consults it: the
+    /// ordered walk merges tombstones away as it meets them.
     pub(crate) num_tombstones: usize,
 }
 

@@ -439,7 +439,7 @@ fn deleted_keys_stay_dead_across_crash_and_compaction() {
         // model's keys — a tombstone visible to `seek` is a live leak.
         let mut at = Vec::new();
         let mut seen = 0usize;
-        while let memtree_lsm::SeekResult::Found { key } = db.seek(&successor(&at), None) {
+        while let Some(key) = db.seek(&successor(&at), None) {
             assert!(model.contains_key(&key), "seed {seed}: seek surfaced dead key");
             seen += 1;
             at = key;

@@ -3,7 +3,7 @@
 
 use memtree_common::check::{prop_check, Gen};
 use memtree_common::check_eq;
-use memtree_lsm::{Db, DbOptions, FilterKind, SeekResult};
+use memtree_lsm::{Db, DbOptions, FilterKind};
 use std::collections::BTreeMap;
 
 fn key(g: &mut Gen) -> Vec<u8> {
@@ -74,11 +74,7 @@ fn db_matches_model() {
                 }
                 Cmd::SeekOpen(k) => {
                     let expect = model.range(k.clone()..).next().map(|(k, _)| k.clone());
-                    let got = match db.seek(&k, None) {
-                        SeekResult::Found { key } => Some(key),
-                        SeekResult::NotFound => None,
-                    };
-                    check_eq!(got, expect, "step {} open-seek {:?}", step, k);
+                    check_eq!(db.seek(&k, None), expect, "step {} open-seek {:?}", step, k);
                 }
                 Cmd::SeekClosed(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -86,10 +82,7 @@ fn db_matches_model() {
                         .range(lo.clone()..hi.clone())
                         .next()
                         .map(|(k, _)| k.clone());
-                    let got = match db.seek(&lo, Some(&hi)) {
-                        SeekResult::Found { key } => Some(key),
-                        SeekResult::NotFound => None,
-                    };
+                    let got = db.seek(&lo, Some(&hi));
                     check_eq!(got, expect, "step {} closed-seek {:?}..{:?}", step, lo, hi);
                 }
                 Cmd::Flush => { db.flush().unwrap(); }

@@ -7,7 +7,7 @@
 
 use memtree_common::check::{prop_check_seeded, Gen};
 use memtree_common::check_eq;
-use memtree_lsm::{Db, DbOptions, FilterKind, SeekResult};
+use memtree_lsm::{Db, DbOptions, FilterKind};
 use std::collections::BTreeMap;
 
 const SEEDS: u64 = 32;
@@ -106,11 +106,7 @@ fn oracle_all_filter_kinds() {
                 for w in probe_keys.windows(2) {
                     let lk = &w[0];
                     let want_open = model.range(lk.clone()..).next().map(|(k, _)| k.clone());
-                    let got_open = match db.seek(lk, None) {
-                        SeekResult::Found { key } => Some(key),
-                        SeekResult::NotFound => None,
-                    };
-                    check_eq!(got_open, want_open, "{filter:?} open seek {lk:?}");
+                    check_eq!(db.seek(lk, None), want_open, "{filter:?} open seek {lk:?}");
 
                     let (lo, hi) = if w[0] <= w[1] {
                         (w[0].clone(), w[1].clone())
@@ -121,11 +117,11 @@ fn oracle_all_filter_kinds() {
                         .range(lo.clone()..hi.clone())
                         .next()
                         .map(|(k, _)| k.clone());
-                    let got_closed = match db.seek(&lo, Some(&hi)) {
-                        SeekResult::Found { key } => Some(key),
-                        SeekResult::NotFound => None,
-                    };
-                    check_eq!(got_closed, want_closed, "{filter:?} closed {lo:?}..{hi:?}");
+                    check_eq!(
+                        db.seek(&lo, Some(&hi)),
+                        want_closed,
+                        "{filter:?} closed {lo:?}..{hi:?}"
+                    );
                 }
                 Ok(())
             },

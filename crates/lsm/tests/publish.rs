@@ -15,9 +15,7 @@
 
 use memtree_common::check::{prop_check_seeded, seed_range, Gen};
 use memtree_common::{check, check_eq};
-use memtree_lsm::{
-    gc_orphans, CompactionConfig, Db, DbOptions, DbSnapshot, FilterKind, SeekResult,
-};
+use memtree_lsm::{gc_orphans, CompactionConfig, Db, DbOptions, DbSnapshot, FilterKind};
 use std::collections::BTreeMap;
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -28,13 +26,6 @@ const KEY_SPACE: usize = 400;
 
 fn key(i: usize) -> Vec<u8> {
     format!("key-{i:04}").into_bytes()
-}
-
-fn found(r: SeekResult) -> Option<Vec<u8>> {
-    match r {
-        SeekResult::Found { key } => Some(key),
-        SeekResult::NotFound => None,
-    }
 }
 
 /// One set of inputs, drawn once so that every handle checked at an
@@ -94,11 +85,11 @@ macro_rules! check_ops {
         check_eq!(h.scan_from(&[], None, usize::MAX), rows(&[], None, usize::MAX), "{who} scan");
         let (lo, hi, limit) = &p.scan;
         check_eq!(h.scan_from(lo, Some(hi), *limit), rows(lo, Some(hi), *limit), "{who} long scan");
-        check_eq!(found(h.seek(lo, Some(hi))), first(lo, Some(hi)), "{who} seek {lo:?}..{hi:?}");
+        check_eq!(h.seek(lo, Some(hi)), first(lo, Some(hi)), "{who} seek {lo:?}..{hi:?}");
         for ((lo, hi), &n) in p.ranges.iter().zip(&p.lens) {
             let (hk, n) = (Some(hi.as_slice()), n.max(1));
-            check_eq!(found(h.seek(lo, None)), first(lo, None), "{who} open seek {lo:?}");
-            check_eq!(found(h.seek(lo, hk)), first(lo, hk), "{who} seek {lo:?}..{hi:?}");
+            check_eq!(h.seek(lo, None), first(lo, None), "{who} open seek {lo:?}");
+            check_eq!(h.seek(lo, hk), first(lo, hk), "{who} seek {lo:?}..{hi:?}");
             check_eq!(h.scan_from(lo, hk, n), rows(lo, hk, n), "{who} bounded scan {lo:?}");
         }
     }};

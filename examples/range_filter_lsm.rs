@@ -6,7 +6,7 @@
 //! cargo run --release --example range_filter_lsm
 //! ```
 
-use memtree::lsm::{Db, DbOptions, FilterKind, SeekResult};
+use memtree::lsm::{Db, DbOptions, FilterKind};
 use memtree::workload::timeseries::sensor_events;
 use std::time::Duration;
 
@@ -39,7 +39,7 @@ fn closed_seeks(db: &Db, range_ns: u64, queries: usize) -> (usize, u64, f64) {
         lo[..8].copy_from_slice(&base.to_be_bytes());
         let mut hi = [0u8; 16];
         hi[..8].copy_from_slice(&(base + range_ns).to_be_bytes());
-        if let SeekResult::Found { .. } = db.seek(&lo, Some(&hi)) {
+        if db.seek(&lo, Some(&hi)).is_some() {
             hits += 1;
         }
     }

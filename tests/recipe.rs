@@ -3,7 +3,7 @@
 //! the thesis proposes, composed.
 
 use memtree::hope::{Hope, HopeIndex, Scheme};
-use memtree::lsm::{Db, DbOptions, FilterKind, SeekResult};
+use memtree::lsm::{Db, DbOptions, FilterKind};
 use memtree::prelude::*;
 use memtree::trees::*;
 use memtree::workload::keys;
@@ -115,10 +115,10 @@ fn surf_guards_lsm_with_zero_false_negatives() {
     // Seeks across the whole key space return exactly the successor.
     for i in (0..key_set.len() - 1).step_by(97) {
         let probe = memtree::common::key::successor(&key_set[i]);
-        match db.seek(&probe, None) {
-            SeekResult::Found { key } => assert_eq!(key, key_set[i + 1], "seek after {i}"),
-            SeekResult::NotFound => panic!("seek after {i} found nothing"),
-        }
+        let key = db
+            .seek(&probe, None)
+            .unwrap_or_else(|| panic!("seek after {i} found nothing"));
+        assert_eq!(key, key_set[i + 1], "seek after {i}");
     }
 }
 
