@@ -6,7 +6,7 @@
 //! the seeded latency profile and the armed `lsm.disk.slow_io` point),
 //! transient read faults, corrupt read returns (bit rot on the wire; the
 //! stored block is intact so read-repair heals), temporary ENOSPC
-//! windows, and injected worker panics — while writer threads drive
+//! windows, and injected shard panics — while writer threads drive
 //! put/delete/get/scan traffic and a snapshot reader hammers the lock-free
 //! read path.
 //!
@@ -19,7 +19,7 @@
 //!   group-commit sync.
 //! * A **failed** write leaves the key with a *set* of acceptable values
 //!   (the op may or may not have landed before the error — e.g. an ack
-//!   lost to a worker panic after the WAL append).
+//!   lost to a shard panic after the WAL append).
 //! * Every error must be **typed and expected**: overload rejections,
 //!   deadline misses, transient I/O, ENOSPC, injected faults, or a
 //!   serve-layer supervision transition. Anything else fails the seed.
@@ -151,7 +151,7 @@ fn writer_loop(
                 }
             }
             Op::Read(_) => {
-                // Worker-path read: the value (or error) must be typed;
+                // Locked-shard read: the value (or error) must be typed;
                 // content is checked at quiesce.
                 if let Err(e) = sdb.get_fresh(&k) {
                     assert_expected(seed, &e);
@@ -168,7 +168,7 @@ fn writer_loop(
 
 /// Reconfigures the fault cocktail for one phase of the storm. All
 /// classes are recoverable by construction: stored bytes stay intact,
-/// capacity windows end, storms pass, and killed workers restart.
+/// capacity windows end, storms pass, and panicked shards reopen.
 fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ phase as u64;
     let roll = splitmix64(&mut s);
@@ -189,8 +189,8 @@ fn arm_phase(disk: &memtree_lsm::SimDisk, seed: u64, phase: usize) {
     } else {
         disk.set_capacity_bytes(None);
     }
-    // Worker kills in half the phases (budgeted, so the supervisor
-    // restart path runs a handful of times per seed, not constantly).
+    // Shard panics in half the phases (budgeted, so the reopen path
+    // runs a handful of times per seed, not constantly).
     if roll % 2 == 1 {
         disk.faults().arm("serve.worker.panic", 0.01, Some(2));
     } else {
@@ -236,7 +236,7 @@ fn check_model(sdb: &ShardedDb, seed: u64, writer: usize, model: &Acceptable, wh
     }
 }
 
-/// Quiesce after the storm: workers may still be mid-restart, so retry
+/// Quiesce after the storm: a shard may still be mid-reopen, so retry
 /// the barrier for a bounded wall-clock window.
 fn settle(sdb: &ShardedDb, seed: u64) {
     for _ in 0..500 {
