@@ -25,15 +25,14 @@ use crate::cache::BlockCache;
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::read::{Handle, Mem, ReadView};
-use crate::run::{EntryRef, Run, RunBuilder, MAX_ENTRY_BYTES};
-use crate::snapshot::{MemView, TableSet};
+use crate::memtable::MemTable;
+use crate::read::{Handle, ReadView};
+use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
+use crate::snapshot::TableSet;
 use crate::sstable::SsTable;
 use crate::wal::{wal_file_name, Wal, WalStats};
 use memtree_common::error::{MemtreeError, Result};
-use memtree_common::traits::OrderedIndex;
 use memtree_faults::{fail_point, Backoff};
-use memtree_skiplist::SkipList;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -226,21 +225,19 @@ pub struct FlushStats {
 
 /// The LSM key-value store.
 ///
-/// `Db` is `Send` (a shard worker thread can own one) but not `Sync` —
-/// its hot-path bookkeeping stays in `Cell`/`RefCell`. Concurrent readers
-/// go through [`Db::snapshot`]: an immutable, `Send + Sync` view backed by
+/// `Db` is `Send` (a sharded database keeps each shard's behind a lock
+/// that any caller may take) but not `Sync` — its hot-path bookkeeping
+/// stays in `Cell`/`RefCell`. Concurrent readers go through
+/// [`Db::snapshot`]: an immutable, `Send + Sync` view backed by
 /// `Arc`-shared tables, disk, and block cache.
 pub struct Db {
     pub(crate) opts: DbOptions,
     pub(crate) disk: Arc<SimDisk>,
-    /// MemTable: our paged skip list mapping keys to value-arena slots.
-    mem: SkipList,
-    /// Value arena; `None` slots are delete tombstones.
-    mem_values: Vec<Option<Vec<u8>>>,
-    mem_bytes: usize,
-    /// What [`Db::snapshot`] publishes of the MemTable: a shared base run
-    /// plus the writes since. `RefCell` because publishing is `&self`.
-    pub(crate) mem_view: RefCell<MemView>,
+    /// The MemTable; [`Db::snapshot`] publishes a frozen copy of it.
+    pub(crate) mem: MemTable,
+    /// Key + value + 1 bytes per write since the last flush, overwrites
+    /// included: what the flush threshold and the stall bands read.
+    pub(crate) mem_bytes: usize,
     /// `levels` + `quarantined` as snapshots share them; dropped whenever
     /// either changes ([`Db::tables_changed`]) and rebuilt by the next
     /// snapshot.
@@ -434,10 +431,8 @@ impl Db {
         let mut db = Self {
             cache: Arc::new(BlockCache::new(opts.cache_blocks)),
             opts,
-            mem: SkipList::new(),
-            mem_values: Vec::new(),
+            mem: MemTable::default(),
             mem_bytes: 0,
-            mem_view: RefCell::default(),
             table_set: RefCell::new(None),
             // Filters were attached above, while the tables were still
             // uniquely owned; from here on they are immutable and shared.
@@ -547,12 +542,7 @@ impl Db {
     /// MemTable insert without logging (shared by `put`/`delete` and WAL
     /// replay). `None` writes a delete tombstone.
     fn apply_write(&mut self, key: &[u8], value: Option<&[u8]>) {
-        let slot = self.mem_values.len() as u64;
-        self.mem_values.push(value.map(<[u8]>::to_vec));
-        if !self.mem.insert(key, slot) {
-            self.mem.update(key, slot);
-        }
-        self.mem_view.get_mut().record(key, slot);
+        self.mem.insert(key, value);
         self.mem_bytes += key.len() + value.map_or(0, <[u8]>::len) + 1;
     }
 
@@ -663,13 +653,14 @@ impl Db {
     pub fn flush(&mut self) -> Result<Option<FlushStats>> {
         self.tables_changed();
         self.reap_graveyard()?;
-        if self.mem.is_empty() {
+        if self.mem_bytes == 0 {
             return Ok(None);
         }
         // The WAL tail mirrors the MemTable exactly, so the table covers
         // every record up to the last appended seq.
         let flush_seq = self.wal.appended_seq();
-        let run = self.memtable_run();
+        self.mem.merge();
+        let run = Arc::clone(&self.mem.stage);
         let entries: Vec<EntryRef<'_>> = run.iter().collect();
         let table = SsTable::build(
             self.next_table_id,
@@ -709,10 +700,9 @@ impl Db {
         let flushed_entries = entries.len();
         let blocks_written = table.blocks.len();
         self.levels[0].push(Arc::new(table));
-        self.mem.clear();
-        self.mem_values.clear();
+        // The buffer is empty since the merge above and keeps its capacity.
+        self.mem.stage = Arc::default();
         self.mem_bytes = 0;
-        *self.mem_view.get_mut() = MemView::default();
         let mut wal_bytes = 0u64;
         if self.opts.wal {
             fail_point!(self.disk.faults(), "lsm.wal.reset");
@@ -1000,7 +990,7 @@ impl Db {
     /// method below is a delegation to it.
     pub(crate) fn view(&self) -> ReadView<'_> {
         ReadView {
-            mem: Mem::Live { list: &self.mem, values: &self.mem_values },
+            mem: &self.mem,
             levels: &self.levels,
             overlapping: self.overlapping,
             disk: &self.disk,
@@ -1036,19 +1026,14 @@ impl Db {
     /// given — the first row of [`Db::scan_from`]. A closed seek skips
     /// the tables whose SuRF holds no key in `[lk, hk)` without a read.
     pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> Option<Vec<u8>> {
-        let live = self.mem_run(lk, hk, 1);
-        self.view().seek(&[&live], lk, hk)
+        self.view().seek(lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
     /// `lk <= key` (`< hk` when bounded), in key order, newest version
     /// each.
     pub fn scan_from(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        // A skip list has no cursor to merge from: the live MemTable's part
-        // of the range is copied out first (every live entry of the newest
-        // source is an output row, so `limit` of them are enough).
-        let live = self.mem_run(lk, hk, limit);
-        self.view().cursor(&[&live], lk, hk).collect_rows(limit)
+        self.view().cursor(lk, hk).collect_rows(limit)
     }
 
     /// Read-I/O, sync, and degradation statistics (the repair/quarantine
@@ -1092,38 +1077,6 @@ impl Db {
         }
     }
 
-    pub(crate) fn memtable_is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
-    /// The whole MemTable, tombstones included, as one sorted run (flush
-    /// input, and the base of the published MemTable view).
-    pub(crate) fn memtable_run(&self) -> Run {
-        self.mem_run(&[], None, usize::MAX)
-    }
-
-    /// The MemTable from `lk` up to `hk` or its `limit`-th live entry as
-    /// one sorted run, tombstones included.
-    fn mem_run(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Run {
-        RunBuilder::collect(|push| {
-            let mut live = 0usize;
-            self.mem.range_from(lk, &mut |k, slot| {
-                if live == limit || hk.is_some_and(|hk| k >= hk) {
-                    return false;
-                }
-                let v = self.mem_value(slot);
-                live += usize::from(v.is_some());
-                push(k, v);
-                true
-            });
-        })
-    }
-
-    /// The value a MemTable entry points at; `None` = tombstone.
-    pub(crate) fn mem_value(&self, slot: u64) -> Option<&[u8]> {
-        self.mem_values[slot as usize].as_deref()
-    }
-
     /// The level structure and quarantine set as snapshots share them,
     /// rebuilt only after a change to either.
     pub(crate) fn table_set(&self) -> Arc<TableSet> {
@@ -1145,20 +1098,6 @@ impl Db {
         self.table_set.borrow_mut().take();
     }
 
-    /// `[min, max]` of the keys currently buffered in the MemTable
-    /// (tombstones included — a buffered delete is newer data too).
-    pub(crate) fn memtable_range(&self) -> Option<(Vec<u8>, Vec<u8>)> {
-        let mut min: Option<Vec<u8>> = None;
-        let mut max: Option<Vec<u8>> = None;
-        self.mem.for_each_sorted(&mut |k, _| {
-            if min.is_none() {
-                min = Some(k.to_vec());
-            }
-            max = Some(k.to_vec());
-        });
-        min.zip(max)
-    }
-
     /// Truncates the WAL to empty and resets its high-water bookkeeping
     /// (scrub's repair for a damaged log that covers no unflushed data).
     pub(crate) fn discard_wal(&mut self) {
@@ -1171,16 +1110,6 @@ impl Db {
     /// This database's WAL file name in the disk namespace.
     pub(crate) fn wal_file(&self) -> String {
         self.wal.file().to_string()
-    }
-
-    /// Marks WAL records up to `seq` acknowledged without issuing a sync
-    /// barrier of its own — for a caller that proved durability with one
-    /// `disk.sync()` covering several databases' appends (the cross-shard
-    /// group commit). Clamped and monotone; a no-op with the WAL off.
-    pub fn mark_synced_through(&mut self, seq: u64) {
-        if self.opts.wal {
-            self.wal.mark_synced(seq);
-        }
     }
 
     /// WAL activity counters (appends, group commits, replay outcome).
@@ -1300,6 +1229,7 @@ pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::BUFFER_KEYS;
     use memtree_common::key::encode_u64;
     use memtree_faults::Faults;
 
@@ -2061,6 +1991,38 @@ mod tests {
         assert_eq!(largest, frames[0].len().max(8 * (zero.len() + 1)));
         assert_eq!(zero.frame(), Some(&*frames[0]));
         assert_eq!(three.frame(), Some(&*frames[3]));
+    }
+
+    /// A put with no snapshot allocates for its WAL record and nothing
+    /// else: the MemTable's write buffer keeps its capacity across merges,
+    /// so only the put that fills it allocates, for the merged stage.
+    #[test]
+    fn put_allocates_only_its_wal_record_and_every_bth_the_stage() {
+        let mut db = Db::new(DbOptions {
+            memtable_bytes: 1 << 20, // no flush
+            wal_group_commit: usize::MAX, // syncs only where the test does
+            ..Default::default()
+        });
+        let keys: Vec<_> = (0..5 * BUFFER_KEYS as u64).map(encode_u64).collect();
+        let (warm, measured) = keys.split_at(2 * BUFFER_KEYS);
+        for k in warm {
+            db.put(k, &[7u8; 100]).unwrap();
+        }
+        for k in measured {
+            // The sync empties the disk's pending-op list, so each put
+            // starts from the same state.
+            db.sync().unwrap();
+            let (seq, allocations, _) = memtree_alloc_probe::measure(|| db.put(k, &[7u8; 100]));
+            seq.unwrap();
+            // WAL payload, WAL frame; the disk's pending append (file
+            // name, copy of the frame) and its pending-op list.
+            let wal = 5;
+            if db.mem.buffer.len() == 0 {
+                assert_eq!(allocations, wal + 3, "the merged stage: bytes, offsets, Arc");
+            } else {
+                assert_eq!(allocations, wal, "the MemTable insert allocated");
+            }
+        }
     }
 
     /// Regression: `encode_block` used to write `len as u16`, so an

@@ -246,7 +246,7 @@ impl DiskState {
 /// An in-memory "disk" of fixed-size blocks and small log files with exact
 /// read accounting, an optional per-read latency charge (busy-wait, so
 /// short latencies are accurate), and crash/tear semantics for recovery
-/// testing. `Send + Sync`: shard workers share one device.
+/// testing. `Send + Sync`: a sharded database's shards share one device.
 #[derive(Debug)]
 pub struct SimDisk {
     state: Mutex<DiskState>,

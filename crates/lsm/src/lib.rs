@@ -2,8 +2,9 @@
 //! (§4.2, Figure 4.2), built to evaluate SuRF as a drop-in Bloom-filter
 //! replacement.
 //!
-//! Architecture: a MemTable (our own paged skip list) absorbs writes;
-//! full MemTables become level-0 SSTables; leveled compaction keeps levels
+//! Architecture: a MemTable (the thesis's hybrid index: a sorted write
+//! buffer over one static run) absorbs writes; full MemTables become
+//! level-0 SSTables; leveled compaction keeps levels
 //! ≥ 1 sorted and disjoint. SSTables are sequences of fixed-size blocks on
 //! a **simulated disk** that counts every block read and can charge a
 //! configurable per-read latency — the paper's speedups are I/O-count
@@ -15,10 +16,9 @@
 //! paths, including SuRF's `moveToNext`-based candidate pruning for seeks.
 //! They and the merged range scan — a lazy [`ScanCursor`] that reads a
 //! block only when its walk reaches it — are implemented once, in the
-//! `read` module, over a borrowed view of a MemTable source, the levels,
-//! the device and the block cache; [`Db`] (over its live skip list) and
-//! [`DbSnapshot`] (over its frozen runs) expose the same read methods as
-//! delegations to it.
+//! `read` module, over a borrowed view of a MemTable, the levels, the
+//! device and the block cache; [`Db`] (its live MemTable) and
+//! [`DbSnapshot`] (a frozen copy) delegate every read method to it.
 //!
 //! Since the durability PR the engine is crash-consistent: puts are logged
 //! to a CRC-framed WAL before touching the MemTable, flushes and
@@ -34,6 +34,7 @@ mod compaction;
 mod db;
 mod disk;
 mod manifest;
+mod memtable;
 mod read;
 mod run;
 mod scrub;

@@ -1,32 +1,29 @@
 //! The read path, implemented once: [`ReadView`] borrows everything a read
-//! needs — a MemTable source, the levels, the device and the block cache —
+//! needs — a [`MemTable`], the levels, the device and the block cache —
 //! and carries the point read (Figure 4.3's Get path), one ordered walk
 //! ([`ScanCursor`]) and the one block-fetch ladder. Every ordered read is
 //! that walk: a scan is its rows, a seek is its first row's key, and a
 //! closed walk drops the tables whose SuRF holds no key in its range
-//! (Figure 4.3's Seek paths). [`Db`] builds a view over its live skip
-//! list, [`DbSnapshot`](crate::DbSnapshot) over its frozen runs; every
-//! public read method on either is a one-line delegation to this module.
+//! (Figure 4.3's Seek paths). [`Db`] builds a view over its live
+//! MemTable, [`DbSnapshot`](crate::DbSnapshot) over its frozen copy — the
+//! same two parts, a write buffer and a static stage, read the same way;
+//! every public read method on either is a one-line delegation to this
+//! module.
 //!
-//! The two handles differ in exactly two places:
-//!
-//! * [`Mem`] — where a point read finds a MemTable entry (a walk takes
-//!   the MemTable as sorted runs: the writer copies its part of the range
-//!   out of the skip list, a snapshot passes its two runs);
-//! * [`Handle`] — what a block that stays unreadable does. The writer keeps
-//!   score (probe, retry and repair counters), quarantines the block and
-//!   persists that through the manifest; a snapshot serves the block empty
-//!   for this view and writes nothing.
+//! The two handles differ in one place, [`Handle`]: what a block that
+//! stays unreadable does. The writer keeps score (probe, retry and repair
+//! counters), quarantines the block and persists that through the
+//! manifest; a snapshot serves the block empty for this view and writes
+//! nothing.
 
 use crate::cache::BlockCache;
 use crate::db::{Db, FilterStats};
 use crate::disk::SimDisk;
+use crate::memtable::{Buffer, MemTable};
 use crate::run::{EntryRef, Run};
 use crate::sstable::SsTable;
 use memtree_common::error::Result;
-use memtree_common::traits::OrderedIndex;
 use memtree_faults::Backoff;
-use memtree_skiplist::SkipList;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -41,31 +38,6 @@ use std::sync::Arc;
 /// fragmentation state the calling thread's heap has fallen into
 /// (EXPERIMENTS.md, PR 16).
 pub const SCAN_RESERVE_ROWS: usize = 1024;
-
-/// Where a MemTable entry comes from.
-#[derive(Clone, Copy)]
-pub(crate) enum Mem<'a> {
-    /// The writer's live skip list: keys → slots of its value arena
-    /// (`None` slots are delete tombstones).
-    Live {
-        list: &'a SkipList,
-        values: &'a [Option<Vec<u8>>],
-    },
-    /// A snapshot's frozen view: `delta` shadows `base`.
-    Frozen { delta: &'a Run, base: &'a Run },
-}
-
-impl<'a> Mem<'a> {
-    /// `None` = key not buffered; `Some(None)` = tombstoned.
-    fn get(&self, key: &[u8]) -> Option<Option<&'a [u8]>> {
-        match *self {
-            Mem::Live { list, values } => {
-                list.get(key).map(|slot| values[slot as usize].as_deref())
-            }
-            Mem::Frozen { delta, base } => delta.get(key).or_else(|| base.get(key)),
-        }
-    }
-}
 
 /// What a block that stays unreadable does, and who keeps score.
 #[derive(Clone, Copy)]
@@ -84,7 +56,7 @@ fn bump(counter: &Cell<u64>, by: u64) {
 
 /// Everything one read borrows. See the module docs.
 pub(crate) struct ReadView<'a> {
-    pub(crate) mem: Mem<'a>,
+    pub(crate) mem: &'a MemTable,
     /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint, or —
     /// when `overlapping` (tiered compaction) — age-ordered newest-last
     /// runs that are read newest-first like L0.
@@ -98,8 +70,10 @@ pub(crate) struct ReadView<'a> {
 /// One ordered source feeding a [`ScanCursor`]. Sources are consulted
 /// newest-first; on a key tie the newest wins.
 enum Source<'a> {
-    /// One run of the MemTable.
-    Mem { run: &'a Run, pos: usize },
+    /// The MemTable's write buffer; newer than its stage.
+    Buffer { buffer: &'a Buffer, pos: usize },
+    /// The MemTable's static stage.
+    Stage { run: &'a Run, pos: usize },
     /// A walk over one table, or over a disjoint level's tables in order.
     Tables(TableCursor<'a>),
 }
@@ -163,7 +137,8 @@ impl Source<'_> {
     /// [`TableCursor::data`]).
     fn key(&self) -> Option<&[u8]> {
         match self {
-            Source::Mem { run, pos } => (*pos < run.len()).then(|| run.key(*pos)),
+            Source::Buffer { buffer, pos } => (*pos < buffer.len()).then(|| buffer.key(*pos)),
+            Source::Stage { run, pos } => (*pos < run.len()).then(|| run.key(*pos)),
             Source::Tables(c) => c.key(),
         }
     }
@@ -171,7 +146,8 @@ impl Source<'_> {
     /// The head entry; `None` while its block is unread.
     fn entry(&self) -> Option<EntryRef<'_>> {
         match self {
-            Source::Mem { run, pos } => (*pos < run.len()).then(|| run.entry(*pos)),
+            Source::Buffer { buffer, pos } => (*pos < buffer.len()).then(|| buffer.entry(*pos)),
+            Source::Stage { run, pos } => (*pos < run.len()).then(|| run.entry(*pos)),
             Source::Tables(c) => c.data.as_ref().map(|run| run.entry(c.pos)),
         }
     }
@@ -182,7 +158,7 @@ impl Source<'_> {
 
     fn step(&mut self) {
         match self {
-            Source::Mem { pos, .. } => *pos += 1,
+            Source::Buffer { pos, .. } | Source::Stage { pos, .. } => *pos += 1,
             Source::Tables(c) => c.step(),
         }
     }
@@ -444,17 +420,12 @@ impl<'a> ReadView<'a> {
     }
 
     /// See [`Db::seek`]: the key of the cursor's first row.
-    pub(crate) fn seek(
-        self,
-        mem: &[&'a Run],
-        lk: &'a [u8],
-        hk: Option<&'a [u8]>,
-    ) -> Option<Vec<u8>> {
-        self.cursor(mem, lk, hk).peek().map(|(k, _)| k.to_vec())
+    pub(crate) fn seek(self, lk: &'a [u8], hk: Option<&'a [u8]>) -> Option<Vec<u8>> {
+        self.cursor(lk, hk).peek().map(|(k, _)| k.to_vec())
     }
 
-    /// A [`ScanCursor`] over `mem` (the MemTable's runs, newest first)
-    /// and the tables that can hold keys in `[lk, hk)`.
+    /// A [`ScanCursor`] over the MemTable's two parts and the tables that
+    /// can hold keys in `[lk, hk)`.
     ///
     /// A closed cursor uses SuRF as a range filter (Figure 4.3's closed
     /// seek): the first table of each walk is asked for `moveToNext(lk)`,
@@ -466,17 +437,12 @@ impl<'a> ReadView<'a> {
     /// skip the one block whose tail `lk` falls past, and on the served
     /// scan workload the probe cost more time than that block saved
     /// (EXPERIMENTS.md, "one ordered walk").
-    pub(crate) fn cursor(
-        self,
-        mem: &[&'a Run],
-        lk: &'a [u8],
-        hk: Option<&'a [u8]>,
-    ) -> ScanCursor<'a> {
+    pub(crate) fn cursor(self, lk: &'a [u8], hk: Option<&'a [u8]>) -> ScanCursor<'a> {
         let mut sources: Vec<Source<'a>> =
-            Vec::with_capacity(mem.len() + self.levels.iter().map(Vec::len).sum::<usize>());
-        for &run in mem {
-            sources.push(Source::Mem { run, pos: run.lower_bound(lk) });
-        }
+            Vec::with_capacity(2 + self.levels.iter().map(Vec::len).sum::<usize>());
+        let (buffer, run) = (&self.mem.buffer, &*self.mem.stage);
+        sources.push(Source::Buffer { buffer, pos: buffer.lower_bound(lk) });
+        sources.push(Source::Stage { run, pos: run.lower_bound(lk) });
         let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key.as_slice() < hk);
         // The block a walk over `t` starts at; `None` when SuRF rules out
         // every key in `[lk, hk)`. The prefix SuRF returns is a prefix of

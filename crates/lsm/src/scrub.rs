@@ -201,7 +201,7 @@ impl Db {
         if raw.is_empty() || decode_frames(&raw, "wal").map(|log| !log.torn).unwrap_or(false) {
             return Ok(FileScrubOutcome::Clean);
         }
-        if self.memtable_is_empty() {
+        if self.mem_bytes == 0 {
             self.discard_wal();
         } else {
             self.flush()?;
@@ -501,7 +501,7 @@ impl Db {
     /// report a [`LostRange`].
     fn covered_by_newer(&self, lvl: usize, pos: usize, lost: &LostRange) -> bool {
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        if let Some(r) = self.memtable_range() {
+        if let Some(r) = self.mem.range() {
             spans.push(r);
         }
         let mut newer_tables: Vec<&SsTable> = if lvl == 0 {

@@ -9,21 +9,16 @@
 //! never wait for writers; the only shared mutable state is the striped
 //! block cache, locked per stripe for microseconds at a time.
 //!
-//! ## Publishing costs O(delta), not O(MemTable)
+//! ## Publishing costs O(write buffer), not O(MemTable)
 //!
 //! A serving shard republishes after almost every write, so a snapshot
-//! must not copy the MemTable. The published MemTable view is the hybrid
-//! index's two stages ([`MemView`]): a large immutable **base** [`Run`],
-//! shared by pointer between successive snapshots, in front of which sits a
-//! small sorted **delta** of the writes since that base was built. The `Db`
-//! records each write's key in the delta; a snapshot copies only the delta
-//! (into a second, small `Run`); and the base is rebuilt — the skip list
-//! copied into one exactly sized buffer — only by the first snapshot after the
-//! delta has outgrown [`DELTA_MAX`] entries or a flush has emptied the
-//! MemTable. The level structure and the
-//! quarantine set are shared the same way, behind one `Arc` ([`TableSet`])
-//! that is rebuilt only after a flush, compaction, scrub or quarantine.
-//! The skip list stays the MemTable's source of truth throughout.
+//! must not copy the MemTable. It copies only the [`MemTable`]'s small
+//! write buffer, into an arena of exactly its live bytes, and shares the
+//! static stage by pointer ([`MemTable::freeze`]); the stage is rebuilt
+//! only when the buffer fills, by the writer. The level structure and the
+//! quarantine set are shared the same way, behind one `Arc`
+//! ([`TableSet`]) that is rebuilt only after a flush, compaction, scrub or
+//! quarantine.
 //!
 //! Retired tables stay alive as long as any snapshot holds their `Arc`
 //! (the `Db` parks them in a graveyard and releases their blocks only
@@ -33,7 +28,7 @@
 //! ## Reads
 //!
 //! A snapshot has no read path of its own: every read method builds a
-//! [`ReadView`] over the frozen runs and delegates to [`crate::read`], the
+//! [`ReadView`] over the frozen MemTable and delegates to [`crate::read`], the
 //! same code the owning `Db` reads through. Reads are *degraded, never
 //! escalating*: a quarantined or persistently unreadable block is served
 //! as empty for this view (the same answer the owning `Db` gives),
@@ -44,59 +39,11 @@
 use crate::cache::BlockCache;
 use crate::db::Db;
 use crate::disk::SimDisk;
-use crate::read::{Handle, Mem, ReadView, ScanCursor};
-use crate::run::{Run, RunBuilder};
+use crate::memtable::MemTable;
+use crate::read::{Handle, ReadView, ScanCursor};
 use crate::sstable::SsTable;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Delta entries past which the next snapshot rebuilds the base. A
-/// snapshot costs O(delta) and a rebuild O(MemTable) once per `DELTA_MAX`
-/// writes, so the sum is smallest near `sqrt(2 × MemTable entries)` — 64
-/// for the ~2 000 entries a default MemTable holds.
-const DELTA_MAX: usize = 64;
-
-/// The `Db`-side state of the published MemTable view (see the module
-/// docs): the shared base and the keys written since it was built.
-#[derive(Default)]
-pub(crate) struct MemView {
-    /// The MemTable as of the last rebuild.
-    base: Arc<Run>,
-    /// Key → value-arena slot of every write since `base` was built.
-    /// `None` — the state after a flush, and once the delta has outgrown
-    /// [`DELTA_MAX`] — means `base` is out of date and nothing is being
-    /// recorded: the next snapshot rebuilds the base, and a `Db` nobody
-    /// snapshots never pays for a delta at all.
-    delta: Option<BTreeMap<Vec<u8>, u64>>,
-}
-
-impl MemView {
-    /// Notes a write applied to the MemTable.
-    pub(crate) fn record(&mut self, key: &[u8], slot: u64) {
-        let Some(delta) = &mut self.delta else { return };
-        match delta.get_mut(key) {
-            Some(newest) => *newest = slot,
-            None => {
-                delta.insert(key.to_vec(), slot);
-            }
-        }
-        if delta.len() > DELTA_MAX {
-            self.delta = None;
-        }
-    }
-
-    /// The `(base, delta)` pair a snapshot of `db` carries.
-    fn publish(&mut self, db: &Db) -> (Arc<Run>, Run) {
-        let recorded = self.delta.get_or_insert_with(|| {
-            self.base = Arc::new(db.memtable_run());
-            BTreeMap::new()
-        });
-        let delta = RunBuilder::collect(|push| {
-            recorded.iter().for_each(|(key, &slot)| push(key, db.mem_value(slot)));
-        });
-        (Arc::clone(&self.base), delta)
-    }
-}
 
 /// The level structure and quarantine set a snapshot reads, shared by
 /// every snapshot taken between two changes to either.
@@ -115,10 +62,8 @@ pub(crate) struct TableSet {
 ///
 /// Created by [`Db::snapshot`]; see the module docs for semantics.
 pub struct DbSnapshot {
-    /// MemTable writes newer than `mem_base`, sorted; shadows it.
-    mem_delta: Run,
-    /// The MemTable as of the last base rebuild before snapshot time.
-    mem_base: Arc<Run>,
+    /// The MemTable at snapshot time.
+    mem: MemTable,
     tables: Arc<TableSet>,
     disk: Arc<SimDisk>,
     cache: Arc<BlockCache>,
@@ -128,16 +73,12 @@ pub struct DbSnapshot {
 
 impl Db {
     /// Freezes the current state into an immutable [`DbSnapshot`] that
-    /// other threads can read while this `Db` keeps writing. Cost is
-    /// proportional to the writes since the MemTable view's base was last
-    /// rebuilt (at most a small constant; the rebuild itself is one copy
-    /// of the MemTable, amortised over that many writes) plus a handful
-    /// of `Arc` bumps — not to the MemTable or the number of tables.
+    /// other threads can read while this `Db` keeps writing. Cost is one
+    /// copy of the MemTable's write buffer (a bounded number of keys) plus
+    /// a handful of `Arc` bumps — not the MemTable or the number of tables.
     pub fn snapshot(&self) -> DbSnapshot {
-        let (mem_base, mem_delta) = self.mem_view.borrow_mut().publish(self);
         DbSnapshot {
-            mem_delta,
-            mem_base,
+            mem: self.mem.freeze(),
             tables: self.table_set(),
             disk: self.disk_handle(),
             cache: Arc::clone(&self.cache),
@@ -154,7 +95,7 @@ impl DbSnapshot {
 
     fn view(&self) -> ReadView<'_> {
         ReadView {
-            mem: Mem::Frozen { delta: &self.mem_delta, base: &self.mem_base },
+            mem: &self.mem,
             levels: &self.tables.levels,
             overlapping: self.tables.overlapping,
             disk: &self.disk,
@@ -172,7 +113,7 @@ impl DbSnapshot {
 
     /// [`Db::seek`] at snapshot time.
     pub fn seek(&self, lk: &[u8], hk: Option<&[u8]>) -> Option<Vec<u8>> {
-        self.view().seek(&[&self.mem_delta, &self.mem_base], lk, hk)
+        self.view().seek(lk, hk)
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -185,7 +126,7 @@ impl DbSnapshot {
     /// The rows of [`DbSnapshot::scan_from`] one at a time, borrowed from
     /// the snapshot, reading each block only when the walk reaches it.
     pub fn cursor<'a>(&'a self, lk: &'a [u8], hk: Option<&'a [u8]>) -> ScanCursor<'a> {
-        self.view().cursor(&[&self.mem_delta, &self.mem_base], lk, hk)
+        self.view().cursor(lk, hk)
     }
 }
 
@@ -311,7 +252,7 @@ mod tests {
     }
 
     /// The hot-path vectors are sized once: a scan allocates its rows plus
-    /// a constant, and a publish allocates the delta run's two buffers —
+    /// a constant, and a publish allocates the write buffer's copy —
     /// neither grows anything by doubling (the ladders of freed odd-sized
     /// chunks that doubling leaves behind are what made served scans
     /// bimodal, see `SCAN_RESERVE_ROWS`).
@@ -320,12 +261,12 @@ mod tests {
         use memtree_alloc_probe::measure;
         let mut db = Db::new(DbOptions::default());
         db.put(b"warm", b"up").unwrap();
-        drop(db.snapshot()); // builds the base and the shared table set
+        drop(db.snapshot()); // builds the shared table set
         for i in 0..40u64 {
             db.put(&encode_u64(i), &[7u8; 100]).unwrap();
         }
         let (snap, publish_allocs, _) = measure(|| db.snapshot());
-        assert_eq!(publish_allocs, 2, "delta run: bytes, offsets");
+        assert_eq!(publish_allocs, 2, "buffer copy: arena, rows");
         for rows in [1usize, 10, 40] {
             let (got, allocs, _) = measure(|| snap.scan_from(&encode_u64(0), None, rows));
             assert_eq!(got.len(), rows);

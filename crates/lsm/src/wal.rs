@@ -307,19 +307,6 @@ impl Wal {
         self.synced_seq
     }
 
-    /// Marks every record up to `seq` acknowledged without issuing a sync
-    /// barrier of its own — the caller proved durability externally (a
-    /// cross-shard group commit whose one `disk.sync()` barrier covered
-    /// this log's appends). Clamped to the appended high-water mark and
-    /// monotone: a stale or over-eager mark can never un-acknowledge.
-    pub fn mark_synced(&mut self, seq: u64) {
-        let capped = seq.min(self.appended_seq);
-        if capped > self.synced_seq {
-            self.synced_seq = capped;
-            self.unsynced = 0;
-        }
-    }
-
     /// Counters.
     pub fn stats(&self) -> WalStats {
         self.stats
@@ -462,22 +449,6 @@ mod tests {
         let (rwal, records) = Wal::replay(&disk, 0, WAL_FILE).unwrap();
         assert_eq!(records.len(), 4, "unsynced suffix lost");
         assert_eq!(rwal.synced_seq(), 4);
-    }
-
-    #[test]
-    fn mark_synced_is_clamped_and_monotone() {
-        let disk = SimDisk::new(Duration::ZERO);
-        let mut wal = Wal::new(0, WAL_FILE.to_string());
-        for _ in 0..5 {
-            wal.append(&disk, b"k", Some(b"v"), usize::MAX).unwrap();
-        }
-        assert_eq!(wal.synced_seq(), 0);
-        wal.mark_synced(3);
-        assert_eq!(wal.synced_seq(), 3);
-        wal.mark_synced(2); // stale mark: no un-acknowledge
-        assert_eq!(wal.synced_seq(), 3);
-        wal.mark_synced(99); // clamped to the appended high-water mark
-        assert_eq!(wal.synced_seq(), 5);
     }
 
     #[test]

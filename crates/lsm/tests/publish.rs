@@ -1,5 +1,6 @@
-//! Publish differential: `Db::snapshot()` hands out a shared MemTable base
-//! plus a small delta and a shared table set, rebuilt at different times.
+//! Publish differential: `Db::snapshot()` hands out a shared MemTable
+//! stage plus a copy of the write buffer and a shared table set, rebuilt
+//! at different times.
 //! Whatever the sharing, every snapshot must read exactly what the
 //! database held *at the instant it was taken*, and keep reading that
 //! while the database moves on underneath it.
@@ -148,7 +149,7 @@ fn every_snapshot_reads_its_own_instant_forever() {
     for seed in seed_range() {
         prop_check_seeded("publish_differential", seed, 1, |g| {
             let mut db = Db::new(DbOptions {
-                // ~600 entries per MemTable generation: several base rebuilds
+                // ~600 entries per MemTable generation: several buffer merges
                 // between two flushes.
                 memtable_bytes: 16 << 10,
                 block_size: 256,
@@ -171,12 +172,12 @@ fn every_snapshot_reads_its_own_instant_forever() {
                 ..DbOptions::default()
             });
             let mut model = Model::new();
-            // Snapshots held while the base, the delta and the table set they
+            // Snapshots held while the stage, the buffer and the table set they
             // were cut from are all replaced, each with its frozen model.
             let mut held: Vec<(DbSnapshot, Model)> = Vec::new();
-            // Writes between snapshots swing between "a few" (the delta grows
-            // one publish at a time to the rebuild threshold) and "hundreds"
-            // (the delta overflows unobserved).
+            // Writes between snapshots swing between "a few" (the buffer grows
+            // one publish at a time to its merge) and "hundreds" (the buffer
+            // merges several times unobserved).
             let mut snapshot_pct = 25;
             for step in 0..3000 {
                 if step % 250 == 0 {

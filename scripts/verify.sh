@@ -52,6 +52,9 @@ MEMTREE_FAULT_SEEDS=0..128 RUST_TEST_THREADS=4 cargo test -q --offline -p memtre
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
 
+echo "== Db/DbSnapshot read-path differential over seeds 0..64 (the range CI's four fault shards cover, offline) =="
+MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --test publish
+
 echo "== cargo clippy --workspace --all-targets -D warnings (offline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
