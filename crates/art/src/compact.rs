@@ -7,7 +7,7 @@
 //! per-node allocations and no stored sibling pointers.
 
 use memtree_common::mem::vec_bytes;
-use memtree_common::traits::{BatchProbe, StaticIndex, Value};
+use memtree_common::traits::{StaticIndex, Value};
 
 /// Fanout above which Layout 3 (direct 256-slot array) is smaller than
 /// Layout 1 (key byte + 4-byte child ref per branch): `256*4 < n*(1+4)`.
@@ -340,27 +340,6 @@ impl StaticIndex for CompactArt {
     }
 }
 
-impl BatchProbe for CompactArt {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-
-    /// Merged-traversal multi-scan: sorted range starts share one in-order
-    /// walk (`range_from`), so clustered ranges pay one descent per cluster
-    /// instead of one per range.
-    fn multi_scan(&self, ranges: &[(&[u8], usize)], out: &mut Vec<Vec<Value>>) {
-        memtree_common::traits::multi_scan_merged(
-            &|low, f| CompactArt::range_from(self, low, f),
-            ranges,
-            out,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,90 +457,6 @@ mod tests {
         assert_eq!(t.get(b"solo"), Some(42));
         assert_eq!(t.get(b"sol"), None);
         assert_eq!(t.get(b"solos"), None);
-    }
-
-    #[test]
-    fn multi_get_matches_per_key_loop() {
-        // String keys with heavy prefix sharing plus pure-random integers;
-        // probes mix hits, extensions, truncations, and duplicates.
-        let mut cases: Vec<Vec<(Vec<u8>, Value)>> = vec![
-            sorted_random(6000, 31, u64::MAX),
-            sorted_random(2000, 33, 50_000),
-        ];
-        let mut emails: Vec<(Vec<u8>, Value)> = (0..3000u64)
-            .map(|i| {
-                (
-                    format!("com.domain{}@user{:05}", i % 13, i).into_bytes(),
-                    i,
-                )
-            })
-            .collect();
-        emails.sort();
-        cases.push(emails);
-        for entries in cases {
-            let t = CompactArt::build(&entries);
-            let mut probes: Vec<Vec<u8>> = Vec::new();
-            for (i, (k, _)) in entries.iter().enumerate() {
-                probes.push(k.clone());
-                if i % 2 == 0 {
-                    let mut q = k.clone();
-                    q.push(0xFF);
-                    probes.push(q);
-                }
-                if i % 3 == 0 && !k.is_empty() {
-                    probes.push(k[..k.len() - 1].to_vec());
-                }
-                if i % 7 == 0 {
-                    probes.push(k.clone());
-                }
-            }
-            probes.push(Vec::new());
-            probes.reverse();
-            let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-            let expect: Vec<Option<Value>> = refs.iter().map(|k| t.get(k)).collect();
-            for chunk in [1usize, 16, 200, refs.len()] {
-                let mut got = Vec::new();
-                for c in refs.chunks(chunk) {
-                    t.multi_get(c, &mut got);
-                }
-                assert_eq!(got, expect, "chunk {chunk}");
-            }
-        }
-        let t = CompactArt::build(&[]);
-        assert_eq!(t.multi_get_vec(&[b"x".as_slice()]), vec![None]);
-    }
-
-    #[test]
-    fn multi_scan_matches_per_range_loop() {
-        let mut state = 41u64;
-        for entries in [
-            Vec::new(),
-            sorted_random(1, 39, u64::MAX),
-            sorted_random(2500, 37, 80_000),
-        ] {
-            let t = CompactArt::build(&entries);
-            let mut lows: Vec<Vec<u8>> = Vec::new();
-            for _ in 0..150 {
-                let r = memtree_common::hash::splitmix64(&mut state);
-                lows.push(encode_u64(r % 100_000).to_vec());
-            }
-            lows.push(Vec::new());
-            lows.push(encode_u64(u64::MAX).to_vec());
-            let ranges: Vec<(&[u8], usize)> = lows
-                .iter()
-                .enumerate()
-                .map(|(i, low)| (low.as_slice(), [0usize, 1, 9, 5000][i % 4]))
-                .collect();
-            let expect: Vec<Vec<Value>> = ranges
-                .iter()
-                .map(|&(low, cnt)| {
-                    let mut one = Vec::new();
-                    t.scan(low, cnt, &mut one);
-                    one
-                })
-                .collect();
-            assert_eq!(t.multi_scan_vec(&ranges), expect, "n={}", entries.len());
-        }
     }
 
     #[test]

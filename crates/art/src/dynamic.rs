@@ -2,7 +2,7 @@
 
 use memtree_common::key::common_prefix_len;
 use memtree_common::probe::ProbeStats;
-use memtree_common::traits::{BatchProbe, OrderedIndex, Value};
+use memtree_common::traits::{OrderedIndex, Value};
 
 type Child = Option<Box<Node>>;
 
@@ -792,17 +792,6 @@ impl OrderedIndex for Art {
         self.len = 0;
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for Art {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! Hot-path kernel and batched multi-get benchmark.
+//! Hot-path kernel and FST batched-lookup benchmark.
 //!
 //! Three layers of ablation, written to `BENCH_hotpath.json`:
 //!
@@ -9,9 +9,9 @@
 //!    select over sparse ones (sampled scan vs rank-block skip vs rank
 //!    binary search).
 //! 2. **FST point lookups** — `TrieOpts::baseline()` (all §3.6
-//!    optimizations off) vs `TrieOpts::default()` (vectorized), plus the
-//!    batched `multi_get` against the per-key loop at several batch sizes
-//!    for FST, Compact B+tree and the hybrid `DualStage`.
+//!    optimizations off) vs `TrieOpts::default()` (vectorized), plus
+//!    `Fst::get_batch` (level-synchronous descent) against the per-key
+//!    `get` loop at several batch sizes.
 //! 3. **Thread scaling** — N reader threads over one shared static FST.
 //!
 //! Every variant is cross-checked against its scalar baseline before being
@@ -24,11 +24,9 @@
 
 use memtree_bench::harness::{best_of, kernel_meta, BenchArgs, Json};
 use memtree_bench::mops;
-use memtree_btree::CompactBTree;
 use memtree_common::hash::splitmix64;
-use memtree_common::traits::{BatchProbe, OrderedIndex, StaticIndex, Value};
+use memtree_common::traits::{StaticIndex, Value};
 use memtree_fst::{Fst, TrieOpts};
-use memtree_hybrid::{HybridBTree, MergeTrigger};
 use memtree_succinct::{
     find_byte, find_byte_scalar, find_byte_swar, popcount_words, popcount_words_scalar,
     popcount_words_swar, select_in_word, select_in_word_scalar, select_in_word_swar, BitVector,
@@ -390,7 +388,7 @@ fn bench_sparse_select(cfg: &Config, doc: &mut Json) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: FST point lookups (scalar vs vectorized) and batched multi-get
+// Layer 2: FST point lookups (scalar vs vectorized) and batched lookup
 // ---------------------------------------------------------------------------
 
 fn probe_set(entries: &[(Vec<u8>, Value)], n_reads: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -438,51 +436,46 @@ fn bench_point_lookup(cfg: &Config, entries: &[(Vec<u8>, Value)], doc: &mut Json
     speedup
 }
 
-/// One row per batch size; `wins` records whether batching beat the loop.
-fn bench_batched<S: BatchProbe>(
-    cfg: &Config,
-    name: &'static str,
-    index: &S,
-    refs: &[&[u8]],
-    doc: &mut Json,
-    wins: &mut Vec<bool>,
-) {
+/// One row per batch size of `Fst::get_batch` against the per-key `get`
+/// loop. Returns the batched / per-key speed-up of each row.
+fn bench_get_batch(cfg: &Config, fst: &Fst, refs: &[&[u8]], doc: &mut Json) -> Vec<f64> {
     // Correctness first: batched answers must equal the per-key loop.
-    let expect: Vec<Option<Value>> = refs.iter().map(|k| index.probe_one(k)).collect();
+    let expect: Vec<Option<Value>> = refs.iter().map(|k| fst.get(k)).collect();
+    let mut speedups = Vec::new();
     for batch in [16usize, 64, 256] {
         let mut got = Vec::with_capacity(refs.len());
         for c in refs.chunks(batch) {
-            index.multi_get(c, &mut got);
+            fst.get_batch(c, &mut got);
         }
-        assert_eq!(got, expect, "{name} batched mismatch at batch {batch}");
+        assert_eq!(got, expect, "fst get_batch mismatch at batch {batch}");
         let t_loop = best_of(cfg.runs, || {
             let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
             for k in refs {
-                out.push(index.probe_one(k));
+                out.push(fst.get(k));
             }
             std::hint::black_box(out.len());
         });
         let t_batch = best_of(cfg.runs, || {
             let mut out: Vec<Option<Value>> = Vec::with_capacity(refs.len());
             for c in refs.chunks(batch) {
-                index.multi_get(c, &mut out);
+                fst.get_batch(c, &mut out);
             }
             std::hint::black_box(out.len());
         });
         let (per_key, batched) = (mops(refs.len(), t_loop), mops(refs.len(), t_batch));
         println!(
-            "{name:<16} batch {batch:>3}  per-key {per_key:.2}  batched {batched:.2} Mops/s  ({:.2}x)",
+            "fst get_batch    batch {batch:>3}  per-key {per_key:.2}  batched {batched:.2} Mops/s  ({:.2}x)",
             batched / per_key
         );
         doc.item(|j| {
-            j.str("index", name);
             j.int("batch", batch);
             j.num("per_key", per_key, 3);
             j.num("batched", batched, 3);
             j.num("speedup", batched / per_key, 3);
         });
-        wins.push(batched > per_key);
+        speedups.push(batched / per_key);
     }
+    speedups
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +504,7 @@ fn bench_threads(cfg: &Config, fst: &Arc<Fst>, probes: &Arc<Vec<Vec<u8>>>, doc: 
                                 i += 1;
                             }
                             results.clear();
-                            fst.multi_get(&batch, &mut results);
+                            fst.get_batch(&batch, &mut results);
                             hits += results.iter().flatten().count();
                         }
                         std::hint::black_box(hits)
@@ -549,36 +542,21 @@ fn main() {
         j.int("runs", cfg.runs);
         j.bool("smoke", cfg.smoke);
         kernel_meta(j);
-        j.str("note", "hot-path kernel ablations + batched multi-get; all rates in Mops/s");
+        j.str("note", "hot-path kernel ablations + FST batched lookup; all rates in Mops/s");
     });
     j.obj("kernels", |j| bench_kernels(&cfg, j));
     let pareto_points = j.arr("rank_select_pareto", |j| bench_rank_select_pareto(&cfg, j));
     j.obj("select_sparse", |j| bench_sparse_select(&cfg, j));
     let speedup = j.obj("fst_point_lookup", |j| bench_point_lookup(&cfg, &entries, j));
 
-    // Batched multi-get across the tree zoo, same probe set everywhere.
+    // FST's batched lookup against its per-key loop, then thread scaling
+    // over the same shared Arc<Fst> and probe set.
+    let shared = Arc::new(Fst::build_with(&entries, TrieOpts::default()));
     let probes = probe_set(&entries, cfg.n_reads.min(200_000), 11);
     let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-    let mut wins: Vec<bool> = Vec::new();
-    j.arr("multi_get", |j| {
-        let fst = Fst::build_with(&entries, TrieOpts::default());
-        bench_batched(&cfg, "fst", &fst, &refs, j, &mut wins);
-        let cbt = CompactBTree::build(&entries);
-        bench_batched(&cfg, "compact_btree", &cbt, &refs, j, &mut wins);
-        let mut hybrid = HybridBTree::with_config(MergeTrigger::Manual, true);
-        for (k, v) in &entries {
-            hybrid.insert(k, *v);
-        }
-        hybrid.force_merge().unwrap();
-        // Dynamic stage holds fresh (shadowing) writes, as after a checkpoint.
-        for (k, _) in entries.iter().step_by(64) {
-            hybrid.update(k, 0xDEAD);
-        }
-        bench_batched(&cfg, "hybrid_btree", &hybrid, &refs, j, &mut wins);
+    let speedups = j.arr("fst_get_batch", |j| {
+        bench_get_batch(&cfg, &shared, &refs, j)
     });
-
-    // Thread scaling over a shared Arc<Fst>.
-    let shared = Arc::new(Fst::build_with(&entries, TrieOpts::default()));
     let shared_probes = Arc::new(probes.clone());
     j.arr("thread_scaling", |j| bench_threads(&cfg, &shared, &shared_probes, j));
 
@@ -594,11 +572,12 @@ fn main() {
             speedup >= 1.3,
             "vectorized FST point lookup only {speedup:.2}x over scalar baseline (need >= 1.3x)"
         );
-        let batched_wins = wins.iter().filter(|&&won| won).count();
+        // The batched lookup is kept only because it wins: it must beat
+        // the per-key loop at every batch size.
         assert!(
-            batched_wins >= wins.len() / 2,
-            "multi_get should beat the per-key loop at batch >= 16 (won {batched_wins}/{})",
-            wins.len()
+            speedups.iter().all(|&s| s > 1.0),
+            "Fst::get_batch must beat the per-key get loop at every batch size \
+             (speed-ups {speedups:.2?} at batch 16/64/256)"
         );
     }
 
@@ -607,7 +586,7 @@ fn main() {
         &[
             "meta", "kernel_mode", "crc_kernel", "kernels", "popcount_words8",
             "rank_select_pareto", "block_bits", "sample", "bits_per_key", "mixed_mops",
-            "fst_point_lookup", "multi_get", "thread_scaling",
+            "fst_point_lookup", "fst_get_batch", "thread_scaling",
         ],
     );
 }

@@ -4,7 +4,7 @@
 //! wall-clock time:
 //!
 //! 1. **What does the WAL cost on the write path?** The same insert
-//!    workload runs with the WAL off and with group commit 1 / 8 / 64.
+//!    workload runs with group commit 1 / 8 / 64.
 //!    Reported: throughput, sync barriers, WAL bytes, and write
 //!    amplification (WAL bytes per logical byte — the CRC frame and key
 //!    length add a fixed overhead per record).
@@ -33,11 +33,10 @@ fn key_of(i: u64) -> [u8; 8] {
 
 const VALUE: &[u8] = b"ten-bytes!";
 
-fn opts(filter: FilterKind, wal: bool, group: usize) -> DbOptions {
+fn opts(filter: FilterKind, group: usize) -> DbOptions {
     DbOptions {
         memtable_bytes: 64 << 10,
         filter,
-        wal,
         wal_group_commit: group,
         ..Default::default()
     }
@@ -51,17 +50,12 @@ struct WalLine {
     write_amp: f64,
 }
 
-/// The same insert workload under each durability setting.
+/// The same insert workload under each group-commit setting.
 fn bench_wal_overhead(n_keys: usize, j: &mut Json) -> Vec<WalLine> {
-    let configs: [(&'static str, bool, usize); 4] = [
-        ("wal_off", false, 1),
-        ("group_1", true, 1),
-        ("group_8", true, 8),
-        ("group_64", true, 64),
-    ];
+    let configs: [(&'static str, usize); 3] = [("group_1", 1), ("group_8", 8), ("group_64", 64)];
     let mut lines = Vec::new();
-    for (name, wal, group) in configs {
-        let mut db = Db::new(opts(FilterKind::None, wal, group));
+    for (name, group) in configs {
+        let mut db = Db::new(opts(FilterKind::None, group));
         let elapsed = time(|| {
             for i in 0..n_keys as u64 {
                 db.put(&key_of(i), VALUE).unwrap();
@@ -77,7 +71,6 @@ fn bench_wal_overhead(n_keys: usize, j: &mut Json) -> Vec<WalLine> {
         );
         j.item(|j| {
             j.str("config", name);
-            j.bool("wal", wal);
             j.int("group_commit", group);
             j.num("mops", rate, 3);
             j.int("syncs", syncs);
@@ -102,7 +95,7 @@ fn bench_recovery_time(n_keys: usize, j: &mut Json) {
         (FilterKind::SurfReal(8), "surf_real8"),
     ];
     for (filter, kind) in kinds {
-        let o = opts(filter, true, 8);
+        let o = opts(filter, 8);
         let mut db = Db::new(o.clone());
         for i in 0..n_keys as u64 {
             db.put(&key_of(i), VALUE).unwrap();
@@ -223,7 +216,6 @@ fn enforce_gates(wal: &[WalLine]) {
         amp > 1.0 && amp < 3.0,
         "WAL write amplification {amp:.2} outside sane bounds"
     );
-    assert_eq!(by("wal_off").wal_bytes, 0, "disabled WAL must write nothing");
 }
 
 fn main() {

@@ -365,8 +365,8 @@ mod tests {
     fn required_keys_check_names_the_missing_key() {
         let mut j = Json::default();
         j.obj("meta", |j| j.int("n_keys", 1u64));
-        j.str("note", "\"multi_get\" only inside a string does not count");
+        j.str("note", "\"thread_scaling\" only inside a string does not count");
         assert!(j.missing_keys(&["meta", "n_keys", "note"]).is_empty());
-        assert_eq!(j.missing_keys(&["meta", "multi_get"]), ["multi_get"]);
+        assert_eq!(j.missing_keys(&["meta", "thread_scaling"]), ["thread_scaling"]);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::sepsearch;
 use memtree_common::mem::vec_bytes;
-use memtree_common::traits::{BatchProbe, StaticIndex, Value};
+use memtree_common::traits::{StaticIndex, Value};
 
 /// Sampling factor / logical node size of the computed internal levels.
 pub const NODE_FANOUT: usize = 32;
@@ -106,105 +106,6 @@ impl CompactBTree {
             }
         }
         l - lo
-    }
-
-    /// Sorted-batch descent for [`BatchProbe::multi_get`]: `group` holds
-    /// probe indexes whose keys are ascending and all fall inside
-    /// `node_range` of `levels[depth]`. One `partition_point` per *run* of
-    /// keys resolves the shared child, so upper-level separator probes are
-    /// paid once per child instead of once per key.
-    fn batch_descend(
-        &self,
-        keys: &[&[u8]],
-        group: &[u32],
-        depth: usize,
-        node_range: (usize, usize),
-        base: usize,
-        out: &mut [Option<Value>],
-    ) {
-        let level = &self.levels[depth];
-        let (s, e) = node_range;
-        let n = self.len();
-        let mut i = 0usize;
-        while i < group.len() {
-            let target = keys[group[i] as usize];
-            let tp = sepsearch::key_prefix8(target);
-            let slot = self.separator_slot(depth, s, e, target, tp);
-            let child = s + slot.saturating_sub(1);
-            // Grow the run: every following key that still falls under the
-            // same separator shares this child.
-            let mut j = i + 1;
-            while j < group.len()
-                && (child + 1 >= e
-                    || self.key(level[child + 1] as usize) > keys[group[j] as usize])
-            {
-                j += 1;
-            }
-            if depth == 0 {
-                let lo = level[child] as usize;
-                let hi = level.get(child + 1).map_or(n, |&next| next as usize);
-                for &gi in &group[i..j] {
-                    let key = keys[gi as usize];
-                    let pos = lo + self.key_bytes_partition(lo, hi, key);
-                    if pos < n && self.key(pos) == key {
-                        out[base + gi as usize] = Some(self.vals[pos]);
-                    }
-                }
-            } else {
-                let child_range = (
-                    child * NODE_FANOUT,
-                    ((child + 1) * NODE_FANOUT).min(self.levels[depth - 1].len()),
-                );
-                self.batch_descend(keys, &group[i..j], depth - 1, child_range, base, out);
-            }
-            i = j;
-        }
-    }
-
-    /// Sorted-batch lower-bound descent, the scan-side twin of
-    /// [`Self::batch_descend`]: `group` holds probe indexes whose targets
-    /// are ascending and all fall inside `node_range` of `levels[depth]`.
-    /// Writes each target's lower-bound position into `pos`.
-    fn batch_lower_bound(
-        &self,
-        targets: &[&[u8]],
-        group: &[u32],
-        depth: usize,
-        node_range: (usize, usize),
-        pos: &mut [usize],
-    ) {
-        let level = &self.levels[depth];
-        let (s, e) = node_range;
-        let n = self.len();
-        let mut i = 0usize;
-        while i < group.len() {
-            let target = targets[group[i] as usize];
-            let tp = sepsearch::key_prefix8(target);
-            let slot = self.separator_slot(depth, s, e, target, tp);
-            let child = s + slot.saturating_sub(1);
-            let mut j = i + 1;
-            while j < group.len()
-                && (child + 1 >= e
-                    || self.key(level[child + 1] as usize) > targets[group[j] as usize])
-            {
-                j += 1;
-            }
-            if depth == 0 {
-                let lo = level[child] as usize;
-                let hi = level.get(child + 1).map_or(n, |&next| next as usize);
-                for &gi in &group[i..j] {
-                    let target = targets[gi as usize];
-                    pos[gi as usize] = lo + self.key_bytes_partition(lo, hi, target);
-                }
-            } else {
-                let child_range = (
-                    child * NODE_FANOUT,
-                    ((child + 1) * NODE_FANOUT).min(self.levels[depth - 1].len()),
-                );
-                self.batch_lower_bound(targets, &group[i..j], depth - 1, child_range, pos);
-            }
-            i = j;
-        }
     }
 
     /// The key at sorted position `i`.
@@ -313,67 +214,6 @@ impl StaticIndex for CompactBTree {
     }
 }
 
-impl BatchProbe for CompactBTree {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    /// Sorted-batch multi-get: probes are sorted once, then descend the
-    /// sampled levels together — each upper-level node is binary-searched
-    /// once per *run* of keys instead of once per key, and leaf binary
-    /// searches start from an already-narrowed range.
-    fn multi_get(&self, keys: &[&[u8]], out: &mut Vec<Option<Value>>) {
-        let base = out.len();
-        out.resize(base + keys.len(), None);
-        if self.len() == 0 || keys.is_empty() {
-            return;
-        }
-        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| keys[i as usize]);
-        if let Some(top) = self.levels.last() {
-            let depth = self.levels.len() - 1;
-            self.batch_descend(keys, &order, depth, (0, top.len()), base, out);
-        } else {
-            // Single-node tree: nothing to share, probe directly.
-            for &i in &order {
-                out[base + i as usize] = self.get(keys[i as usize]);
-            }
-        }
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-
-    /// Sorted-batch multi-scan: all range starts descend the sampled levels
-    /// together (one separator binary-search per run of nearby lows via
-    /// [`Self::batch_lower_bound`]), then each range is a contiguous value
-    /// slice — scans over a flat leaf array need no cursor at all.
-    fn multi_scan(&self, ranges: &[(&[u8], usize)], out: &mut Vec<Vec<Value>>) {
-        if self.len() == 0 || ranges.is_empty() {
-            out.extend(ranges.iter().map(|_| Vec::new()));
-            return;
-        }
-        let lows: Vec<&[u8]> = ranges.iter().map(|&(low, _)| low).collect();
-        let mut pos = vec![0usize; ranges.len()];
-        if let Some(top) = self.levels.last() {
-            let mut order: Vec<u32> = (0..ranges.len() as u32).collect();
-            order.sort_unstable_by_key(|&i| lows[i as usize]);
-            let depth = self.levels.len() - 1;
-            self.batch_lower_bound(&lows, &order, depth, (0, top.len()), &mut pos);
-        } else {
-            for (i, &low) in lows.iter().enumerate() {
-                pos[i] = self.lower_bound(low);
-            }
-        }
-        for (i, &(_, n)) in ranges.iter().enumerate() {
-            let start = pos[i];
-            let end = (start + n).min(self.len());
-            out.push(self.vals[start..end].to_vec());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,12 +315,6 @@ mod tests {
             let expect = keys.partition_point(|k| k.as_slice() < p.as_slice());
             assert_eq!(t.lower_bound(&p), expect, "probe {probe}");
         }
-        // The batched paths run the same separator search per run head.
-        let refs: Vec<&[u8]> = keys.iter().rev().map(|k| k.as_slice()).collect();
-        let mut got = Vec::new();
-        t.multi_get(&refs, &mut got);
-        let expect: Vec<Option<Value>> = refs.iter().map(|k| t.get(k)).collect();
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -504,52 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_get_matches_per_key_loop() {
-        let mut state = 23u64;
-        let mut keys: Vec<Vec<u8>> = (0..8000)
-            .map(|_| {
-                let len = 1 + (memtree_common::hash::splitmix64(&mut state) % 16) as usize;
-                (0..len)
-                    .map(|_| (memtree_common::hash::splitmix64(&mut state) % 8) as u8)
-                    .collect()
-            })
-            .collect();
-        keys.sort();
-        keys.dedup();
-        let entries: Vec<(Vec<u8>, Value)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), i as Value))
-            .collect();
-        for n in [0usize, 1, 5, NODE_FANOUT, NODE_FANOUT + 1, keys.len()] {
-            let t = CompactBTree::build(&entries[..n]);
-            // Unsorted probe order with hits, misses, and duplicates.
-            let mut probes: Vec<Vec<u8>> = Vec::new();
-            for (i, k) in keys.iter().enumerate().take(n.max(64)) {
-                probes.push(k.clone());
-                if i % 2 == 0 {
-                    let mut miss = k.clone();
-                    miss.push(9);
-                    probes.push(miss);
-                }
-                if i % 5 == 0 {
-                    probes.push(k.clone());
-                }
-            }
-            probes.reverse(); // force the sort to do real work
-            let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-            let expect: Vec<Option<Value>> = refs.iter().map(|k| t.get(k)).collect();
-            for chunk in [1usize, 16, 100, refs.len().max(1)] {
-                let mut got = Vec::new();
-                for c in refs.chunks(chunk) {
-                    t.multi_get(c, &mut got);
-                }
-                assert_eq!(got, expect, "n={n} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
     fn for_each_sorted_roundtrip() {
         let entries: Vec<(Vec<u8>, Value)> = (0..500u64)
             .map(|i| (encode_u64(i).to_vec(), i * 2))
@@ -558,39 +346,5 @@ mod tests {
         let mut got = Vec::new();
         t.for_each_sorted(&mut |k, v| got.push((k.to_vec(), v)));
         assert_eq!(got, entries);
-    }
-
-    #[test]
-    fn multi_scan_matches_per_range_loop() {
-        let mut state = 29u64;
-        for n in [0usize, 1, NODE_FANOUT, 3000] {
-            let entries: Vec<(Vec<u8>, Value)> = (0..n as u64)
-                .map(|i| (encode_u64(i * 5).to_vec(), i))
-                .collect();
-            let t = CompactBTree::build(&entries);
-            // Overlapping, duplicate, in-gap, and past-the-end range starts
-            // in shuffled order, with n of 0/1/small/huge.
-            let mut lows: Vec<Vec<u8>> = Vec::new();
-            for _ in 0..200 {
-                let r = memtree_common::hash::splitmix64(&mut state);
-                lows.push(encode_u64(r % (n as u64 * 6 + 10)).to_vec());
-            }
-            lows.push(encode_u64(0).to_vec());
-            lows.push(encode_u64(u64::MAX).to_vec());
-            let ranges: Vec<(&[u8], usize)> = lows
-                .iter()
-                .enumerate()
-                .map(|(i, low)| (low.as_slice(), [0usize, 1, 7, 10_000][i % 4]))
-                .collect();
-            let expect: Vec<Vec<Value>> = ranges
-                .iter()
-                .map(|&(low, cnt)| {
-                    let mut one = Vec::new();
-                    t.scan(low, cnt, &mut one);
-                    one
-                })
-                .collect();
-            assert_eq!(t.multi_scan_vec(&ranges), expect, "n={n}");
-        }
     }
 }

@@ -7,7 +7,7 @@
 
 use memtree_common::error::MemtreeError;
 use memtree_common::mem::{vec_bytes, vec_of_bytes};
-use memtree_common::traits::{BatchProbe, StaticIndex, Value};
+use memtree_common::traits::{StaticIndex, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -457,17 +457,6 @@ impl StaticIndex for CompressedBTree {
         }
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for CompressedBTree {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

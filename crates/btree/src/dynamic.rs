@@ -8,7 +8,7 @@
 use memtree_common::key::common_prefix_len;
 use memtree_common::mem::vec_bytes;
 use memtree_common::probe::ProbeStats;
-use memtree_common::traits::{BatchProbe, OrderedIndex, Value};
+use memtree_common::traits::{OrderedIndex, Value};
 
 type NodeId = u32;
 const NIL: NodeId = u32::MAX;
@@ -600,17 +600,6 @@ impl OrderedIndex for BPlusTree {
         });
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for BPlusTree {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@
 //!   tier + portable slicing-by-16) used to frame compressed blocks.
 //! * [`dispatch`] — the process-wide `MEMTREE_KERNELS` kernel-dispatch
 //!   policy consulted by every hardware-accelerated kernel.
-//! * [`check`] — a deterministic, dependency-free property-test harness
+//! * [`check`](mod@check) — a deterministic, dependency-free property-test harness
 //!   (seeded generator + `prop_check`), replacing the external `proptest`.
 //! * [`snapshot`] — [`SnapshotCell`], epoch-stamped `Arc`-swap snapshot
 //!   publication (readers never block behind writers).
@@ -43,6 +43,4 @@ pub use crc::{crc32c, crc32c_update, crc32c_update_slicing16};
 pub use dispatch::{hardware_allowed, kernel_mode, KernelMode};
 pub use error::MemtreeError;
 pub use snapshot::SnapshotCell;
-pub use traits::{
-    multi_scan_merged, BatchProbe, OrderedIndex, PointFilter, RangeFilter, StaticIndex, Value,
-};
+pub use traits::{OrderedIndex, PointFilter, RangeFilter, StaticIndex, Value};

@@ -16,12 +16,6 @@ pub fn vec_of_bytes(v: &Vec<Vec<u8>>) -> usize {
     vec_bytes(v) + v.iter().map(|b| b.capacity()).sum::<usize>()
 }
 
-/// Heap bytes of a boxed slice.
-#[inline]
-pub fn boxed_slice_bytes<T>(s: &[T]) -> usize {
-    std::mem::size_of_val(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ pub use baselines::{PdtLite, TxTrie};
 pub use iter::TrieIter;
 pub use louds::{LookupResult, LoudsTrie, TrieOpts};
 
-use memtree_common::traits::{BatchProbe, StaticIndex, Value};
+use memtree_common::traits::{StaticIndex, Value};
 
 /// The Fast Succinct Trie as an ordered static map over complete keys.
 #[derive(Debug)]
@@ -133,33 +133,6 @@ impl StaticIndex for Fst {
             }
             it.next();
         }
-    }
-}
-
-impl BatchProbe for Fst {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn multi_get(&self, keys: &[&[u8]], out: &mut Vec<Option<Value>>) {
-        self.get_batch(keys, out);
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-
-    /// Merged-traversal multi-scan: range starts are visited in sorted
-    /// order, and ranges whose windows overlap share one trie cursor — the
-    /// per-range `lower_bound` descent (the expensive part of a short scan)
-    /// is paid once per *cluster* of nearby ranges instead of once per
-    /// range.
-    fn multi_scan(&self, ranges: &[(&[u8], usize)], out: &mut Vec<Vec<Value>>) {
-        memtree_common::traits::multi_scan_merged(
-            &|low, f| self.range_from(low, f),
-            ranges,
-            out,
-        );
     }
 }
 
@@ -379,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_get_matches_per_key_loop() {
+    fn get_batch_matches_per_key_loop() {
         let mut state = 17u64;
         let mut keys: Vec<Vec<u8>> = (0..6000)
             .map(|_| {
@@ -422,61 +395,16 @@ mod tests {
             for chunk in [1usize, 7, 16, 64, 333, refs.len()] {
                 let mut got = Vec::new();
                 for c in refs.chunks(chunk) {
-                    f.multi_get(c, &mut got);
+                    f.get_batch(c, &mut got);
                 }
                 assert_eq!(got, expect, "chunk {chunk}");
             }
         }
         // Empty trie still answers positionally.
         let f = Fst::build(&[]);
-        assert_eq!(f.multi_get_vec(&[b"a".as_slice(), b""]), vec![None, None]);
-    }
-
-    #[test]
-    fn multi_scan_matches_per_range_loop() {
-        let mut state = 43u64;
-        let mut keys: Vec<Vec<u8>> = (0..4000)
-            .map(|_| {
-                let len = 1 + (memtree_common::hash::splitmix64(&mut state) % 10) as usize;
-                (0..len)
-                    .map(|_| (memtree_common::hash::splitmix64(&mut state) % 6) as u8 + b'a')
-                    .collect()
-            })
-            .collect();
-        keys.sort();
-        keys.dedup();
-        let entries: Vec<(Vec<u8>, Value)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), i as Value))
-            .collect();
-        for subset in [0usize, 1, entries.len()] {
-            let f = Fst::build(&entries[..subset]);
-            // Clustered, overlapping, duplicate, and past-the-end starts.
-            let mut lows: Vec<Vec<u8>> = keys.iter().step_by(17).cloned().collect();
-            for low in lows.clone() {
-                let mut ext = low.clone();
-                ext.push(b'c');
-                lows.push(ext); // in-gap start
-                lows.push(low); // duplicate start
-            }
-            lows.push(Vec::new());
-            lows.push(b"zzzzzz".to_vec());
-            let ranges: Vec<(&[u8], usize)> = lows
-                .iter()
-                .enumerate()
-                .map(|(i, low)| (low.as_slice(), [0usize, 1, 13, 4000][i % 4]))
-                .collect();
-            let expect: Vec<Vec<Value>> = ranges
-                .iter()
-                .map(|&(low, cnt)| {
-                    let mut one = Vec::new();
-                    f.scan(low, cnt, &mut one);
-                    one
-                })
-                .collect();
-            assert_eq!(f.multi_scan_vec(&ranges), expect, "subset={subset}");
-        }
+        let mut got = Vec::new();
+        f.get_batch(&[b"a".as_slice(), b""], &mut got);
+        assert_eq!(got, vec![None, None]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 use memtree_common::error::MemtreeError;
-use memtree_common::traits::{BatchProbe, OrderedIndex, PointFilter, StaticIndex, Value};
+use memtree_common::traits::{OrderedIndex, PointFilter, StaticIndex, Value};
 use memtree_faults::{fail_point, Faults};
 use memtree_filters::DynamicBloom;
 use std::collections::HashSet;
@@ -526,48 +526,6 @@ impl<D: OrderedIndex + Default, S: StaticIndex> OrderedIndex for DualStage<D, S>
     }
 }
 
-impl<D: OrderedIndex + Default, S: StaticIndex + BatchProbe> BatchProbe for DualStage<D, S> {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    /// Batched dual-stage probe: each key takes the Bloom-guarded dynamic
-    /// probe first (the dynamic stage is small and hot in cache), and
-    /// every unresolved, non-tombstoned key falls through to the static
-    /// stage in **one** batched `multi_get` — so the static structure's
-    /// own batching (level-synchronous trie descent, sorted-batch B+tree
-    /// descent, …) amortizes its cache misses across the whole batch.
-    fn multi_get(&self, keys: &[&[u8]], out: &mut Vec<Option<Value>>) {
-        let base = out.len();
-        out.resize(base + keys.len(), None);
-        let mut pending_idx: Vec<u32> = Vec::new();
-        let mut pending_keys: Vec<&[u8]> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            if self.bloom_may_contain(key) {
-                if let Some(v) = self.dynamic.get(key) {
-                    out[base + i] = Some(v);
-                    continue;
-                }
-            }
-            if self.stat.is_some() && !self.tombstones.contains(key) {
-                pending_idx.push(i as u32);
-                pending_keys.push(key);
-            }
-        }
-        if let Some(s) = &self.stat {
-            let mut results = Vec::with_capacity(pending_keys.len());
-            s.multi_get(&pending_keys, &mut results);
-            for (&i, r) in pending_idx.iter().zip(results) {
-                out[base + i as usize] = r;
-            }
-        }
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 impl DualStage<memtree_btree::BPlusTree, memtree_btree::CompressedBTree> {
     /// Sets the static stage's decompressed-node cache capacity (0 = off) —
     /// the Figure 5.9 node-cache ablation knob.
@@ -728,43 +686,6 @@ mod tests {
             high_ratio > low_ratio,
             "ratio 50 merges ({high_ratio}) should exceed ratio 2 ({low_ratio})"
         );
-    }
-
-    #[test]
-    fn multi_get_matches_per_key_across_stages() {
-        fn check<D: OrderedIndex + Default, S: StaticIndex + BatchProbe>(name: &str) {
-            let mut h: DualStage<D, S> = DualStage::with_config(MergeTrigger::Manual, true);
-            // Static stage: even keys. Dynamic stage: odd keys. Plus
-            // shadowed updates and tombstoned deletes on the static side.
-            for i in (0..8000u64).step_by(2) {
-                h.insert(&encode_u64(i), i);
-            }
-            h.force_merge().unwrap();
-            for i in (1..8000u64).step_by(2) {
-                h.insert(&encode_u64(i), i);
-            }
-            for i in (0..8000u64).step_by(100) {
-                h.update(&encode_u64(i), i + 1_000_000);
-            }
-            for i in (2..8000u64).step_by(274) {
-                h.remove(&encode_u64(i));
-            }
-            let probes: Vec<Vec<u8>> = (0..10_000u64)
-                .map(|i| encode_u64(i.wrapping_mul(2654435761) % 9000).to_vec())
-                .collect();
-            let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-            let expect: Vec<Option<Value>> = refs.iter().map(|k| h.get(k)).collect();
-            for chunk in [1usize, 16, 256, refs.len()] {
-                let mut got = Vec::new();
-                for c in refs.chunks(chunk) {
-                    h.multi_get(c, &mut got);
-                }
-                assert_eq!(got, expect, "{name} chunk {chunk}");
-            }
-        }
-        check::<memtree_btree::BPlusTree, memtree_btree::CompactBTree>("btree");
-        check::<memtree_art::Art, memtree_art::CompactArt>("art");
-        check::<memtree_skiplist::SkipList, memtree_skiplist::CompactSkipList>("skiplist");
     }
 
     #[test]

@@ -71,10 +71,6 @@ pub struct DbOptions {
     /// Simulated latency charged per block read (used by [`Db::new`] when
     /// it creates the disk; [`Db::open`] inherits the given disk's).
     pub io_read_latency: Duration,
-    /// Write-ahead logging. `false` restores the volatile pre-durability
-    /// behaviour: a crash loses the MemTable, recovery serves only
-    /// flushed tables.
-    pub wal: bool,
     /// Group commit: sync the WAL once every this many puts (1 = every
     /// put is acknowledged immediately; larger values amortize the sync
     /// barrier and risk only the unsynced suffix).
@@ -83,12 +79,14 @@ pub struct DbOptions {
     /// manifest files (`""` = the classic standalone names). Lets several
     /// databases — e.g. the shards of a sharded serving layer — share one
     /// [`SimDisk`] without clobbering each other's metadata.
+    ///
+    /// The namespace also decides who garbage-collects unreferenced disk
+    /// blocks. A database with the empty namespace owns its disk and
+    /// frees them at open; a namespaced one leaves that to its owner (one
+    /// shard must not free blocks its siblings reference), which runs the
+    /// cross-database [`gc_orphans`](crate::gc_orphans) once every
+    /// database on the disk is open.
     pub namespace: String,
-    /// Garbage-collect unreferenced disk blocks at open. `true` for a
-    /// standalone database; a sharded open sets `false` (one shard must
-    /// not free blocks its siblings reference) and runs the cross-shard
-    /// [`gc_orphans`](crate::gc_orphans) after every shard is open.
-    pub gc_orphans: bool,
     /// Compaction policy shaping the levels. Persisted in the manifest at
     /// creation; on reopen the *persisted* policy wins (the on-disk level
     /// shape was built by it), and this field is updated to match —
@@ -166,10 +164,8 @@ impl Default for DbOptions {
             filter: FilterKind::None,
             cache_blocks: 64,
             io_read_latency: Duration::ZERO,
-            wal: true,
             wal_group_commit: 1,
             namespace: String::new(),
-            gc_orphans: true,
             compaction: CompactionConfig::default(),
             stall: StallConfig::disabled(),
             compact_on_flush: true,
@@ -314,9 +310,10 @@ impl Db {
 
     /// Opens (or recovers) a database from `disk`: reads CURRENT and the
     /// manifest it names, reconstructs the level structure, garbage-
-    /// collects unreferenced blocks, rebuilds filters, replays the WAL
-    /// past the flushed high-water mark, and rotates the manifest to a
-    /// fresh snapshot.
+    /// collects unreferenced blocks (only with the empty
+    /// [`DbOptions::namespace`]), rebuilds filters, replays the WAL past
+    /// the flushed high-water mark, and rotates the manifest to a fresh
+    /// snapshot.
     pub fn open(disk: Arc<SimDisk>, opts: DbOptions) -> Result<Self> {
         let mut opts = opts;
         let (mut manifest, mut version, fresh) = Manifest::open(&disk, &opts.namespace)?;
@@ -352,20 +349,11 @@ impl Db {
         // Garbage-collect blocks no table references: torn table builds
         // and compactions that crashed before their manifest transaction
         // leave allocated-but-unpublished blocks behind (data and filter-
-        // image blocks alike). A sharded open skips this (another shard's
-        // tables also reference this disk) and runs the cross-shard
-        // [`gc_orphans`] once every shard is open.
-        if opts.gc_orphans {
-            let referenced: HashSet<u32> = levels
-                .iter()
-                .flatten()
-                .flat_map(|t| t.blocks.iter().copied().chain(t.filter_block))
-                .collect();
-            for id in 0..disk.block_slots() as u32 {
-                if disk.is_live(id) && !referenced.contains(&id) {
-                    disk.release(id)?;
-                }
-            }
+        // image blocks alike). A namespaced open skips this (another
+        // database's tables also reference this disk); its owner runs the
+        // cross-database [`gc_orphans`] once every database is open.
+        if opts.namespace.is_empty() {
+            release_unreferenced(&disk, levels.iter().flatten())?;
         }
         // Filter recovery, fastest path first:
         //
@@ -608,12 +596,9 @@ impl Db {
             }
         }
         self.check_pressure()?;
-        let seq = if self.opts.wal {
-            self.wal
-                .append(&self.disk, key, value, self.opts.wal_group_commit)?
-        } else {
-            self.wal.bump_seq()
-        };
+        let seq = self
+            .wal
+            .append(&self.disk, key, value, self.opts.wal_group_commit)?;
         self.apply_write(key, value);
         if self.mem_bytes >= self.opts.memtable_bytes {
             // The write itself is already applied and logged; the flush it
@@ -636,12 +621,7 @@ impl Db {
     /// Forces every appended WAL record durable (acknowledges the group-
     /// commit tail).
     pub fn sync(&mut self) -> Result<()> {
-        if self.opts.wal {
-            self.wal.sync(&self.disk)?;
-        } else {
-            self.disk.sync();
-        }
-        Ok(())
+        self.wal.sync(&self.disk)
     }
 
     /// Flushes the MemTable into a new level-0 SSTable. Returns `None`
@@ -703,14 +683,11 @@ impl Db {
         // The buffer is empty since the merge above and keeps its capacity.
         self.mem.stage = Arc::default();
         self.mem_bytes = 0;
-        let mut wal_bytes = 0u64;
-        if self.opts.wal {
-            fail_point!(self.disk.faults(), "lsm.wal.reset");
-            wal_bytes = self.disk.file_len(self.wal.file()) as u64;
-            self.disk.truncate_file(self.wal.file(), 0);
-            self.disk.sync();
-            self.wal.note_reset(wal_bytes);
-        }
+        fail_point!(self.disk.faults(), "lsm.wal.reset");
+        let wal_bytes = self.disk.file_len(self.wal.file()) as u64;
+        self.disk.truncate_file(self.wal.file(), 0);
+        self.disk.sync();
+        self.wal.note_reset(wal_bytes);
         let stats = FlushStats {
             entries: flushed_entries,
             wal_bytes_truncated: wal_bytes,
@@ -1206,14 +1183,25 @@ impl Db {
 }
 
 /// Cross-database orphan-block GC: releases every live disk block that no
-/// table of any of `dbs` references. The sharded serving layer opens every
-/// shard with [`DbOptions::gc_orphans`] `= false` (a single shard must not
-/// free its siblings' blocks) and runs this once, afterwards. Returns the
-/// number of blocks freed.
+/// table of any of `dbs` references. Databases opened with a non-empty
+/// [`DbOptions::namespace`] skip the GC at open (one must not free its
+/// siblings' blocks); their owner runs this once, after all are open.
+/// Returns the number of blocks freed.
 pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
-    let referenced: HashSet<u32> = dbs
+    let tables = dbs
         .iter()
-        .flat_map(|db| db.levels.iter().flatten())
+        .flat_map(|db| db.levels.iter().flatten().map(|t| &**t));
+    release_unreferenced(disk, tables)
+}
+
+/// Releases every live disk block that none of `tables` references (data
+/// and filter-image blocks alike). Returns the number of blocks freed.
+fn release_unreferenced<'a>(
+    disk: &SimDisk,
+    tables: impl IntoIterator<Item = &'a SsTable>,
+) -> Result<u64> {
+    let referenced: HashSet<u32> = tables
+        .into_iter()
         .flat_map(|t| t.blocks.iter().copied().chain(t.filter_block))
         .collect();
     let mut freed = 0u64;
@@ -1877,6 +1865,59 @@ mod tests {
         let db = Db::open(db.close().unwrap(), opts).unwrap();
         assert_eq!(db.get(&encode_u64(500)).as_deref(), Some(&b"in the wal"[..]));
         assert_eq!(db.get(&encode_u64(501)).as_deref(), Some(&b"x"[..]));
+    }
+
+    /// Who collects orphan blocks follows from the namespace: a namespaced
+    /// `Db` shares its disk and leaves GC to its owner's cross-database
+    /// pass; a `Db` with the empty namespace owns its disk and GCs at open.
+    #[test]
+    fn only_an_unnamespaced_open_collects_orphan_blocks() {
+        let opts = |namespace: &str| DbOptions {
+            memtable_bytes: 4 << 10,
+            namespace: namespace.to_string(),
+            ..Default::default()
+        };
+        let live = |d: &SimDisk| -> Vec<u32> {
+            (0..d.block_slots() as u32)
+                .filter(|&id| d.is_live(id))
+                .collect()
+        };
+        let fill = |db: &mut Db| {
+            for i in 0..300u64 {
+                db.put(&encode_u64(i), &i.to_le_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+        };
+
+        // Two namespaced Dbs on one disk, plus a block neither references.
+        let disk = Arc::new(SimDisk::new(Duration::ZERO));
+        let mut a = Db::open(Arc::clone(&disk), opts("a-")).unwrap();
+        let mut b = Db::open(Arc::clone(&disk), opts("b-")).unwrap();
+        fill(&mut a);
+        fill(&mut b);
+        let orphan = disk.write(Box::from(&b"orphan"[..])).unwrap();
+        disk.sync();
+        let before = live(&disk);
+        // Reopening one alone frees nothing: not b's blocks, and not the
+        // orphan either, which only the owner's pass may judge.
+        let a = Db::open(a.close().unwrap(), opts("a-")).unwrap();
+        assert_eq!(live(&disk), before);
+        for i in 0..300u64 {
+            assert_eq!(a.get(&encode_u64(i)), Some(i.to_le_bytes().to_vec()));
+            assert_eq!(b.get(&encode_u64(i)), Some(i.to_le_bytes().to_vec()));
+        }
+        assert_eq!(gc_orphans(&disk, &[&a, &b]).unwrap(), 1);
+        assert!(!disk.is_live(orphan));
+
+        // A standalone Db owns its disk: its reopen frees the orphan.
+        let mut db = Db::open(Arc::new(SimDisk::new(Duration::ZERO)), opts("")).unwrap();
+        fill(&mut db);
+        let disk = db.close().unwrap();
+        let orphan = disk.write(Box::from(&b"orphan"[..])).unwrap();
+        disk.sync();
+        let db = Db::open(Arc::clone(&disk), opts("")).unwrap();
+        assert!(!disk.is_live(orphan));
+        assert_eq!(db.get(&encode_u64(7)), Some(7u64.to_le_bytes().to_vec()));
     }
 
     #[test]

@@ -702,11 +702,6 @@ impl SimDisk {
         }
     }
 
-    /// True while any write is buffered but not yet durable.
-    pub fn has_unsynced_writes(&self) -> bool {
-        !self.st().pending.is_empty()
-    }
-
     /// Current counters.
     pub fn stats(&self) -> IoStats {
         IoStats {

@@ -241,16 +241,6 @@ impl Wal {
         &self.file
     }
 
-    /// Allocates the next sequence number without logging (WAL-disabled
-    /// configurations still need seqs for flush bookkeeping).
-    pub fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.appended_seq = seq;
-        self.synced_seq = seq; // nothing to make durable
-        seq
-    }
-
     /// Appends a put or delete record (`value: None` = tombstone),
     /// group-committing once `group_commit` records accumulate. Returns
     /// the record's sequence number. On error (injected fault, ENOSPC)

@@ -18,7 +18,7 @@
 use memtree_common::key::keyslice;
 use memtree_common::mem::vec_bytes;
 use memtree_common::probe::ProbeStats;
-use memtree_common::traits::{BatchProbe, OrderedIndex, StaticIndex, Value};
+use memtree_common::traits::{OrderedIndex, StaticIndex, Value};
 
 mod slicetree;
 use slicetree::SliceTree;
@@ -316,17 +316,6 @@ impl OrderedIndex for Masstree {
         self.len = 0;
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for Masstree {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 // ---------------------------------------------------------------------------
 // Compact Masstree
@@ -597,17 +586,6 @@ impl StaticIndex for CompactMasstree {
         CompactMasstree::range_from(self, low, f);
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for CompactMasstree {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

@@ -107,11 +107,11 @@ pub struct ServeOptions {
     /// Number of shards. A reopen of an existing disk uses the persisted
     /// count and ignores this field.
     pub shards: usize,
-    /// Per-shard engine options. `namespace`, `gc_orphans`,
-    /// `wal_group_commit`, `compact_on_flush`, and `stall` are overridden
-    /// by the serving layer (namespaced files, cross-shard GC,
-    /// cross-shard group commit, compactor-paced compaction, serving
-    /// stall bands).
+    /// Per-shard engine options. `namespace`, `wal_group_commit`,
+    /// `compact_on_flush`, and `stall` are overridden by the serving
+    /// layer (namespaced files, which also hand orphan-block GC to the
+    /// cross-shard pass; cross-shard group commit; compactor-paced
+    /// compaction; serving stall bands).
     pub db: DbOptions,
     /// Most callers admitted into one shard at once; admission sheds
     /// past it.
@@ -335,13 +335,14 @@ pub struct ShardedDb {
     compactor: Option<JoinHandle<()>>,
 }
 
-/// The engine options a shard runs with: namespaced files, cross-shard
-/// GC, syncing left to the group commit, compactor-paced compaction, and
-/// the serving stall bands.
+/// The engine options a shard runs with: namespaced files (so GC is
+/// left to the cross-shard pass), syncing left to the group commit,
+/// compactor-paced compaction, and the serving stall bands.
 fn shard_opts(base: &DbOptions, stall: StallConfig, shard: usize) -> DbOptions {
     DbOptions {
+        // A namespaced Db skips the orphan-block GC at open; `open` runs
+        // the cross-shard `gc_orphans` once every shard is open.
         namespace: format!("s{shard}-"),
-        gc_orphans: false,
         // The group commit owns syncing; appends must never sync.
         wal_group_commit: usize::MAX,
         // Compaction is paced by the compactor and overload relief, so a

@@ -16,7 +16,7 @@
 
 use memtree_common::mem::vec_bytes;
 use memtree_common::probe::ProbeStats;
-use memtree_common::traits::{BatchProbe, OrderedIndex, StaticIndex, Value};
+use memtree_common::traits::{OrderedIndex, StaticIndex, Value};
 
 type PageId = u32;
 const NIL: PageId = u32::MAX;
@@ -318,17 +318,6 @@ impl OrderedIndex for SkipList {
         self.len = 0;
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for SkipList {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 /// Compact skip list: every level flattened into one contiguous array,
 /// next-pointers removed (Figure 2.3, Skip List row).
@@ -454,17 +443,6 @@ impl StaticIndex for CompactSkipList {
         }
     }
 }
-/// Per-key fallback `multi_get`; no batched descent for this structure.
-impl BatchProbe for CompactSkipList {
-    fn probe_one(&self, key: &[u8]) -> Option<Value> {
-        self.get(key)
-    }
-
-    fn scan_one(&self, low: &[u8], n: usize, out: &mut Vec<Value>) -> usize {
-        self.scan(low, n, out)
-    }
-}
-
 
 #[cfg(test)]
 mod tests {
@@ -526,31 +504,6 @@ mod tests {
         let mut out = Vec::new();
         s.scan(&encode_u64(101), 5, &mut out);
         assert_eq!(out, vec![51, 52, 53, 54, 55]);
-    }
-
-    #[test]
-    fn default_multi_scan_matches_per_range_loop() {
-        // SkipList uses the trait's per-range default; pin the positional
-        // contract here so every fallback implementor is covered.
-        let mut s = SkipList::new();
-        for i in 0..500u64 {
-            s.insert(&encode_u64(i * 3), i);
-        }
-        let lows: Vec<Vec<u8>> = (0..60u64).map(|i| encode_u64(i * 29).to_vec()).collect();
-        let ranges: Vec<(&[u8], usize)> = lows
-            .iter()
-            .enumerate()
-            .map(|(i, low)| (low.as_slice(), [0usize, 1, 8, 1000][i % 4]))
-            .collect();
-        let expect: Vec<Vec<Value>> = ranges
-            .iter()
-            .map(|&(low, n)| {
-                let mut one = Vec::new();
-                s.scan(low, n, &mut one);
-                one
-            })
-            .collect();
-        assert_eq!(s.multi_scan_vec(&ranges), expect);
     }
 
     #[test]

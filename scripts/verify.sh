@@ -15,7 +15,7 @@ cargo test -q --workspace --offline
 echo "== cargo test --workspace with MEMTREE_KERNELS=scalar (portable fallback lane, offline) =="
 MEMTREE_KERNELS=scalar cargo test -q --workspace --offline
 
-echo "== bench_hotpath --smoke (kernel cross-checks, offline) =="
+echo "== bench_hotpath --smoke (kernel cross-checks + FST batched-lookup differential, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
 
 echo "== bench_lsm --smoke (per-filter block-read gate + leveled/tiered amp gates, offline) =="
@@ -57,5 +57,8 @@ MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --test publish
 
 echo "== cargo clippy --workspace --all-targets -D warnings (offline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc --workspace -D warnings (dangling intra-doc links, offline) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "verify: OK"
