@@ -1,7 +1,7 @@
 //! Test-only allocation probe. Linking this crate installs a counting
 //! `#[global_allocator]` that forwards to `System` and keeps, per thread,
-//! the number of allocations, the largest request, and the live heap bytes
-//! (allocated minus freed). Tests use it to hold a path to an exact
+//! the number of allocations, the largest request, the bytes requested,
+//! and the live heap bytes (allocated minus freed). Tests use it to hold a path to an exact
 //! allocation count, and to check that a structure's reported memory is
 //! the heap it really holds. Take it only as a dev-dependency.
 
@@ -13,6 +13,8 @@ struct Probe;
 thread_local! {
     /// `(allocations, largest request in bytes)` since the last reset.
     static ALLOCS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    /// Bytes this thread allocated, freed or not, since it started.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
     /// Bytes this thread allocated minus bytes it freed, since it started.
     static LIVE: Cell<isize> = const { Cell::new(0) };
 }
@@ -29,6 +31,7 @@ unsafe impl GlobalAlloc for Probe {
             let (count, largest) = a.get();
             a.set((count + 1, largest.max(size)));
         });
+        let _ = REQUESTED.try_with(|r| r.set(r.get() + size));
         let _ = LIVE.try_with(|l| l.set(l.get() + size as isize));
         // SAFETY: `layout` is the caller's, passed through untouched.
         unsafe { System.alloc(layout) }
@@ -53,6 +56,15 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (out, count, largest)
 }
 
+/// Runs `f`; returns its result and the bytes this thread allocated
+/// meanwhile, whether freed again or not (a regrown buffer counts its new
+/// size once more) — the bytes `f` wrote into fresh memory.
+pub fn requested<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = f();
+    (out, REQUESTED.with(Cell::get) - before)
+}
+
 /// Runs `f`; returns its result and the heap bytes this thread holds
 /// afterwards that it did not hold before — what the result keeps alive,
 /// once `f`'s temporaries are freed.
@@ -70,6 +82,8 @@ mod tests {
     fn counts_allocations_and_live_bytes() {
         let (v, count, largest) = measure(|| vec![0u8; 1000]);
         assert_eq!((count, largest), (1, 1000));
+        let ((), bytes) = requested(|| drop((vec![0u8; 300], vec![0u16; 50])));
+        assert_eq!(bytes, 400, "freed bytes count too");
         let (mut w, held) = retained(|| {
             let scratch = vec![1u64; 64];
             drop(scratch);

@@ -25,7 +25,7 @@ use crate::cache::BlockCache;
 use crate::compaction::{CompactionConfig, CompactionPolicy};
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
-use crate::memtable::MemTable;
+use crate::memtable::{self, MemTable};
 use crate::read::{Handle, ReadView};
 use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
 use crate::snapshot::TableSet;
@@ -639,9 +639,8 @@ impl Db {
         // The WAL tail mirrors the MemTable exactly, so the table covers
         // every record up to the last appended seq.
         let flush_seq = self.wal.appended_seq();
-        self.mem.merge();
-        let run = Arc::clone(&self.mem.stage);
-        let entries: Vec<EntryRef<'_>> = run.iter().collect();
+        let runs = self.mem.seal();
+        let entries = memtable::entries(&runs);
         let table = SsTable::build(
             self.next_table_id,
             &self.disk,
@@ -680,8 +679,8 @@ impl Db {
         let flushed_entries = entries.len();
         let blocks_written = table.blocks.len();
         self.levels[0].push(Arc::new(table));
-        // The buffer is empty since the merge above and keeps its capacity.
-        self.mem.stage = Arc::default();
+        // The buffer is empty since the seal above and keeps its capacity.
+        self.mem.runs = Default::default();
         self.mem_bytes = 0;
         fail_point!(self.disk.faults(), "lsm.wal.reset");
         let wal_bytes = self.disk.file_len(self.wal.file()) as u64;
@@ -1217,7 +1216,7 @@ fn release_unreferenced<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::BUFFER_KEYS;
+    use crate::memtable::{BUFFER_KEYS, YOUNG_KEYS};
     use memtree_common::key::encode_u64;
     use memtree_faults::Faults;
 
@@ -2036,34 +2035,41 @@ mod tests {
 
     /// A put with no snapshot allocates for its WAL record and nothing
     /// else: the MemTable's write buffer keeps its capacity across merges,
-    /// so only the put that fills it allocates, for the merged stage.
+    /// so only the put that fills it allocates, for the merged young run,
+    /// and — about once per `YOUNG_KEYS` keys — for the merged stage too.
     #[test]
-    fn put_allocates_only_its_wal_record_and_every_bth_the_stage() {
+    fn put_allocates_only_its_wal_record_and_its_merges() {
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20, // no flush
             wal_group_commit: usize::MAX, // syncs only where the test does
             ..Default::default()
         });
-        let keys: Vec<_> = (0..5 * BUFFER_KEYS as u64).map(encode_u64).collect();
+        let keys: Vec<_> = (0..(YOUNG_KEYS + 4 * BUFFER_KEYS) as u64).map(encode_u64).collect();
         let (warm, measured) = keys.split_at(2 * BUFFER_KEYS);
         for k in warm {
             db.put(k, &[7u8; 100]).unwrap();
         }
+        let mut promotions = 0;
         for k in measured {
             // The sync empties the disk's pending-op list, so each put
             // starts from the same state.
             db.sync().unwrap();
+            let stage = Arc::clone(&db.mem.runs[1]);
             let (seq, allocations, _) = memtree_alloc_probe::measure(|| db.put(k, &[7u8; 100]));
             seq.unwrap();
             // WAL payload, WAL frame; the disk's pending append (file
             // name, copy of the frame) and its pending-op list.
             let wal = 5;
-            if db.mem.buffer.len() == 0 {
-                assert_eq!(allocations, wal + 3, "the merged stage: bytes, offsets, Arc");
+            if !Arc::ptr_eq(&stage, &db.mem.runs[1]) {
+                promotions += 1;
+                assert_eq!(allocations, wal + 6, "young run and stage: bytes, offsets, Arc each");
+            } else if db.mem.buffer.len() == 0 {
+                assert_eq!(allocations, wal + 3, "the merged young run: bytes, offsets, Arc");
             } else {
                 assert_eq!(allocations, wal, "the MemTable insert allocated");
             }
         }
+        assert_eq!(promotions, 1, "the young run merged into the stage once");
     }
 
     /// Regression: `encode_block` used to write `len as u16`, so an

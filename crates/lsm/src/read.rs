@@ -6,7 +6,8 @@
 //! closed walk drops the tables whose SuRF holds no key in its range
 //! (Figure 4.3's Seek paths). [`Db`] builds a view over its live
 //! MemTable, [`DbSnapshot`](crate::DbSnapshot) over its frozen copy — the
-//! same two parts, a write buffer and a static stage, read the same way;
+//! same three parts, a write buffer over a young run over a static stage,
+//! read the same way;
 //! every public read method on either is a one-line delegation to this
 //! module.
 //!
@@ -70,9 +71,9 @@ pub(crate) struct ReadView<'a> {
 /// One ordered source feeding a [`ScanCursor`]. Sources are consulted
 /// newest-first; on a key tie the newest wins.
 enum Source<'a> {
-    /// The MemTable's write buffer; newer than its stage.
+    /// The MemTable's write buffer; newer than its runs.
     Buffer { buffer: &'a Buffer, pos: usize },
-    /// The MemTable's static stage.
+    /// One of the MemTable's runs: the young run, then the stage.
     Stage { run: &'a Run, pos: usize },
     /// A walk over one table, or over a disjoint level's tables in order.
     Tables(TableCursor<'a>),
@@ -424,7 +425,7 @@ impl<'a> ReadView<'a> {
         self.cursor(lk, hk).peek().map(|(k, _)| k.to_vec())
     }
 
-    /// A [`ScanCursor`] over the MemTable's two parts and the tables that
+    /// A [`ScanCursor`] over the MemTable's three parts and the tables that
     /// can hold keys in `[lk, hk)`.
     ///
     /// A closed cursor uses SuRF as a range filter (Figure 4.3's closed
@@ -439,10 +440,12 @@ impl<'a> ReadView<'a> {
     /// (EXPERIMENTS.md, "one ordered walk").
     pub(crate) fn cursor(self, lk: &'a [u8], hk: Option<&'a [u8]>) -> ScanCursor<'a> {
         let mut sources: Vec<Source<'a>> =
-            Vec::with_capacity(2 + self.levels.iter().map(Vec::len).sum::<usize>());
-        let (buffer, run) = (&self.mem.buffer, &*self.mem.stage);
+            Vec::with_capacity(3 + self.levels.iter().map(Vec::len).sum::<usize>());
+        let buffer = &self.mem.buffer;
         sources.push(Source::Buffer { buffer, pos: buffer.lower_bound(lk) });
-        sources.push(Source::Stage { run, pos: run.lower_bound(lk) });
+        for run in &self.mem.runs {
+            sources.push(Source::Stage { run, pos: run.lower_bound(lk) });
+        }
         let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key.as_slice() < hk);
         // The block a walk over `t` starts at; `None` when SuRF rules out
         // every key in `[lk, hk)`. The prefix SuRF returns is a prefix of

@@ -11,8 +11,9 @@
 //!   it. Both buffers outlive the block they hold: once the cache evicts a
 //!   block no reader holds, the next miss refills the same run (see
 //!   [`crate::cache`]), so a steady-state block miss allocates nothing;
-//! * the MemTable's **static stage** — [`RunBuilder`] merges the write
-//!   buffer into the last stage, in one exactly sized buffer.
+//! * the MemTable's **young run** and **static stage** — [`RunBuilder`]
+//!   merges the write buffer into the young run and the young run into
+//!   the stage, each in one exactly sized buffer.
 //!
 //! Readers only ever see entries through [`Run::entry`] /
 //! [`Run::iter`], which hand out borrowed `(&[u8], Option<&[u8]>)` pairs,

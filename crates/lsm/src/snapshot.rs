@@ -14,8 +14,9 @@
 //! A serving shard republishes after almost every write, so a snapshot
 //! must not copy the MemTable. It copies only the [`MemTable`]'s small
 //! write buffer, into an arena of exactly its live bytes, and shares the
-//! static stage by pointer ([`MemTable::freeze`]); the stage is rebuilt
-//! only when the buffer fills, by the writer. The level structure and the
+//! young run and the static stage by pointer ([`MemTable::freeze`]); the
+//! writer rebuilds the young run when the buffer fills, and the stage
+//! about once per [`YOUNG_KEYS`](crate::memtable::YOUNG_KEYS) new keys. The level structure and the
 //! quarantine set are shared the same way, behind one `Arc`
 //! ([`TableSet`]) that is rebuilt only after a flush, compaction, scrub or
 //! quarantine.

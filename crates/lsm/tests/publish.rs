@@ -1,6 +1,6 @@
-//! Publish differential: `Db::snapshot()` hands out a shared MemTable
-//! stage plus a copy of the write buffer and a shared table set, rebuilt
-//! at different times.
+//! Publish differential: `Db::snapshot()` hands out the MemTable's shared
+//! young run and stage plus a copy of the write buffer and a shared table
+//! set, rebuilt at different times.
 //! Whatever the sharing, every snapshot must read exactly what the
 //! database held *at the instant it was taken*, and keep reading that
 //! while the database moves on underneath it.
@@ -21,9 +21,28 @@ use std::collections::BTreeMap;
 
 type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
+/// One case family: the key space writes and probes draw from, and the
+/// MemTable that holds them.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Keys are `key(0..key_space)`.
+    key_space: usize,
+    memtable_bytes: usize,
+    /// A rolled explicit flush or compaction step runs only one time in
+    /// `rare` (1 = always; no extra draw).
+    rare: usize,
+}
+
 /// Keys drawn from a space small enough that overwrites, deletes of live
-/// keys and re-inserts of deleted ones all happen constantly.
-const KEY_SPACE: usize = 400;
+/// keys and re-inserts of deleted ones all happen constantly; ~600 entries
+/// per MemTable generation, so several buffer merges between two flushes.
+const SMALL: Shape = Shape { key_space: 400, memtable_bytes: 16 << 10, rare: 1 };
+
+/// A key space above the MemTable's young-run size (512 entries) and a
+/// MemTable that holds most of it, with explicit flushes rare: the young
+/// run fills and merges into the stage between two snapshots, and reads
+/// meet keys whose young-run version shadows their stage version.
+const WIDE: Shape = Shape { key_space: 1600, memtable_bytes: 24 << 10, rare: 16 };
 
 fn key(i: usize) -> Vec<u8> {
     format!("key-{i:04}").into_bytes()
@@ -47,17 +66,17 @@ struct Probes {
 }
 
 impl Probes {
-    fn draw(model: &Model, g: &mut Gen) -> Self {
-        let mut keys: Vec<Vec<u8>> = (0..32).map(|_| key(g.range(0..KEY_SPACE + 20))).collect();
+    fn draw(model: &Model, g: &mut Gen, space: usize) -> Self {
+        let mut keys: Vec<Vec<u8>> = (0..32).map(|_| key(g.range(0..space + 20))).collect();
         keys.push(keys[g.range(0..keys.len())].clone());
-        let scan = (key(g.range(0..KEY_SPACE)), key(g.range(0..KEY_SPACE)), g.range(1..60));
+        let scan = (key(g.range(0..space)), key(g.range(0..space)), g.range(1..60));
         let ranges: Vec<(Vec<u8>, Vec<u8>)> = (0..4)
             .map(|r| {
-                let mut lo = g.range(0..KEY_SPACE);
-                while r % 2 == 0 && lo + 1 < KEY_SPACE && model.contains_key(&key(lo)) {
+                let mut lo = g.range(0..space);
+                while r % 2 == 0 && lo + 1 < space && model.contains_key(&key(lo)) {
                     lo += 1;
                 }
-                let width = if r < 2 { g.range(0..60) } else { g.range(0..KEY_SPACE) };
+                let width = if r < 2 { g.range(0..60) } else { g.range(0..space) };
                 (key(lo), key(lo + width))
             })
             .collect();
@@ -98,9 +117,15 @@ macro_rules! check_ops {
 
 /// `snap` against the model it was taken over, on every read op — and,
 /// when `db` is the database it was just cut from, the `Db` on the same
-/// inputs, op for op.
-fn agrees(db: Option<&Db>, snap: &DbSnapshot, model: &Model, g: &mut Gen) -> Result<(), String> {
-    let probes = Probes::draw(model, g);
+/// inputs, op for op. Probes draw from `key(0..space)`.
+fn agrees(
+    db: Option<&Db>,
+    snap: &DbSnapshot,
+    model: &Model,
+    g: &mut Gen,
+    space: usize,
+) -> Result<(), String> {
+    let probes = Probes::draw(model, g, space);
     check_ops!(snap, "snapshot", model, &probes);
     walk_cursor(snap, model, &probes.scan)?;
     if let Some(db) = db {
@@ -146,12 +171,20 @@ fn walk_cursor(
 
 #[test]
 fn every_snapshot_reads_its_own_instant_forever() {
+    differential("publish_differential", SMALL);
+}
+
+#[test]
+fn every_snapshot_reads_its_own_instant_across_young_run_merges() {
+    differential("publish_differential_wide", WIDE);
+}
+
+fn differential(name: &str, shape: Shape) {
+    let space = shape.key_space;
     for seed in seed_range() {
-        prop_check_seeded("publish_differential", seed, 1, |g| {
+        prop_check_seeded(name, seed, 1, |g| {
             let mut db = Db::new(DbOptions {
-                // ~600 entries per MemTable generation: several buffer merges
-                // between two flushes.
-                memtable_bytes: 16 << 10,
+                memtable_bytes: shape.memtable_bytes,
                 block_size: 256,
                 // Two one-slot stripes recycle an evicted block on nearly
                 // every miss; eight slots keep some blocks resident.
@@ -186,7 +219,7 @@ fn every_snapshot_reads_its_own_instant_forever() {
                 let roll = g.range(0..100);
                 if roll < snapshot_pct {
                     let snap = db.snapshot();
-                    agrees(Some(&db), &snap, &model, g)?;
+                    agrees(Some(&db), &snap, &model, g, space)?;
                     check_eq!(snap.seq(), db.last_seq());
                     if held.len() < 8 {
                         held.push((snap, model.clone()));
@@ -198,25 +231,26 @@ fn every_snapshot_reads_its_own_instant_forever() {
                 }
                 match g.range(0..100) {
                     0..=64 => {
-                        let (k, v) = (key(g.range(0..KEY_SPACE)), g.bytes_vec(0..24));
+                        let (k, v) = (key(g.range(0..space)), g.bytes_vec(0..24));
                         db.put(&k, &v).map_err(|e| e.to_string())?;
                         model.insert(k, v);
                     }
                     65..=96 => {
-                        let k = key(g.range(0..KEY_SPACE));
+                        let k = key(g.range(0..space));
                         db.delete(&k).map_err(|e| e.to_string())?;
                         model.remove(&k);
                     }
-                    97 => {
+                    97 if shape.rare == 1 || g.range(0..shape.rare) == 0 => {
                         db.flush().map_err(|e| e.to_string())?;
                     }
-                    _ => {
+                    98.. if shape.rare == 1 || g.range(0..shape.rare) == 0 => {
                         db.compact_debt().map_err(|e| e.to_string())?;
                     }
+                    _ => {}
                 }
                 if step % 400 == 399 {
                     for (snap, frozen) in &held {
-                        agrees(None, snap, frozen, g)?;
+                        agrees(None, snap, frozen, g, space)?;
                     }
                 }
             }
@@ -225,7 +259,7 @@ fn every_snapshot_reads_its_own_instant_forever() {
                 "no table was ever flushed"
             );
             for (snap, frozen) in &held {
-                agrees(None, snap, frozen, g)?;
+                agrees(None, snap, frozen, g, space)?;
             }
             // With the last snapshot gone, nothing may keep a retired table's
             // blocks allocated past the next flush.
