@@ -22,7 +22,7 @@
 //!   `fail_point!` below through crash + reopen across seeds.
 
 use crate::cache::BlockCache;
-use crate::compaction::{CompactionConfig, CompactionPolicy};
+use crate::compaction::CompactionConfig;
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
 use crate::memtable::{self, MemTable};
@@ -62,7 +62,8 @@ pub struct DbOptions {
     pub block_size: usize,
     /// Compact level 0 when it accumulates this many SSTables.
     pub l0_tables: usize,
-    /// Max tables at level 1; level `L` holds 10× level `L-1`.
+    /// Max tables at level 1 under leveled compaction; level `L` holds
+    /// `fanout` × level `L-1` (tiered levels hold `tiers_per_level` runs).
     pub l1_tables: usize,
     /// Per-table filter.
     pub filter: FilterKind,
@@ -98,7 +99,7 @@ pub struct DbOptions {
     pub stall: StallConfig,
     /// Run compaction synchronously at the end of every flush (`true`,
     /// the classic behaviour) or leave flushed runs as compaction *debt*
-    /// drained by explicit [`Db::compact_step`] calls (`false` — the
+    /// drained by explicit [`Db::compact_debt`] calls (`false` — the
     /// serving layer's model, where debt is what the stall bands measure).
     pub compact_on_flush: bool,
 }
@@ -189,8 +190,9 @@ pub struct DbStats {
     pub backpressure_rejections: u64,
     /// Writes rejected with `Stalled` (stop band, after bounded relief).
     pub stall_rejections: u64,
-    /// Bounded compaction steps executed ([`Db::compact_step`], including
-    /// the relief steps the bands run before rejecting).
+    /// Bounded compaction steps executed: [`Db::compact_debt`] calls that
+    /// merged, the relief steps the bands run before rejecting, and each
+    /// merge of a compaction run at the end of a flush.
     pub compact_steps: u64,
 }
 
@@ -262,18 +264,12 @@ pub struct Db {
     pub(crate) quarantined: RefCell<HashSet<(u64, u32)>>,
     /// Reads that hit a transient fault and were retried.
     pub(crate) transient_retries: Cell<u64>,
-    /// The active compaction policy (instantiated from
-    /// [`DbOptions::compaction`] / the manifest's persisted policy).
-    policy: Box<dyn CompactionPolicy>,
-    /// Cached `policy.overlapping_levels()`: true when levels ≥ 1 hold
-    /// overlapping age-ordered runs that reads must scan newest-first.
-    pub(crate) overlapping: bool,
     /// Writes rejected by the slowdown band since open.
-    backpressure_rejections: Cell<u64>,
+    backpressure_rejections: u64,
     /// Writes rejected by the stop band since open.
-    stall_rejections: Cell<u64>,
+    stall_rejections: u64,
     /// Bounded compaction steps executed since open.
-    compact_steps: Cell<u64>,
+    compact_steps: u64,
     /// What [`Db::open`] observed while recovering (see [`OpenReport`]).
     open_report: OpenReport,
 }
@@ -326,25 +322,20 @@ impl Db {
         let config = version.policy.unwrap_or(opts.compaction);
         let policy_overridden = (config != requested).then_some((requested, config));
         opts.compaction = config;
-        let policy = config.policy();
-        let overlapping = policy.overlapping_levels();
         if fresh {
             manifest.append(&disk, &[Edit::Policy(config)])?;
         }
         version.policy = Some(config);
         let mut levels: Vec<Vec<SsTable>> = Vec::new();
-        for metas in &version.levels {
-            levels.push(metas.iter().map(|m| SsTable::from_meta(m.clone())).collect());
+        for (depth, metas) in version.levels.iter().enumerate() {
+            // Overlapping runs keep the manifest's age order (newest last).
+            let mut level: Vec<SsTable> =
+                metas.iter().map(|m| SsTable::from_meta(m.clone())).collect();
+            config.order(depth, &mut level);
+            levels.push(level);
         }
         if levels.is_empty() {
             levels.push(Vec::new());
-        }
-        if !overlapping {
-            // Leveled levels ≥ 1 are key-ordered; tiered runs stay in the
-            // manifest's age order (newest last) for newest-first reads.
-            for level in levels.iter_mut().skip(1) {
-                level.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            }
         }
         // Garbage-collect blocks no table references: torn table builds
         // and compactions that crashed before their manifest transaction
@@ -437,11 +428,9 @@ impl Db {
             read_repairs: Cell::new(0),
             quarantined: RefCell::new(version.quarantined.iter().copied().collect()),
             transient_retries: Cell::new(0),
-            policy,
-            overlapping,
-            backpressure_rejections: Cell::new(0),
-            stall_rejections: Cell::new(0),
-            compact_steps: Cell::new(0),
+            backpressure_rejections: 0,
+            stall_rejections: 0,
+            compact_steps: 0,
             open_report: OpenReport {
                 policy_overridden,
                 wal_records_replayed: records.len() as u64,
@@ -573,12 +562,11 @@ impl Db {
         let _ = self.compact_step();
         let (l0, mem) = (self.levels[0].len(), self.mem_bytes);
         if over_stop(l0, mem) {
-            self.stall_rejections.set(self.stall_rejections.get() + 1);
+            self.stall_rejections += 1;
             return Err(MemtreeError::Stalled { l0_runs: l0, memtable_bytes: mem });
         }
         if over_slowdown(l0, mem) {
-            self.backpressure_rejections
-                .set(self.backpressure_rejections.get() + 1);
+            self.backpressure_rejections += 1;
             let depth = (l0 + 1).saturating_sub(bands.slowdown_l0_runs).max(1) as u64;
             return Err(MemtreeError::Backpressure { suggested_wait_us: 100 * depth });
         }
@@ -699,8 +687,8 @@ impl Db {
     }
 
     fn level_limit(&self, level: usize) -> usize {
-        self.policy
-            .level_limit(level, self.opts.l0_tables, self.opts.l1_tables)
+        let o = &self.opts;
+        o.compaction.level_limit(level, o.l0_tables, o.l1_tables)
     }
 
     /// Approximate bytes in runs beyond every level's policy limit — the
@@ -712,7 +700,9 @@ impl Db {
             let limit = self.level_limit(level);
             if tables.len() > limit {
                 let excess = tables.len() - limit;
-                // Oldest runs first: those are the ones a merge consumes.
+                // The first tables are the ones a merge consumes: the
+                // oldest runs of an overlapping level, the lowest keys of a
+                // disjoint one.
                 debt += tables
                     .iter()
                     .take(excess)
@@ -729,9 +719,9 @@ impl Db {
             l0_runs: self.levels[0].len(),
             memtable_bytes: self.mem_bytes,
             compaction_debt_bytes: self.compaction_debt_bytes(),
-            backpressure_rejections: self.backpressure_rejections.get(),
-            stall_rejections: self.stall_rejections.get(),
-            compact_steps: self.compact_steps.get(),
+            backpressure_rejections: self.backpressure_rejections,
+            stall_rejections: self.stall_rejections,
+            compact_steps: self.compact_steps,
         }
     }
 
@@ -740,41 +730,55 @@ impl Db {
         &self.open_report
     }
 
-    /// One bounded unit of compaction: merges the shallowest level that is
-    /// over its policy limit and returns `Ok(true)`, or returns
-    /// `Ok(false)` when no level is over (no debt). This is the drain the
-    /// serving layer calls between requests when
-    /// [`DbOptions::compact_on_flush`] is off — debt shrinks one step at a
-    /// time without ever holding a write hostage to a full compaction run.
-    pub fn compact_step(&mut self) -> Result<bool> {
-        for level in 0..self.levels.len() {
-            if self.levels[level].len() > self.level_limit(level) {
-                self.compact_at(level)?;
-                self.compact_steps.set(self.compact_steps.get() + 1);
-                return Ok(true);
-            }
-        }
-        Ok(false)
+    /// The shallowest level over its policy limit: the structural rule
+    /// that the flush-time compaction loop and the stall bands' relief
+    /// step follow.
+    fn over_limit_level(&self) -> Option<usize> {
+        (0..self.levels.len()).find(|&level| self.levels[level].len() > self.level_limit(level))
     }
 
-    /// One debt-draining step for overload relief: like
-    /// [`Db::compact_step`], but when no level is over its structural
-    /// limit it still merges L0 once the stall *slowdown* band is
-    /// reached. Without this, bands tighter than the compaction trigger
-    /// would reject writes forever with no level ever "over limit" —
-    /// this is the drain that guarantees a backpressure retry can
-    /// eventually succeed.
+    /// The level [`Db::compact_debt`] merges next: the shallowest level
+    /// over its limit or, when none is, level 0 once it reaches the stall
+    /// *slowdown* band. Without the second case, bands tighter than the
+    /// compaction trigger would reject writes forever with no level ever
+    /// "over limit".
+    fn debt_level(&self) -> Option<usize> {
+        let l0 = self.levels[0].len();
+        let l0_merge = l0 > 0 && l0 >= self.opts.stall.slowdown_l0_runs;
+        self.over_limit_level().or(l0_merge.then_some(0))
+    }
+
+    /// Whether [`Db::compact_debt`] has a merge to make. The serving
+    /// layer asks after every locked section to decide whether to wake its
+    /// compactor.
+    pub fn compaction_pending(&self) -> bool {
+        self.debt_level().is_some()
+    }
+
+    /// One bounded unit of compaction: merges the level
+    /// [`Db::compaction_pending`] found work at and returns `Ok(true)`, or
+    /// returns `Ok(false)` when there is none. This is the drain the
+    /// serving layer calls between requests when
+    /// [`DbOptions::compact_on_flush`] is off — debt shrinks one step at a
+    /// time without ever holding a write hostage to a full compaction run,
+    /// and it is what guarantees a backpressure retry can eventually
+    /// succeed.
     pub fn compact_debt(&mut self) -> Result<bool> {
-        if self.compact_step()? {
-            return Ok(true);
-        }
-        if !self.levels[0].is_empty() && self.levels[0].len() >= self.opts.stall.slowdown_l0_runs
-        {
-            self.compact_at(0)?;
-            self.compact_steps.set(self.compact_steps.get() + 1);
-            return Ok(true);
-        }
-        Ok(false)
+        let level = self.debt_level();
+        self.compact_level(level)
+    }
+
+    /// One merge at the shallowest level over its limit, if any.
+    fn compact_step(&mut self) -> Result<bool> {
+        let level = self.over_limit_level();
+        self.compact_level(level)
+    }
+
+    fn compact_level(&mut self, level: Option<usize>) -> Result<bool> {
+        let Some(level) = level else { return Ok(false) };
+        self.compact_at(level)?;
+        self.compact_steps += 1;
+        Ok(true)
     }
 
     /// Policy-driven compaction. Leveled: L0 merges wholesale into L1,
@@ -795,7 +799,7 @@ impl Db {
         Ok(())
     }
 
-    /// One merge at `level` (the body of a [`Db::compact_step`]).
+    /// One merge at `level`: what [`CompactionConfig::pick`] chooses.
     fn compact_at(&mut self, level: usize) -> Result<()> {
         {
             fail_point!(self.disk.faults(), "lsm.compact.begin");
@@ -803,13 +807,8 @@ impl Db {
             if self.levels.len() == level + 1 {
                 self.levels.push(Vec::new());
             }
-            let job = self.policy.pick(&self.levels, level);
-            let (victim_ids, overlapped_ids) = (job.victim_ids, job.overlapped_ids);
-            let victims: Vec<&SsTable> = self.levels[level]
-                .iter()
-                .filter(|t| victim_ids.contains(&t.id))
-                .map(|t| t.as_ref())
-                .collect();
+            let (victims, overlapped) = self.opts.compaction.pick(&self.levels, level);
+            let gone: Vec<u64> = victims.iter().chain(&overlapped).map(|t| t.id).collect();
             // Merge newest-first: victims are newer than `overlapped`;
             // within a level, later tables are newer (L0 flush order /
             // tiered run order).
@@ -820,10 +819,7 @@ impl Db {
             for t in victims.iter().rev() {
                 self.read_all(t, &mut sources)?;
             }
-            for t in self.levels[level + 1]
-                .iter()
-                .filter(|t| overlapped_ids.contains(&t.id))
-            {
+            for t in &overlapped {
                 self.read_all(t, &mut sources)?;
             }
             let mut entries: Vec<EntryRef<'_>> = sources.iter().flat_map(|b| b.iter()).collect();
@@ -844,22 +840,22 @@ impl Db {
                 let deeper = self.levels[level + 1..]
                     .iter()
                     .flatten()
-                    .any(|t| !overlapped_ids.contains(&t.id) && t.overlaps(min, max));
+                    .any(|t| !gone.contains(&t.id) && t.overlaps(min, max));
                 if !deeper {
                     entries.retain(|(_, v)| v.is_some());
                 }
             }
-            // Build the outputs aside: one run under a single-output
-            // policy (the run count is what tiered's level limit bounds),
-            // tables of ~10 memtables each otherwise. If every entry was
+            // Build the outputs aside: one run into an overlapping level
+            // (the run count is what tiered's level limit bounds), tables
+            // of ~10 memtables each into a disjoint one. If every entry was
             // a dropped tombstone this degenerates to a removal-only
             // transaction. A failure before the manifest commit releases
             // every output built so far: the previous version stays live
             // and the Db stays serviceable.
-            let per_table = if self.policy.single_output() {
-                entries.len()
-            } else {
+            let per_table = if self.opts.compaction.disjoint(level + 1) {
                 (self.opts.memtable_bytes * 4 / 64).max(64) // entries per output table
+            } else {
+                entries.len()
             };
             let mut new_tables: Vec<SsTable> = Vec::new();
             let mut next_id = self.next_table_id;
@@ -876,11 +872,8 @@ impl Db {
                 }
                 fail_point!(self.disk.faults(), "lsm.compact.sync");
                 self.disk.sync();
-                let mut edits: Vec<Edit> = victim_ids
-                    .iter()
-                    .chain(overlapped_ids.iter())
-                    .map(|&id| Edit::RemoveTable { id })
-                    .collect();
+                let mut edits: Vec<Edit> =
+                    gone.iter().map(|&id| Edit::RemoveTable { id }).collect();
                 for t in &new_tables {
                     edits.push(Edit::AddTable(t.meta(level + 1)));
                 }
@@ -896,32 +889,16 @@ impl Db {
             // Quarantine entries die with the tables that carried them
             // (the manifest's RemoveTable does the same purge).
             self.next_table_id = next_id;
-            self.quarantined
-                .borrow_mut()
-                .retain(|&(t, _)| !victim_ids.contains(&t) && !overlapped_ids.contains(&t));
-            let mut dropped: Vec<Arc<SsTable>> = Vec::new();
+            self.quarantined.borrow_mut().retain(|&(t, _)| !gone.contains(&t));
             for lvl in [level, level + 1] {
-                let keep: Vec<Arc<SsTable>> = std::mem::take(&mut self.levels[lvl])
-                    .into_iter()
-                    .filter_map(|t| {
-                        if victim_ids.contains(&t.id) || overlapped_ids.contains(&t.id) {
-                            dropped.push(t);
-                            None
-                        } else {
-                            Some(t)
-                        }
-                    })
-                    .collect();
-                self.levels[lvl] = keep;
+                self.levels[lvl].retain(|t| !gone.contains(&t.id));
             }
-            for t in dropped {
+            for t in victims.into_iter().chain(overlapped) {
                 self.retire_table(t)?;
             }
             let next = &mut self.levels[level + 1];
             next.extend(new_tables.into_iter().map(Arc::new));
-            if !self.overlapping {
-                next.sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            }
+            self.opts.compaction.order(level + 1, next);
         }
         Ok(())
     }
@@ -968,7 +945,7 @@ impl Db {
         ReadView {
             mem: &self.mem,
             levels: &self.levels,
-            overlapping: self.overlapping,
+            policy: self.opts.compaction,
             disk: &self.disk,
             cache: &self.cache,
             handle: Handle::Writer(self),
@@ -1059,7 +1036,7 @@ impl Db {
         Arc::clone(self.table_set.borrow_mut().get_or_insert_with(|| {
             Arc::new(TableSet {
                 levels: self.levels.clone(),
-                overlapping: self.overlapping,
+                policy: self.opts.compaction,
                 quarantined: self.quarantined.borrow().clone(),
             })
         }))
@@ -1152,7 +1129,7 @@ impl Db {
                     return broken(format!("table {}: references freed block", t.id));
                 }
             }
-            if lvl >= 1 && !self.overlapping {
+            if self.opts.compaction.disjoint(lvl) {
                 for w in level.windows(2) {
                     if w[0].max_key >= w[1].min_key {
                         return broken(format!(
@@ -2136,6 +2113,60 @@ mod tests {
         assert!(s.transient_retries > 0, "no transient was ever injected");
         assert_eq!(s.quarantined_blocks, 0, "transient faults must never quarantine");
     }
+
+    /// `compaction_pending` is the rule `compact_debt` follows. Stall
+    /// bands tighter than the L0 trigger make level 0 at the slowdown
+    /// band debt while no level is over its limit, and at random instants
+    /// of a seeded write stream, under both policies, the prediction must
+    /// match whether the step merged.
+    #[test]
+    fn compaction_pending_predicts_every_compact_debt_step() {
+        for seed in 0..8u64 {
+            // Seed parity picks the policy, as in the crash oracle.
+            let compaction = if seed.is_multiple_of(2) {
+                CompactionConfig::Leveled { fanout: 3 }
+            } else {
+                CompactionConfig::Tiered { tiers_per_level: 2 }
+            };
+            let mut db = Db::new(DbOptions {
+                memtable_bytes: 2 << 10,
+                block_size: 256,
+                l0_tables: 4,
+                l1_tables: 2,
+                compaction,
+                stall: StallConfig {
+                    slowdown_l0_runs: 2,
+                    stop_l0_runs: 6,
+                    ..StallConfig::disabled()
+                },
+                compact_on_flush: false,
+                ..Default::default()
+            });
+            let (mut merged, mut band_only, mut idle) = (0, 0, 0);
+            let mut state = seed;
+            for _ in 0..3000 {
+                let r = memtree_common::hash::splitmix64(&mut state);
+                if let Err(e) = db.put(&encode_u64(r % 800), &r.to_le_bytes()) {
+                    assert!(e.is_overload(), "{compaction:?} seed {seed}: {e:?}");
+                }
+                if r.is_multiple_of(5) {
+                    let structural = db.over_limit_level().is_some();
+                    let p = db.compaction_pending();
+                    assert_eq!(db.compact_debt().unwrap(), p, "{compaction:?} seed {seed}");
+                    match (p, structural) {
+                        (true, true) => merged += 1,
+                        (true, false) => band_only += 1,
+                        (false, _) => idle += 1,
+                    }
+                }
+            }
+            assert!(
+                merged > 0 && band_only > 0 && idle > 0,
+                "{compaction:?} seed {seed}: {merged} / {band_only} / {idle}"
+            );
+            db.check_invariants().unwrap();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2175,7 +2206,7 @@ mod policy_tests {
             }
         }
         db.flush().unwrap();
-        assert!(db.overlapping, "tiered config must set overlapping reads");
+        assert!(!db.view().policy.disjoint(1), "tiered config must set overlapping reads");
         assert!(
             db.level_sizes().iter().skip(1).any(|&s| s > 1),
             "workload never produced multiple runs per level: {:?}",
@@ -2229,7 +2260,7 @@ mod policy_tests {
             CompactionConfig::Tiered { tiers_per_level: 3 },
             "manifest policy must override the options"
         );
-        assert!(db.overlapping);
+        assert!(!db.view().policy.disjoint(1));
         for i in 0..2000u64 {
             db.put(&encode_u64(i), b"round-2").unwrap();
         }

@@ -18,6 +18,7 @@
 //! nothing.
 
 use crate::cache::BlockCache;
+use crate::compaction::CompactionConfig;
 use crate::db::{Db, FilterStats};
 use crate::disk::SimDisk;
 use crate::memtable::{Buffer, MemTable};
@@ -58,11 +59,11 @@ fn bump(counter: &Cell<u64>, by: u64) {
 /// Everything one read borrows. See the module docs.
 pub(crate) struct ReadView<'a> {
     pub(crate) mem: &'a MemTable,
-    /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint, or —
-    /// when `overlapping` (tiered compaction) — age-ordered newest-last
-    /// runs that are read newest-first like L0.
+    /// `levels[0]` newest-last; deeper levels key-ordered and disjoint, or
+    /// (where `policy` says they overlap) age-ordered newest-last runs
+    /// that are read newest-first like L0.
     pub(crate) levels: &'a [Vec<Arc<SsTable>>],
-    pub(crate) overlapping: bool,
+    pub(crate) policy: CompactionConfig,
     pub(crate) disk: &'a SimDisk,
     pub(crate) cache: &'a BlockCache,
     pub(crate) handle: Handle<'a>,
@@ -388,7 +389,7 @@ impl<'a> ReadView<'a> {
     /// table of the disjoint level whose range ends at or after `key`.
     fn tables_at(&self, depth: usize, key: &[u8]) -> Range<usize> {
         let level = &self.levels[depth];
-        if depth == 0 || self.overlapping {
+        if !self.policy.disjoint(depth) {
             return 0..level.len();
         }
         let idx = level.partition_point(|t| t.max_key.as_slice() < key);
@@ -466,7 +467,7 @@ impl<'a> ReadView<'a> {
         // newest-last reversed; a disjoint level is one walk from the table
         // where `lk` falls, on into the tables after it.
         for (depth, level) in self.levels.iter().enumerate() {
-            if depth == 0 || self.overlapping {
+            if !self.policy.disjoint(depth) {
                 for table in level.iter().rev() {
                     if table.max_key.as_slice() >= lk && in_range(table) {
                         if let Some(block) = start(table) {

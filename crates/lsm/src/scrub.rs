@@ -167,9 +167,7 @@ impl Db {
                     pos += 1;
                 }
             }
-            if lvl >= 1 && !self.overlapping {
-                self.levels[lvl].sort_by(|a, b| a.min_key.cmp(&b.min_key));
-            }
+            self.opts.compaction.order(lvl, &mut self.levels[lvl]);
         }
         self.disk.sync();
         self.check_invariants()?;
@@ -504,14 +502,12 @@ impl Db {
         if let Some(r) = self.mem.range() {
             spans.push(r);
         }
-        let mut newer_tables: Vec<&SsTable> = if lvl == 0 {
-            self.levels[0][pos + 1..].iter().map(|t| t.as_ref()).collect()
-        } else {
-            self.levels[..lvl].iter().flatten().map(|t| t.as_ref()).collect()
-        };
-        if lvl >= 1 && self.overlapping {
-            // Tiered runs at the same level are age-ordered newest-last:
-            // later runs are strictly newer data too.
+        let mut newer_tables: Vec<&SsTable> =
+            self.levels[..lvl].iter().flatten().map(|t| t.as_ref()).collect();
+        if !self.opts.compaction.disjoint(lvl) {
+            // Overlapping runs (L0, every tiered level) are age-ordered
+            // newest-last: later runs at the same level are strictly newer
+            // data too.
             newer_tables.extend(self.levels[lvl][pos + 1..].iter().map(|t| t.as_ref()));
         }
         for t in newer_tables {

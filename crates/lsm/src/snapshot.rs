@@ -38,6 +38,7 @@
 //! manifest edit — fault bookkeeping stays with the single writer.
 
 use crate::cache::BlockCache;
+use crate::compaction::CompactionConfig;
 use crate::db::Db;
 use crate::disk::SimDisk;
 use crate::memtable::MemTable;
@@ -52,9 +53,8 @@ pub(crate) struct TableSet {
     /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint under
     /// leveled compaction, age-ordered newest-last runs under tiered.
     pub(crate) levels: Vec<Vec<Arc<SsTable>>>,
-    /// True when levels ≥ 1 hold overlapping runs (tiered compaction):
-    /// deep levels are read newest-first like L0.
-    pub(crate) overlapping: bool,
+    /// The policy that shaped `levels`: which of them are disjoint.
+    pub(crate) policy: CompactionConfig,
     /// Blocks known-bad at snapshot time; served as empty without a read.
     pub(crate) quarantined: HashSet<(u64, u32)>,
 }
@@ -98,7 +98,7 @@ impl DbSnapshot {
         ReadView {
             mem: &self.mem,
             levels: &self.tables.levels,
-            overlapping: self.tables.overlapping,
+            policy: self.tables.policy,
             disk: &self.disk,
             cache: &self.cache,
             handle: Handle::Frozen(&self.tables.quarantined),

@@ -34,8 +34,11 @@ struct Shape {
 }
 
 /// Keys drawn from a space small enough that overwrites, deletes of live
-/// keys and re-inserts of deleted ones all happen constantly; ~600 entries
-/// per MemTable generation, so several buffer merges between two flushes.
+/// keys and re-inserts of deleted ones all happen constantly. The explicit
+/// flush, rolled on 1 % of the write steps, ends a MemTable generation
+/// after ~90–140 writes, long before the 16 KiB threshold: one or two
+/// buffer merges into the young run between two flushes, and no young-run
+/// merge into the stage — only `WIDE` reaches those.
 const SMALL: Shape = Shape { key_space: 400, memtable_bytes: 16 << 10, rare: 1 };
 
 /// A key space above the MemTable's young-run size (512 entries) and a

@@ -48,9 +48,9 @@
 //!   durable work) is never cancelled.
 //! * **Admission control.** A request is shed *before* it enters its
 //!   shard when the shard already holds [`ServeOptions::queue_depth`]
-//!   callers (leading, following, or reading fresh) or when the
-//!   estimated wait (`depth × est_service_us`) exceeds the request's
-//!   remaining deadline budget. Shedding is typed
+//!   callers (puts, deletes and fresh reads, running or waiting for its
+//!   lock) or when the estimated wait (`depth × est_service_us`) exceeds
+//!   the request's remaining deadline budget. Shedding is typed
 //!   ([`Backpressure`](MemtreeError::Backpressure)) and counted in
 //!   [`ServeStats::shed`].
 //! * **Backpressure retries.** The engine's write-stall bands reject
@@ -385,7 +385,7 @@ impl ShardedDb {
             .into_iter()
             .map(|db| Shard {
                 snap: SnapshotCell::new(db.snapshot()),
-                debt: AtomicBool::new(compaction_work(&db, stall)),
+                debt: AtomicBool::new(db.compaction_pending()),
                 db: Mutex::new(Some(db)),
                 depth: AtomicUsize::new(0),
                 max_depth: AtomicUsize::new(0),
@@ -782,7 +782,7 @@ impl Inner {
         }));
         match out {
             Ok(out) => {
-                if out.is_ok() && compaction_work(db, self.stall) {
+                if out.is_ok() && db.compaction_pending() {
                     self.flag_debt(i);
                 }
                 out
@@ -908,15 +908,6 @@ impl Inner {
             }
         }
     }
-}
-
-/// Whether [`Db::compact_debt`] has a step to take: a level over its
-/// limit, or level 0 at the slowdown band, which it merges even when no
-/// level is over its limit.
-fn compaction_work(db: &Db, stall: StallConfig) -> bool {
-    let stats = db.stats();
-    let l0_merge = stats.l0_runs > 0 && stats.l0_runs >= stall.slowdown_l0_runs;
-    stats.compaction_debt_bytes > 0 || l0_merge
 }
 
 /// After a typed overload rejection, relieve the shard before the caller

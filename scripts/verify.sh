@@ -15,6 +15,10 @@ cargo test -q --workspace --offline
 echo "== cargo test --workspace with MEMTREE_KERNELS=scalar (portable fallback lane, offline) =="
 MEMTREE_KERNELS=scalar cargo test -q --workspace --offline
 
+echo "== bench_hotpath + bench_faults --smoke with MEMTREE_KERNELS=scalar (the rest of CI's scalar-kernels lane, offline) =="
+MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
+MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
+
 echo "== bench_hotpath --smoke (kernel cross-checks + FST batched-lookup differential, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
 
