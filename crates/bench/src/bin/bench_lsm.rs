@@ -4,7 +4,9 @@
 //! SuRF-Mixed) the same negative-lookup workload runs as a per-key `get`
 //! loop with the block cache off. The disk simulator counts every block
 //! read and the engine counts every filter probe, so each kind's cost is
-//! exact, not just a wall-clock race. One counter gate always runs, in
+//! exact, not just a wall-clock race. Each kind's row also gives the
+//! memory axis: the tables' resident block index and filter per stored
+//! entry (`Db::index_filter_mem` over `Db::table_entries`). One counter gate always runs, in
 //! `--smoke` mode too, because it is deterministic: every filter kind
 //! reads strictly fewer blocks than `none`.
 //!
@@ -138,12 +140,14 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str, j: &mut Json
     );
 
     let tables: usize = db.level_sizes().iter().sum();
+    let index_bytes_per_key = db.index_filter_mem() as f64 / db.table_entries() as f64;
     println!(
-        "{name:<14} {tables} tables  per-key {per_key_mops:>8.3} Mops/s  {:>7} reads  {:>7} passes",
+        "{name:<14} {tables} tables  {index_bytes_per_key:>5.3} B/key  per-key {per_key_mops:>8.3} Mops/s  {:>7} reads  {:>7} passes",
         per_key.block_reads, per_key.filter.probe_passes
     );
     j.str("kind", name);
     j.int("tables", tables);
+    j.num("index_bytes_per_key", index_bytes_per_key, 3);
     j.obj("per_key", |j| counters(j, per_key_mops, &per_key));
     KindReport { name, per_key }
 }
@@ -296,7 +300,8 @@ fn main() {
     j.write_checked(
         &args.out,
         &[
-            "meta", "n_keys", "n_probes", "smoke", "kinds", "kind", "tables", "per_key",
+            "meta", "n_keys", "n_probes", "smoke", "kinds", "kind", "tables",
+            "index_bytes_per_key", "per_key",
             "mops", "block_reads", "probe_passes", "keys_probed",
             "policies", "policy", "block_writes", "write_amp", "read_amp", "space_amp",
             "used_bytes",

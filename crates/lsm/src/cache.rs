@@ -500,7 +500,7 @@ mod tests {
         let faults = db.disk.faults();
         faults.enable(3);
         for (block, writer) in [(2, true), (3, false)] {
-            let key = &table.fences[block];
+            let key = &table.first_key(&db.disk, block);
             let i = decode_u64(key);
             faults.arm("lsm.disk.read_corrupt", 1.0, Some(1));
             let got = if writer { db.get(key) } else { snap.get(key) };
@@ -526,7 +526,7 @@ mod tests {
         let snap = db.snapshot();
         let faults = db.disk.faults();
         for (block, writer) in [(2, true), (3, false)] {
-            let key = &table.fences[block];
+            let key = &table.first_key(&db.disk, block);
             let i = decode_u64(key);
             let read = || if writer { db.get(key) } else { snap.get(key) };
             assert!(db.cache.stripes[0].lock().unwrap().spare.is_some());

@@ -126,7 +126,7 @@ impl CompactionConfig {
     /// its age order.
     pub(crate) fn order<T: Borrow<SsTable>>(&self, level: usize, tables: &mut [T]) {
         if self.disjoint(level) {
-            tables.sort_by(|a, b| a.borrow().min_key.cmp(&b.borrow().min_key));
+            tables.sort_by(|a, b| a.borrow().min_key().cmp(b.borrow().min_key()));
         }
     }
 
@@ -151,7 +151,7 @@ impl CompactionConfig {
         if !self.disjoint(level + 1) {
             return (victims, Vec::new());
         }
-        let lo = victims.iter().map(|t| t.min_key.as_slice()).min().unwrap();
+        let lo = victims.iter().map(|t| t.min_key()).min().unwrap();
         let hi = victims.iter().map(|t| t.max_key.as_slice()).max().unwrap();
         let overlapped = levels[level + 1]
             .iter()

@@ -9,8 +9,9 @@
 //! a **simulated disk** that counts every block read and can charge a
 //! configurable per-read latency — the paper's speedups are I/O-count
 //! driven, and the simulator measures those counts exactly (substitution
-//! #3 in DESIGN.md). Each SSTable carries a fence index (first key per
-//! block) and an optional filter: Bloom, SuRF-Hash, or SuRF-Real.
+//! #3 in DESIGN.md). Each SSTable carries a block index (one arena of
+//! shortest separators, one per block) and an optional filter: Bloom,
+//! SuRF-Hash, or SuRF-Real.
 //!
 //! `Get` and `Seek` (open and closed) follow the Figure 4.3 execution
 //! paths, including SuRF's `moveToNext`-based candidate pruning for seeks.

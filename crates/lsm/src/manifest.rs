@@ -18,8 +18,8 @@
 //!
 //! Edits:
 //!
-//! * `AddTable` — full table metadata (level, block ids, fences, key
-//!   range), enough to reconstruct an [`SsTable`](crate::SsTable) without
+//! * `AddTable` — full table metadata (level, block ids, block separators,
+//!   max key), enough to reconstruct an [`SsTable`](crate::SsTable) without
 //!   reading data blocks (filters are rebuilt separately);
 //! * `RemoveTable` — a compaction victim leaves the version;
 //! * `FlushSeq` — the WAL high-water mark: replay skips records at or
@@ -51,7 +51,10 @@ pub(crate) struct TableMeta {
     pub id: u64,
     /// Disk block ids in key order.
     pub blocks: Vec<u32>,
-    /// First key of each block; `fences[0]` is the table's min key.
+    /// One separator per block: a lower bound on the block's first key
+    /// that lies above every key of the block before; `fences[0]` is the
+    /// table's min key. A full first key is a valid separator, so records
+    /// that store first keys read the same way.
     pub fences: Vec<Vec<u8>>,
     pub max_key: Vec<u8>,
     /// Disk block holding the table's persisted filter image, when one

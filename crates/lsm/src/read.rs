@@ -90,8 +90,9 @@ struct TableCursor<'a> {
     /// The scan's low key: the walk starts at the first key `>= from`.
     from: &'a [u8],
     /// The fetched block, `None` until the merge needs it. While unread,
-    /// the head is the block's fence (its first key) or `from`, whichever
-    /// is larger: a lower bound on the real head, known without a read.
+    /// the head is the block's separator (a lower bound on its first key)
+    /// or `from`, whichever is larger: a lower bound on the real head,
+    /// known without a read.
     data: Option<Arc<Run>>,
     /// Head position in `data`; always in range while `data` is `Some`.
     pos: usize,
@@ -102,7 +103,7 @@ impl TableCursor<'_> {
         let table = self.tables.first()?;
         Some(match &self.data {
             Some(run) => run.key(self.pos),
-            None => table.fences[self.block].as_slice().max(self.from),
+            None => (&table.fences[self.block]).max(self.from),
         })
     }
 
@@ -171,9 +172,11 @@ impl Source<'_> {
 ///
 /// Opening reads nothing. A table's block is read only when the walk's
 /// smallest key reaches it — an unread block stands in the merge as its
-/// fence, the first key it holds — so a walk reads the blocks that hold
-/// the rows it is asked for (and the tombstones among them), not one
-/// block per table in range, and nothing past the last row it returns.
+/// separator, a lower bound on the first key it holds — so a walk reads
+/// the blocks that hold the rows it is asked for (and the tombstones
+/// among them), not one block per table in range. Past the last row it
+/// returns it reads at most one block per table: one whose separator lies
+/// at or below that row while its first key lies above.
 /// [`ScanCursor::bound`] exposes that read-free lower bound so that a
 /// caller merging several cursors (one per shard) reads a cursor's blocks
 /// only when its rows are next.
@@ -226,8 +229,8 @@ impl<'a> ScanCursor<'a> {
                 }
             }
             if read {
-                // The real heads may lie past the fences that stood in
-                // for them: choose again.
+                // The real heads may lie past the separators that stood
+                // in for them: choose again.
                 self.heads.clear();
             } else if matches!(self.sources[newest].entry(), Some((_, Some(_)))) {
                 return true;
@@ -447,7 +450,7 @@ impl<'a> ReadView<'a> {
         for run in &self.mem.runs {
             sources.push(Source::Stage { run, pos: run.lower_bound(lk) });
         }
-        let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key.as_slice() < hk);
+        let in_range = |t: &SsTable| hk.is_none_or(|hk| t.min_key() < hk);
         // The block a walk over `t` starts at; `None` when SuRF rules out
         // every key in `[lk, hk)`. The prefix SuRF returns is a prefix of
         // the first key in range, so neither it nor `lk` lies above that

@@ -48,7 +48,7 @@
 use crate::db::Db;
 use crate::manifest::Edit;
 use crate::run::Run;
-use crate::sstable::SsTable;
+use crate::sstable::{Fences, SsTable};
 use crate::wal::{decode_frames, decode_single};
 use memtree_common::error::Result;
 use memtree_common::key::successor;
@@ -66,14 +66,17 @@ pub enum FileScrubOutcome {
 }
 
 /// A key range whose stored entries may be missing or stale after a scrub
-/// dropped or quarantined the block that held them.
+/// dropped or quarantined the block that held them: from the block's
+/// separator up to the next block's, so it holds every key of the block
+/// and may reach into the gaps on either side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LostRange {
     /// Level of the table the block belonged to.
     pub level: usize,
     /// Id of the table the block belonged to (pre-rewrite id).
     pub table: u64,
-    /// First key of the range (inclusive).
+    /// Low end of the range (inclusive): the block's separator, at or
+    /// below its first key.
     pub lo: Vec<u8>,
     /// Last key of the range; see [`LostRange::hi_inclusive`].
     pub hi: Vec<u8>,
@@ -267,9 +270,9 @@ impl Db {
                         }
                     }
                     let (lo, hi, hi_inclusive) = if bi + 1 < fences.len() {
-                        (fences[bi].clone(), fences[bi + 1].clone(), false)
+                        (fences[bi].to_vec(), fences[bi + 1].to_vec(), false)
                     } else {
-                        (fences[bi].clone(), max_key.clone(), true)
+                        (fences[bi].to_vec(), max_key.clone(), true)
                     };
                     let lost = LostRange { level: lvl, table: old_id, lo, hi, hi_inclusive };
                     if self.covered_by_newer(lvl, pos, &lost) {
@@ -335,25 +338,31 @@ impl Db {
         let old_max_key = self.levels[lvl][pos].max_key.clone();
         let old_filter_block = self.levels[lvl][pos].filter_block;
         let mut kept_blocks: Vec<u32> = Vec::new();
-        let mut kept_fences: Vec<Vec<u8>> = Vec::new();
+        let mut kept_fences = Fences::default();
         let mut kept_data: Vec<Option<&Run>> = Vec::new();
         let mut quarantined_bi: Vec<u32> = Vec::new();
         for (bi, s) in states.iter().enumerate() {
             match s {
                 BlockState::Kept { block, data } => {
+                    // Fence 0 is the table's min key: a readable first
+                    // block gives its real first key, not the separator
+                    // that stood above a block now dropped.
+                    let first = kept_blocks.is_empty() && data.len() > 0;
+                    kept_fences.push(if first { data.key(0) } else { &old_fences[bi] });
                     kept_blocks.push(*block);
-                    kept_fences.push(old_fences[bi].clone());
                     kept_data.push(Some(data));
                 }
                 BlockState::Quarantined { block } => {
                     quarantined_bi.push(kept_blocks.len() as u32);
                     kept_blocks.push(*block);
-                    kept_fences.push(old_fences[bi].clone());
+                    kept_fences.push(&old_fences[bi]);
                     kept_data.push(None);
                 }
                 BlockState::Dropped { .. } => {}
             }
         }
+        kept_blocks.shrink_to_fit();
+        kept_fences.shrink_to_fit();
         // Crash window: repaired blocks are written but the manifest
         // transaction swapping them in has not committed. A crash (or
         // injected abort) here must leave the *old* table shape fully
@@ -386,7 +395,6 @@ impl Db {
                 .sum();
             let mut table = SsTable {
                 id: new_id,
-                min_key: kept_fences[0].clone(),
                 max_key: old_max_key,
                 blocks: kept_blocks,
                 fences: kept_fences,
@@ -511,7 +519,7 @@ impl Db {
             newer_tables.extend(self.levels[lvl][pos + 1..].iter().map(|t| t.as_ref()));
         }
         for t in newer_tables {
-            spans.push((t.min_key.clone(), t.max_key.clone()));
+            spans.push((t.min_key().to_vec(), t.max_key.clone()));
         }
         spans.sort();
         // Interval sweep: `cur` is the smallest key not yet covered.
@@ -536,5 +544,62 @@ impl Db {
             }
         }
         covered(&cur)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::{DbOptions, FilterKind};
+    use memtree_common::key::encode_u64;
+
+    /// A scrub that drops a table's leading block gives the rewritten
+    /// table its smallest surviving key as fence 0, not the separator that
+    /// stood above the dropped block; and each lost range holds every key
+    /// its block held, although the separators bounding it are shorter.
+    #[test]
+    fn a_dropped_leading_block_leaves_an_exact_min_key() {
+        let mut db = Db::new(DbOptions {
+            memtable_bytes: 1 << 20, // manual flushes
+            l0_tables: 100,          // keep both tables in L0
+            cache_blocks: 0,         // no cached copy to repair from
+            filter: FilterKind::None,
+            ..Default::default()
+        });
+        for i in 0..2000u64 {
+            db.put(&encode_u64(i << 16), &[7u8; 40]).unwrap();
+        }
+        db.flush().unwrap();
+        let old = Arc::clone(&db.levels[0][0]);
+        let block_keys: Vec<Vec<Vec<u8>>> = old
+            .blocks
+            .iter()
+            .map(|&id| {
+                let run = Run::from_frame(db.disk.read(id).unwrap().into_vec()).unwrap();
+                run.iter().map(|(k, _)| k.to_vec()).collect()
+            })
+            .collect();
+        assert!(old.blocks.len() > 4, "workload too small");
+        assert!(old.fences[1].len() < block_keys[1][0].len(), "fence 1 is truncated");
+        // A newer table spanning block 0 and into block 2 covers block 0's
+        // lost range, so the scrub drops block 0 and quarantines block 3.
+        for k in [&block_keys[0][0], &block_keys[2][0]] {
+            db.put(k, b"new").unwrap();
+        }
+        db.flush().unwrap();
+        for b in [0, 3] {
+            db.disk.bitrot_block(old.blocks[b], b as u64).unwrap();
+        }
+        let report = db.scrub().unwrap();
+        assert_eq!((report.dropped_blocks, report.quarantined_blocks), (1, 1));
+        assert_eq!(report.lost_ranges.len(), 2);
+        for b in [0, 3] {
+            let holds = |r: &LostRange| block_keys[b].iter().all(|k| r.contains(k));
+            assert!(report.lost_ranges.iter().any(holds), "block {b}: keys outside its range");
+        }
+        let table = &db.levels[0][0];
+        assert_eq!(table.blocks.len(), old.blocks.len() - 1);
+        assert_eq!(table.min_key(), block_keys[1][0].as_slice(), "the smallest kept key");
+        db.check_invariants().unwrap();
     }
 }

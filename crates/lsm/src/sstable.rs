@@ -1,5 +1,12 @@
-//! SSTables: immutable runs of sorted key-value blocks with fence indexes
-//! and per-table filters.
+//! SSTables: immutable runs of sorted key-value blocks with a block index
+//! of shortest separators ([`Fences`]) and per-table filters.
+//!
+//! The block index follows the paper's D-to-S rules: the separators sit
+//! in one arena with an offset table, with no per-block allocation, and
+//! each is truncated Bayer–Unterauer style to the shortest prefix of its
+//! block's first key that still sorts above the previous block's last
+//! key. A separator is therefore only a lower bound on its block's first
+//! key; block 0's is the table's full min key.
 //!
 //! Since the durability PR, every data block is wrapped in the CRC frame
 //! from [`crate::wal`]: a torn or bit-flipped block fails validation as a
@@ -15,11 +22,12 @@ use crate::manifest::TableMeta;
 use crate::run::{EntryRef, Run};
 use crate::wal::{decode_single_ref, encode_single};
 use memtree_common::error::{MemtreeError, Result};
-use memtree_common::mem::{vec_bytes, vec_of_bytes};
+use memtree_common::mem::vec_bytes;
 use memtree_common::traits::PointFilter;
 use memtree_faults::{fail_point, Backoff};
 use memtree_filters::BloomFilter;
 use memtree_surf::{SuffixConfig, Surf};
+use std::ops::Index;
 
 /// Filter-image format version (first payload byte inside the CRC frame).
 /// An image of any other version fails to decode, and `Db::open` rebuilds
@@ -38,15 +46,106 @@ pub(crate) enum TableFilter {
     Surf(Surf),
 }
 
+/// A table's block index: one separator per block, concatenated in one
+/// arena, with the end offset of each. Separator `i` is a lower bound on
+/// block `i`'s first key and lies above every key of block `i - 1`, so
+/// the last separator `<= key` names the only block that can hold `key`.
+/// Separators strictly increase, and separator 0 is the table's min key.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Fences {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl Fences {
+    /// Appends the next block's separator.
+    pub(crate) fn push(&mut self, separator: &[u8]) {
+        self.bytes.extend_from_slice(separator);
+        let end = u32::try_from(self.bytes.len()).expect("a table's separators fit in 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Releases the spare capacity the pushes left; done once a table is
+    /// built, so the index holds exactly its bytes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Number of blocks indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The first index whose separator fails `pred`, for a `pred` that
+    /// holds on a prefix of the separators (as [`slice::partition_point`]).
+    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&[u8]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(&self[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The separators in block order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| &self[i])
+    }
+
+    /// Heap bytes held: the arena and the offsets.
+    pub(crate) fn mem_usage(&self) -> usize {
+        vec_bytes(&self.bytes) + vec_bytes(&self.ends)
+    }
+}
+
+impl Index<usize> for Fences {
+    type Output = [u8];
+
+    fn index(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.bytes[start..self.ends[i] as usize]
+    }
+}
+
+/// From a manifest record's separators.
+impl From<Vec<Vec<u8>>> for Fences {
+    fn from(separators: Vec<Vec<u8>>) -> Self {
+        let mut fences = Fences::default();
+        for s in &separators {
+            fences.push(s);
+        }
+        fences.shrink_to_fit();
+        fences
+    }
+}
+
+/// To a manifest record's separators.
+impl From<&Fences> for Vec<Vec<u8>> {
+    fn from(fences: &Fences) -> Self {
+        fences.iter().map(<[u8]>::to_vec).collect()
+    }
+}
+
+/// The shortest `s` with `prev_last < s <= first`, for `prev_last <
+/// first`: `first` cut one byte past the two keys' common prefix.
+fn separator<'k>(prev_last: &[u8], first: &'k [u8]) -> &'k [u8] {
+    let lcp = prev_last.iter().zip(first).take_while(|(a, b)| a == b).count();
+    &first[..lcp + 1]
+}
+
 /// An immutable sorted table.
 #[derive(Debug)]
 pub struct SsTable {
     pub(crate) id: u64,
     /// Disk block ids, in key order.
     pub(crate) blocks: Vec<u32>,
-    /// First key of each block (the "restarting point" fence index).
-    pub(crate) fences: Vec<Vec<u8>>,
-    pub(crate) min_key: Vec<u8>,
+    /// The block index: one separator per block (see [`Fences`]).
+    pub(crate) fences: Fences,
     pub(crate) max_key: Vec<u8>,
     pub(crate) filter: Option<TableFilter>,
     /// Disk block holding the serialized filter image, when one was
@@ -79,7 +178,7 @@ impl SsTable {
     ) -> Result<Self> {
         assert!(!entries.is_empty());
         let mut blocks = Vec::new();
-        let mut fences = Vec::new();
+        let mut fences = Fences::default();
         let mut start = 0usize;
         let entry_bytes = |e: &EntryRef<'_>| e.0.len() + e.1.map_or(0, <[u8]>::len) + 5;
         let mut write_blocks = || -> Result<()> {
@@ -94,7 +193,10 @@ impl SsTable {
                 }
                 fail_point!(disk.faults(), "lsm.table.block_write");
                 let block = disk.write(Run::encode_frame(&entries[start..end])?)?;
-                fences.push(entries[start].0.to_vec());
+                fences.push(match start.checked_sub(1) {
+                    None => entries[0].0,
+                    Some(prev) => separator(entries[prev].0, entries[start].0),
+                });
                 blocks.push(block);
                 start = end;
             }
@@ -125,11 +227,12 @@ impl SsTable {
             },
             None => None,
         };
+        blocks.shrink_to_fit();
+        fences.shrink_to_fit();
         Ok(Self {
             id,
             blocks,
             fences,
-            min_key: entries[0].0.to_vec(),
             max_key: entries[entries.len() - 1].0.to_vec(),
             filter: built,
             filter_block,
@@ -236,10 +339,9 @@ impl SsTable {
     pub(crate) fn from_meta(meta: TableMeta) -> Self {
         Self {
             id: meta.id,
-            min_key: meta.fences.first().cloned().unwrap_or_default(),
             max_key: meta.max_key,
             blocks: meta.blocks,
-            fences: meta.fences,
+            fences: meta.fences.into(),
             filter: None,
             filter_block: meta.filter_block,
             num_entries: meta.num_entries,
@@ -253,7 +355,7 @@ impl SsTable {
             level,
             id: self.id,
             blocks: self.blocks.clone(),
-            fences: self.fences.clone(),
+            fences: (&self.fences).into(),
             max_key: self.max_key.clone(),
             filter_block: self.filter_block,
             num_entries: self.num_entries,
@@ -267,21 +369,26 @@ impl SsTable {
         self.filter = Self::build_filter(keys, filter);
     }
 
-    /// Index of the block that may contain `key` (last fence `<= key`).
+    /// Index of the block that may contain `key` (last separator `<=
+    /// key`). A key between a block's separator and its first key is in
+    /// no block, so a lookup there misses as it would in the block before.
     pub(crate) fn candidate_block(&self, key: &[u8]) -> usize {
-        self.fences
-            .partition_point(|f| f.as_slice() <= key)
-            .saturating_sub(1)
+        self.fences.partition_point(|f| f <= key).saturating_sub(1)
+    }
+
+    /// The table's smallest key: block 0's separator.
+    pub(crate) fn min_key(&self) -> &[u8] {
+        &self.fences[0]
     }
 
     /// Does `key` fall within this table's [min, max] range?
     pub(crate) fn covers(&self, key: &[u8]) -> bool {
-        self.min_key.as_slice() <= key && key <= self.max_key.as_slice()
+        self.min_key() <= key && key <= self.max_key.as_slice()
     }
 
     /// Does the table's key range overlap `[lo, hi]`?
     pub(crate) fn overlaps(&self, lo: &[u8], hi: &[u8]) -> bool {
-        self.min_key.as_slice() <= hi && lo <= self.max_key.as_slice()
+        self.min_key() <= hi && lo <= self.max_key.as_slice()
     }
 
     /// Filter check for point gets; `true` when no filter is attached.
@@ -316,14 +423,15 @@ impl SsTable {
         self.num_entries == 0
     }
 
-    /// In-memory footprint: fences + filter (blocks live on "disk").
+    /// Heap bytes held: block ids, separators, max key and filter (the
+    /// blocks themselves live on "disk").
     pub fn mem_usage(&self) -> usize {
         let filter = match &self.filter {
             None => 0,
             Some(TableFilter::Bloom(b)) => b.size_bytes(),
             Some(TableFilter::Surf(s)) => s.size_bytes(),
         };
-        vec_bytes(&self.blocks) + vec_of_bytes(&self.fences) + filter
+        vec_bytes(&self.blocks) + self.fences.mem_usage() + vec_bytes(&self.max_key) + filter
     }
 
     /// Releases the table's disk blocks (filter image included).
@@ -335,6 +443,16 @@ impl SsTable {
             disk.release(fb)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl SsTable {
+    /// Block `block`'s real first key, read from `disk`: its fence is only
+    /// a lower bound on it.
+    pub(crate) fn first_key(&self, disk: &SimDisk, block: usize) -> Vec<u8> {
+        let frame = disk.read(self.blocks[block]).expect("a live block").into_vec();
+        Run::from_frame(frame).expect("a valid block").key(0).to_vec()
     }
 }
 
@@ -417,6 +535,31 @@ mod tests {
         }
     }
 
+    /// A table holds exactly the heap `mem_usage` reports: separators,
+    /// block ids, max key and filter. It is measured on a rebuild from
+    /// the table's manifest record, which owns no disk storage.
+    #[test]
+    fn a_table_holds_exactly_the_heap_it_reports() {
+        let disk = SimDisk::new(Duration::ZERO);
+        let owned = entries(20_000);
+        let e = refs(&owned);
+        let keys: Vec<&[u8]> = e.iter().map(|&(k, _)| k).collect();
+        for kind in [FilterKind::None, FilterKind::Bloom(10.0), FilterKind::SurfReal(8)] {
+            let built = SsTable::build(1, &disk, &e, 4096, &kind).unwrap();
+            let (table, live) = memtree_alloc_probe::retained(|| {
+                let mut t = SsTable::from_meta(built.meta(0));
+                t.attach_filter(&keys, &kind);
+                t
+            });
+            let reported = table.mem_usage() as isize;
+            assert!(
+                (live - reported).abs() <= 64 + reported / 1000,
+                "{kind:?}: holds {live} B of heap but reports {reported} B"
+            );
+            assert_eq!(built.mem_usage(), table.mem_usage(), "{kind:?}: built vs reopened");
+        }
+    }
+
     #[test]
     fn meta_roundtrip_reconstructs_geometry() {
         let disk = SimDisk::new(Duration::ZERO);
@@ -427,7 +570,7 @@ mod tests {
         assert_eq!(r.id, t.id);
         assert_eq!(r.blocks, t.blocks);
         assert_eq!(r.fences, t.fences);
-        assert_eq!(r.min_key, t.min_key);
+        assert_eq!(r.min_key(), t.min_key());
         assert_eq!(r.max_key, t.max_key);
         assert_eq!(r.num_entries, t.num_entries);
         assert_eq!(r.num_tombstones, t.num_tombstones);
