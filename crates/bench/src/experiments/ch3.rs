@@ -220,4 +220,6 @@ pub fn fig3_7(scale: Scale) {
     }
     println!("(paper: more dense levels -> up to 3x faster; memory grows for emails but");
     println!(" *shrinks* for random ints, whose top-level fanouts exceed 51)");
+    println!("(R is a floor: the builder keeps more dense levels while each one makes the");
+    println!(" trie smaller, so large-R rows read at the size optimum)");
 }

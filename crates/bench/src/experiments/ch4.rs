@@ -563,6 +563,7 @@ pub fn fig4_11(scale: Scale) {
         ("rand-int", keys::sorted_unique(keys::rand_u64_keys(scale.n_keys / 4, 1))),
         ("email", keys::sorted_unique(keys::email_keys(scale.n_keys / 4, 2))),
     ];
+    let mut bits = Vec::new();
     for (name, keyset) in sets {
         let surf = Surf::from_keys(&keyset, SuffixConfig::None);
         let mut z = Zipfian::new(keyset.len(), 7);
@@ -582,7 +583,16 @@ pub fn fig4_11(scale: Scale) {
             surf.bits_per_key(),
             100.0 * surf.size_bytes() as f64 / raw as f64
         );
+        bits.push(surf.bits_per_key());
     }
     println!("(paper: the worst case forces 64-level traversals and ~64% of raw size —");
     println!(" near the information-theoretic lower bound for range filters)");
+    // Sizes are host-independent. Picking the dense levels by size must
+    // grow no trie: the worst case stays at the 328.9 bits/key the §3.4
+    // R rule alone gave (at --quick; 328.5 at full scale), within 0.1 %
+    // for allocation rounding, and rand-int stays below the rule's 11.8
+    // (11.2 at --quick, 10.9 at full scale).
+    let (worst, ints) = (bits[0], bits[1]);
+    assert!(worst <= 328.9 * 1.001, "worst-case SuRF grew: {worst:.1} bits/key");
+    assert!(ints < 11.8, "rand-int SuRF: {ints:.1} bits/key, not below 11.8");
 }

@@ -9,8 +9,9 @@
 //!   `S-Labels` plus bit sequences `S-HasChild` and `S-LOUDS`, 10 bits per
 //!   node — within 6 % of the information-theoretic lower bound.
 //!
-//! The dividing level is governed by the size ratio `R` (§3.4, default 64:
-//! LOUDS-Dense is kept under ~2 % of the trie). Rank/select use the
+//! The dividing level is the one that makes the trie smallest, but never
+//! fewer dense levels than the size ratio `R` keeps (§3.4, default 64:
+//! LOUDS-Dense under ~2 % of the trie). Rank/select use the
 //! customized single-level LUTs of §3.6 (`B = 64` dense, `B = 512` sparse,
 //! select sampling `S = 64`), and sparse label search uses an 8-byte-SWAR
 //! "SIMD" comparison. Every optimization can be disabled through
@@ -28,7 +29,7 @@ pub mod louds;
 
 pub use baselines::{PdtLite, TxTrie};
 pub use iter::TrieIter;
-pub use louds::{LookupResult, LoudsTrie, TrieOpts};
+pub use louds::{LookupResult, LoudsTrie, TrieMemStats, TrieOpts};
 
 use memtree_common::traits::{StaticIndex, Value};
 

@@ -14,7 +14,10 @@ pub struct TrieOpts {
     /// distinguishing byte instead of storing the whole key.
     pub truncate: bool,
     /// Dense/sparse size ratio `R` (§3.4). `None` = all LOUDS-Sparse;
-    /// `Some(0)` = all LOUDS-Dense; `Some(64)` is the thesis default.
+    /// `Some(0)` = all LOUDS-Dense. `Some(r)` is a floor: the builder keeps
+    /// at least the dense levels whose bitmaps stay within `1/r` of the
+    /// sparse levels below them (the thesis's rule; `Some(64)` is its
+    /// default), and more while each one makes the trie smaller.
     pub r_ratio: Option<usize>,
     /// Dense rank LUT with B = 64 (one popcount per rank); `false` falls
     /// back to B = 512 everywhere (the Poppy-style baseline).
@@ -106,6 +109,36 @@ pub enum LookupResult {
     NotFound,
 }
 
+/// Heap bytes of a [`LoudsTrie`] by part ([`LoudsTrie::mem_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrieMemStats {
+    /// `D-Labels`, `D-HasChild` and `D-IsPrefixKey`.
+    pub dense_bitmaps: usize,
+    /// The rank LUTs over the three dense bitmaps.
+    pub dense_rank: usize,
+    /// `S-Labels`.
+    pub sparse_labels: usize,
+    /// `S-HasChild` and `S-LOUDS`.
+    pub sparse_bitmaps: usize,
+    /// The rank LUTs over `S-HasChild` and `S-LOUDS`, and the select
+    /// samples over `S-LOUDS`.
+    pub sparse_rank_select: usize,
+    /// The per-level node boundaries.
+    pub level_starts: usize,
+}
+
+impl TrieMemStats {
+    /// The sum of the parts: the trie's heap bytes.
+    pub fn total(&self) -> usize {
+        self.dense_bitmaps
+            + self.dense_rank
+            + self.sparse_labels
+            + self.sparse_bitmaps
+            + self.sparse_rank_select
+            + self.level_starts
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Intermediate (build-time) trie
 // ---------------------------------------------------------------------------
@@ -158,9 +191,9 @@ pub struct LoudsTrie {
     // ---- metadata ----
     /// Value slot of the empty key, if stored (always slot 0).
     pub(crate) empty_key: bool,
-    /// Per-level start boundary: for dense levels the first node id, for
-    /// sparse levels the first `s_labels` position. `level_node_starts[l]`
-    /// = first global node id at level `l`; one extra sentinel at the end.
+    /// `level_node_starts[l]` = first global node id at level `l`, plus a
+    /// sentinel `num_nodes` at the end. Strictly rising: every level holds
+    /// at least one node.
     pub(crate) level_node_starts: Vec<usize>,
     pub(crate) height: usize,
     pub(crate) num_nodes: usize,
@@ -173,7 +206,27 @@ impl LoudsTrie {
     /// place its per-key payload in value-slot order; the trie keeps no
     /// copy of it.
     pub fn build(keys: &[&[u8]], opts: TrieOpts) -> (Self, Vec<u32>) {
-        Builder::new(keys, opts).finish()
+        let builder = Builder::new(keys, opts);
+        let (_, cut) = builder.cutoffs();
+        builder.finish(cut)
+    }
+
+    /// Builds with the dense/sparse cut at level `cut` (capped at the
+    /// height) instead of the chosen one. Only the encoding depends on the
+    /// cut: keys, value slots and every answer stay the same, which the
+    /// differential tests check at every cut.
+    #[cfg(any(test, feature = "test-cuts"))]
+    pub fn build_at_cut(keys: &[&[u8]], opts: TrieOpts, cut: usize) -> (Self, Vec<u32>) {
+        let builder = Builder::new(keys, opts);
+        let cut = cut.min(builder.levels.len());
+        builder.finish(cut)
+    }
+
+    /// The cut §3.4's `R` rule alone picks for these keys: the fewest
+    /// dense levels [`LoudsTrie::build`] keeps.
+    #[cfg(any(test, feature = "test-cuts"))]
+    pub fn r_rule_cut(keys: &[&[u8]], opts: TrieOpts) -> usize {
+        Builder::new(keys, opts).cutoffs().0
     }
 
     /// Total trie nodes (including dense levels).
@@ -191,21 +244,33 @@ impl LoudsTrie {
         self.height
     }
 
+    /// Number of levels encoded as LOUDS-Dense (the cut).
+    pub fn dense_levels(&self) -> usize {
+        self.dense_levels
+    }
+
     /// Heap bytes of the encoding (bit vectors, LUTs, labels).
     pub fn mem_usage(&self) -> usize {
-        self.d_labels.mem_usage()
-            + self.d_has_child.mem_usage()
-            + self.d_is_prefix.mem_usage()
-            + self.d_labels_rank.mem_usage()
-            + self.d_has_child_rank.mem_usage()
-            + self.d_is_prefix_rank.mem_usage()
-            + vec_bytes(&self.s_labels)
-            + self.s_has_child.mem_usage()
-            + self.s_louds.mem_usage()
-            + self.s_has_child_rank.mem_usage()
-            + self.s_louds_rank.mem_usage()
-            + self.s_louds_select.mem_usage()
-            + vec_bytes(&self.level_node_starts)
+        self.mem_stats().total()
+    }
+
+    /// Heap bytes of the encoding by part; they sum to
+    /// [`LoudsTrie::mem_usage`].
+    pub fn mem_stats(&self) -> TrieMemStats {
+        TrieMemStats {
+            dense_bitmaps: self.d_labels.mem_usage()
+                + self.d_has_child.mem_usage()
+                + self.d_is_prefix.mem_usage(),
+            dense_rank: self.d_labels_rank.mem_usage()
+                + self.d_has_child_rank.mem_usage()
+                + self.d_is_prefix_rank.mem_usage(),
+            sparse_labels: vec_bytes(&self.s_labels),
+            sparse_bitmaps: self.s_has_child.mem_usage() + self.s_louds.mem_usage(),
+            sparse_rank_select: self.s_has_child_rank.mem_usage()
+                + self.s_louds_rank.mem_usage()
+                + self.s_louds_select.mem_usage(),
+            level_starts: vec_bytes(&self.level_node_starts),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -846,13 +911,21 @@ impl LoudsTrie {
         if s_louds.count_ones() != sparse_nodes {
             return Err(bad("LOUDS bits disagree with sparse node count"));
         }
-        if level_node_starts.last() != Some(&num_nodes)
-            || !level_node_starts.windows(2).all(|w| w[0] <= w[1])
+        // Every level holds at least one node, so the boundaries rise
+        // strictly and name exactly one level per node count.
+        if level_node_starts.first() != Some(&0)
+            || level_node_starts.last() != Some(&num_nodes)
+            || !level_node_starts.windows(2).all(|w| w[0] < w[1])
         {
             return Err(bad("level boundaries out of order"));
         }
         if d_labels.count_ones() < dense_child_count || s_has_child.count_ones() > s_labels.len() {
             return Err(bad("child bits exceed label bits"));
+        }
+        // The cut must sit on the level boundary the dense counts name.
+        let dense_values = (d_labels.count_ones() - dense_child_count) + d_is_prefix.count_ones();
+        if level_node_starts[dense_levels] != dense_node_count || dense_value_count != dense_values {
+            return Err(bad("dense levels disagree with dense node and value counts"));
         }
         let stored_values = usize::from(empty_key)
             + (d_labels.count_ones() - dense_child_count)
@@ -1063,46 +1136,52 @@ impl<'k> Builder<'k> {
         }
     }
 
-    /// Picks the dense/sparse cutoff level per §3.4.
-    fn cutoff(&self) -> usize {
+    /// Picks the dense/sparse cutoff level as `(r_rule, cut)`. `cut`
+    /// minimises the modelled trie size over the cuts `r_rule..=height`,
+    /// where `r_rule` is the one §3.4's `R` rule alone picks, with ties
+    /// going to more dense levels. A dense node costs its 513 bitmap bits plus the
+    /// rank LUTs over `d_labels` and `d_has_child` (32 bits per `B`-bit
+    /// block); a sparse label costs 10 bits.
+    fn cutoffs(&self) -> (usize, usize) {
         let h = self.levels.len();
-        match self.opts.r_ratio {
-            None => 0,
-            Some(0) => h,
-            Some(r) => {
-                // dense_size(l): bits for levels < l encoded densely.
-                // sparse_size(l): bits for levels >= l encoded sparsely.
-                let mut dense_bits = vec![0u64; h + 1];
-                let mut sparse_bits = vec![0u64; h + 1];
-                for l in 0..h {
-                    let nodes = self.levels[l].len() as u64;
-                    let labels: u64 = self.levels[l]
-                        .iter()
-                        .map(|n| n.branches.len() as u64 + u64::from(n.prefix_key.is_some()))
-                        .sum();
-                    dense_bits[l + 1] = dense_bits[l] + nodes * 513;
-                    sparse_bits[l + 1] = labels * 10; // temp: per-level
-                }
-                // suffix-sum the sparse sizes.
-                let mut suffix = vec![0u64; h + 1];
-                for l in (0..h).rev() {
-                    suffix[l] = suffix[l + 1] + sparse_bits[l + 1];
-                }
-                let mut best = 0;
-                for l in 0..=h {
-                    if dense_bits[l] * r as u64 <= suffix[l] {
-                        best = l;
-                    }
-                }
-                best
-            }
-        }
+        let r = match self.opts.r_ratio {
+            None => return (0, 0),
+            Some(0) => return (h, h),
+            Some(r) => r as u64,
+        };
+        // A prefix key takes a sparse label of its own (0xFF).
+        let nodes: Vec<u64> = self.levels.iter().map(|level| level.len() as u64).collect();
+        let labels: Vec<u64> = self
+            .levels
+            .iter()
+            .map(|level| {
+                level
+                    .iter()
+                    .map(|n| n.branches.len() as u64 + u64::from(n.prefix_key.is_some()))
+                    .sum()
+            })
+            .collect();
+        let dense = |l: usize, node_bits: u64| nodes[..l].iter().sum::<u64>() * node_bits;
+        let sparse = |l: usize| labels[l..].iter().sum::<u64>() * 10;
+        // §3.4: the deepest cut whose dense bitmaps are at most 1/R of the
+        // sparse levels below it.
+        let floor = (0..=h)
+            .filter(|&l| dense(l, 513) * r <= sparse(l))
+            .max()
+            .unwrap_or(0);
+        let rank_block = if self.opts.rank_opt { 64 } else { 512 };
+        let node_bits = 513 + 2 * 256 * 32 / rank_block;
+        let cut = (floor..=h)
+            .rev()
+            .min_by_key(|&l| dense(l, node_bits) + sparse(l))
+            .unwrap_or(floor);
+        (floor, cut)
     }
 
-    fn finish(self) -> (LoudsTrie, Vec<u32>) {
+    /// Encodes levels `..cut` densely and the rest sparsely.
+    fn finish(self, cut: usize) -> (LoudsTrie, Vec<u32>) {
         let opts = self.opts;
         let h = self.levels.len();
-        let cut = self.cutoff();
 
         let mut d_labels = BitVector::new();
         let mut d_has_child = BitVector::new();
@@ -1189,7 +1268,8 @@ impl<'k> Builder<'k> {
         level_node_starts.push(node_id);
 
         let dense_child_count = d_has_child.count_ones();
-        // Drop growth slack: the structure is immutable from here on.
+        // Pad empty vectors to one bit for the rank/select LUTs, then drop
+        // growth slack: the structure is immutable from here on.
         s_labels.shrink_to_fit();
         for bv in [
             &mut d_labels,
@@ -1198,19 +1278,11 @@ impl<'k> Builder<'k> {
             &mut s_has_child,
             &mut s_louds,
         ] {
-            bv.shrink_to_fit();
-        }
-        // Keep rank/select LUT construction happy on empty vectors.
-        let ensure = |bv: &mut BitVector| {
             if bv.is_empty() {
                 bv.push(false);
             }
-        };
-        ensure(&mut d_labels);
-        ensure(&mut d_has_child);
-        ensure(&mut d_is_prefix);
-        ensure(&mut s_has_child);
-        ensure(&mut s_louds);
+            bv.shrink_to_fit();
+        }
 
         let dense_rank_block = if opts.rank_opt { 64 } else { 512 };
         let d_labels_rank = RankSupport::new(&d_labels, dense_rank_block);
@@ -1245,5 +1317,220 @@ impl<'k> Builder<'k> {
             num_values: order.len(),
         };
         (trie, order)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memtree_workload::keys;
+
+    /// The seeded key sets of the cut tests: random 16-byte keys, the key
+    /// range of one benchmark SSTable, keys that are prefixes of each
+    /// other, and the email keys of the ch3/ch4 experiments.
+    fn key_sets(n: usize) -> Vec<(&'static str, Vec<Vec<u8>>)> {
+        vec![
+            (
+                "random",
+                keys::sorted_unique(keys::rand_bytes_keys(n, 16, 256, 1)),
+            ),
+            (
+                "partitioned",
+                keys::sorted_unique(keys::rand_bytes_keys(n, 16, 43, 2)),
+            ),
+            (
+                "shared-prefix",
+                keys::sorted_unique(keys::shared_prefix_keys(n, 3)),
+            ),
+            ("email", keys::sorted_unique(keys::email_keys(n, 4))),
+        ]
+    }
+
+    fn refs(keys: &[Vec<u8>]) -> Vec<&[u8]> {
+        keys.iter().map(|k| k.as_slice()).collect()
+    }
+
+    /// Every stored key, plus an extension and a strict prefix of every
+    /// third key, plus the empty key.
+    fn probes(keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut probes = vec![Vec::new()];
+        for (i, k) in keys.iter().enumerate() {
+            probes.push(k.clone());
+            if i % 3 == 0 {
+                let mut ext = k.clone();
+                ext.push(b'~');
+                probes.push(ext);
+                probes.push(k[..k.len() / 2].to_vec());
+            }
+        }
+        probes
+    }
+
+    /// Per probe: the point lookup, the first steps of the `lower_bound`
+    /// walk, and `count_before` at it; then the batched lookups and the
+    /// full walk.
+    type Answers = (
+        Vec<(LookupResult, Vec<(Vec<u8>, usize, bool)>, usize)>,
+        Vec<LookupResult>,
+        Vec<(Vec<u8>, usize)>,
+    );
+
+    fn answers(t: &LoudsTrie, probes: &[&[u8]]) -> Answers {
+        let per_probe = probes
+            .iter()
+            .map(|p| {
+                let mut it = t.lower_bound(p);
+                let count = t.count_before(&it);
+                let mut walk = Vec::new();
+                while it.valid() && walk.len() < 3 {
+                    walk.push((it.key().to_vec(), it.value_idx(), it.fp_flag()));
+                    it.next();
+                }
+                (t.lookup(p), walk, count)
+            })
+            .collect();
+        let mut batch = Vec::new();
+        t.lookup_batch(probes, &mut batch);
+        let mut walk = Vec::new();
+        let mut it = t.lower_bound(&[]);
+        while it.valid() {
+            walk.push((it.key().to_vec(), it.value_idx()));
+            it.next();
+        }
+        (per_probe, batch, walk)
+    }
+
+    fn image(t: &LoudsTrie) -> Vec<u8> {
+        let mut img = Vec::new();
+        t.serialize(&mut img);
+        img
+    }
+
+    #[test]
+    fn every_cut_answers_as_the_r_rule_cut_does() {
+        for (name, owned) in key_sets(1000) {
+            let keys = refs(&owned);
+            let probes = probes(&owned);
+            let probes = refs(&probes);
+            for opts in [TrieOpts::default(), TrieOpts::surf()] {
+                let r_rule = LoudsTrie::r_rule_cut(&keys, opts);
+                let (reference, order) = LoudsTrie::build_at_cut(&keys, opts, r_rule);
+                let expect = answers(&reference, &probes);
+                for cut in 0..=reference.height() {
+                    let (t, o) = LoudsTrie::build_at_cut(&keys, opts, cut);
+                    assert_eq!(t.dense_levels(), cut);
+                    assert_eq!(
+                        o, order,
+                        "{name} truncate={} cut {cut}: leaf order",
+                        opts.truncate
+                    );
+                    let loaded = LoudsTrie::deserialize(&image(&t)).unwrap();
+                    assert_eq!(loaded.dense_levels(), cut);
+                    for (which, trie) in [("built", &t), ("loaded", &loaded)] {
+                        assert!(
+                            answers(trie, &probes) == expect,
+                            "{name} truncate={} cut {cut} ({which}) answers differently from \
+                             the R rule's cut {r_rule}",
+                            opts.truncate
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_chosen_cut_is_the_smallest_trie_at_or_above_the_r_rule() {
+        // 2 750 partitioned keys put ≈ 56 labels in each level-1 node: a
+        // dense node is smaller than their sparse labels without its rank
+        // LUT and larger with it, so a model that forgets the LUT picks a
+        // larger trie here. The last set is one benchmark SSTable's SuRF.
+        let mut cases: Vec<_> = key_sets(2750)
+            .into_iter()
+            .flat_map(|set| [(set.clone(), TrieOpts::default()), (set, TrieOpts::surf())])
+            .collect();
+        let table = keys::sorted_unique(keys::rand_bytes_keys(16_384, 16, 43, 6));
+        cases.push((("table", table), TrieOpts::surf()));
+        for ((name, keys), opts) in &cases {
+            let (keys, opts) = (refs(keys), *opts);
+            let (chosen, _) = LoudsTrie::build(&keys, opts);
+            let r_rule = LoudsTrie::r_rule_cut(&keys, opts);
+            let cut = chosen.dense_levels();
+            assert!(
+                cut >= r_rule,
+                "{name}: cut {cut} below the R rule's {r_rule}"
+            );
+            // Below the R rule's cut the floor, not the model, decides.
+            let size = chosen.mem_usage();
+            for other in r_rule..=chosen.height() {
+                let (t, _) = LoudsTrie::build_at_cut(&keys, opts, other);
+                // The model counts bits. It leaves out what rounds: each of
+                // the five bit vectors fills whole words (an empty one is
+                // padded to one), and each of the seven LUTs has a partial
+                // block and a sentinel entry. That is at most
+                // 5 * 8 + 7 * 2 * 4 = 96 bytes.
+                assert!(
+                    size <= t.mem_usage() + 96,
+                    "{name} ({} keys, truncate={}): cut {cut} holds {size} B, cut {other} {} B",
+                    keys.len(),
+                    opts.truncate,
+                    t.mem_usage()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_levels_field_that_disagrees_with_the_image_is_corruption() {
+        let keys = keys::sorted_unique(keys::rand_bytes_keys(2000, 16, 256, 9));
+        let keys = refs(&keys);
+        let all_dense = TrieOpts {
+            r_ratio: Some(0),
+            ..TrieOpts::default()
+        };
+        for opts in [TrieOpts::default(), TrieOpts::surf(), all_dense] {
+            let (t, _) = LoudsTrie::build(&keys, opts);
+            let img = image(&t);
+            // The field follows the flags byte and, when `R` is set, `R`.
+            let at = 1 + if opts.r_ratio.is_some() { 8 } else { 0 };
+            assert_eq!(img[at..at + 8], (t.dense_levels() as u64).to_le_bytes());
+            for levels in 0..=t.height() as u64 + 1 {
+                let mut patched = img.clone();
+                patched[at..at + 8].copy_from_slice(&levels.to_le_bytes());
+                match LoudsTrie::deserialize(&patched) {
+                    Ok(loaded) => {
+                        assert_eq!(levels as usize, t.dense_levels(), "a wrong cut loaded");
+                        for k in &keys {
+                            assert_eq!(loaded.lookup(k), t.lookup(k));
+                        }
+                    }
+                    Err(e) => assert!(
+                        matches!(e, MemtreeError::Corruption { .. }),
+                        "dense_levels {levels}: {e:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mem_stats_sum_to_mem_usage_and_move_with_the_cut() {
+        let keys = keys::sorted_unique(keys::rand_bytes_keys(4000, 16, 43, 5));
+        let keys = refs(&keys);
+        let mut last: Option<TrieMemStats> = None;
+        for cut in 0..=LoudsTrie::build(&keys, TrieOpts::surf()).0.height() {
+            let (t, _) = LoudsTrie::build_at_cut(&keys, TrieOpts::surf(), cut);
+            let stats = t.mem_stats();
+            assert_eq!(stats.total(), t.mem_usage());
+            assert_eq!(stats.level_starts, vec_bytes(&t.level_node_starts));
+            // One more dense level: more dense bytes, fewer sparse ones.
+            if let Some(prev) = last {
+                assert!(stats.dense_bitmaps > prev.dense_bitmaps, "cut {cut}");
+                assert!(stats.dense_rank > prev.dense_rank, "cut {cut}");
+                assert!(stats.sparse_labels < prev.sparse_labels, "cut {cut}");
+                assert!(stats.sparse_bitmaps <= prev.sparse_bitmaps, "cut {cut}");
+            }
+            last = Some(stats);
+        }
     }
 }

@@ -21,7 +21,7 @@ use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::hash64;
 use memtree_common::mem::vec_bytes;
 use memtree_common::traits::{PointFilter, RangeFilter};
-use memtree_fst::{LookupResult, LoudsTrie, TrieIter, TrieOpts};
+use memtree_fst::{LookupResult, LoudsTrie, TrieIter, TrieMemStats, TrieOpts};
 
 /// Which suffix bits a SuRF stores per key (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +106,22 @@ impl PackedBits {
     }
 }
 
+/// Heap bytes of a [`Surf`] by part ([`Surf::mem_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SurfMemStats {
+    /// The truncated trie, by part.
+    pub trie: TrieMemStats,
+    /// The packed suffix bits.
+    pub suffixes: usize,
+}
+
+impl SurfMemStats {
+    /// The sum of the parts: the filter's heap bytes.
+    pub fn total(&self) -> usize {
+        self.trie.total() + self.suffixes
+    }
+}
+
 /// The Succinct Range Filter.
 #[derive(Debug)]
 pub struct Surf {
@@ -133,6 +149,12 @@ impl Surf {
     /// Builds a SuRF over sorted, duplicate-free keys.
     pub fn new(keys: &[&[u8]], config: SuffixConfig) -> Self {
         let (trie, order) = LoudsTrie::build(keys, TrieOpts::surf());
+        Self::with_trie(keys, config, trie, &order)
+    }
+
+    /// Attaches the suffix bits of `keys` to a trie built over them, whose
+    /// leaf order is `order`.
+    fn with_trie(keys: &[&[u8]], config: SuffixConfig, trie: LoudsTrie, order: &[u32]) -> Self {
         let mut suffixes = PackedBits::new(config.total_bits(), trie.num_values());
         if config.total_bits() > 0 {
             // Stored-prefix depth of key i = max LCP with its neighbors + 1
@@ -187,6 +209,14 @@ impl Surf {
     /// The underlying truncated trie.
     pub fn trie(&self) -> &LoudsTrie {
         &self.trie
+    }
+
+    /// Heap bytes by part; they sum to [`PointFilter::size_bytes`].
+    pub fn mem_stats(&self) -> SurfMemStats {
+        SurfMemStats {
+            trie: self.trie.mem_stats(),
+            suffixes: self.suffixes.mem_usage(),
+        }
     }
 
     /// Stored suffix bits for a value slot (hash bits above real bits).
@@ -342,7 +372,7 @@ impl PointFilter for Surf {
     }
 
     fn size_bytes(&self) -> usize {
-        self.trie.mem_usage() + self.suffixes.mem_usage()
+        self.mem_stats().total()
     }
 }
 
@@ -691,6 +721,80 @@ mod tests {
             patched(&[(3, u64::MAX / 8)]),
         ] {
             assert!(Surf::deserialize(&crafted).is_err());
+        }
+    }
+
+    /// Every answer SuRF gives for `probes`: point, range (a tight and a
+    /// wide one per probe), `move_to_next` and `count`.
+    type Answers = Vec<(bool, bool, bool, Option<(Vec<u8>, bool)>, usize)>;
+
+    fn answers(s: &Surf, probes: &[Vec<u8>]) -> Answers {
+        probes
+            .iter()
+            .map(|p| {
+                let tight = memtree_common::key::successor(p);
+                let wide = memtree_common::key::prefix_successor(&p[..p.len() / 2])
+                    .unwrap_or_else(|| vec![0xFF; 17]);
+                let (it, fp) = s.move_to_next(p);
+                (
+                    s.may_contain(p),
+                    s.may_contain_range(p, &tight),
+                    s.may_contain_range(p, &wide),
+                    it.valid().then(|| (it.key().to_vec(), fp)),
+                    s.count(p, &wide),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_cut_answers_as_the_r_rule_cut_does() {
+        use memtree_workload::keys;
+        for (name, set) in [
+            ("random", keys::rand_bytes_keys(1000, 16, 256, 1)),
+            ("partitioned", keys::rand_bytes_keys(1000, 16, 43, 2)),
+            ("shared-prefix", keys::shared_prefix_keys(1000, 3)),
+            ("email", keys::email_keys(1000, 4)),
+        ] {
+            let keys = keys::sorted_unique(set);
+            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+            let mut probes = keys.clone();
+            for (i, k) in keys.iter().enumerate().step_by(3) {
+                probes.push([k.as_slice(), b"~"].concat());
+                probes.push(k[..k.len() / 2].to_vec());
+                probes.push(format!("absent-{i}").into_bytes());
+            }
+            for cfg in [SuffixConfig::Real(8), SuffixConfig::Mixed(4, 4)] {
+                let at_cut = |cut| {
+                    let (trie, order) = LoudsTrie::build_at_cut(&refs, TrieOpts::surf(), cut);
+                    let mut img = Vec::new();
+                    Surf::with_trie(&refs, cfg, trie, &order).serialize(&mut img);
+                    Surf::deserialize(&img).unwrap()
+                };
+                let r_rule = LoudsTrie::r_rule_cut(&refs, TrieOpts::surf());
+                let expect = answers(&at_cut(r_rule), &probes);
+                for cut in 0..=Surf::new(&refs, cfg).trie().height() {
+                    let s = at_cut(cut);
+                    assert_eq!(s.trie().dense_levels(), cut);
+                    assert!(
+                        answers(&s, &probes) == expect,
+                        "{name} {cfg:?}: cut {cut} answers differently from the R rule's {r_rule}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mem_stats_sum_to_size_bytes() {
+        let keys = random_keys(5000, 21);
+        for cfg in all_configs() {
+            let s = Surf::from_keys(&keys, cfg);
+            let stats = s.mem_stats();
+            assert_eq!(stats.total(), s.size_bytes(), "{cfg:?}");
+            assert_eq!(stats.trie.total(), s.trie().mem_usage(), "{cfg:?}");
+            let suffix_bits = cfg.total_bits() as usize * s.num_keys();
+            assert_eq!(stats.suffixes, suffix_bits.div_ceil(64) * 8, "{cfg:?}");
         }
     }
 

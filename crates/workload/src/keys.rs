@@ -19,6 +19,47 @@ pub fn rand_u64_keys(n: usize, seed: u64) -> Vec<Vec<u8>> {
     keys
 }
 
+/// `n` distinct random `len`-byte keys whose first byte is below
+/// `first_below` (1..=256), in generation order. With `len = 16`,
+/// `first_below = 256` draws the benchmark's keys; `first_below = 43` draws the sixth of
+/// the key space one of its 16 384-key SSTables covers at a disjoint level.
+pub fn rand_bytes_keys(n: usize, len: usize, first_below: u16, seed: u64) -> Vec<Vec<u8>> {
+    let mut state = seed;
+    let mut seen = std::collections::HashSet::with_capacity(n * 2);
+    let mut keys = Vec::with_capacity(n);
+    while keys.len() < n {
+        let mut key: Vec<u8> = (0..len.div_ceil(8))
+            .flat_map(|_| splitmix64(&mut state).to_be_bytes())
+            .take(len)
+            .collect();
+        if let Some(first) = key.first_mut() {
+            *first = (u16::from(*first) % first_below) as u8;
+        }
+        if seen.insert(key.clone()) {
+            keys.push(key);
+        }
+    }
+    keys
+}
+
+/// `n` distinct keys (at most ≈ 300 000) that share a 12-byte prefix and
+/// end in 0–6 bytes over an 8-letter alphabet, so many keys are prefixes
+/// of others; in generation order.
+pub fn shared_prefix_keys(n: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut state = seed;
+    let mut seen = std::collections::HashSet::with_capacity(n * 2);
+    let mut keys = Vec::with_capacity(n);
+    while keys.len() < n {
+        let mut key = b"tenant/0042/".to_vec();
+        let tail = (splitmix64(&mut state) % 7) as usize;
+        key.extend((0..tail).map(|_| b'a' + (splitmix64(&mut state) % 8) as u8));
+        if seen.insert(key.clone()) {
+            keys.push(key);
+        }
+    }
+    keys
+}
+
 /// `n` monotonically increasing 64-bit integer keys.
 pub fn mono_u64_keys(n: usize) -> Vec<Vec<u8>> {
     (0..n as u64).map(|i| encode_u64(i).to_vec()).collect()
@@ -190,6 +231,8 @@ mod tests {
             email_keys(5000, 2),
             wiki_keys(5000, 3),
             url_keys(5000, 4),
+            rand_bytes_keys(5000, 16, 43, 5),
+            shared_prefix_keys(5000, 6),
         ] {
             assert_eq!(keys.len(), 5000);
             let unique = sorted_unique(keys);
