@@ -6,9 +6,12 @@
 //! read and the engine counts every filter probe, so each kind's cost is
 //! exact, not just a wall-clock race. Each kind's row also gives the
 //! memory axis: the tables' resident block index and filter per stored
-//! entry (`Db::index_filter_mem` over `Db::table_entries`). One counter gate always runs, in
-//! `--smoke` mode too, because it is deterministic: every filter kind
-//! reads strictly fewer blocks than `none`.
+//! entry (`Db::index_filter_mem` over `Db::table_entries`), and the same
+//! split into the filter and the block index beside it
+//! (`Db::table_mem_stats`); the two parts must sum to the whole. One
+//! counter gate always runs, in `--smoke` mode too, because it is
+//! deterministic: every filter kind reads strictly fewer blocks than
+//! `none`.
 //!
 //! A second section sweeps the **compaction policy**: the same
 //! overwrite-heavy load and the same point-read probe run under leveled
@@ -23,7 +26,7 @@
 use memtree_bench::harness::{best_of, BenchArgs, Json};
 use memtree_bench::mops;
 use memtree_common::key::encode_u64;
-use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats};
+use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats, TableMemStats};
 
 struct Config {
     n_keys: usize,
@@ -140,14 +143,25 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str, j: &mut Json
     );
 
     let tables: usize = db.level_sizes().iter().sum();
-    let index_bytes_per_key = db.index_filter_mem() as f64 / db.table_entries() as f64;
+    let entries = db.table_entries() as f64;
+    let index_bytes_per_key = db.index_filter_mem() as f64 / entries;
+    let parts = db.table_mem_stats();
+    let filter_bytes: usize = parts.iter().map(|t| t.filter.total()).sum();
+    let block_index_bytes: usize = parts.iter().map(TableMemStats::block_index).sum();
+    assert_eq!(
+        filter_bytes + block_index_bytes,
+        db.index_filter_mem(),
+        "{name}: the filter and the block index sum to the tables' footprint"
+    );
     println!(
-        "{name:<14} {tables} tables  {index_bytes_per_key:>5.3} B/key  per-key {per_key_mops:>8.3} Mops/s  {:>7} reads  {:>7} passes",
-        per_key.block_reads, per_key.filter.probe_passes
+        "{name:<14} {tables} tables  {index_bytes_per_key:>5.3} B/key ({:.3} index)  per-key {per_key_mops:>8.3} Mops/s  {:>7} reads  {:>7} passes",
+        block_index_bytes as f64 / entries, per_key.block_reads, per_key.filter.probe_passes
     );
     j.str("kind", name);
     j.int("tables", tables);
     j.num("index_bytes_per_key", index_bytes_per_key, 3);
+    j.num("filter_bytes_per_key", filter_bytes as f64 / entries, 3);
+    j.num("block_index_bytes_per_key", block_index_bytes as f64 / entries, 3);
     j.obj("per_key", |j| counters(j, per_key_mops, &per_key));
     KindReport { name, per_key }
 }
@@ -301,7 +315,7 @@ fn main() {
         &args.out,
         &[
             "meta", "n_keys", "n_probes", "smoke", "kinds", "kind", "tables",
-            "index_bytes_per_key", "per_key",
+            "index_bytes_per_key", "filter_bytes_per_key", "block_index_bytes_per_key", "per_key",
             "mops", "block_reads", "probe_passes", "keys_probed",
             "policies", "policy", "block_writes", "write_amp", "read_amp", "space_amp",
             "used_bytes",

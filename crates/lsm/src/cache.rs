@@ -474,7 +474,7 @@ mod tests {
         }
         db.flush().unwrap();
         let table = Arc::clone(&db.levels[0][0]);
-        assert!(table.blocks.len() > 4);
+        assert!(table.index.len() > 4);
         db.view().fetch_block(&table, 0);
         db.view().fetch_block(&table, 1);
         assert!(db.cache.stripes[0].lock().unwrap().spare.is_some());
@@ -507,7 +507,7 @@ mod tests {
             assert_eq!(got, Some(value(i)), "block {block}: the re-read repairs the copy");
             assert_eq!(faults.trips("lsm.disk.read_corrupt"), 1);
             let cached = db.cache.get(table.id, block).expect("the repaired block is cached");
-            let frame = db.disk.read(table.blocks[block]).unwrap().into_vec();
+            let frame = db.disk.read(table.index.block_id(block)).unwrap().into_vec();
             let want = Run::from_frame(frame).unwrap();
             assert_eq!(cached.frame(), want.frame(), "block {block}: the device's frame");
             assert_eq!(rows(&cached), rows(&want), "block {block}: no entry of the evicted block");
@@ -538,7 +538,7 @@ mod tests {
             assert!(db.cache.get(table.id, block).is_none(), "block {block}: nothing cached");
             assert_eq!(read(), Some(value(i)), "block {block}: the next query is whole");
             let cached = db.cache.get(table.id, block).expect("now cached");
-            assert_eq!(cached.frame(), Some(&*db.disk.read(table.blocks[block]).unwrap()));
+            assert_eq!(cached.frame(), Some(&*db.disk.read(table.index.block_id(block)).unwrap()));
         }
         assert_eq!(db.io_stats().quarantined_blocks, 0, "transients never quarantine");
         assert_eq!(db.io_stats().read_repairs, 0);
@@ -551,7 +551,7 @@ mod tests {
     fn a_held_evicted_block_keeps_its_bytes_while_other_threads_recycle() {
         let (db, table) = one_slot_db();
         let snap = db.snapshot();
-        let blocks = table.blocks.len() as u64;
+        let blocks = table.index.len() as u64;
         let (misses_before, reads_before) = (db.cache_stats().1, db.io_stats().block_reads);
         std::thread::scope(|s| {
             for t in 0..2u64 {

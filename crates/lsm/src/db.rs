@@ -29,7 +29,7 @@ use crate::memtable::{self, MemTable};
 use crate::read::{Handle, ReadView};
 use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
 use crate::snapshot::TableSet;
-use crate::sstable::SsTable;
+use crate::sstable::{SsTable, TableMemStats};
 use crate::wal::{wal_file_name, Wal, WalStats};
 use memtree_common::error::{MemtreeError, Result};
 use memtree_faults::{fail_point, Backoff};
@@ -377,9 +377,9 @@ impl Db {
                     Ok(false) => {}
                     Err(_) => images_corrupt += 1,
                 }
-                let mut runs: Vec<Run> = Vec::with_capacity(table.blocks.len());
+                let mut runs: Vec<Run> = Vec::with_capacity(table.index.len());
                 let mut table_degraded = false;
-                for (bi, &b) in table.blocks.iter().enumerate() {
+                for (bi, b) in table.index.block_ids().enumerate() {
                     if version.quarantined.contains(&(table.id, bi as u32)) {
                         table_degraded = true;
                         continue;
@@ -500,10 +500,11 @@ impl Db {
         Ok(())
     }
 
-    /// Releases the blocks of graveyard tables no snapshot holds anymore.
-    /// Graveyard blocks are never reused while parked (they stay
-    /// allocated), so a late release can never free another table's block.
-    fn reap_graveyard(&mut self) -> Result<()> {
+    /// Releases the blocks of retired tables no snapshot holds anymore
+    /// (flush and close do this too). Parked blocks are never reused while
+    /// parked (they stay allocated), so a late release can never free
+    /// another table's block.
+    pub fn reap_graveyard(&mut self) -> Result<()> {
         let mut keep = Vec::new();
         for t in std::mem::take(&mut self.graveyard) {
             if Arc::strong_count(&t) == 1 {
@@ -665,7 +666,7 @@ impl Db {
         self.flushed_seq = flush_seq;
         self.next_table_id += 1;
         let flushed_entries = entries.len();
-        let blocks_written = table.blocks.len();
+        let blocks_written = table.index.len();
         self.levels[0].push(Arc::new(table));
         // The buffer is empty since the seal above and keeps its capacity.
         self.mem.runs = Default::default();
@@ -706,7 +707,7 @@ impl Db {
                 debt += tables
                     .iter()
                     .take(excess)
-                    .map(|t| t.blocks.len() * self.opts.block_size)
+                    .map(|t| t.index.len() * self.opts.block_size)
                     .sum::<usize>();
             }
         }
@@ -917,7 +918,7 @@ impl Db {
         // through the cache with transients retried; any other error
         // propagates — a *fresh* failure must not silently drop entries.
         let view = self.view();
-        for b in 0..table.blocks.len() {
+        for b in 0..table.index.len() {
             if self.quarantined.borrow().contains(&(table.id, b as u32)) {
                 if let Ok(d) = view.read_retrying(table, b, 4) {
                     self.quarantined.borrow_mut().remove(&(table.id, b as u32));
@@ -1116,16 +1117,14 @@ impl Db {
         let broken = |detail: String| Err(MemtreeError::corruption("lsm-invariant", detail));
         for (lvl, level) in self.levels.iter().enumerate() {
             for t in level {
-                if t.fences.len() != t.blocks.len() {
-                    return broken(format!("table {}: fences != blocks", t.id));
-                }
-                if t.blocks.is_empty() || t.min_key() > t.max_key.as_slice() {
+                if t.index.is_empty() || t.min_key() > t.max_key.as_slice() {
                     return broken(format!("table {}: bad key range", t.id));
                 }
-                if t.fences.iter().zip(t.fences.iter().skip(1)).any(|(a, b)| a >= b) {
+                let fence = |i| t.index.separator(i);
+                if (1..t.index.len()).any(|i| fence(i - 1) >= fence(i)) {
                     return broken(format!("table {}: fences not strictly increasing", t.id));
                 }
-                if t.blocks.iter().any(|&b| !self.disk.is_live(b)) {
+                if t.index.block_ids().any(|b| !self.disk.is_live(b)) {
                     return broken(format!("table {}: references freed block", t.id));
                 }
             }
@@ -1143,14 +1142,20 @@ impl Db {
         Ok(())
     }
 
-    /// In-memory footprint of every table: block indexes, block ids, max
-    /// keys and filters ([`SsTable::mem_usage`]).
+    /// In-memory footprint of every table: block indexes, max keys and
+    /// filters ([`SsTable::mem_usage`]).
     pub fn index_filter_mem(&self) -> usize {
         self.levels
             .iter()
             .flatten()
             .map(|t| t.mem_usage())
             .sum::<usize>()
+    }
+
+    /// Every table's footprint by part ([`SsTable::mem_stats`]), level by
+    /// level; the totals sum to [`Db::index_filter_mem`].
+    pub fn table_mem_stats(&self) -> Vec<TableMemStats> {
+        self.levels.iter().flatten().map(|t| t.mem_stats()).collect()
     }
 
     /// Total entries across all tables (duplicates across levels counted).
@@ -1179,7 +1184,7 @@ fn release_unreferenced<'a>(
 ) -> Result<u64> {
     let referenced: HashSet<u32> = tables
         .into_iter()
-        .flat_map(|t| t.blocks.iter().copied().chain(t.filter_block))
+        .flat_map(|t| t.index.block_ids().chain(t.filter_block))
         .collect();
     let mut freed = 0u64;
     for id in 0..disk.block_slots() as u32 {
@@ -1381,7 +1386,7 @@ mod tests {
         for filter in [FilterKind::None, FilterKind::SurfReal(8)] {
             let db = build(filter, 1);
             let table = Arc::clone(&db.levels[0][0]);
-            assert!(table.blocks.len() > 8, "workload too small");
+            assert!(table.index.len() > 8, "workload too small");
             let first = memtree_common::key::decode_u64(&table.first_key(&db.disk, 6));
             let lo = encode_u64(first + 0x100);
             let hi = encode_u64(first + (5 << 16) + 0x100);
@@ -1430,7 +1435,7 @@ mod tests {
             }
             db.flush().unwrap();
             let newest = Arc::clone(db.levels[0].last().unwrap());
-            assert!(newest.blocks.len() > 3, "workload too small");
+            assert!(newest.index.len() > 3, "workload too small");
             let snap = db.snapshot();
             let lows = [b"".to_vec(), b"0".to_vec(), b"a".to_vec(), ext(0), ext(150)];
             let highs = [b"a\x01".to_vec(), ext(100), b"b".to_vec(), b"d".to_vec()];
@@ -2046,9 +2051,9 @@ mod tests {
         }
         db.flush().unwrap();
         let table = Arc::clone(&db.levels[0][0]);
-        assert!(table.blocks.len() > 4);
+        assert!(table.index.len() > 4);
         let frames: Vec<Box<[u8]>> =
-            (0..4).map(|b| db.disk.read(table.blocks[b]).unwrap()).collect();
+            (0..4).map(|b| db.disk.read(table.index.block_id(b)).unwrap()).collect();
         assert!(
             frames.iter().all(|f| f.len() == frames[0].len()),
             "equal-sized entries make equal-sized blocks, so any frame fits any other"
@@ -2445,7 +2450,7 @@ mod policy_tests {
         }
         db.flush().unwrap();
         let tables: u64 = db.level_sizes().iter().map(|&s| s as u64).sum();
-        let data_blocks: u64 = db.levels.iter().flatten().map(|t| t.blocks.len() as u64).sum();
+        let data_blocks: u64 = db.levels.iter().flatten().map(|t| t.index.len() as u64).sum();
         assert!(data_blocks > 4 * tables, "workload too small to distinguish");
         let disk = db.close().unwrap();
         disk.reset_stats();

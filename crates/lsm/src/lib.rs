@@ -10,8 +10,8 @@
 //! configurable per-read latency — the paper's speedups are I/O-count
 //! driven, and the simulator measures those counts exactly (substitution
 //! #3 in DESIGN.md). Each SSTable carries a block index (one arena of
-//! shortest separators, one per block) and an optional filter: Bloom,
-//! SuRF-Hash, or SuRF-Real.
+//! shortest separators, one per block, with bit-packed end offsets and
+//! block ids) and an optional filter: Bloom, SuRF-Hash, or SuRF-Real.
 //!
 //! `Get` and `Seek` (open and closed) follow the Figure 4.3 execution
 //! paths, including SuRF's `moveToNext`-based candidate pruning for seeks.
@@ -52,5 +52,5 @@ pub use disk::{IoStats, SimDisk, SlowIo};
 pub use read::{ScanCursor, SCAN_RESERVE_ROWS};
 pub use scrub::{FileScrubOutcome, LostRange, ScrubReport};
 pub use snapshot::DbSnapshot;
-pub use sstable::SsTable;
+pub use sstable::{FilterMemStats, SsTable, TableMemStats};
 pub use wal::WalStats;

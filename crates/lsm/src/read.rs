@@ -85,25 +85,44 @@ struct TableCursor<'a> {
     /// The table being walked, then (in a disjoint level) the ones after
     /// it; empty once exhausted.
     tables: &'a [Arc<SsTable>],
-    /// Index into `tables[0].blocks`.
+    /// Index into `tables[0]`'s blocks.
     block: usize,
     /// The scan's low key: the walk starts at the first key `>= from`.
     from: &'a [u8],
-    /// The fetched block, `None` until the merge needs it. While unread,
-    /// the head is the block's separator (a lower bound on its first key)
-    /// or `from`, whichever is larger: a lower bound on the real head,
-    /// known without a read.
+    /// The head while `data` is `None`: the block's separator (a lower
+    /// bound on its first key) or `from`, whichever is larger. A lower
+    /// bound on the real head, known without a read, and unpacked from
+    /// the block index once per block.
+    bound: &'a [u8],
+    /// The fetched block, `None` until the merge needs it.
     data: Option<Arc<Run>>,
     /// Head position in `data`; always in range while `data` is `Some`.
     pos: usize,
 }
 
-impl TableCursor<'_> {
+impl<'a> TableCursor<'a> {
+    /// A walk from `tables[0]`'s block `block`, unread.
+    fn new(tables: &'a [Arc<SsTable>], block: usize, from: &'a [u8]) -> Self {
+        let mut cursor = Self { tables, block, from, bound: from, data: None, pos: 0 };
+        cursor.enter_block();
+        cursor
+    }
+
+    /// Sets the unread head bound of the block the walk now stands at.
+    fn enter_block(&mut self) {
+        let tables = self.tables;
+        if let Some(table) = tables.first() {
+            self.bound = table.index.separator(self.block).max(self.from);
+        }
+    }
+
     fn key(&self) -> Option<&[u8]> {
-        let table = self.tables.first()?;
+        if self.tables.is_empty() {
+            return None;
+        }
         Some(match &self.data {
             Some(run) => run.key(self.pos),
-            None => (&table.fences[self.block]).max(self.from),
+            None => self.bound,
         })
     }
 
@@ -127,17 +146,18 @@ impl TableCursor<'_> {
             self.data = None;
             self.pos = 0;
             self.block += 1;
-            if self.block == self.tables[0].blocks.len() {
+            if self.block == self.tables[0].index.len() {
                 self.tables = &self.tables[1..];
                 self.block = 0;
             }
+            self.enter_block();
         }
     }
 }
 
 impl Source<'_> {
     /// The head key: exact, except for an unread block (see
-    /// [`TableCursor::data`]).
+    /// [`TableCursor::bound`]).
     fn key(&self) -> Option<&[u8]> {
         match self {
             Source::Buffer { buffer, pos } => (*pos < buffer.len()).then(|| buffer.key(*pos)),
@@ -306,7 +326,7 @@ impl<'a> ReadView<'a> {
         into: &mut Run,
     ) -> Result<()> {
         let mut backoff = Backoff::new(max_attempts);
-        let id = table.blocks[block];
+        let id = table.index.block_id(block);
         let res = into.refill(|buf| self.disk.read_retrying(id, &mut backoff, buf));
         if let Handle::Writer(db) = self.handle {
             bump(&db.transient_retries, u64::from(backoff.attempts() - 1));
@@ -464,7 +484,7 @@ impl<'a> ReadView<'a> {
             _ => Some(t.candidate_block(lk)),
         };
         let mut walk = |tables: &'a [Arc<SsTable>], block| {
-            sources.push(Source::Tables(TableCursor { tables, block, from: lk, data: None, pos: 0 }));
+            sources.push(Source::Tables(TableCursor::new(tables, block, lk)));
         };
         // Newest first: where ranges overlap, each table is its own source,
         // newest-last reversed; a disjoint level is one walk from the table

@@ -48,7 +48,7 @@
 use crate::db::Db;
 use crate::manifest::Edit;
 use crate::run::Run;
-use crate::sstable::{Fences, SsTable};
+use crate::sstable::{BlockIndexBuilder, SsTable};
 use crate::wal::{decode_frames, decode_single};
 use memtree_common::error::Result;
 use memtree_common::key::successor;
@@ -213,14 +213,14 @@ impl Db {
     /// Scrubs one table in place; returns true when the table was removed
     /// from `levels[lvl]` entirely (so the caller must not advance `pos`).
     fn scrub_table(&mut self, lvl: usize, pos: usize, report: &mut ScrubReport) -> Result<bool> {
-        let (old_id, blocks, fences, max_key, old_had_filter) = {
+        let (old_id, index, max_key, old_had_filter) = {
             let t = &self.levels[lvl][pos];
-            (t.id, t.blocks.clone(), t.fences.clone(), t.max_key.clone(), t.has_filter())
+            (t.id, t.index.clone(), t.max_key.clone(), t.has_filter())
         };
-        let mut states: Vec<BlockState> = Vec::with_capacity(blocks.len());
+        let mut states: Vec<BlockState> = Vec::with_capacity(index.len());
         let mut fresh_blocks: Vec<u32> = Vec::new(); // written by repairs, unpublished
         let mut changed = false;
-        for (bi, &block_id) in blocks.iter().enumerate() {
+        for (bi, block_id) in index.block_ids().enumerate() {
             let was_quarantined = self.quarantined.borrow().contains(&(old_id, bi as u32));
             let mut backoff = Backoff::new(8);
             let mut frame = Vec::new();
@@ -269,10 +269,11 @@ impl Db {
                             continue;
                         }
                     }
-                    let (lo, hi, hi_inclusive) = if bi + 1 < fences.len() {
-                        (fences[bi].to_vec(), fences[bi + 1].to_vec(), false)
+                    let lo = index.separator(bi).to_vec();
+                    let (hi, hi_inclusive) = if bi + 1 < index.len() {
+                        (index.separator(bi + 1).to_vec(), false)
                     } else {
-                        (fences[bi].to_vec(), max_key.clone(), true)
+                        (max_key.clone(), true)
                     };
                     let lost = LostRange { level: lvl, table: old_id, lo, hi, hi_inclusive };
                     if self.covered_by_newer(lvl, pos, &lost) {
@@ -334,11 +335,10 @@ impl Db {
         mut fresh_blocks: Vec<u32>,
         report: &mut ScrubReport,
     ) -> Result<bool> {
-        let old_fences = self.levels[lvl][pos].fences.clone();
+        let old_index = self.levels[lvl][pos].index.clone();
         let old_max_key = self.levels[lvl][pos].max_key.clone();
         let old_filter_block = self.levels[lvl][pos].filter_block;
-        let mut kept_blocks: Vec<u32> = Vec::new();
-        let mut kept_fences = Fences::default();
+        let mut kept = BlockIndexBuilder::default();
         let mut kept_data: Vec<Option<&Run>> = Vec::new();
         let mut quarantined_bi: Vec<u32> = Vec::new();
         for (bi, s) in states.iter().enumerate() {
@@ -347,22 +347,19 @@ impl Db {
                     // Fence 0 is the table's min key: a readable first
                     // block gives its real first key, not the separator
                     // that stood above a block now dropped.
-                    let first = kept_blocks.is_empty() && data.len() > 0;
-                    kept_fences.push(if first { data.key(0) } else { &old_fences[bi] });
-                    kept_blocks.push(*block);
+                    let first = kept_data.is_empty() && data.len() > 0;
+                    kept.push(if first { data.key(0) } else { old_index.separator(bi) }, *block);
                     kept_data.push(Some(data));
                 }
                 BlockState::Quarantined { block } => {
-                    quarantined_bi.push(kept_blocks.len() as u32);
-                    kept_blocks.push(*block);
-                    kept_fences.push(&old_fences[bi]);
+                    quarantined_bi.push(kept_data.len() as u32);
+                    kept.push(old_index.separator(bi), *block);
                     kept_data.push(None);
                 }
                 BlockState::Dropped { .. } => {}
             }
         }
-        kept_blocks.shrink_to_fit();
-        kept_fences.shrink_to_fit();
+        let kept = kept.finish();
         // Crash window: repaired blocks are written but the manifest
         // transaction swapping them in has not committed. A crash (or
         // injected abort) here must leave the *old* table shape fully
@@ -378,7 +375,7 @@ impl Db {
             }
             return Err(e);
         }
-        let commit = if kept_blocks.is_empty() {
+        let commit = if kept.is_empty() {
             // Every block dropped: the table leaves the version outright.
             self.disk.sync();
             self.manifest
@@ -396,8 +393,7 @@ impl Db {
             let mut table = SsTable {
                 id: new_id,
                 max_key: old_max_key,
-                blocks: kept_blocks,
-                fences: kept_fences,
+                index: kept,
                 filter: None,
                 filter_block: None,
                 num_entries,
@@ -479,9 +475,9 @@ impl Db {
             for (bi, s) in states.iter().enumerate() {
                 match s {
                     BlockState::Dropped { block } => self.disk.release(*block)?,
-                    BlockState::Kept { block, .. } if *block != old.blocks[bi] => {
+                    BlockState::Kept { block, .. } if *block != old.index.block_id(bi) => {
                         // Repaired: the rotted original is dead.
-                        self.disk.release(old.blocks[bi])?;
+                        self.disk.release(old.index.block_id(bi))?;
                     }
                     _ => {}
                 }
@@ -572,15 +568,15 @@ mod tests {
         db.flush().unwrap();
         let old = Arc::clone(&db.levels[0][0]);
         let block_keys: Vec<Vec<Vec<u8>>> = old
-            .blocks
-            .iter()
-            .map(|&id| {
+            .index
+            .block_ids()
+            .map(|id| {
                 let run = Run::from_frame(db.disk.read(id).unwrap().into_vec()).unwrap();
                 run.iter().map(|(k, _)| k.to_vec()).collect()
             })
             .collect();
-        assert!(old.blocks.len() > 4, "workload too small");
-        assert!(old.fences[1].len() < block_keys[1][0].len(), "fence 1 is truncated");
+        assert!(old.index.len() > 4, "workload too small");
+        assert!(old.index.separator(1).len() < block_keys[1][0].len(), "fence 1 is truncated");
         // A newer table spanning block 0 and into block 2 covers block 0's
         // lost range, so the scrub drops block 0 and quarantines block 3.
         for k in [&block_keys[0][0], &block_keys[2][0]] {
@@ -588,7 +584,7 @@ mod tests {
         }
         db.flush().unwrap();
         for b in [0, 3] {
-            db.disk.bitrot_block(old.blocks[b], b as u64).unwrap();
+            db.disk.bitrot_block(old.index.block_id(b), b as u64).unwrap();
         }
         let report = db.scrub().unwrap();
         assert_eq!((report.dropped_blocks, report.quarantined_blocks), (1, 1));
@@ -598,7 +594,7 @@ mod tests {
             assert!(report.lost_ranges.iter().any(holds), "block {b}: keys outside its range");
         }
         let table = &db.levels[0][0];
-        assert_eq!(table.blocks.len(), old.blocks.len() - 1);
+        assert_eq!(table.index.len(), old.index.len() - 1);
         assert_eq!(table.min_key(), block_keys[1][0].as_slice(), "the smallest kept key");
         db.check_invariants().unwrap();
     }

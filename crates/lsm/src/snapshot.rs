@@ -94,6 +94,11 @@ impl DbSnapshot {
         self.seq
     }
 
+    /// Tables per level in this view (diagnostics; as [`Db::level_sizes`]).
+    pub fn level_sizes(&self) -> Vec<usize> {
+        self.tables.levels.iter().map(Vec::len).collect()
+    }
+
     fn view(&self) -> ReadView<'_> {
         ReadView {
             mem: &self.mem,

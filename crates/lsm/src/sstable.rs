@@ -1,10 +1,12 @@
 //! SSTables: immutable runs of sorted key-value blocks with a block index
-//! of shortest separators ([`Fences`]) and per-table filters.
+//! of shortest separators and block ids ([`BlockIndex`]) and per-table
+//! filters.
 //!
 //! The block index follows the paper's D-to-S rules: the separators sit
-//! in one arena with an offset table, with no per-block allocation, and
-//! each is truncated Bayer–Unterauer style to the shortest prefix of its
-//! block's first key that still sorts above the previous block's last
+//! in one arena with a bit-packed offset table, with no per-block
+//! allocation, the block ids are bit-packed beside them, and each
+//! separator is truncated Bayer–Unterauer style to the shortest prefix of
+//! its block's first key that still sorts above the previous block's last
 //! key. A separator is therefore only a lower bound on its block's first
 //! key; block 0's is the table's full min key.
 //!
@@ -26,8 +28,8 @@ use memtree_common::mem::vec_bytes;
 use memtree_common::traits::PointFilter;
 use memtree_faults::{fail_point, Backoff};
 use memtree_filters::BloomFilter;
-use memtree_surf::{SuffixConfig, Surf};
-use std::ops::Index;
+use memtree_succinct::PackedBits;
+use memtree_surf::{SuffixConfig, Surf, SurfMemStats};
 
 /// Filter-image format version (first payload byte inside the CRC frame).
 /// An image of any other version fails to decode, and `Db::open` rebuilds
@@ -46,44 +48,69 @@ pub(crate) enum TableFilter {
     Surf(Surf),
 }
 
-/// A table's block index: one separator per block, concatenated in one
-/// arena, with the end offset of each. Separator `i` is a lower bound on
-/// block `i`'s first key and lies above every key of block `i - 1`, so
-/// the last separator `<= key` names the only block that can hold `key`.
+/// A table's block index: for each block, in key order, its separator
+/// and its disk block id. Separator `i` is a lower bound on block `i`'s
+/// first key and lies above every key of block `i - 1`, so the last
+/// separator `<= key` names the only block that can hold `key`.
 /// Separators strictly increase, and separator 0 is the table's min key.
+///
+/// The index is static once built, so each array holds its values at the
+/// width they need (the D-to-S rule): the separators sit in one arena,
+/// their end offsets are packed at `bits(arena length)`, and the block ids
+/// are a frame of reference — the table's smallest id, plus each id's
+/// offset from it packed at `bits(max id - min id)`. Build one with
+/// [`BlockIndexBuilder`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Fences {
-    bytes: Vec<u8>,
-    ends: Vec<u32>,
+pub(crate) struct BlockIndex {
+    arena: Vec<u8>,
+    ends: PackedBits,
+    base: u32,
+    ids: PackedBits,
 }
 
-impl Fences {
-    /// Appends the next block's separator.
-    pub(crate) fn push(&mut self, separator: &[u8]) {
-        self.bytes.extend_from_slice(separator);
-        let end = u32::try_from(self.bytes.len()).expect("a table's separators fit in 4 GiB");
-        self.ends.push(end);
-    }
-
-    /// Releases the spare capacity the pushes left; done once a table is
-    /// built, so the index holds exactly its bytes.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.bytes.shrink_to_fit();
-        self.ends.shrink_to_fit();
-    }
-
+impl BlockIndex {
     /// Number of blocks indexed.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
     }
 
-    /// The first index whose separator fails `pred`, for a `pred` that
+    /// True when no block is indexed (never for a published table).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Block `i`'s separator.
+    #[inline]
+    pub(crate) fn separator(&self, i: usize) -> &[u8] {
+        let (start, end) = match i.checked_sub(1) {
+            Some(p) => self.ends.get_pair(p),
+            None => (0, self.ends.get(0)),
+        };
+        &self.arena[start as usize..end as usize]
+    }
+
+    /// Block `i`'s disk block id.
+    pub(crate) fn block_id(&self, i: usize) -> u32 {
+        self.base + self.ids.get(i) as u32
+    }
+
+    /// The separators in block order.
+    pub(crate) fn separators(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.separator(i))
+    }
+
+    /// The disk block ids in block order.
+    pub(crate) fn block_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ids.iter().map(|offset| self.base + offset as u32)
+    }
+
+    /// The first block whose separator fails `pred`, for a `pred` that
     /// holds on a prefix of the separators (as [`slice::partition_point`]).
     pub(crate) fn partition_point(&self, mut pred: impl FnMut(&[u8]) -> bool) -> usize {
         let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if pred(&self[mid]) {
+            if pred(self.separator(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -91,43 +118,92 @@ impl Fences {
         }
         lo
     }
-
-    /// The separators in block order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.len()).map(|i| &self[i])
-    }
-
-    /// Heap bytes held: the arena and the offsets.
-    pub(crate) fn mem_usage(&self) -> usize {
-        vec_bytes(&self.bytes) + vec_bytes(&self.ends)
-    }
 }
 
-impl Index<usize> for Fences {
-    type Output = [u8];
-
-    fn index(&self, i: usize) -> &[u8] {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.bytes[start..self.ends[i] as usize]
-    }
+/// Collects a [`BlockIndex`] one block at a time; [`BlockIndexBuilder::finish`]
+/// packs it once every width is known.
+#[derive(Debug, Default)]
+pub(crate) struct BlockIndexBuilder {
+    arena: Vec<u8>,
+    ends: Vec<u32>,
+    ids: Vec<u32>,
 }
 
-/// From a manifest record's separators.
-impl From<Vec<Vec<u8>>> for Fences {
-    fn from(separators: Vec<Vec<u8>>) -> Self {
-        let mut fences = Fences::default();
-        for s in &separators {
-            fences.push(s);
+impl BlockIndexBuilder {
+    /// Appends the next block: its separator and its disk block id.
+    pub(crate) fn push(&mut self, separator: &[u8], id: u32) {
+        self.arena.extend_from_slice(separator);
+        // At most 32 bits an end, as `BlockIndex::separator` unpacks them.
+        let end = u32::try_from(self.arena.len()).expect("a table's separators fit in 4 GiB");
+        self.ends.push(end);
+        self.ids.push(id);
+    }
+
+    /// The block ids pushed so far, in block order.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Packs the index, with no spare capacity left in any part.
+    pub(crate) fn finish(mut self) -> BlockIndex {
+        self.arena.shrink_to_fit();
+        let base = self.ids.iter().copied().min().unwrap_or(0);
+        BlockIndex {
+            arena: self.arena,
+            ends: PackedBits::fit(self.ends.iter().map(|&end| u64::from(end))),
+            base,
+            ids: PackedBits::fit(self.ids.iter().map(|&id| u64::from(id - base))),
         }
-        fences.shrink_to_fit();
-        fences
     }
 }
 
-/// To a manifest record's separators.
-impl From<&Fences> for Vec<Vec<u8>> {
-    fn from(fences: &Fences) -> Self {
-        fences.iter().map(<[u8]>::to_vec).collect()
+/// Heap bytes of one table by part ([`SsTable::mem_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableMemStats {
+    /// The block index's separator arena.
+    pub separators: usize,
+    /// The separators' packed end offsets.
+    pub separator_ends: usize,
+    /// The packed block ids.
+    pub block_ids: usize,
+    /// The table's max key.
+    pub max_key: usize,
+    /// The attached filter.
+    pub filter: FilterMemStats,
+}
+
+impl TableMemStats {
+    /// Everything beside the filter: the block index and the max key.
+    pub fn block_index(&self) -> usize {
+        self.separators + self.separator_ends + self.block_ids + self.max_key
+    }
+
+    /// The sum of the parts: the table's heap bytes.
+    pub fn total(&self) -> usize {
+        self.block_index() + self.filter.total()
+    }
+}
+
+/// Heap bytes of a table's filter ([`TableMemStats::filter`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FilterMemStats {
+    /// No filter attached.
+    #[default]
+    None,
+    /// A Bloom filter's bytes.
+    Bloom(usize),
+    /// A SuRF's bytes, by part.
+    Surf(SurfMemStats),
+}
+
+impl FilterMemStats {
+    /// The filter's heap bytes.
+    pub fn total(&self) -> usize {
+        match self {
+            FilterMemStats::None => 0,
+            FilterMemStats::Bloom(bytes) => *bytes,
+            FilterMemStats::Surf(s) => s.total(),
+        }
     }
 }
 
@@ -142,10 +218,8 @@ fn separator<'k>(prev_last: &[u8], first: &'k [u8]) -> &'k [u8] {
 #[derive(Debug)]
 pub struct SsTable {
     pub(crate) id: u64,
-    /// Disk block ids, in key order.
-    pub(crate) blocks: Vec<u32>,
-    /// The block index: one separator per block (see [`Fences`]).
-    pub(crate) fences: Fences,
+    /// Each block's separator and disk block id, in key order.
+    pub(crate) index: BlockIndex,
     pub(crate) max_key: Vec<u8>,
     pub(crate) filter: Option<TableFilter>,
     /// Disk block holding the serialized filter image, when one was
@@ -177,8 +251,7 @@ impl SsTable {
         filter: &FilterKind,
     ) -> Result<Self> {
         assert!(!entries.is_empty());
-        let mut blocks = Vec::new();
-        let mut fences = Fences::default();
+        let mut index = BlockIndexBuilder::default();
         let mut start = 0usize;
         let entry_bytes = |e: &EntryRef<'_>| e.0.len() + e.1.map_or(0, <[u8]>::len) + 5;
         let mut write_blocks = || -> Result<()> {
@@ -193,19 +266,22 @@ impl SsTable {
                 }
                 fail_point!(disk.faults(), "lsm.table.block_write");
                 let block = disk.write(Run::encode_frame(&entries[start..end])?)?;
-                fences.push(match start.checked_sub(1) {
+                let fence = match start.checked_sub(1) {
                     None => entries[0].0,
                     Some(prev) => separator(entries[prev].0, entries[start].0),
-                });
-                blocks.push(block);
+                };
+                index.push(fence, block);
                 start = end;
             }
             Ok(())
         };
-        if let Err(e) = write_blocks() {
-            for &b in &blocks {
+        let release_blocks = |index: &BlockIndexBuilder| {
+            for &b in index.ids() {
                 let _ = disk.release(b);
             }
+        };
+        if let Err(e) = write_blocks() {
+            release_blocks(&index);
             return Err(e);
         }
         // The filter indexes every key, tombstones included: a tombstone
@@ -219,20 +295,15 @@ impl SsTable {
             Some(f) => match disk.write(Self::encode_filter_image(f)) {
                 Ok(b) => Some(b),
                 Err(e) => {
-                    for &b in &blocks {
-                        let _ = disk.release(b);
-                    }
+                    release_blocks(&index);
                     return Err(e);
                 }
             },
             None => None,
         };
-        blocks.shrink_to_fit();
-        fences.shrink_to_fit();
         Ok(Self {
             id,
-            blocks,
-            fences,
+            index: index.finish(),
             max_key: entries[entries.len() - 1].0.to_vec(),
             filter: built,
             filter_block,
@@ -337,11 +408,16 @@ impl SsTable {
     /// filter starts absent and is re-attached by recovery, preferably
     /// from the persisted image block the record points at).
     pub(crate) fn from_meta(meta: TableMeta) -> Self {
+        // The manifest decodes one block count for both lists.
+        debug_assert_eq!(meta.fences.len(), meta.blocks.len());
+        let mut index = BlockIndexBuilder::default();
+        for (fence, &block) in meta.fences.iter().zip(&meta.blocks) {
+            index.push(fence, block);
+        }
         Self {
             id: meta.id,
             max_key: meta.max_key,
-            blocks: meta.blocks,
-            fences: meta.fences.into(),
+            index: index.finish(),
             filter: None,
             filter_block: meta.filter_block,
             num_entries: meta.num_entries,
@@ -354,8 +430,8 @@ impl SsTable {
         TableMeta {
             level,
             id: self.id,
-            blocks: self.blocks.clone(),
-            fences: (&self.fences).into(),
+            blocks: self.index.block_ids().collect(),
+            fences: self.index.separators().map(<[u8]>::to_vec).collect(),
             max_key: self.max_key.clone(),
             filter_block: self.filter_block,
             num_entries: self.num_entries,
@@ -373,12 +449,12 @@ impl SsTable {
     /// key`). A key between a block's separator and its first key is in
     /// no block, so a lookup there misses as it would in the block before.
     pub(crate) fn candidate_block(&self, key: &[u8]) -> usize {
-        self.fences.partition_point(|f| f <= key).saturating_sub(1)
+        self.index.partition_point(|f| f <= key).saturating_sub(1)
     }
 
     /// The table's smallest key: block 0's separator.
     pub(crate) fn min_key(&self) -> &[u8] {
-        &self.fences[0]
+        self.index.separator(0)
     }
 
     /// Does `key` fall within this table's [min, max] range?
@@ -423,20 +499,30 @@ impl SsTable {
         self.num_entries == 0
     }
 
-    /// Heap bytes held: block ids, separators, max key and filter (the
-    /// blocks themselves live on "disk").
+    /// Heap bytes held, by part: the block index, the max key and the
+    /// filter (the blocks themselves live on "disk").
+    pub fn mem_stats(&self) -> TableMemStats {
+        TableMemStats {
+            separators: vec_bytes(&self.index.arena),
+            separator_ends: self.index.ends.mem_usage(),
+            block_ids: self.index.ids.mem_usage(),
+            max_key: vec_bytes(&self.max_key),
+            filter: match &self.filter {
+                None => FilterMemStats::None,
+                Some(TableFilter::Bloom(b)) => FilterMemStats::Bloom(b.size_bytes()),
+                Some(TableFilter::Surf(s)) => FilterMemStats::Surf(s.mem_stats()),
+            },
+        }
+    }
+
+    /// Heap bytes held: the sum of [`SsTable::mem_stats`].
     pub fn mem_usage(&self) -> usize {
-        let filter = match &self.filter {
-            None => 0,
-            Some(TableFilter::Bloom(b)) => b.size_bytes(),
-            Some(TableFilter::Surf(s)) => s.size_bytes(),
-        };
-        vec_bytes(&self.blocks) + self.fences.mem_usage() + vec_bytes(&self.max_key) + filter
+        self.mem_stats().total()
     }
 
     /// Releases the table's disk blocks (filter image included).
     pub(crate) fn release(&self, disk: &SimDisk) -> Result<()> {
-        for &b in &self.blocks {
+        for b in self.index.block_ids() {
             disk.release(b)?;
         }
         if let Some(fb) = self.filter_block {
@@ -451,7 +537,7 @@ impl SsTable {
     /// Block `block`'s real first key, read from `disk`: its fence is only
     /// a lower bound on it.
     pub(crate) fn first_key(&self, disk: &SimDisk, block: usize) -> Vec<u8> {
-        let frame = disk.read(self.blocks[block]).expect("a live block").into_vec();
+        let frame = disk.read(self.index.block_id(block)).expect("a live block").into_vec();
         Run::from_frame(frame).expect("a valid block").key(0).to_vec()
     }
 }
@@ -459,6 +545,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn entries(n: u64) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
@@ -515,13 +602,13 @@ mod tests {
         let owned = entries(1000);
         let e = refs(&owned);
         let t = SsTable::build(1, &disk, &e, 4096, &FilterKind::Bloom(10.0)).unwrap();
-        assert!(t.blocks.len() > 5, "should span multiple blocks");
+        assert!(t.index.len() > 5, "should span multiple blocks");
         assert_eq!(t.len(), 1000);
         // Candidate block actually contains the key.
         for probe in [0u64, 999, 1500, 2997] {
             let key = memtree_common::key::encode_u64(probe);
             let b = t.candidate_block(&key);
-            let blk = Run::from_frame(disk.read(t.blocks[b]).unwrap().into_vec()).unwrap();
+            let blk = Run::from_frame(disk.read(t.index.block_id(b)).unwrap().into_vec()).unwrap();
             if probe % 3 == 0 && probe <= 2997 {
                 assert!(
                     blk.get(&key).is_some(),
@@ -535,29 +622,102 @@ mod tests {
         }
     }
 
-    /// A table holds exactly the heap `mem_usage` reports: separators,
-    /// block ids, max key and filter. It is measured on a rebuild from
-    /// the table's manifest record, which owns no disk storage.
+    /// The heap a table's drop frees: all of it, and only it.
+    fn heap_freed_by_drop(table: SsTable) -> isize {
+        -memtree_alloc_probe::retained(|| drop(table)).1
+    }
+
+    /// One table of 2 000 entries, republished by a scrub that rewrote its
+    /// rotted block 1 from the block cache's copy (so the scrub rebuilds
+    /// the filter too).
+    fn scrub_republished(kind: FilterKind) -> SsTable {
+        use crate::db::{Db, DbOptions};
+        let mut db = Db::new(DbOptions {
+            memtable_bytes: 1 << 20,
+            filter: kind,
+            ..Default::default()
+        });
+        for i in 0..2000u64 {
+            db.put(&memtree_common::key::encode_u64(i << 16), &[7u8; 40]).unwrap();
+        }
+        db.flush().unwrap();
+        let old = Arc::clone(&db.levels[0][0]);
+        assert!(db.get(&old.first_key(&db.disk, 1)).is_some(), "block 1 is cached");
+        db.disk.bitrot_block(old.index.block_id(1), 1).unwrap();
+        drop(old);
+        assert_eq!(db.scrub().unwrap().repaired_blocks, 1, "{kind:?}");
+        let table = Arc::clone(&db.levels[0][0]);
+        drop(db);
+        Arc::try_unwrap(table).expect("the dropped Db held the only other reference")
+    }
+
+    /// A table holds exactly the heap its parts report, summed: built,
+    /// rebuilt from its manifest record, and republished by a scrub. Each
+    /// is measured by the heap its drop frees.
     #[test]
     fn a_table_holds_exactly_the_heap_it_reports() {
-        let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(20_000);
         let e = refs(&owned);
         let keys: Vec<&[u8]> = e.iter().map(|&(k, _)| k).collect();
         for kind in [FilterKind::None, FilterKind::Bloom(10.0), FilterKind::SurfReal(8)] {
+            let disk = SimDisk::new(Duration::ZERO);
             let built = SsTable::build(1, &disk, &e, 4096, &kind).unwrap();
-            let (table, live) = memtree_alloc_probe::retained(|| {
-                let mut t = SsTable::from_meta(built.meta(0));
-                t.attach_filter(&keys, &kind);
-                t
-            });
-            let reported = table.mem_usage() as isize;
-            assert!(
-                (live - reported).abs() <= 64 + reported / 1000,
-                "{kind:?}: holds {live} B of heap but reports {reported} B"
-            );
-            assert_eq!(built.mem_usage(), table.mem_usage(), "{kind:?}: built vs reopened");
+            let mut reopened = SsTable::from_meta(built.meta(0));
+            reopened.attach_filter(&keys, &kind);
+            assert_eq!(built.mem_stats(), reopened.mem_stats(), "{kind:?}: built vs reopened");
+            let tables = [
+                ("built", built),
+                ("reopened", reopened),
+                ("republished", scrub_republished(kind)),
+            ];
+            for (name, table) in tables {
+                let stats = table.mem_stats();
+                assert_eq!(stats.total(), table.mem_usage());
+                assert_eq!(stats.filter == FilterMemStats::None, !table.has_filter());
+                let reported = stats.total() as isize;
+                let live = heap_freed_by_drop(table);
+                assert!(
+                    (live - reported).abs() <= 64 + reported / 1000,
+                    "{kind:?} {name}: holds {live} B of heap but reports {reported} B"
+                );
+            }
         }
+    }
+
+    /// The block index of one benchmark-shaped table (16 384 random
+    /// 16-byte keys, 100-byte values, 4 KiB blocks) costs at most
+    /// 0.18 B/key beside the filter, every packed part is at exactly the
+    /// width its values need, and a reopen rebuilds it byte for byte. With
+    /// `u32` end offsets and block ids it cost 0.32 B/key.
+    #[test]
+    fn a_benchmark_shaped_block_index_is_packed_to_its_widths() {
+        let keys = memtree_workload::keys::rand_bytes_keys(16_384, 16, 43, 7);
+        let keys = memtree_workload::keys::sorted_unique(keys);
+        let owned: Vec<_> = keys.into_iter().map(|k| (k, Some(vec![0x5a; 100]))).collect();
+        let disk = SimDisk::new(Duration::ZERO);
+        let table = SsTable::build(1, &disk, &refs(&owned), 4096, &FilterKind::SurfReal(8)).unwrap();
+        let index = &table.index;
+        let n = index.len();
+        assert!(n > 400, "{n} blocks");
+
+        let stats = table.mem_stats();
+        let per_key = stats.block_index() as f64 / owned.len() as f64;
+        assert!(per_key <= 0.18, "block index {per_key:.3} B/key");
+
+        let packed_bytes = |width: u32| (width as usize * n).div_ceil(64) * 8;
+        let ids: Vec<u32> = index.block_ids().collect();
+        let (min, max) = (*ids.iter().min().unwrap(), *ids.iter().max().unwrap());
+        assert_eq!(index.base, min);
+        assert_eq!(index.ids.width(), PackedBits::bits_for(u64::from(max - min)));
+        assert_eq!(index.ends.width(), PackedBits::bits_for(index.arena.len() as u64));
+        assert_eq!(stats.block_ids, packed_bytes(index.ids.width()));
+        assert_eq!(stats.separator_ends, packed_bytes(index.ends.width()));
+        assert_eq!(stats.separators, index.arena.len());
+        assert_eq!(index.separators().map(<[u8]>::len).sum::<usize>(), index.arena.len());
+
+        let reopened = SsTable::from_meta(table.meta(0));
+        assert_eq!(reopened.index, table.index, "a reopen packs the same bytes");
+        assert_eq!(reopened.mem_stats().block_index(), stats.block_index());
     }
 
     #[test]
@@ -568,8 +728,7 @@ mod tests {
         let t = SsTable::build(7, &disk, &e, 1024, &FilterKind::None).unwrap();
         let r = SsTable::from_meta(t.meta(2));
         assert_eq!(r.id, t.id);
-        assert_eq!(r.blocks, t.blocks);
-        assert_eq!(r.fences, t.fences);
+        assert_eq!(r.index, t.index);
         assert_eq!(r.min_key(), t.min_key());
         assert_eq!(r.max_key, t.max_key);
         assert_eq!(r.num_entries, t.num_entries);

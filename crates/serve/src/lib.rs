@@ -694,9 +694,10 @@ impl ShardedDb {
 
     /// Republishes every shard's snapshot. Every acknowledged write is
     /// already visible to [`ShardedDb::get`]/[`ShardedDb::scan`] (its
-    /// write published before answering); this also shows what flushes
-    /// and compactions changed since. Returns each shard's snapshot
-    /// epoch after the republish.
+    /// write published before answering), and so is every compactor
+    /// step (it publishes the merge it made); this also shows what an
+    /// explicit flush or scrub changed since. Returns each shard's
+    /// snapshot epoch after the republish.
     pub fn barrier(&self) -> Result<Vec<u64>> {
         self.each_shard(|shard, db| Ok(shard.snap.swap(Arc::new(db.snapshot()))))
     }
@@ -880,7 +881,10 @@ impl Inner {
 
     /// The compactor's loop: one [`Db::compact_debt`] step per lock hold,
     /// round robin over the flagged shards (a step that did work flags its
-    /// shard again), sleeping while none is flagged.
+    /// shard again), sleeping while none is flagged. A step that merged
+    /// publishes the shard's new snapshot, so readers of a shard that
+    /// takes no more writes stop probing the merged-away tables, and then
+    /// releases those tables' blocks once no reader holds them.
     fn compact(&self) {
         let (stop, wake) = &self.compactor;
         let n = self.shards.len();
@@ -903,7 +907,15 @@ impl Inner {
             };
             next = i + 1;
             self.shards[i].debt.store(false, Ordering::SeqCst);
-            if let Ok(true) = self.locked(i, |db| db.compact_debt()) {
+            let step = self.locked(i, |db| {
+                let merged = db.compact_debt()?;
+                if merged {
+                    self.shards[i].snap.swap(Arc::new(db.snapshot()));
+                    db.reap_graveyard()?;
+                }
+                Ok(merged)
+            });
+            if let Ok(true) = step {
                 self.flag_debt(i);
             }
         }
@@ -1480,6 +1492,42 @@ mod tests {
         assert_eq!(sdb.stats().overload_retries, 0);
         sdb.barrier().unwrap();
         assert_eq!(sdb.get(b"k").as_deref(), Some(&b"v"[..]));
+        sdb.close().unwrap();
+    }
+
+    /// A compactor step publishes the merge it made: a shard whose last
+    /// write left level 0 over its limit, and which takes no writes after
+    /// it, serves the merged shape once its debt is gone — no barrier.
+    #[test]
+    fn the_compactor_publishes_its_merges() {
+        let db = DbOptions { memtable_bytes: 16 << 10, ..DbOptions::default() };
+        let l0_limit = db.l0_tables;
+        let sdb = ShardedDb::new(ServeOptions { shards: 1, db, ..ServeOptions::default() });
+        let key = |run: usize, i: usize| format!("key-{i:03}-{run}").into_bytes();
+        for run in 0..l0_limit {
+            for i in 0..50 {
+                sdb.put(&key(run, i), &[run as u8; 100]).unwrap();
+            }
+            sdb.flush_all().unwrap();
+        }
+        assert_eq!(sdb.shard_db_stats().unwrap()[0].compaction_debt_bytes, 0);
+        // The last put fills the MemTable: its flush puts one run too many
+        // into level 0, and the snapshot it publishes shows that.
+        sdb.put(b"last", &[9u8; 16 << 10]).unwrap();
+        let patience = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = sdb.shard_db_stats().unwrap()[0];
+            if stats.compaction_debt_bytes == 0 {
+                assert!(stats.compact_steps > 0, "{stats:?}");
+                break;
+            }
+            assert!(std::time::Instant::now() < patience, "debt never drained: {stats:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let merged = sdb.inner.locked(0, |db| Ok(db.level_sizes())).unwrap();
+        assert_eq!(merged[0], 0, "level 0 merged down");
+        assert_eq!(sdb.shard_snapshots()[0].level_sizes(), merged, "the snapshot shows the merge");
+        assert_eq!(sdb.get(&key(0, 7)).as_deref(), Some(&[0u8; 100][..]));
         sdb.close().unwrap();
     }
 

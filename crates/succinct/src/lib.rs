@@ -12,6 +12,8 @@
 //!   Figure 3.6 ablation.
 //! * [`louds`] — Level-Ordered Unary Degree Sequence encoding of ordinal
 //!   trees (§3.1 background), used by tests and the `TxTrie` baseline.
+//! * [`packed`] — fixed-width bit-packed integer arrays ([`PackedBits`]),
+//!   each stored at the width its largest value needs.
 //! * [`kernels`] — branch-free/word-parallel hot-path kernels (in-word
 //!   select, byte-label search, software prefetch) with runtime CPU-feature
 //!   dispatch, plus their scalar baselines for the kernel ablation.
@@ -21,6 +23,7 @@
 pub mod bitvec;
 pub mod kernels;
 pub mod louds;
+pub mod packed;
 pub mod rank;
 pub mod select;
 
@@ -30,6 +33,7 @@ pub use kernels::{
     popcount_words_swar, prefetch_read, select_in_word, select_in_word_scalar,
     select_in_word_swar,
 };
+pub use packed::PackedBits;
 pub use rank::RankSupport;
 pub use select::SelectSupport;
 

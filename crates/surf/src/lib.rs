@@ -19,9 +19,9 @@
 
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::hash64;
-use memtree_common::mem::vec_bytes;
 use memtree_common::traits::{PointFilter, RangeFilter};
 use memtree_fst::{LookupResult, LoudsTrie, TrieIter, TrieMemStats, TrieOpts};
+use memtree_succinct::PackedBits;
 
 /// Which suffix bits a SuRF stores per key (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,54 +55,6 @@ impl SuffixConfig {
 
     fn total_bits(self) -> u32 {
         self.hash_bits() + self.real_bits()
-    }
-}
-
-/// Fixed-width bit-packed array for the suffix store.
-#[derive(Debug, Default)]
-struct PackedBits {
-    words: Vec<u64>,
-    width: u32,
-}
-
-impl PackedBits {
-    fn new(width: u32, n: usize) -> Self {
-        Self {
-            words: vec![0; (width as usize * n).div_ceil(64)],
-            width,
-        }
-    }
-
-    fn set(&mut self, i: usize, value: u64) {
-        let w = self.width as usize;
-        if w == 0 {
-            return;
-        }
-        debug_assert!(w == 64 || value < (1u64 << w));
-        let bit = i * w;
-        let (word, off) = (bit / 64, bit % 64);
-        self.words[word] |= value << off;
-        if off + w > 64 {
-            self.words[word + 1] |= value >> (64 - off);
-        }
-    }
-
-    fn get(&self, i: usize) -> u64 {
-        let w = self.width as usize;
-        if w == 0 {
-            return 0;
-        }
-        let bit = i * w;
-        let (word, off) = (bit / 64, bit % 64);
-        let mut v = self.words[word] >> off;
-        if off + w > 64 {
-            v |= self.words[word + 1] << (64 - off);
-        }
-        v & (u64::MAX >> (64 - w))
-    }
-
-    fn mem_usage(&self) -> usize {
-        vec_bytes(&self.words)
     }
 }
 
@@ -292,8 +244,8 @@ impl Surf {
             SuffixConfig::Mixed(h, r) => (3, h, r),
         };
         out.extend_from_slice(&[tag, a, b]);
-        out.extend_from_slice(&(self.suffixes.words.len() as u64).to_le_bytes());
-        for &w in &self.suffixes.words {
+        out.extend_from_slice(&(self.suffixes.words().len() as u64).to_le_bytes());
+        for &w in self.suffixes.words() {
             out.extend_from_slice(&w.to_le_bytes());
         }
         self.trie.serialize(out);
@@ -337,13 +289,11 @@ impl Surf {
             words.push(u64_at(buf, &mut at)?);
         }
         let trie = LoudsTrie::deserialize(&buf[at..])?;
-        let width = config.total_bits();
-        if words.len() != (width as usize * trie.num_values()).div_ceil(64) {
-            return Err(bad("suffix store length disagrees with trie values"));
-        }
+        let suffixes = PackedBits::from_words(config.total_bits(), trie.num_values(), words)
+            .ok_or_else(|| bad("suffix store length disagrees with trie values"))?;
         Ok(Self {
             trie,
-            suffixes: PackedBits { words, width },
+            suffixes,
             config,
         })
     }
@@ -704,7 +654,7 @@ mod tests {
         // after the config and the suffix words; its header is flags, the
         // ratio, then seven u64 counts (height is the fifth); the level
         // boundary count sits just before the last `height + 1` words.
-        let trie_at = 3 + 8 + 8 * s.suffixes.words.len();
+        let trie_at = 3 + 8 + 8 * s.suffixes.words().len();
         let (dense_nodes_at, height_at) = (trie_at + 1 + 8 + 8, trie_at + 1 + 8 + 4 * 8);
         let starts_at = img.len() - 8 * (s.trie().height() + 1) - 8;
         let patched = |fields: &[(usize, u64)]| {
@@ -798,18 +748,26 @@ mod tests {
         }
     }
 
+    /// The image bytes of seeded filters, pinned by length and CRC32C:
+    /// the suffix words (and everything around them) keep their exact
+    /// layout, so images written by earlier builds stay readable.
     #[test]
-    fn packed_bits_roundtrip() {
-        for width in [1u32, 4, 7, 8, 13, 32] {
-            let mut pb = PackedBits::new(width, 100);
-            let mask = u64::MAX >> (64 - width);
-            for i in 0..100usize {
-                pb.set(i, (i as u64 * 2654435761) & mask);
-            }
-            for i in 0..100usize {
-                assert_eq!(pb.get(i), (i as u64 * 2654435761) & mask, "w={width} i={i}");
-            }
+    fn images_keep_their_bytes() {
+        use memtree_common::crc::crc32c;
+        let keys = memtree_workload::keys::rand_bytes_keys(4096, 16, 43, 42);
+        let keys = memtree_workload::keys::sorted_unique(keys);
+        let mut got = Vec::new();
+        for cfg in [SuffixConfig::Real(8), SuffixConfig::Hash(8), SuffixConfig::Mixed(4, 4)] {
+            let mut img = Vec::new();
+            Surf::from_keys(&keys, cfg).serialize(&mut img);
+            got.push((cfg, img.len(), crc32c(&img)));
         }
+        let want = [
+            (SuffixConfig::Real(8), 8681, 0x2c72_e550),
+            (SuffixConfig::Hash(8), 8681, 0x21a5_c6a4),
+            (SuffixConfig::Mixed(4, 4), 8681, 0xfd7e_7eb0),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
