@@ -6,7 +6,9 @@
 //! * [`rank`] — rank-1 support with a single-level lookup table whose basic
 //!   block size is configurable: the FST design uses **B = 64** for
 //!   LOUDS-Dense (one `popcount` per query) and **B = 512** for
-//!   LOUDS-Sparse (one cache line per block, 6.25 % overhead), per §3.6.
+//!   LOUDS-Sparse (one cache line per block), per §3.6. Its entries take
+//!   16 bits when the counts fit in them (3.1 % overhead at B = 512), 32
+//!   bits otherwise (6.25 %).
 //! * [`select`] — sampled select-1 support (default sampling rate S = 64)
 //!   plus a slower LUT-free fallback used as the "Poppy baseline" in the
 //!   Figure 3.6 ablation.
@@ -23,6 +25,7 @@
 pub mod bitvec;
 pub mod kernels;
 pub mod louds;
+mod lut;
 pub mod packed;
 pub mod rank;
 pub mod select;

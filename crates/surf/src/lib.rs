@@ -748,6 +748,31 @@ mod tests {
         }
     }
 
+    /// The rank and select directories of one benchmark-shaped table
+    /// (16 384 random 16-byte keys, SuRF-Real(8)) at 16-bit entries: every
+    /// count of a 16 384-key trie fits in them. At 32-bit entries the same
+    /// directories took 1 424 and 720 B (the select samples' `Vec` also
+    /// held growth slack then).
+    #[test]
+    fn a_table_trie_keeps_its_directories_at_16_bit_entries() {
+        let keys = memtree_workload::keys::rand_bytes_keys(16_384, 16, 43, 7);
+        let keys = memtree_workload::keys::sorted_unique(keys);
+        let s = Surf::from_keys(&keys, SuffixConfig::Real(8));
+        let trie = s.mem_stats().trie;
+        // 44 dense nodes in 2 levels: `D-Labels` and `D-HasChild` are
+        // 44 * 256 bits each, `D-IsPrefixKey` 44 bits, in whole words.
+        assert_eq!(s.trie().dense_levels(), 2);
+        assert_eq!(trie.dense_bitmaps, 2 * 44 * 256 / 8 + 8);
+        // B = 64: 176 blocks and a sentinel per label bitmap, 1 block and
+        // a sentinel over the prefix bits; 2 bytes an entry.
+        assert_eq!(trie.dense_rank, (2 * (176 + 1) + (1 + 1)) * 2);
+        // 12 736 sparse labels: `S-HasChild` and `S-LOUDS` take 25 blocks
+        // of B = 512 and a sentinel each, and `S-LOUDS`'s ones take 77
+        // samples of S = 64; 2 bytes an entry.
+        assert_eq!(trie.sparse_labels, 12_736);
+        assert_eq!(trie.sparse_rank_select, (2 * (25 + 1) + 77) * 2);
+    }
+
     /// The image bytes of seeded filters, pinned by length and CRC32C:
     /// the suffix words (and everything around them) keep their exact
     /// layout, so images written by earlier builds stay readable.

@@ -31,10 +31,12 @@ cargo run -p memtree-bench --release --offline --bin bench_recovery -- --smoke
 echo "== bench_faults --smoke (CRC tax + scrub/degraded/enospc gates, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
 
-echo "== reproduction claims (fig4_8 / fig4_9 assert their IO/op columns, fig4_11 its SuRF sizes, offline) =="
+echo "== reproduction claims (fig4_8 / fig4_9 assert their IO/op columns, fig4_11 its SuRF sizes, fig3_6 / fig3_7 all hits at every rank layout, offline) =="
 cargo run -p memtree-bench --release --offline --bin repro -- fig4_8 --quick
 cargo run -p memtree-bench --release --offline --bin repro -- fig4_9 --quick
 cargo run -p memtree-bench --release --offline --bin repro -- fig4_11 --quick
+cargo run -p memtree-bench --release --offline --bin repro -- fig3_6 --quick
+cargo run -p memtree-bench --release --offline --bin repro -- fig3_7 --quick
 
 echo "== overload gates (stall bands, admission shedding, slow-I/O storm on the virtual clock, offline) =="
 cargo test -q --offline -p memtree-serve --test overload
