@@ -229,16 +229,14 @@ mod tests {
     use super::*;
     use crate::db::{Db, DbOptions};
     use crate::disk::SimDisk;
-    use crate::run::RunBuilder;
     use crate::sstable::SsTable;
     use memtree_alloc_probe::retained;
     use memtree_common::key::{decode_u64, encode_u64};
     use std::collections::HashSet;
 
     fn blk(tag: u8) -> Arc<Run> {
-        let mut run = RunBuilder::sized(1, 1, 4);
-        run.push(&[tag], Some(&[tag; 4]));
-        Arc::new(run.finish())
+        let (key, value) = ([tag], [tag; 4]);
+        Arc::new(Run::collect((1, 1, 4), std::iter::once((&key[..], Some(&value[..])))))
     }
 
     /// Regression for the duplicate-slot bug: re-inserting an already-
@@ -389,7 +387,11 @@ mod tests {
                     .map(|i| (encode_u64(i), vec![7; vlen]))
                     .collect();
                 let refs: Vec<_> = rows.iter().map(|(k, v)| (&k[..], Some(&v[..]))).collect();
-                (Run::encode_frame(&refs).unwrap().into_vec(), n)
+                {
+                    let mut frame = Vec::new();
+                    Run::encode_frame(&refs, &mut frame).unwrap();
+                    (frame, n)
+                }
             })
             .collect();
         // A recycled block's two buffers each keep the largest size they

@@ -208,7 +208,7 @@ mod tests {
     fn table(disk: &SimDisk, id: u64, lo: u8, hi: u8) -> Arc<SsTable> {
         let keys: Vec<[u8; 1]> = (lo..=hi).map(|k| [k]).collect();
         let entries: Vec<EntryRef<'_>> = keys.iter().map(|k| (&k[..], Some(&b"v"[..]))).collect();
-        Arc::new(SsTable::build(id, disk, &entries, 4096, &FilterKind::None).unwrap())
+        Arc::new(SsTable::build(id, disk, entries.iter().copied(), 4096, &FilterKind::None).unwrap())
     }
 
     fn ids(tables: &[Arc<SsTable>]) -> Vec<u64> {

@@ -26,8 +26,9 @@ use crate::compaction::CompactionConfig;
 use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
 use crate::memtable::{self, MemTable};
+use crate::merge::merge_tables;
 use crate::read::{Handle, ReadView};
-use crate::run::{EntryRef, Run, MAX_ENTRY_BYTES};
+use crate::run::{Run, MAX_ENTRY_BYTES};
 use crate::snapshot::TableSet;
 use crate::sstable::{SsTable, TableMemStats};
 use crate::wal::{wal_file_name, Wal, WalStats};
@@ -354,10 +355,9 @@ impl Db {
         //    key (the quarantined ones included), so it is over-complete —
         //    worst case a false positive on a lost key, never a false
         //    negative.
-        // 2. **Rebuild from keys** — tables without an image (written
-        //    before the format, or built filterless under a different
-        //    configuration) or with a corrupt image re-read their data
-        //    blocks, the old O(data) path.
+        // 2. **Rebuild from keys** — tables without an image (built
+        //    filterless under a different configuration) or with a
+        //    corrupt image re-read their data blocks, the O(data) path.
         // 3. **Degrade to filterless** — a rebuild that hits unreadable or
         //    quarantined blocks leaves the table whole-table filterless (a
         //    partial filter would answer false negatives). Freshly
@@ -629,11 +629,10 @@ impl Db {
         // every record up to the last appended seq.
         let flush_seq = self.wal.appended_seq();
         let runs = self.mem.seal();
-        let entries = memtable::entries(&runs);
         let table = SsTable::build(
             self.next_table_id,
             &self.disk,
-            &entries,
+            memtable::flushed(&runs),
             self.opts.block_size,
             &self.opts.filter,
         )?;
@@ -665,7 +664,7 @@ impl Db {
         // merely replays records the table already shadows).
         self.flushed_seq = flush_seq;
         self.next_table_id += 1;
-        let flushed_entries = entries.len();
+        let flushed_entries = table.len();
         let blocks_written = table.index.len();
         self.levels[0].push(Arc::new(table));
         // The buffer is empty since the seal above and keeps its capacity.
@@ -802,110 +801,89 @@ impl Db {
 
     /// One merge at `level`: what [`CompactionConfig::pick`] chooses.
     fn compact_at(&mut self, level: usize) -> Result<()> {
-        {
-            fail_point!(self.disk.faults(), "lsm.compact.begin");
-            self.tables_changed();
-            if self.levels.len() == level + 1 {
-                self.levels.push(Vec::new());
-            }
-            let (victims, overlapped) = self.opts.compaction.pick(&self.levels, level);
-            let gone: Vec<u64> = victims.iter().chain(&overlapped).map(|t| t.id).collect();
-            // Merge newest-first: victims are newer than `overlapped`;
-            // within a level, later tables are newer (L0 flush order /
-            // tiered run order).
-            // The merge borrows every entry straight out of the
-            // (cache-shared) block frames held here; nothing is copied
-            // until the output blocks are encoded.
-            let mut sources: Vec<Arc<Run>> = Vec::new();
-            for t in victims.iter().rev() {
-                self.read_all(t, &mut sources)?;
-            }
-            for t in &overlapped {
-                self.read_all(t, &mut sources)?;
-            }
-            let mut entries: Vec<EntryRef<'_>> = sources.iter().flat_map(|b| b.iter()).collect();
-            // Stable: among equal keys the earliest source — the newest —
-            // stays first, and is the one `dedup` keeps.
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            entries.dedup_by(|b, a| a.0 == b.0);
-            // Tombstones are dropped only once nothing deeper can hold an
-            // older version of a merged key — otherwise removing the
-            // tombstone would resurrect that older version. "Deeper" is
-            // everything at the output level and below that is *not*
-            // consumed by this merge: under leveled that reduces to the
-            // old `level + 2..` check (unconsumed level+1 tables cannot
-            // overlap the merge by disjointness), and under tiered it
-            // keeps tombstones alive over the older runs they shadow at
-            // the output level.
-            if let (Some(&(min, _)), Some(&(max, _))) = (entries.first(), entries.last()) {
-                let deeper = self.levels[level + 1..]
-                    .iter()
-                    .flatten()
-                    .any(|t| !gone.contains(&t.id) && t.overlaps(min, max));
-                if !deeper {
-                    entries.retain(|(_, v)| v.is_some());
-                }
-            }
-            // Build the outputs aside: one run into an overlapping level
-            // (the run count is what tiered's level limit bounds), tables
-            // of ~10 memtables each into a disjoint one. If every entry was
-            // a dropped tombstone this degenerates to a removal-only
-            // transaction. A failure before the manifest commit releases
-            // every output built so far: the previous version stays live
-            // and the Db stays serviceable.
-            let per_table = if self.opts.compaction.disjoint(level + 1) {
-                (self.opts.memtable_bytes * 4 / 64).max(64) // entries per output table
-            } else {
-                entries.len()
-            };
-            let mut new_tables: Vec<SsTable> = Vec::new();
-            let mut next_id = self.next_table_id;
-            let committed = (|| -> Result<()> {
-                for chunk in entries.chunks(per_table.max(1)) {
-                    new_tables.push(SsTable::build(
-                        next_id,
-                        &self.disk,
-                        chunk,
-                        self.opts.block_size,
-                        &self.opts.filter,
-                    )?);
-                    next_id += 1;
-                }
-                fail_point!(self.disk.faults(), "lsm.compact.sync");
-                self.disk.sync();
-                let mut edits: Vec<Edit> =
-                    gone.iter().map(|&id| Edit::RemoveTable { id }).collect();
-                for t in &new_tables {
-                    edits.push(Edit::AddTable(t.meta(level + 1)));
-                }
-                self.manifest.borrow_mut().append(&self.disk, &edits)
-            })();
-            if let Err(e) = committed {
-                for t in &new_tables {
-                    let _ = t.release(&self.disk);
-                }
-                return Err(e);
-            }
-            // Commit point: swap the in-memory version and free victims.
-            // Quarantine entries die with the tables that carried them
-            // (the manifest's RemoveTable does the same purge).
-            self.next_table_id = next_id;
-            self.quarantined.borrow_mut().retain(|&(t, _)| !gone.contains(&t));
-            for lvl in [level, level + 1] {
-                self.levels[lvl].retain(|t| !gone.contains(&t.id));
-            }
-            for t in victims.into_iter().chain(overlapped) {
-                self.retire_table(t)?;
-            }
-            let next = &mut self.levels[level + 1];
-            next.extend(new_tables.into_iter().map(Arc::new));
-            self.opts.compaction.order(level + 1, next);
+        fail_point!(self.disk.faults(), "lsm.compact.begin");
+        self.tables_changed();
+        if self.levels.len() == level + 1 {
+            self.levels.push(Vec::new());
         }
+        let (victims, overlapped) = self.opts.compaction.pick(&self.levels, level);
+        let gone: Vec<u64> = victims.iter().chain(&overlapped).map(|t| t.id).collect();
+        // Merge newest-first: victims are newer than `overlapped`;
+        // within a level, later tables are newer (L0 flush order /
+        // tiered run order). The merge borrows every entry straight out
+        // of the (cache-shared) block frames held here; nothing is
+        // copied until the output blocks are encoded.
+        let inputs: Vec<Vec<Arc<Run>>> =
+            victims.iter().rev().chain(&overlapped).map(|t| self.read_all(t)).collect::<Result<_>>()?;
+        // Tombstones are dropped only once nothing deeper can hold an
+        // older version of a merged key — otherwise removing the
+        // tombstone would resurrect that older version. "Deeper" is
+        // everything at the output level and below that is *not*
+        // consumed by this merge: under leveled that reduces to the
+        // old `level + 2..` check (unconsumed level+1 tables cannot
+        // overlap the merge by disjointness), and under tiered it
+        // keeps tombstones alive over the older runs they shadow at
+        // the output level. The inputs' first and last keys bound
+        // every key merged.
+        let blocks = || inputs.iter().flatten().filter(|b| b.len() > 0);
+        let first = blocks().map(|b| b.key(0)).min();
+        let last = blocks().map(|b| b.key(b.len() - 1)).max();
+        let drop_tombstones = first.zip(last).is_some_and(|(min, max)| {
+            !self.levels[level + 1..]
+                .iter()
+                .flatten()
+                .any(|t| !gone.contains(&t.id) && t.overlaps(min, max))
+        });
+        // One run into an overlapping level (the run count is what
+        // tiered's level limit bounds), tables of `memtable_bytes / 16`
+        // entries each (16 384 for a 256 KiB MemTable) into a disjoint
+        // one. If every entry was a dropped tombstone this degenerates
+        // to a removal-only transaction. A failure before the manifest
+        // commit releases every output built so far: the previous
+        // version stays live and the Db stays serviceable.
+        let per_table = if self.opts.compaction.disjoint(level + 1) {
+            (self.opts.memtable_bytes * 4 / 64).max(64)
+        } else {
+            usize::MAX
+        };
+        let mut new_tables: Vec<SsTable> = Vec::new();
+        let (first_id, disk, opts) = (self.next_table_id, &*self.disk, &self.opts);
+        let committed = (|| -> Result<()> {
+            merge_tables(&inputs, drop_tombstones, per_table, first_id, disk, opts, &mut new_tables)?;
+            fail_point!(self.disk.faults(), "lsm.compact.sync");
+            self.disk.sync();
+            let mut edits: Vec<Edit> =
+                gone.iter().map(|&id| Edit::RemoveTable { id }).collect();
+            for t in &new_tables {
+                edits.push(Edit::AddTable(t.meta(level + 1)));
+            }
+            self.manifest.borrow_mut().append(&self.disk, &edits)
+        })();
+        if let Err(e) = committed {
+            for t in &new_tables {
+                let _ = t.release(&self.disk);
+            }
+            return Err(e);
+        }
+        // Commit point: swap the in-memory version and free victims.
+        // Quarantine entries die with the tables that carried them
+        // (the manifest's RemoveTable does the same purge).
+        self.next_table_id += new_tables.len() as u64;
+        self.quarantined.borrow_mut().retain(|&(t, _)| !gone.contains(&t));
+        for lvl in [level, level + 1] {
+            self.levels[lvl].retain(|t| !gone.contains(&t.id));
+        }
+        for t in victims.into_iter().chain(overlapped) {
+            self.retire_table(t)?;
+        }
+        let next = &mut self.levels[level + 1];
+        next.extend(new_tables.into_iter().map(Arc::new));
+        self.opts.compaction.order(level + 1, next);
         Ok(())
     }
 
-    /// Appends every readable block of `table`, in key order, to `out`.
-    fn read_all(&self, table: &SsTable, out: &mut Vec<Arc<Run>>) -> Result<()> {
+    /// Every readable block of `table`, in key order: a compaction input.
+    fn read_all(&self, table: &SsTable) -> Result<Vec<Arc<Run>>> {
         // Compaction I/O is counted as reads too (as in real systems).
         // A quarantined block gets one last read-repair chance here:
         // quarantine can stem from wire-level rot (the stored bytes are
@@ -918,6 +896,7 @@ impl Db {
         // through the cache with transients retried; any other error
         // propagates — a *fresh* failure must not silently drop entries.
         let view = self.view();
+        let mut out = Vec::with_capacity(table.index.len());
         for b in 0..table.index.len() {
             if self.quarantined.borrow().contains(&(table.id, b as u32)) {
                 if let Ok(d) = view.read_retrying(table, b, 4) {
@@ -937,7 +916,7 @@ impl Db {
             };
             out.push(d);
         }
-        Ok(())
+        Ok(out)
     }
 
     /// The read path over the live MemTable ([`crate::read`]): every read
@@ -2246,7 +2225,10 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
+    use crate::run::EntryRef;
+    use memtree_common::check::{prop_check, Gen};
     use memtree_common::key::encode_u64;
+    use memtree_common::{check, check_eq};
     use std::collections::BTreeMap;
 
     fn tiered_opts() -> DbOptions {
@@ -2527,6 +2509,203 @@ mod policy_tests {
             reads <= 2 * tables,
             "open read {reads} blocks for {tables} tables (data blocks: {data_blocks})"
         );
+    }
+
+    /// One output table as bytes: each block's frame and separator, the
+    /// max key, the counts and the filter image.
+    #[derive(Debug, PartialEq)]
+    struct TableBytes {
+        frames: Vec<Box<[u8]>>,
+        fences: Vec<Vec<u8>>,
+        max_key: Vec<u8>,
+        counts: (usize, usize),
+        image: Option<Box<[u8]>>,
+    }
+
+    impl TableBytes {
+        /// What `table` wrote to `disk`.
+        fn written(disk: &SimDisk, table: &SsTable) -> Self {
+            Self {
+                frames: table.index.block_ids().map(|id| disk.read(id).unwrap()).collect(),
+                fences: table.index.separators().map(<[u8]>::to_vec).collect(),
+                max_key: table.max_key.clone(),
+                counts: (table.num_entries, table.num_tombstones),
+                image: table.filter_block.map(|id| disk.read(id).unwrap()),
+            }
+        }
+
+        /// The reference: the two-pass build a table was made by before
+        /// the streaming one — cut every block, then encode each.
+        fn two_pass(entries: &[EntryRef<'_>], block_size: usize, filter: &FilterKind) -> Self {
+            let entry_bytes = |e: &EntryRef<'_>| e.0.len() + e.1.map_or(0, <[u8]>::len) + 5;
+            let mut starts = Vec::new();
+            let (mut start, mut bytes) = (0usize, 0usize);
+            for (i, e) in entries.iter().enumerate() {
+                if i == start || bytes + entry_bytes(e) <= block_size {
+                    bytes += entry_bytes(e);
+                } else {
+                    starts.push(start);
+                    (start, bytes) = (i, entry_bytes(e));
+                }
+            }
+            starts.push(start);
+            starts.push(entries.len());
+            let keys: Vec<&[u8]> = entries.iter().map(|&(k, _)| k).collect();
+            let fence = |w: &[usize]| match w[0].checked_sub(1) {
+                None => entries[0].0.to_vec(),
+                // The shortest prefix of the block's first key above the
+                // last key of the block before.
+                Some(prev) => {
+                    let (last, first) = (entries[prev].0, entries[w[0]].0);
+                    let lcp = last.iter().zip(first).take_while(|(a, b)| a == b).count();
+                    first[..lcp + 1].to_vec()
+                }
+            };
+            Self {
+                frames: starts
+                    .windows(2)
+                    .map(|w| {
+                        let mut frame = Vec::new();
+                        Run::encode_frame(&entries[w[0]..w[1]], &mut frame).unwrap();
+                        frame.into_boxed_slice()
+                    })
+                    .collect(),
+                fences: starts.windows(2).map(fence).collect(),
+                max_key: entries[entries.len() - 1].0.to_vec(),
+                counts: (entries.len(), entries.iter().filter(|(_, v)| v.is_none()).count()),
+                image: SsTable::build_filter(&keys, filter).map(|f| SsTable::encode_filter_image(&f)),
+            }
+        }
+    }
+
+    /// The reference compaction at `level`: every input entry collected,
+    /// stable-sorted (newest input first, so `dedup` keeps the newest),
+    /// deduplicated, tombstones retained unless nothing deeper overlaps,
+    /// and cut into `per_table` chunks. Reads every input block itself, a
+    /// quarantined one included. Also returns whether the merge held a
+    /// tombstone and whether it dropped them.
+    fn sort_and_dedup_compaction(db: &Db, level: usize) -> (Vec<TableBytes>, bool, bool) {
+        let (victims, overlapped) = db.opts.compaction.pick(&db.levels, level);
+        let gone: Vec<u64> = victims.iter().chain(&overlapped).map(|t| t.id).collect();
+        let view = db.view();
+        let sources: Vec<Arc<Run>> = victims
+            .iter()
+            .rev()
+            .chain(&overlapped)
+            .flat_map(|t| (0..t.index.len()).map(|b| view.read_retrying(t, b, 4).unwrap()))
+            .collect();
+        let mut entries: Vec<EntryRef<'_>> = sources.iter().flat_map(|b| b.iter()).collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.dedup_by(|b, a| a.0 == b.0);
+        let tombstones = entries.iter().any(|(_, v)| v.is_none());
+        let mut dropped = false;
+        if let (Some(&(min, _)), Some(&(max, _))) = (entries.first(), entries.last()) {
+            let deeper = db.levels[level + 1..]
+                .iter()
+                .flatten()
+                .any(|t| !gone.contains(&t.id) && t.overlaps(min, max));
+            if !deeper {
+                entries.retain(|(_, v)| v.is_some());
+                dropped = true;
+            }
+        }
+        let per_table = if db.opts.compaction.disjoint(level + 1) {
+            (db.opts.memtable_bytes * 4 / 64).max(64)
+        } else {
+            entries.len()
+        };
+        let (block_size, filter) = (db.opts.block_size, &db.opts.filter);
+        let tables = entries
+            .chunks(per_table.max(1))
+            .map(|chunk| TableBytes::two_pass(chunk, block_size, filter))
+            .collect();
+        (tables, tombstones, dropped)
+    }
+
+    /// Every compaction writes, byte for byte, the tables the collect /
+    /// stable-sort / dedup merge and the two-pass build wrote: block
+    /// frames, separators, counts and filter images. Random overwrites
+    /// and deletes across flushes, under leveled and tiered policies and
+    /// every filter kind, reach bottom and non-bottom merges, outputs cut
+    /// into several tables, and inputs with a quarantined block that the
+    /// merge rescues.
+    #[test]
+    fn compaction_writes_what_the_sort_and_dedup_merge_wrote() {
+        // Tiered, tombstones dropped, tombstones kept, several outputs,
+        // a rescued block.
+        let mut seen = [0usize; 5];
+        prop_check("compaction_vs_sort_and_dedup", 32, |g: &mut Gen| {
+            let tiered = g.bool(0.5);
+            let filters = [
+                FilterKind::None,
+                FilterKind::Bloom(10.0),
+                FilterKind::SurfHash(4),
+                FilterKind::SurfReal(4),
+            ];
+            let mut db = Db::new(DbOptions {
+                memtable_bytes: 2 << 10,
+                block_size: 256,
+                cache_blocks: 8,
+                l0_tables: 2,
+                l1_tables: 2,
+                filter: *g.pick(&filters),
+                compaction: if tiered {
+                    CompactionConfig::Tiered { tiers_per_level: 2 }
+                } else {
+                    CompactionConfig::Leveled { fanout: 2 }
+                },
+                compact_on_flush: false,
+                ..Default::default()
+            });
+            seen[0] += usize::from(tiered);
+            let keys = g.range(100..800);
+            for _ in 0..g.range(4..14) {
+                // Each flush writes a window of the key space, so inputs
+                // span different ranges.
+                let lo = g.range(0..keys);
+                let hi = g.range(lo + 1..keys + 1);
+                for _ in 0..g.range(20..200) {
+                    let k = encode_u64(g.range(lo..hi) as u64);
+                    if g.bool(0.25) {
+                        db.delete(&k).unwrap();
+                    } else {
+                        db.put(&k, &g.bytes_vec(0..24)).unwrap();
+                    }
+                }
+                db.flush().unwrap();
+                while let Some(level) = db.debt_level() {
+                    if db.levels.len() == level + 1 {
+                        db.levels.push(Vec::new());
+                    }
+                    let (victims, _) = db.opts.compaction.pick(&db.levels, level);
+                    let victim = g.pick(&victims);
+                    let rescue = g.bool(0.3);
+                    let repairs = db.io_stats().read_repairs;
+                    let (want, tombstones, dropped) = sort_and_dedup_compaction(&db, level);
+                    if rescue {
+                        db.quarantine((victim.id, g.range(0..victim.index.len()) as u32));
+                    }
+                    let first_new = db.next_table_id;
+                    check!(db.compact_debt().map_err(|e| e.to_string())?);
+                    let mut outputs: Vec<&Arc<SsTable>> =
+                        db.levels[level + 1].iter().filter(|t| t.id >= first_new).collect();
+                    outputs.sort_by_key(|t| t.id);
+                    let got: Vec<TableBytes> =
+                        outputs.iter().map(|t| TableBytes::written(&db.disk, t)).collect();
+                    check_eq!(got, want, "level {level}, tiered {tiered}");
+                    if rescue {
+                        check_eq!(db.io_stats().read_repairs, repairs + 1, "the quarantined block was rescued");
+                        check_eq!(db.io_stats().quarantined_blocks, 0);
+                    }
+                    seen[1] += usize::from(tombstones && dropped);
+                    seen[2] += usize::from(tombstones && !dropped);
+                    seen[3] += usize::from(want.len() > 1);
+                    seen[4] += usize::from(rescue);
+                }
+            }
+            Ok(())
+        });
+        assert!(seen.iter().all(|&n| n > 0), "tiered / dropped / kept / split / rescued: {seen:?}");
     }
 }
 

@@ -67,7 +67,8 @@
 //! coalesced ranges: a release merges its id with the free ranges on
 //! either side, and a reservation takes the smallest free range that
 //! holds it (the lowest such on a tie), or appends new slots when none
-//! does. Both cost O(log free ranges) under the device lock.
+//! does. Both cost O(log free ranges) under the device lock. A free range
+//! that reaches the last slot is trimmed off instead of kept.
 //!
 //! ## Fail points
 //!
@@ -207,8 +208,9 @@ impl FreeRanges {
     }
 
     /// Frees the `n` ids from `base`, merged with the free ranges that
-    /// end at `base` and start right after the last of them.
-    fn give(&mut self, base: u32, n: u32) {
+    /// end at `base` and start right after the last of them, and returns
+    /// the merged range.
+    fn give(&mut self, base: u32, n: u32) -> (u32, u32) {
         let (mut start, mut len) = (base, n);
         if let Some((&before, &before_len)) = self.by_start.range(..base).next_back() {
             if before + before_len == base {
@@ -221,6 +223,7 @@ impl FreeRanges {
             len += after_len;
         }
         self.insert(start, len);
+        (start, len)
     }
 }
 
@@ -479,7 +482,7 @@ impl SimDisk {
     /// is readable immediately but durable only after [`SimDisk::sync`].
     /// Fails typed — and buffers nothing — on `Enospc`, an armed
     /// `lsm.disk.write_fault`, or an id that is not allocated.
-    pub fn write_at(&self, id: u32, data: Box<[u8]>) -> Result<()> {
+    pub fn write_at(&self, id: u32, data: Arc<[u8]>) -> Result<()> {
         self.write_block(Some(id), data).map(drop)
     }
 
@@ -488,12 +491,12 @@ impl SimDisk {
     /// [`SimDisk::sync`]. Fails typed — and allocates nothing — on
     /// `Enospc` or an armed `lsm.disk.write_fault`.
     pub fn write(&self, data: Box<[u8]>) -> Result<u32> {
-        self.write_block(None, data)
+        self.write_block(None, Arc::from(data))
     }
 
     /// Buffers `data` at the reserved id `at`, or at a new extent of one,
     /// in one device step.
-    fn write_block(&self, at: Option<u32>, data: Box<[u8]>) -> Result<u32> {
+    fn write_block(&self, at: Option<u32>, data: Arc<[u8]>) -> Result<u32> {
         memtree_faults::fail_point!(self.faults, "lsm.disk.write_fault");
         let mut st = self.st();
         if let Some(id) = at.filter(|&id| !st.live.get(id as usize).copied().unwrap_or(false)) {
@@ -505,10 +508,7 @@ impl SimDisk {
         st.check_capacity("block-write", data.len())?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         let id = at.unwrap_or_else(|| st.allocate(1));
-        st.pending.push(PendingOp::Block {
-            id,
-            data: Arc::from(data),
-        });
+        st.pending.push(PendingOp::Block { id, data });
         drop(st);
         self.charge_op(Some(id));
         Ok(id)
@@ -649,7 +649,14 @@ impl SimDisk {
         st.pending.retain(
             |op| !matches!(op, PendingOp::Block { id, .. } if ids.contains(&(*id as usize))),
         );
-        st.free.give(base, n as u32);
+        // A free range that reaches the last slot is cut off the device,
+        // so the slots end at the highest allocated id.
+        let (start, len) = st.free.give(base, n as u32);
+        if (start + len) as usize == st.blocks.len() {
+            st.free.remove(start, len);
+            st.blocks.truncate(start as usize);
+            st.live.truncate(start as usize);
+        }
         Ok(())
     }
 
@@ -853,8 +860,9 @@ impl SimDisk {
         self.st().live.iter().filter(|&&l| l).count()
     }
 
-    /// Number of block slots ever allocated (live or freed); recovery
-    /// iterates `0..block_slots()` to garbage-collect orphans.
+    /// Number of block slots: one past the highest allocated id, since
+    /// a release that frees the last slots trims them. Recovery iterates
+    /// `0..block_slots()` to garbage-collect orphans.
     pub fn block_slots(&self) -> usize {
         self.st().blocks.len()
     }
@@ -895,7 +903,7 @@ mod tests {
     fn extent(d: &SimDisk, n: usize) -> u32 {
         let base = d.reserve(n);
         for id in base..base + n as u32 {
-            d.write_at(id, Box::from(&[id as u8][..])).unwrap();
+            d.write_at(id, Arc::from(&[id as u8][..])).unwrap();
         }
         base
     }
@@ -906,12 +914,12 @@ mod tests {
         assert_eq!(extent(&d, 3), 0);
         let base = d.reserve(4);
         assert_eq!(base, 3);
-        d.write_at(5, Box::from(&b"third"[..])).unwrap();
+        d.write_at(5, Arc::from(&b"third"[..])).unwrap();
         assert_eq!(&*d.read(5).unwrap(), b"third");
         assert_eq!(&*d.read(4).unwrap(), b"", "reserved, not yet written");
         assert_eq!(d.live_blocks(), 7, "a reserved id is allocated");
         assert_eq!(d.stats().block_writes, 4, "one write per block, none per reservation");
-        assert!(d.write_at(7, Box::from(&b"x"[..])).is_err(), "past every extent");
+        assert!(d.write_at(7, Arc::from(&b"x"[..])).is_err(), "past every extent");
         assert_eq!(d.write(Box::from(&b"one"[..])).unwrap(), 7, "an extent of one");
     }
 
@@ -941,7 +949,8 @@ mod tests {
     #[test]
     fn released_neighbours_coalesce_into_one_range() {
         let d = SimDisk::new(Duration::ZERO);
-        extent(&d, 8);
+        // Id 8 stays allocated, so no freed range reaches the last slot.
+        extent(&d, 9);
         // Out of order: each release merges with the range on either side.
         for id in [1, 3, 2, 6, 5, 4] {
             d.release(id).unwrap();
@@ -951,7 +960,28 @@ mod tests {
         d.release(7).unwrap();
         assert_eq!(free_ranges(&d), [(0, 8)]);
         assert_eq!(d.reserve(8), 0, "the whole coalesced range serves one extent");
-        assert_eq!(d.block_slots(), 8);
+        assert_eq!(d.block_slots(), 9);
+    }
+
+    /// A freed range that reaches the last slot is cut off the device, so
+    /// the slots end at the highest allocated id; a range below it stays
+    /// free until the range above it goes.
+    #[test]
+    fn freeing_the_last_slots_trims_them() {
+        let d = SimDisk::new(Duration::ZERO);
+        let (a, b) = (extent(&d, 3), extent(&d, 4));
+        assert_eq!(d.block_slots(), 7);
+        d.release_extent(b, 4).unwrap();
+        assert_eq!((d.block_slots(), free_ranges(&d)), (3, vec![]), "shrunk to A's end");
+        d.release_extent(a, 3).unwrap();
+        assert_eq!((d.block_slots(), free_ranges(&d)), (0, vec![]));
+        let (a, b, c) = (extent(&d, 2), extent(&d, 3), extent(&d, 1));
+        d.release_extent(b, 3).unwrap();
+        assert_eq!((d.block_slots(), free_ranges(&d)), (6, vec![(2, 3)]), "C still holds the end");
+        d.release(c).unwrap();
+        assert_eq!((d.block_slots(), free_ranges(&d)), (2, vec![]), "B's range went with C");
+        assert_eq!(d.reserve(4), 2, "appended at A's end");
+        assert_eq!((a, d.live_blocks()), (0, 6));
     }
 
     #[test]
@@ -973,49 +1003,49 @@ mod tests {
         let base = d.reserve(2);
         d.release(base).unwrap();
         assert!(d.release(base).is_err(), "double release of a reserved id");
-        assert!(d.write_at(base, Box::from(&b"x"[..])).is_err(), "write to a freed id");
-        d.write_at(base + 1, Box::from(&b"y"[..])).unwrap();
+        assert!(d.write_at(base, Arc::from(&b"x"[..])).is_err(), "write to a freed id");
+        d.write_at(base + 1, Arc::from(&b"y"[..])).unwrap();
         d.release(base + 1).unwrap();
         assert!(d.release(base + 1).is_err(), "double release of a written id");
-        assert_eq!(free_ranges(&d), [(0, 2)], "a failed release frees nothing twice");
+        // Both ids freed once, and trimmed off the device with them.
+        assert_eq!((free_ranges(&d), d.block_slots()), (vec![], 0));
 
         // An extent with a free id inside, or past the last slot, frees
         // nothing at all.
         let base = d.reserve(5);
-        assert_eq!(base, 2, "appended: the free range holds 2");
         d.release(base + 2).unwrap();
         assert!(d.release_extent(base, 5).is_err(), "its middle id is free");
         assert!(d.release_extent(base + 3, 9).is_err(), "past the last slot");
         assert_eq!(d.live_blocks(), 4);
         d.release_extent(base, 2).unwrap();
         d.release_extent(base + 3, 2).unwrap();
-        assert_eq!((d.live_blocks(), free_ranges(&d)), (0, vec![(0, 7)]));
+        assert_eq!((d.live_blocks(), free_ranges(&d), d.block_slots()), (0, vec![], 0));
     }
 
     /// A write that fails inside an extent — `Enospc` or an armed write
     /// fault — buffers nothing, and releasing the extent leaves no
-    /// reserved or live id: the same extent is free again, in one range.
+    /// reserved or live id: the extent is trimmed off the device.
     #[test]
     fn a_failed_write_mid_extent_leaves_nothing_once_the_extent_is_released() {
         for fault in [false, true] {
             let d = SimDisk::new(Duration::ZERO);
             let base = d.reserve(4);
-            d.write_at(base, Box::from(&[1u8; 8][..])).unwrap();
-            d.write_at(base + 1, Box::from(&[2u8; 8][..])).unwrap();
+            d.write_at(base, Arc::from(&[1u8; 8][..])).unwrap();
+            d.write_at(base + 1, Arc::from(&[2u8; 8][..])).unwrap();
             let used = d.used_bytes();
             let err = if fault {
                 d.faults().enable(1);
                 d.faults().arm("lsm.disk.write_fault", 1.0, Some(1));
-                d.write_at(base + 2, Box::from(&[3u8; 8][..])).unwrap_err()
+                d.write_at(base + 2, Arc::from(&[3u8; 8][..])).unwrap_err()
             } else {
                 d.set_capacity_bytes(Some(20));
-                d.write_at(base + 2, Box::from(&[3u8; 8][..])).unwrap_err()
+                d.write_at(base + 2, Arc::from(&[3u8; 8][..])).unwrap_err()
             };
             assert_eq!(matches!(err, MemtreeError::Enospc { .. }), !fault, "{err:?}");
             assert_eq!(d.used_bytes(), used, "the failed write buffered nothing");
             d.release_extent(base, 4).unwrap();
             assert_eq!((d.live_blocks(), d.used_bytes()), (0, 0));
-            assert_eq!(free_ranges(&d), [(0, 4)]);
+            assert_eq!((free_ranges(&d), d.block_slots()), (vec![], 0));
             d.sync();
             assert_eq!(d.used_bytes(), 0, "a sync resurrects no released write");
         }
@@ -1028,10 +1058,10 @@ mod tests {
         for seed in 0..16u64 {
             let d = SimDisk::new(Duration::ZERO);
             let base = d.reserve(4);
-            d.write_at(base, Box::from(&b"synced"[..])).unwrap();
+            d.write_at(base, Arc::from(&b"synced"[..])).unwrap();
             d.sync();
             for (i, fill) in [(1, b'B'), (2, b'C'), (3, b'D')] {
-                d.write_at(base + i, Box::from(&[fill; 64][..])).unwrap();
+                d.write_at(base + i, Arc::from(&[fill; 64][..])).unwrap();
             }
             d.crash(Some(seed));
             assert_eq!(&*d.read(base).unwrap(), b"synced");

@@ -36,6 +36,7 @@ mod db;
 mod disk;
 mod manifest;
 mod memtable;
+mod merge;
 mod read;
 mod run;
 mod scrub;

@@ -57,9 +57,8 @@ pub(crate) struct TableMeta {
     /// that store first keys read the same way.
     pub fences: Vec<Vec<u8>>,
     pub max_key: Vec<u8>,
-    /// Disk block holding the table's persisted filter image, when one
-    /// was written (`None` for filterless tables and for records written
-    /// by builds that predate the image format).
+    /// Disk block holding the table's persisted filter image (`None` for
+    /// a table built without a filter).
     pub filter_block: Option<u32>,
     pub num_entries: usize,
     /// Delete tombstones among `num_entries` (a table statistic; no read
@@ -133,9 +132,8 @@ impl Edit {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Edit::AddTable(m) => {
-                // Tag 6 is tag 1 plus the filter-block pointer; tag 1 is
-                // still decoded for manifests written before filter
-                // images existed.
+                // Tag 6: the table record with its filter-block pointer
+                // (tag 1, the layout without one, decodes as unknown).
                 out.push(6);
                 out.extend_from_slice(&(m.level as u32).to_le_bytes());
                 out.extend_from_slice(&m.id.to_le_bytes());
@@ -187,12 +185,18 @@ impl Edit {
     fn decode(r: &mut Reader<'_>) -> Result<Edit> {
         let tag = r.u8()?;
         match tag {
-            1 | 6 => {
+            6 => {
                 let level = r.u32()? as usize;
                 let id = r.u64()?;
                 let num_entries = r.u64()? as usize;
                 let num_tombstones = r.u64()? as usize;
                 let nblocks = r.u32()? as usize;
+                // Each block takes at least its id and its fence's length:
+                // a count the bytes left cannot hold is corrupt, and is
+                // rejected before anything is reserved for it.
+                if nblocks > (r.buf.len() - r.at) / 8 {
+                    return Err(MemtreeError::corruption("manifest", "block count past the record"));
+                }
                 let mut blocks = Vec::with_capacity(nblocks);
                 for _ in 0..nblocks {
                     blocks.push(r.u32()?);
@@ -202,20 +206,15 @@ impl Edit {
                     fences.push(r.bytes()?);
                 }
                 let max_key = r.bytes()?;
-                // Tag 1 predates persisted filter images: no pointer.
-                let filter_block = if tag == 6 {
-                    match r.u8()? {
-                        0 => None,
-                        1 => Some(r.u32()?),
-                        f => {
-                            return Err(MemtreeError::corruption(
-                                "manifest",
-                                format!("bad filter-block presence flag {f}"),
-                            ))
-                        }
+                let filter_block = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.u32()?),
+                    f => {
+                        return Err(MemtreeError::corruption(
+                            "manifest",
+                            format!("bad filter-block presence flag {f}"),
+                        ))
                     }
-                } else {
-                    None
                 };
                 if nblocks == 0 {
                     return Err(MemtreeError::corruption("manifest", "table with no blocks"));
@@ -504,32 +503,32 @@ mod tests {
         }
     }
 
+    /// A CRC-valid manifest whose AddTable claims `u32::MAX` blocks is
+    /// typed corruption, found before anything is reserved for them: the
+    /// decode allocates nothing larger than the record. A tag-1 AddTable
+    /// (the record without a filter pointer) is an unknown tag.
     #[test]
-    fn legacy_tag1_add_table_decodes_without_filter_block() {
-        // A pre-image-format AddTable frame: tag 1, no filter pointer.
-        let m = meta(0, 3, 10, 20);
-        let mut legacy = vec![1u8];
-        legacy.extend_from_slice(&(m.level as u32).to_le_bytes());
-        legacy.extend_from_slice(&m.id.to_le_bytes());
-        legacy.extend_from_slice(&(m.num_entries as u64).to_le_bytes());
-        legacy.extend_from_slice(&(m.num_tombstones as u64).to_le_bytes());
-        legacy.extend_from_slice(&(m.blocks.len() as u32).to_le_bytes());
-        for b in &m.blocks {
-            legacy.extend_from_slice(&b.to_le_bytes());
-        }
-        for f in &m.fences {
-            put_bytes(&mut legacy, f);
-        }
-        put_bytes(&mut legacy, &m.max_key);
-        let mut r = Reader { buf: &legacy, at: 0 };
-        match Edit::decode(&mut r).unwrap() {
-            Edit::AddTable(got) => {
-                assert!(r.done());
-                assert_eq!(got.filter_block, None, "legacy records carry no image");
-                assert_eq!(got.blocks, m.blocks);
-                assert_eq!(got.fences, m.fences);
-            }
-            other => panic!("expected AddTable, got {other:?}"),
+    fn a_lying_block_count_and_a_tag_1_record_are_typed() {
+        let mut add = Vec::new();
+        Edit::AddTable(meta(0, 3, 10, 20)).encode(&mut add);
+        // The count follows the tag, level, id and two entry counts.
+        let count = 1 + 4 + 8 + 8 + 8;
+        let mut lying = add.clone();
+        lying[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut tag1 = add;
+        tag1[0] = 1;
+        for payload in [lying, tag1] {
+            let disk = SimDisk::new(Duration::ZERO);
+            let frame = encode_frame(1, &payload);
+            disk.write_file_atomic(CURRENT_FILE, &encode_single(b"manifest-1")).unwrap();
+            disk.append("manifest-1", &frame).unwrap();
+            disk.sync();
+            let opened = Manifest::open(&disk, "");
+            assert!(matches!(opened, Err(MemtreeError::Corruption { .. })), "tag {}", payload[0]);
+            let mut r = Reader { buf: &payload, at: 0 };
+            let (res, _, largest) = memtree_alloc_probe::measure(|| Edit::decode(&mut r));
+            assert!(matches!(res, Err(MemtreeError::Corruption { .. })), "tag {}", payload[0]);
+            assert!(largest <= payload.len(), "allocated {largest} B for a {} B record", payload.len());
         }
     }
 

@@ -13,18 +13,21 @@
 //!
 //! When the buffer reaches [`BUFFER_KEYS`] keys it merges into a new young
 //! run — after the young run, if it has reached [`YOUNG_KEYS`] entries,
-//! has merged into a new stage. Both are the same [`RunBuilder::collect`]
-//! pass ([`merge`]), newest version winning, and the buffer empties but
-//! keeps its capacity: an insert that does not merge allocates nothing,
-//! and only about one insert in [`YOUNG_KEYS`] copies the stage. A flush
-//! merges the buffer into the young run ([`MemTable::seal`]) and writes
-//! the merge walk of the two runs ([`entries`]) as a table.
+//! has merged into a new stage — and empties, keeping its capacity. A
+//! flush merges the buffer into the young run ([`MemTable::seal`]) and
+//! writes the young run over the stage as a table ([`flushed`]), streamed
+//! out of the two runs, not copied. All three are the engine's one merge,
+//! [`newest_wins`] over the parts, newest first; the two merges into a
+//! run write it with [`Run::collect`]. An insert that does
+//! not merge allocates nothing, and only about one insert in
+//! [`YOUNG_KEYS`] copies the stage.
 //! [`crate::Db`] reads its live `MemTable`, each [`crate::DbSnapshot`] a
 //! frozen copy ([`MemTable::freeze`]); both walk the two runs newest first
 //! ([`MemTable::runs`]).
 
-use crate::run::{EntryRef, Run, RunBuilder};
-use std::cmp::Ordering;
+use crate::merge::{newest_wins, Head};
+use crate::run::{EntryRef, Run};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Buffered keys at which the buffer merges into a new young run. A
@@ -98,6 +101,13 @@ impl Buffer {
         (pos(start), pos(self.arena.len()))
     }
 
+    /// `(rows, key bytes, value bytes)` of the live rows.
+    fn sizes(&self) -> (usize, usize, usize) {
+        let width = |(start, end): Span| (end - start) as usize;
+        let (keys, values) = self.rows.iter().fold((0, 0), |(k, v), &(key, value)| (k + width(key), v + value.map_or(0, width)));
+        (self.len(), keys, values)
+    }
+
     /// Empties the buffer, keeping its capacity.
     fn clear(&mut self) {
         self.arena.clear();
@@ -116,73 +126,52 @@ impl Buffer {
     }
 }
 
-/// A sorted part of the MemTable — the buffer or a run — as [`merge`] and
-/// [`MemTable::range`] read it.
-trait Part {
-    fn len(&self) -> usize;
-    fn key(&self, i: usize) -> &[u8];
-    fn entry(&self, i: usize) -> EntryRef<'_>;
+/// A walk over a sorted part of the MemTable, the buffer or a run: one
+/// iterator type for both, so that [`newest_wins`] merges them without a
+/// call through a pointer per entry.
+enum Walk<'a> {
+    Buffer(&'a Buffer, Range<usize>),
+    Run(&'a Run, Range<usize>),
 }
 
-impl Part for Buffer {
-    fn len(&self) -> usize {
-        Buffer::len(self)
-    }
-    fn key(&self, i: usize) -> &[u8] {
-        Buffer::key(self, i)
-    }
-    fn entry(&self, i: usize) -> EntryRef<'_> {
-        Buffer::entry(self, i)
+impl<'a> Walk<'a> {
+    fn run(run: &'a Run) -> Self {
+        Walk::Run(run, 0..run.len())
     }
 }
 
-impl Part for Run {
-    fn len(&self) -> usize {
-        Run::len(self)
-    }
-    fn key(&self, i: usize) -> &[u8] {
-        Run::key(self, i)
-    }
-    fn entry(&self, i: usize) -> EntryRef<'_> {
-        Run::entry(self, i)
+impl<'a> Iterator for Walk<'a> {
+    type Item = EntryRef<'a>;
+
+    // Inlined into the merge loop: called once per entry merged, it is
+    // most of a MemTable merge's work.
+    #[inline(always)]
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        match self {
+            Walk::Buffer(buffer, rows) => rows.next().map(|i| buffer.entry(i)),
+            Walk::Run(run, rows) => rows.next().map(|i| run.entry(i)),
+        }
     }
 }
 
-/// The MemTable's one merge walk: every entry of `newer` and `older` in
-/// key order; on a tie `newer`'s version replaces `older`'s.
-fn merge_walk<'a>(newer: &'a impl Part, older: &'a Run, mut push: impl FnMut(EntryRef<'a>)) {
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let order = match (i < newer.len(), j < older.len()) {
-            (true, true) => newer.key(i).cmp(older.key(j)),
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => break,
-        };
-        push(if order == Ordering::Greater {
-            j += 1;
-            older.entry(j - 1)
-        } else {
-            j += usize::from(order == Ordering::Equal);
-            i += 1;
-            newer.entry(i - 1)
-        });
-    }
-}
-
-/// [`merge_walk`] into a new run, in one [`RunBuilder::collect`] pass.
-/// Allocates the run's bytes and offsets and nothing else.
-fn merge(newer: &impl Part, older: &Run) -> Run {
-    RunBuilder::collect(|push| merge_walk(newer, older, |(k, v)| push(k, v)))
+/// `newer` (the buffer or the young run) merged over `older` into a new
+/// run, written in one pass into a buffer bounded by the two parts' sizes
+/// ([`Run::collect`]). Allocates the run's bytes and offsets and nothing
+/// else.
+fn merge(newer: Walk<'_>, older: &Run) -> Run {
+    let (n, k, v) = match &newer {
+        Walk::Buffer(buffer, _) => buffer.sizes(),
+        Walk::Run(run, _) => run.sizes(),
+    };
+    let (m, l, w) = older.sizes();
+    Run::collect((n + m, k + l, v + w), newest_wins([Head::new(newer), Head::new(Walk::run(older))]))
 }
 
 /// Every entry of the runs [`MemTable::seal`] returns, the newest version
-/// of each key, in key order: what a flush writes, walked in place rather
-/// than merged into one more copy of the MemTable.
-pub(crate) fn entries([young, stage]: &[Arc<Run>; 2]) -> Vec<EntryRef<'_>> {
-    let mut out = Vec::with_capacity(young.len() + stage.len());
-    merge_walk(&**young, stage, |e| out.push(e));
-    out
+/// of each key, in key order: what a flush writes, streamed out of the
+/// runs rather than merged into one more copy of the MemTable.
+pub(crate) fn flushed([young, stage]: &[Arc<Run>; 2]) -> impl Iterator<Item = EntryRef<'_>> {
+    newest_wins([Head::new(Walk::run(young)), Head::new(Walk::run(stage))])
 }
 
 /// The MemTable. See the module docs.
@@ -213,18 +202,18 @@ impl MemTable {
         let older = if young.len() < YOUNG_KEYS {
             &**young
         } else {
-            *stage = Arc::new(merge(&**young, stage));
+            *stage = Arc::new(merge(Walk::run(young), stage));
             &empty
         };
-        *young = Arc::new(merge(&self.buffer, older));
+        *young = Arc::new(merge(Walk::Buffer(&self.buffer, 0..self.buffer.len()), older));
         self.buffer.clear();
     }
 
     /// Merges the buffer into a new young run, whatever the young run's
-    /// size, and returns both runs: what a flush walks ([`entries`]).
+    /// size, and returns both runs: what a flush writes ([`flushed`]).
     pub(crate) fn seal(&mut self) -> [Arc<Run>; 2] {
         if self.buffer.len() > 0 {
-            self.runs[0] = Arc::new(merge(&self.buffer, &self.runs[0]));
+            self.runs[0] = Arc::new(merge(Walk::Buffer(&self.buffer, 0..self.buffer.len()), &self.runs[0]));
             self.buffer.clear();
         }
         self.runs.clone()
@@ -239,13 +228,10 @@ impl MemTable {
     /// `[min, max]` of the buffered keys, tombstones included (a buffered
     /// delete is newer data too): the first and last keys of the parts.
     pub(crate) fn range(&self) -> Option<(Vec<u8>, Vec<u8>)> {
-        fn ends(part: &dyn Part) -> Option<(&[u8], &[u8])> {
-            let last = part.len().checked_sub(1)?;
-            Some((part.key(0), part.key(last)))
-        }
-        let parts: [&dyn Part; 3] = [&self.buffer, &*self.runs[0], &*self.runs[1]];
-        let (lo, hi) =
-            parts.into_iter().filter_map(ends).reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))?;
+        let b = &self.buffer;
+        let buffered = b.len().checked_sub(1).map(|last| (b.key(0), b.key(last)));
+        let runs = self.runs.iter().filter_map(|r| r.len().checked_sub(1).map(|last| (r.key(0), r.key(last))));
+        let (lo, hi) = buffered.into_iter().chain(runs).reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))?;
         Some((lo.to_vec(), hi.to_vec()))
     }
 
@@ -281,7 +267,7 @@ mod tests {
     /// Everything into the stage, the way tests set a MemTable up.
     fn merge_all(mem: &mut MemTable) {
         let [young, stage] = mem.seal();
-        mem.runs = [Arc::default(), Arc::new(merge(&*young, &stage))];
+        mem.runs = [Arc::default(), Arc::new(merge(Walk::run(&young), &stage))];
     }
 
     /// Every read of `mem` against `model`: point reads of every model key
@@ -296,7 +282,7 @@ mod tests {
         let runs = mem.freeze().seal();
         let want: Vec<EntryRef<'_>> =
             model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())).collect();
-        check_eq!(entries(&runs), want);
+        check_eq!(flushed(&runs).collect::<Vec<_>>(), want);
         let ends = model.keys().next().zip(model.keys().next_back());
         check_eq!(mem.range(), ends.map(|(lo, hi)| (lo.clone(), hi.clone())));
         Ok(())
@@ -461,7 +447,7 @@ mod tests {
         }
         assert!(!Arc::ptr_eq(&mem.runs[1], &frozen.runs[1]), "young run merged");
         // What a flush does: seal, write the runs out, drop them.
-        assert_eq!(entries(&mem.seal()).len(), 3 + YOUNG_KEYS + BUFFER_KEYS);
+        assert_eq!(flushed(&mem.seal()).count(), 3 + YOUNG_KEYS + BUFFER_KEYS);
         mem.runs = Default::default();
         mem.insert(b"buffered", Some(b"after the flush"));
         mem.insert(b"young", None);
@@ -553,7 +539,7 @@ mod tests {
             bytes += b;
             big += usize::from(b > (YOUNG_KEYS + BUFFER_KEYS) * entry);
         }
-        assert_eq!(entries(&mem.seal()).len(), n);
+        assert_eq!(flushed(&mem.seal()).count(), n);
         let per_byte = bytes as f64 / (n * (16 + value.len())) as f64;
         assert!(per_byte < 8.0, "{per_byte:.2} bytes allocated per byte inserted");
         assert!(big <= n.div_ceil(YOUNG_KEYS), "{big} inserts copied more than a young run");

@@ -11,9 +11,9 @@
 //!   it. Both buffers outlive the block they hold: once the cache evicts a
 //!   block no reader holds, the next miss refills the same run (see
 //!   [`crate::cache`]), so a steady-state block miss allocates nothing;
-//! * the MemTable's **young run** and **static stage** — [`RunBuilder`]
-//!   merges the write buffer into the young run and the young run into
-//!   the stage, each in one exactly sized buffer.
+//! * the MemTable's **young run** and **static stage** — [`Run::collect`]
+//!   writes the merge of the write buffer into the young run, and of the
+//!   young run into the stage, each in one pass into one buffer.
 //!
 //! Readers only ever see entries through [`Run::entry`] /
 //! [`Run::iter`], which hand out borrowed `(&[u8], Option<&[u8]>)` pairs,
@@ -25,7 +25,7 @@
 //! the CRC frame from [`crate::wal`]. Flags bit 0 marks a delete tombstone
 //! (which must carry an empty value). Keys are strictly ascending.
 
-use crate::wal::{decode_single_ref, encode_single, FRAME_HEADER};
+use crate::wal::{decode_single_ref, seal_frame, FRAME_HEADER};
 use memtree_common::error::{MemtreeError, Result};
 use std::cmp::Ordering;
 
@@ -172,30 +172,33 @@ impl Run {
     }
 
     /// Serializes sorted `entries` into one block frame (see the module
-    /// docs for the encoding). A key or value longer than
-    /// [`MAX_ENTRY_BYTES`] is a typed [`MemtreeError::Allocation`], never a
-    /// silently truncated length.
-    pub(crate) fn encode_frame(entries: &[EntryRef<'_>]) -> Result<Box<[u8]>> {
+    /// docs for the encoding), written into `frame`, which is cleared
+    /// first: a table build encodes every block in one buffer. A key or
+    /// value longer than [`MAX_ENTRY_BYTES`] is a typed
+    /// [`MemtreeError::Allocation`], never a silently truncated length.
+    pub(crate) fn encode_frame(entries: &[EntryRef<'_>], frame: &mut Vec<u8>) -> Result<()> {
         let len16 = |bytes: &[u8]| {
             u16::try_from(bytes.len()).map_err(|_| MemtreeError::Allocation { bytes: bytes.len() })
         };
         let n = u32::try_from(entries.len()).map_err(|_| MemtreeError::Allocation {
             bytes: entries.len(),
         })?;
-        let mut out = Vec::new();
-        out.extend_from_slice(&n.to_le_bytes());
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        frame.extend_from_slice(&n.to_le_bytes());
         for &(k, v) in entries {
-            out.extend_from_slice(&len16(k)?.to_le_bytes());
-            out.extend_from_slice(&len16(v.unwrap_or_default())?.to_le_bytes());
-            out.push(u8::from(v.is_none()));
+            frame.extend_from_slice(&len16(k)?.to_le_bytes());
+            frame.extend_from_slice(&len16(v.unwrap_or_default())?.to_le_bytes());
+            frame.push(u8::from(v.is_none()));
         }
         for (k, _) in entries {
-            out.extend_from_slice(k);
+            frame.extend_from_slice(k);
         }
         for v in entries.iter().filter_map(|(_, v)| *v) {
-            out.extend_from_slice(v);
+            frame.extend_from_slice(v);
         }
-        Ok(encode_single(&out).into_boxed_slice())
+        seal_frame(frame, 0);
+        Ok(())
     }
 
     /// The validated block frame this run was built over, byte for byte as
@@ -255,89 +258,51 @@ impl Run {
     pub(crate) fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
         (0..self.len()).map(|i| self.entry(i))
     }
-}
 
-/// Builds a [`Run`] in memory from entries pushed in ascending key order.
-/// The caller states the run's exact size first, so the run is written
-/// straight into its final buffer: two allocations (bytes, offsets), none
-/// regrown, shrunk or thrown away, whatever the run's size.
-#[derive(Debug)]
-pub(crate) struct RunBuilder {
-    /// The run's buffer at its final length: keys fill it from the front,
-    /// values from `key_bytes` on.
-    buf: Vec<u8>,
-    /// Where the next key and the next value go.
-    next: (usize, usize),
-    /// Where the keys end and the values start.
-    key_bytes: usize,
-    offs: Vec<(u32, u32)>,
-}
+    /// `(entries, key bytes, value bytes)` of a run built in memory.
+    pub(crate) fn sizes(&self) -> (usize, usize, usize) {
+        match (self.offs.first(), self.offs.last()) {
+            (Some(&(k0, v0)), Some(&(k, v))) => (self.len(), (k - k0) as usize, (v - (v0 & !TOMBSTONE)) as usize),
+            _ => (0, 0, 0),
+        }
+    }
 
-impl RunBuilder {
-    /// A builder for exactly `entries` entries whose keys total
-    /// `key_bytes` and whose values total `value_bytes`.
-    pub(crate) fn sized(entries: usize, key_bytes: usize, value_bytes: usize) -> Self {
+    /// A run in memory of `entries`, in strictly ascending key order, at
+    /// most `sizes.0` of them, whose keys total at most `sizes.1` bytes and
+    /// values at most `sizes.2`. One pass writes each entry straight into
+    /// the run's buffer — keys from the front, values from `sizes.1` on —
+    /// which is then cut at the last value: two allocations (bytes,
+    /// offsets), never regrown, and shrunk in place only when fewer bytes
+    /// came than the bounds allow (a merge whose newer part shadowed
+    /// entries of the older one); the shadowed keys' bytes stay unused
+    /// between the keys and the values.
+    pub(crate) fn collect<'a>(
+        (n, key_bytes, value_bytes): (usize, usize, usize),
+        entries: impl Iterator<Item = EntryRef<'a>>,
+    ) -> Run {
         // Checks the far end once; every offset stored below is smaller.
         offset(key_bytes + value_bytes).expect("an in-memory run stays under 2 GiB");
-        Self {
-            buf: vec![0; key_bytes + value_bytes],
-            next: (0, key_bytes),
-            key_bytes,
-            offs: Vec::with_capacity(entries + 1),
+        let mut buf = vec![0; key_bytes + value_bytes];
+        let mut offs: Vec<(u32, u32)> = Vec::with_capacity(n + 1);
+        let (mut k, mut v) = (0, key_bytes);
+        for (key, value) in entries {
+            debug_assert!(
+                offs.last().is_none_or(|&(last, _)| &buf[last as usize..k] < key),
+                "keys must ascend strictly"
+            );
+            let tombstone = if value.is_none() { TOMBSTONE } else { 0 };
+            let value = value.unwrap_or_default();
+            offs.push((k as u32, v as u32 | tombstone));
+            buf[k..k + key.len()].copy_from_slice(key);
+            buf[v..v + value.len()].copy_from_slice(value);
+            (k, v) = (k + key.len(), v + value.len());
         }
-    }
-
-    /// The run of the entries `visit` hands its argument, which it must do
-    /// twice over, identically: a sizing pass, then the copying pass.
-    pub(crate) fn collect(visit: impl Fn(&mut dyn FnMut(&[u8], Option<&[u8]>))) -> Run {
-        let (mut entries, mut key_bytes, mut value_bytes) = (0, 0, 0);
-        visit(&mut |k, v| {
-            entries += 1;
-            key_bytes += k.len();
-            value_bytes += v.map_or(0, <[u8]>::len);
-        });
-        let mut run = Self::sized(entries, key_bytes, value_bytes);
-        visit(&mut |k, v| run.push(k, v));
-        run.finish()
-    }
-
-    /// Appends an entry; `key` must be greater than every key pushed so
-    /// far, and the entry must fit the sizes the builder was given.
-    pub(crate) fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
-        let (k, v) = self.next;
-        debug_assert!(
-            self.offs
-                .last()
-                .is_none_or(|&(last, _)| &self.buf[last as usize..k] < key),
-            "keys must be pushed in strictly ascending order"
-        );
-        assert!(
-            k + key.len() <= self.key_bytes,
-            "more key bytes than sized for"
-        );
-        let value_bytes = value.unwrap_or_default();
-        let tombstone = if value.is_none() { TOMBSTONE } else { 0 };
-        self.offs.push((k as u32, v as u32 | tombstone));
-        self.buf[k..k + key.len()].copy_from_slice(key);
-        self.buf[v..v + value_bytes.len()].copy_from_slice(value_bytes);
-        self.next = (k + key.len(), v + value_bytes.len());
-    }
-
-    /// Seals the run. Everything the builder was sized for must have been
-    /// pushed.
-    pub(crate) fn finish(mut self) -> Run {
-        assert_eq!(
-            self.next,
-            (self.key_bytes, self.buf.len()),
-            "fewer bytes pushed than sized for"
-        );
-        self.offs
-            .push((self.key_bytes as u32, self.buf.len() as u32));
-        Run {
-            buf: self.buf,
-            offs: self.offs,
-            framed: false,
-        }
+        assert!(k <= key_bytes, "more key bytes than bounded");
+        offs.push((k as u32, v as u32));
+        buf.truncate(v);
+        buf.shrink_to_fit();
+        offs.shrink_to_fit();
+        Run { buf, offs, framed: false }
     }
 }
 
@@ -346,9 +311,17 @@ mod tests {
     use super::*;
     use memtree_alloc_probe::measure as measure_allocs;
     use memtree_common::check::{prop_check, Gen};
+    use crate::wal::encode_single;
     use memtree_common::{check, check_eq};
 
     type Owned = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// The block frame of `entries`, in a buffer of its own.
+    fn encoded(entries: &[EntryRef<'_>]) -> Result<Vec<u8>> {
+        let mut frame = Vec::new();
+        Run::encode_frame(entries, &mut frame)?;
+        Ok(frame)
+    }
 
     fn refs(model: &Owned) -> Vec<EntryRef<'_>> {
         model
@@ -384,7 +357,8 @@ mod tests {
     }
 
     fn built(model: &Owned) -> Run {
-        RunBuilder::collect(|push| model.iter().for_each(|(k, v)| push(k, v.as_deref())))
+        let (key_bytes, value_bytes) = sizes(model);
+        Run::collect((model.len(), key_bytes, value_bytes), model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())))
     }
 
     /// Every accessor of `run` against the `Vec` model.
@@ -417,8 +391,8 @@ mod tests {
             let model = sorted_entries(g, 40);
             agrees(&built(&model), &model, g)?;
             check!(built(&model).frame().is_none());
-            let frame = Run::encode_frame(&refs(&model)).map_err(|e| e.to_string())?;
-            let run = Run::from_frame(frame.to_vec()).map_err(|e| e.to_string())?;
+            let frame = encoded(&refs(&model)).map_err(|e| e.to_string())?;
+            let run = Run::from_frame(frame.clone()).map_err(|e| e.to_string())?;
             agrees(&run, &model, g)?;
             check_eq!(
                 run.frame(),
@@ -438,9 +412,7 @@ mod tests {
     fn from_frame_allocates_only_the_offset_table() {
         prop_check("from_frame_allocations", 50, |g| {
             let model = sorted_entries(g, 60);
-            let frame = Run::encode_frame(&refs(&model))
-                .map_err(|e| e.to_string())?
-                .into_vec();
+            let frame = encoded(&refs(&model)).map_err(|e| e.to_string())?;
             let (run, count, largest) = measure_allocs(|| Run::from_frame(frame));
             check!(run.is_ok());
             check_eq!(count, 1, "the offset table is the only allocation");
@@ -468,8 +440,8 @@ mod tests {
     fn refill_reuses_both_buffers_and_fails_empty() {
         prop_check("refill_reuse", 50, |g| {
             let (a, b) = (sorted_entries(g, 60), sorted_entries(g, 60));
-            let frame_a = Run::encode_frame(&refs(&a)).map_err(|e| e.to_string())?;
-            let frame_b = Run::encode_frame(&refs(&b)).map_err(|e| e.to_string())?;
+            let frame_a = encoded(&refs(&a)).map_err(|e| e.to_string())?;
+            let frame_b = encoded(&refs(&b)).map_err(|e| e.to_string())?;
             let mut run = Run::default();
             // Grow both buffers to fit either block.
             for frame in [&frame_a, &frame_b, &frame_a] {
@@ -500,7 +472,7 @@ mod tests {
         });
     }
 
-    /// The builder makes two allocations — the run's bytes and its offset
+    /// `Run::collect` makes two allocations — the run's bytes and its offset
     /// table, each at its final size — however many entries it takes.
     #[test]
     fn builder_allocates_the_run_and_nothing_else() {
@@ -531,7 +503,7 @@ mod tests {
                 break m;
             }
         };
-        let frame = Run::encode_frame(&refs(&model)).unwrap();
+        let frame = encoded(&refs(&model)).unwrap();
         let check_one = |bytes: Vec<u8>, what: String| {
             // Room for the offset table, or for an error's detail string.
             let cap = 2 * bytes.len() + 64;
@@ -626,15 +598,15 @@ mod tests {
         let exact = vec![7u8; MAX_ENTRY_BYTES];
         for (k, v) in [(&long[..], Some(&b"v"[..])), (&b"k"[..], Some(&long[..]))] {
             assert_eq!(
-                Run::encode_frame(&[(k, v)]),
+                encoded(&[(k, v)]),
                 Err(MemtreeError::Allocation {
                     bytes: MAX_ENTRY_BYTES + 1
                 })
             );
         }
         // The limit itself round-trips.
-        let frame = Run::encode_frame(&[(&exact, Some(&exact))]).unwrap();
-        let run = Run::from_frame(frame.into_vec()).unwrap();
+        let frame = encoded(&[(&exact, Some(&exact))]).unwrap();
+        let run = Run::from_frame(frame).unwrap();
         assert_eq!(run.entry(0), (&exact[..], Some(&exact[..])));
     }
 }

@@ -10,13 +10,14 @@
 //! key. A separator is therefore only a lower bound on its block's first
 //! key; block 0's is the table's full min key.
 //!
-//! Since the durability PR, every data block is wrapped in the CRC frame
-//! from [`crate::wal`]: a torn or bit-flipped block fails validation as a
-//! typed [`MemtreeError`] instead of decoding into garbage, and the DB's
-//! read path decides whether to retry (read repair) or quarantine.
-//! Tables can also be reconstructed from manifest [`TableMeta`] records
-//! without touching data blocks; filters are rebuilt separately because
-//! they live only in memory.
+//! Every data block is wrapped in the CRC frame from [`crate::wal`]: a
+//! torn or bit-flipped block fails validation as a typed [`MemtreeError`]
+//! instead of decoding into garbage, and the DB's read path decides
+//! whether to retry (read repair) or quarantine. A table is reconstructed
+//! from its manifest [`TableMeta`] record without touching data blocks;
+//! its filter is persisted as an image in a block of its own and loaded
+//! from there, or rebuilt from the data blocks when the image is missing
+//! or unreadable.
 
 use crate::db::FilterKind;
 use crate::disk::SimDisk;
@@ -30,6 +31,7 @@ use memtree_faults::{fail_point, Backoff};
 use memtree_filters::BloomFilter;
 use memtree_succinct::PackedBits;
 use memtree_surf::{SuffixConfig, Surf, SurfMemStats};
+use std::sync::Arc;
 
 /// Filter-image format version (first payload byte inside the CRC frame).
 /// An image of any other version fails to decode, and `Db::open` rebuilds
@@ -230,11 +232,10 @@ pub struct SsTable {
     pub(crate) index: BlockIndex,
     pub(crate) max_key: Vec<u8>,
     pub(crate) filter: Option<TableFilter>,
-    /// Disk block holding the serialized filter image, when one was
-    /// written at build time. Persisted in the manifest so recovery can
-    /// load the filter with one block read instead of re-reading every
-    /// data block; `None` for filterless tables and tables written before
-    /// the image format existed.
+    /// Disk block holding the serialized filter image. Persisted in the
+    /// manifest so recovery can load the filter with one block read
+    /// instead of re-reading every data block; `None` for a table built
+    /// without a filter.
     pub(crate) filter_block: Option<u32>,
     pub(crate) num_entries: usize,
     /// Entries that are delete tombstones (`num_tombstones <=
@@ -247,82 +248,80 @@ impl SsTable {
     /// Serializes sorted `entries` (tombstones included) into blocks of
     /// ~`block_size` bytes, builds the configured filter, and writes
     /// everything to `disk`'s write buffer (the caller syncs before
-    /// publishing the table). The data blocks take one extent, block `i`
-    /// at id `base + i`, so the block index stores no id. On any error —
-    /// injected block-write fault, disk write fault, or `Enospc` — the
-    /// whole extent is released before the error propagates, so a failed
-    /// build leaves no orphaned allocations and is safely retryable.
-    pub(crate) fn build(
+    /// publishing the table). One pass over `entries` cuts and encodes
+    /// each block as its entries arrive and keeps only what the filter
+    /// and the table's statistics need; once the block count is known the
+    /// blocks take one extent, block `i` at id `base + i`, so the block
+    /// index stores no id. On any error — injected block-write fault,
+    /// disk write fault, or `Enospc` — the whole extent is released
+    /// before the error propagates, so a failed build leaves no orphaned
+    /// allocations and is safely retryable.
+    pub(crate) fn build<'a>(
         id: u64,
         disk: &SimDisk,
-        entries: &[EntryRef<'_>],
+        entries: impl IntoIterator<Item = EntryRef<'a>>,
         block_size: usize,
         filter: &FilterKind,
     ) -> Result<Self> {
-        assert!(!entries.is_empty());
-        let entry_bytes = |e: &EntryRef<'_>| e.0.len() + e.1.map_or(0, <[u8]>::len) + 5;
-        // Block `i` holds `entries[starts[i]..starts[i + 1]]`.
-        let mut starts = Vec::new();
-        let (mut start, mut bytes) = (0usize, 0usize);
-        for (i, e) in entries.iter().enumerate() {
-            if i == start || bytes + entry_bytes(e) <= block_size {
-                bytes += entry_bytes(e);
-            } else {
-                starts.push(start);
-                (start, bytes) = (i, entry_bytes(e));
+        let entry_bytes = |(k, v): EntryRef<'_>| k.len() + v.map_or(0, <[u8]>::len) + 5;
+        // Each block's separator and frame, the entries of the block being
+        // cut, and every key: the filter indexes tombstones too, since a
+        // tombstone must be *found* by reads to shadow older versions.
+        let (mut fences, mut frames, mut block, mut keys) = (vec![], vec![], vec![], vec![]);
+        let (mut bytes, mut num_tombstones) = (0usize, 0usize);
+        // Each frame is encoded in `scratch` and copied once, into the
+        // block the device keeps.
+        let mut scratch = Vec::new();
+        let mut encode = |block: &mut Vec<EntryRef<'a>>| -> Result<Arc<[u8]>> {
+            Run::encode_frame(block, &mut scratch)?;
+            block.clear();
+            Ok(Arc::from(&scratch[..]))
+        };
+        for e in entries {
+            if block.is_empty() || bytes + entry_bytes(e) > block_size {
+                if !block.is_empty() {
+                    frames.push(encode(&mut block)?);
+                }
+                fences.push(keys.last().map_or(e.0, |&last| separator(last, e.0)));
+                bytes = 0;
             }
+            bytes += entry_bytes(e);
+            block.push(e);
+            keys.push(e.0);
+            num_tombstones += usize::from(e.1.is_none());
         }
-        starts.push(start);
-        starts.push(entries.len());
-        let blocks = starts.len() - 1;
-        let base = disk.reserve(blocks);
+        assert!(!block.is_empty(), "a table holds at least one entry");
+        frames.push(encode(&mut block)?);
+        let n = frames.len();
+        let base = disk.reserve(n);
         let mut index = BlockIndexBuilder::default();
-        let mut write_blocks = || -> Result<()> {
-            for (i, w) in starts.windows(2).enumerate() {
+        let built = Self::build_filter(&keys, filter);
+        let written = (|| -> Result<Option<u32>> {
+            for (i, (fence, frame)) in fences.into_iter().zip(frames).enumerate() {
                 fail_point!(disk.faults(), "lsm.table.block_write");
                 let block = base + i as u32;
-                disk.write_at(block, Run::encode_frame(&entries[w[0]..w[1]])?)?;
-                let fence = match w[0].checked_sub(1) {
-                    None => entries[0].0,
-                    Some(prev) => separator(entries[prev].0, entries[w[0]].0),
-                };
+                disk.write_at(block, frame)?;
                 index.push(fence, block);
             }
-            Ok(())
-        };
-        if let Err(e) = write_blocks() {
-            let _ = disk.release_extent(base, blocks);
-            return Err(e);
-        }
-        // The filter indexes every key, tombstones included: a tombstone
-        // must be *found* by reads so it can shadow older versions below.
-        let keys: Vec<&[u8]> = entries.iter().map(|&(k, _)| k).collect();
-        let built = Self::build_filter(&keys, filter);
-        // Persist the filter as its own block so reopen can load it with
-        // one read. A failed image write unwinds the whole build — same
-        // retryability contract as a failed data-block write.
-        let filter_block = match &built {
-            Some(f) => match disk.write(Self::encode_filter_image(f)) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    let _ = disk.release_extent(base, blocks);
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
+            // The filter image takes a block of its own, so reopen loads
+            // the filter with one read; it fails the build like a block.
+            built.as_ref().map(|f| disk.write(Self::encode_filter_image(f))).transpose()
+        })();
+        let filter_block = written.inspect_err(|_| {
+            let _ = disk.release_extent(base, n);
+        })?;
         Ok(Self {
             id,
             index: index.finish(),
-            max_key: entries[entries.len() - 1].0.to_vec(),
+            max_key: keys[keys.len() - 1].to_vec(),
             filter: built,
             filter_block,
-            num_entries: entries.len(),
-            num_tombstones: entries.iter().filter(|(_, v)| v.is_none()).count(),
+            num_entries: keys.len(),
+            num_tombstones,
         })
     }
 
-    fn build_filter(keys: &[&[u8]], filter: &FilterKind) -> Option<TableFilter> {
+    pub(crate) fn build_filter(keys: &[&[u8]], filter: &FilterKind) -> Option<TableFilter> {
         match filter {
             FilterKind::None => None,
             FilterKind::Bloom(bpk) => Some(TableFilter::Bloom(BloomFilter::new(keys, *bpk))),
@@ -592,7 +591,7 @@ mod tests {
             let disk = SimDisk::new(Duration::ZERO);
             disk.faults().enable(seed);
             disk.faults().arm("lsm.disk.write_fault", 0.2, Some(1));
-            match SsTable::build(1, &disk, &e, 1024, &FilterKind::None) {
+            match SsTable::build(1, &disk, e.iter().copied(), 1024, &FilterKind::None) {
                 Err(_) => assert_eq!(
                     disk.live_blocks(),
                     0,
@@ -605,7 +604,7 @@ mod tests {
         // ENOSPC path: capacity admits some blocks but not all.
         let disk = SimDisk::new(Duration::ZERO);
         disk.set_capacity_bytes(Some(4096));
-        match SsTable::build(3, &disk, &e, 1024, &FilterKind::None) {
+        match SsTable::build(3, &disk, e.iter().copied(), 1024, &FilterKind::None) {
             Err(MemtreeError::Enospc { .. }) => {}
             other => panic!("expected Enospc, got {other:?}"),
         }
@@ -618,7 +617,7 @@ mod tests {
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(1000);
         let e = refs(&owned);
-        let t = SsTable::build(1, &disk, &e, 4096, &FilterKind::Bloom(10.0)).unwrap();
+        let t = SsTable::build(1, &disk, e.iter().copied(), 4096, &FilterKind::Bloom(10.0)).unwrap();
         assert!(t.index.len() > 5, "should span multiple blocks");
         assert_eq!(t.len(), 1000);
         // Candidate block actually contains the key.
@@ -678,7 +677,7 @@ mod tests {
         let keys: Vec<&[u8]> = e.iter().map(|&(k, _)| k).collect();
         for kind in [FilterKind::None, FilterKind::Bloom(10.0), FilterKind::SurfReal(8)] {
             let disk = SimDisk::new(Duration::ZERO);
-            let built = SsTable::build(1, &disk, &e, 4096, &kind).unwrap();
+            let built = SsTable::build(1, &disk, e.iter().copied(), 4096, &kind).unwrap();
             let mut reopened = SsTable::from_meta(built.meta(0));
             reopened.attach_filter(&keys, &kind);
             assert_eq!(built.mem_stats(), reopened.mem_stats(), "{kind:?}: built vs reopened");
@@ -714,7 +713,7 @@ mod tests {
         let keys = memtree_workload::keys::sorted_unique(keys);
         let owned: Vec<_> = keys.into_iter().map(|k| (k, Some(vec![0x5a; 100]))).collect();
         let disk = SimDisk::new(Duration::ZERO);
-        let table = SsTable::build(1, &disk, &refs(&owned), 4096, &FilterKind::SurfReal(8)).unwrap();
+        let table = SsTable::build(1, &disk, refs(&owned), 4096, &FilterKind::SurfReal(8)).unwrap();
         let index = &table.index;
         let n = index.len();
         assert!(n > 400, "{n} blocks");
@@ -748,7 +747,7 @@ mod tests {
     fn a_table_with_scattered_block_ids_reopens_them_exactly() {
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(500);
-        let built = SsTable::build(7, &disk, &refs(&owned), 1024, &FilterKind::None).unwrap();
+        let built = SsTable::build(7, &disk, refs(&owned), 1024, &FilterKind::None).unwrap();
         let mut meta = built.meta(1);
         let n = meta.blocks.len();
         assert!(n > 8, "{n} blocks");
@@ -777,7 +776,7 @@ mod tests {
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(500);
         let e = refs(&owned);
-        let t = SsTable::build(7, &disk, &e, 1024, &FilterKind::None).unwrap();
+        let t = SsTable::build(7, &disk, e.iter().copied(), 1024, &FilterKind::None).unwrap();
         let r = SsTable::from_meta(t.meta(2));
         assert_eq!(r.id, t.id);
         assert_eq!(r.index, t.index);
@@ -804,7 +803,7 @@ mod tests {
             FilterKind::SurfReal(4),
             FilterKind::SurfMixed(4, 4),
         ] {
-            let t = SsTable::build(1, &disk, &e, 2048, &kind).unwrap();
+            let t = SsTable::build(1, &disk, e.iter().copied(), 2048, &kind).unwrap();
             let fb = t.filter_block.expect("filtered build writes an image block");
             let raw = disk.read(fb).unwrap();
             // An image holds the filter's data but no rank/select support,
@@ -842,7 +841,7 @@ mod tests {
         let owned = entries(400);
         let e = refs(&owned);
         for kind in [FilterKind::Bloom(12.0), FilterKind::SurfReal(4)] {
-            let t = SsTable::build(1, &disk, &e, 2048, &kind).unwrap();
+            let t = SsTable::build(1, &disk, e.iter().copied(), 2048, &kind).unwrap();
             let raw = disk.read(t.filter_block.unwrap()).unwrap();
             let payload = decode_single_ref(&raw, "t").unwrap();
             // Re-frame progressively shorter payload prefixes: the CRC
@@ -865,7 +864,7 @@ mod tests {
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(300);
         let e = refs(&owned);
-        let t = SsTable::build(1, &disk, &e, 2048, &FilterKind::Bloom(10.0)).unwrap();
+        let t = SsTable::build(1, &disk, e.iter().copied(), 2048, &FilterKind::Bloom(10.0)).unwrap();
         let mut r = SsTable::from_meta(t.meta(1));
         // A Surf configuration must not adopt the persisted Bloom image.
         assert!(!r.load_persisted_filter(&disk, &FilterKind::SurfReal(4)).unwrap());
@@ -882,7 +881,7 @@ mod tests {
         let disk = SimDisk::new(Duration::ZERO);
         let owned = entries(500);
         let e = refs(&owned);
-        let t = SsTable::build(2, &disk, &e, 4096, &FilterKind::SurfReal(4)).unwrap();
+        let t = SsTable::build(2, &disk, e.iter().copied(), 4096, &FilterKind::SurfReal(4)).unwrap();
         assert!(t.surf().is_some());
         assert!(t.covers(&memtree_common::key::encode_u64(300)));
         assert!(!t.covers(&memtree_common::key::encode_u64(4000)));

@@ -71,13 +71,23 @@ fn frame_crc(len: u32, seq: u64, payload: &[u8]) -> u32 {
 
 /// Encodes one `(seq, payload)` record as a CRC frame.
 pub(crate) fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&frame_crc(len, seq, payload).to_le_bytes());
+    out.resize(FRAME_HEADER, 0);
     out.extend_from_slice(payload);
+    seal_frame(&mut out, seq);
     out
+}
+
+/// Writes the header of the frame `frame` holds — [`FRAME_HEADER`]
+/// bytes, then the payload — for the record `(seq, payload)`, so a frame
+/// can be built in place around a payload written straight after the
+/// header.
+pub(crate) fn seal_frame(frame: &mut [u8], seq: u64) {
+    let len = (frame.len() - FRAME_HEADER) as u32;
+    let crc = frame_crc(len, seq, &frame[FRAME_HEADER..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..12].copy_from_slice(&seq.to_le_bytes());
+    frame[12..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Tries to parse a frame at `at`; `None` on any validation failure

@@ -56,11 +56,11 @@ RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test overload
 echo "== chaos soak, seeds 0..128, 4 test threads (caller-run writes under shard panics and fault storms, offline) =="
 MEMTREE_FAULT_SEEDS=0..128 RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-serve --test chaos_soak
 
-echo "== crash + scrub oracles + Db/DbSnapshot read-path differential (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
-cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle --test publish
+echo "== WAL frame sweep (offline) =="
+cargo test -q --offline -p memtree-lsm --test wal_frames
 
-echo "== Db/DbSnapshot read-path differential over seeds 0..64 (the range CI's four fault shards cover, offline) =="
-MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --test publish
+echo "== crash + scrub oracles + Db/DbSnapshot read-path differential over seeds 0..64 (the range CI's four fault shards cover; leveled+tiered by seed parity, offline) =="
+MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --test crash_oracle --test scrub_oracle --test publish
 
 echo "== cargo clippy --workspace --all-targets -D warnings (offline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
