@@ -5,7 +5,8 @@
 //! 1. **Kernels** — in-word select (scalar byte-stepping vs SWAR broadword
 //!    vs runtime-dispatched PDEP), `rank1` with the one-popcount `B = 64`
 //!    fast path vs `B = 512` blocks and with 16- vs 32-bit LUT entries,
-//!    byte-label search (scalar vs SWAR vs runtime-dispatched SSE2), the
+//!    byte-label search (scalar vs SWAR vs the dispatched form), multi-word
+//!    popcount (scalar vs runtime-dispatched `popcnt`), the
 //!    rank/select Pareto sweep (block size × sampling rate × entry
 //!    width), and select over sparse ones (sampled scan vs rank-block skip
 //!    vs rank binary search).
@@ -25,13 +26,14 @@
 
 use memtree_bench::harness::{best_of, kernel_meta, BenchArgs, Json};
 use memtree_bench::mops;
+use memtree_common::dispatch::{has, Feature};
 use memtree_common::hash::splitmix64;
 use memtree_common::traits::{StaticIndex, Value};
 use memtree_fst::{Fst, TrieOpts};
 use memtree_succinct::{
     find_byte, find_byte_scalar, find_byte_swar, popcount_words, popcount_words_scalar,
-    popcount_words_swar, select_in_word, select_in_word_scalar, select_in_word_swar, BitVector,
-    RankSupport, SelectSupport,
+    select_in_word, select_in_word_scalar, select_in_word_swar, BitVector, RankSupport,
+    SelectSupport,
 };
 use memtree_workload::keys;
 use std::sync::Arc;
@@ -94,7 +96,6 @@ fn crosscheck_kernels(words: &[u64], haystacks: &[Vec<u8>]) {
     for len in [0usize, 1, 2, 7, 8, 16, 31, 32, 64] {
         let w = &words[..len.min(words.len())];
         let expect = popcount_words_scalar(w);
-        assert_eq!(popcount_words_swar(w), expect, "swar popcount len={len}");
         assert_eq!(popcount_words(w), expect, "dispatch popcount len={len}");
     }
     println!("kernel cross-check passed ({} words, {} haystacks)", words.len(), haystacks.len());
@@ -217,7 +218,6 @@ fn bench_kernels(cfg: &Config, doc: &mut Json) {
         })
     };
     let pop_scalar = mops(pop_iters, run_pop(&popcount_words_scalar));
-    let pop_swar = mops(pop_iters, run_pop(&popcount_words_swar));
     let pop_dispatch = mops(pop_iters, run_pop(&popcount_words));
 
     println!("select_in_word   scalar {select_scalar:.0}  swar {select_swar:.0}  dispatch {select_dispatch:.0} Mops/s");
@@ -226,15 +226,16 @@ fn bench_kernels(cfg: &Config, doc: &mut Json) {
         println!("rank1 64 Ki bits B={block:<4} {bits}-bit entries {rate:.0} Mops/s");
     }
     println!("find_byte        scalar {find_scalar:.0}  swar {find_swar:.0}  dispatch {find_dispatch:.0} Mops/s");
-    println!("popcount_words8  scalar {pop_scalar:.0}  swar {pop_swar:.0}  dispatch {pop_dispatch:.0} Mops/s");
-    let tiers = |j: &mut Json, key: &str, scalar: f64, swar: f64, dispatch: f64| {
+    println!("popcount_words8  scalar {pop_scalar:.0}  dispatch {pop_dispatch:.0} Mops/s");
+    let tiers = |j: &mut Json, key: &str, rates: &[(&str, f64)]| {
         j.obj(key, |j| {
-            j.num("scalar", scalar, 1);
-            j.num("swar", swar, 1);
-            j.num("dispatch", dispatch, 1);
+            for &(tier, rate) in rates {
+                j.num(tier, rate, 1);
+            }
         });
     };
-    tiers(doc, "select_in_word", select_scalar, select_swar, select_dispatch);
+    let select = [("scalar", select_scalar), ("swar", select_swar), ("dispatch", select_dispatch)];
+    tiers(doc, "select_in_word", &select);
     doc.obj("rank1", |j| {
         j.num("b512", rank_b512, 1);
         j.num("b64_fast_path", rank_b64, 1);
@@ -245,8 +246,9 @@ fn bench_kernels(cfg: &Config, doc: &mut Json) {
             j.num(&format!("b{block}_{bits}bit"), *rate, 1);
         }
     });
-    tiers(doc, "find_byte", find_scalar, find_swar, find_dispatch);
-    tiers(doc, "popcount_words8", pop_scalar, pop_swar, pop_dispatch);
+    let find = [("scalar", find_scalar), ("swar", find_swar), ("dispatch", find_dispatch)];
+    tiers(doc, "find_byte", &find);
+    tiers(doc, "popcount_words8", &[("scalar", pop_scalar), ("dispatch", pop_dispatch)]);
 }
 
 /// Inclusive rank by counting: the reference the rank rows check against.
@@ -614,6 +616,13 @@ fn main() {
         j.int("runs", cfg.runs);
         j.bool("smoke", cfg.smoke);
         kernel_meta(j);
+        // The tier each dispatched kernel resolved to in this process.
+        j.obj("dispatch", |j| {
+            j.str("select", if has(Feature::Bmi2) { "pdep" } else { "swar" });
+            j.str("popcount", if has(Feature::Popcnt) { "popcnt" } else { "scalar" });
+            j.str("find_byte", "swar");
+            j.str("crc", memtree_common::crc::active_kernel());
+        });
         j.str("note", "hot-path kernel ablations + FST batched lookup; all rates in Mops/s");
     });
     j.obj("kernels", |j| bench_kernels(&cfg, j));
@@ -656,7 +665,8 @@ fn main() {
     j.write_checked(
         &args.out,
         &[
-            "meta", "kernel_mode", "crc_kernel", "kernels", "popcount_words8",
+            "meta", "kernel_mode", "crc_kernel", "dispatch", "select", "popcount", "find_byte",
+            "crc", "kernels", "select_in_word", "popcount_words8",
             "rank_select_pareto", "block_bits", "sample", "rank_entry_bits", "bits_per_key",
             "mixed_mops", "rank1_entry_width",
             "fst_point_lookup", "fst_get_batch", "thread_scaling",

@@ -16,12 +16,15 @@
 //! 2. a scalar walk over the (usually empty) run of prefix ties, the only
 //!    entries whose full keys must be fetched and compared.
 //!
-//! Kernel tiers, all exported for the differential tests and the ablation
-//! bench: portable scalar, SSE2 (64-bit unsigned compare emulated from
-//! 32-bit signed compares), and AVX2 (`vpcmpgtq` after a sign flip).
-//! Runtime dispatch is cached per feature and honors the process-wide
-//! `MEMTREE_KERNELS` policy ([`memtree_common::dispatch`]), so `scalar`
-//! mode pins the portable form.
+//! Kernel tiers, all exported for the differential tests: portable
+//! scalar, SSE2 (64-bit unsigned compare emulated from 32-bit signed
+//! compares), and AVX2 (`vpcmpgtq` after a sign flip). AVX2 runs when
+//! [`memtree_common::dispatch::has`] grants it; SSE2, part of the `x86_64`
+//! baseline, runs when the policy allows hardware tiers at all, so
+//! `MEMTREE_KERNELS=scalar` pins the portable form.
+
+#[cfg(target_arch = "x86_64")]
+use memtree_common::dispatch::{hardware_allowed, has, Feature};
 
 /// Big-endian, zero-padded 8-byte prefix of `key`.
 ///
@@ -45,12 +48,12 @@ pub fn key_prefix8(key: &[u8]) -> u64 {
 pub fn count_lt_le(prefixes: &[u64], target: u64) -> (usize, usize) {
     #[cfg(target_arch = "x86_64")]
     {
-        if cpu::has_avx2() {
+        if has(Feature::Avx2) {
             // SAFETY: AVX2 presence was verified at runtime just above.
             return unsafe { count_lt_le_avx2_impl(prefixes, target) };
         }
-        if cpu::has_sse2() {
-            // SAFETY: SSE2 presence was verified at runtime just above.
+        if hardware_allowed() {
+            // SAFETY: SSE2 is part of the x86_64 baseline.
             return unsafe { count_lt_le_sse2_impl(prefixes, target) };
         }
     }
@@ -169,43 +172,6 @@ fn count_lt_le_avx2_impl(prefixes: &[u64], target: u64) -> (usize, usize) {
             i += 1;
         }
         (lt, le)
-    }
-}
-
-/// Cached runtime CPU-feature detection (same contract as the succinct
-/// crate's kernels: first call pays for `cpuid`, later calls are one
-/// relaxed atomic load, and the `MEMTREE_KERNELS` policy can pin scalar).
-#[cfg(target_arch = "x86_64")]
-mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const UNKNOWN: u8 = 0;
-    const ABSENT: u8 = 1;
-    const PRESENT: u8 = 2;
-
-    macro_rules! cached {
-        ($cache:ident, $feature:tt) => {{
-            static $cache: AtomicU8 = AtomicU8::new(UNKNOWN);
-            match $cache.load(Ordering::Relaxed) {
-                UNKNOWN => {
-                    let present = memtree_common::dispatch::hardware_allowed()
-                        && std::arch::is_x86_feature_detected!($feature);
-                    $cache.store(if present { PRESENT } else { ABSENT }, Ordering::Relaxed);
-                    present
-                }
-                state => state == PRESENT,
-            }
-        }};
-    }
-
-    #[inline]
-    pub(super) fn has_sse2() -> bool {
-        cached!(SSE2, "sse2")
-    }
-
-    #[inline]
-    pub(super) fn has_avx2() -> bool {
-        cached!(AVX2, "avx2")
     }
 }
 

@@ -13,13 +13,16 @@
 //!   slice-by-16 kernel (two independent 8-byte lanes per step), with a
 //!   byte-at-a-time tail.
 //!
-//! The tier is selected once per process: SSE4.2 is detected at runtime
-//! (cached), and `MEMTREE_KERNELS=scalar` (see [`crate::dispatch`]) pins
-//! the portable tier so CI can exercise it on any host. Both tiers are
-//! exported so differential tests can prove them byte-identical.
+//! The hardware tier runs when [`crate::dispatch::has`] grants SSE4.2, so
+//! `MEMTREE_KERNELS=scalar` pins the portable tier and CI exercises it on
+//! any host. Both tiers are exported so differential tests can prove them
+//! byte-identical, and [`active_kernel`] names the one that runs.
 //!
 //! CRC32C detects all single-bit errors and all burst errors up to 32 bits,
 //! which is exactly the corruption model of DESIGN.md's fault section.
+
+#[cfg(target_arch = "x86_64")]
+use crate::dispatch::{has, Feature};
 
 /// The reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -209,28 +212,11 @@ mod hw {
     }
 }
 
-/// Cached tier selection: hardware is used only when the CPU has SSE4.2
-/// *and* the [`crate::dispatch`] policy allows hardware tiers.
-#[cfg(target_arch = "x86_64")]
-fn hw_enabled() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let on = crate::dispatch::hardware_allowed()
-                && std::arch::is_x86_feature_detected!("sse4.2");
-            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        s => s == 2,
-    }
-}
-
 /// Name of the CRC tier the dispatcher selected for this process
 /// (`"sse4.2-3way"` or `"slicing16"`); recorded in benchmark metadata.
 pub fn active_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if hw_enabled() {
+    if has(Feature::Sse42) {
         return "sse4.2-3way";
     }
     "slicing16"
@@ -299,8 +285,8 @@ pub fn crc32c_update_hw(state: u32, data: &[u8]) -> Option<u32> {
 #[inline]
 pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if hw_enabled() {
-        // SAFETY: SSE4.2 presence was verified by the cached dispatch.
+    if has(Feature::Sse42) {
+        // SAFETY: SSE4.2 presence was verified by the dispatch check.
         return unsafe { hw::update(state, data) };
     }
     crc32c_update_slicing16(state, data)

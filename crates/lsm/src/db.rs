@@ -906,13 +906,12 @@ impl Db {
                 }
                 continue;
             }
+            // A hit saves a device read; a miss is not inserted, because
+            // the input retires with this step and `retire_table` would
+            // drop the block again, after it had evicted a live one.
             let d = match self.cache.get(table.id, b) {
                 Some(hit) => hit,
-                None => {
-                    let d = view.read_retrying(table, b, 4)?;
-                    self.cache.insert(table.id, b, Arc::clone(&d));
-                    d
-                }
+                None => view.read_retrying(table, b, 4)?,
             };
             out.push(d);
         }

@@ -1,27 +1,26 @@
 //! Hot-path bit and byte kernels (§3.6–3.7).
 //!
 //! The FST query path spends almost all of its time in three tiny loops:
-//! in-word select (the tail of every sampled select), in-word rank (the
-//! tail of every rank), and byte-label search over LOUDS-Sparse nodes.
-//! This module provides branch-free/word-parallel implementations of each,
-//! with a portable SWAR form and, on `x86_64`, a hardware form selected by
-//! cached runtime CPU-feature detection:
+//! in-word select (the tail of every sampled select), multi-word popcount
+//! (the block scan of every rank), and byte-label search over
+//! LOUDS-Sparse nodes. Each has one portable form; two have a hardware
+//! tier on `x86_64`, taken when [`memtree_common::dispatch::has`] grants
+//! its feature (so `MEMTREE_KERNELS=scalar` pins the portable form):
 //!
-//! * [`select_in_word`] — BMI2 `PDEP` when available, otherwise Vigna's
-//!   broadword select ([`select_in_word_swar`]). The byte-stepping loop the
-//!   repo started with survives as [`select_in_word_scalar`] for the
-//!   ablation harness.
-//! * [`find_byte`] — SSE2 16-lane compare+movemask when available,
-//!   otherwise the 8-byte SWAR zero-in-word trick ([`find_byte_swar`]);
-//!   short slices fall through to the plain loop ([`find_byte_scalar`]).
-//! * [`popcount_words`] — the block-scan inner loop of `rank1`/`rank1_excl`
-//!   for basic blocks wider than 64 bits: `popcnt` instruction when
-//!   available, SSE2 `psadbw` next, batched SWAR otherwise.
+//! * [`select_in_word`] — BMI2 `PDEP`, otherwise Vigna's broadword select
+//!   ([`select_in_word_swar`]). The byte-stepping loop the repo started
+//!   with survives as [`select_in_word_scalar`] for the ablation.
+//! * [`popcount_words`] — the `popcnt` instruction, otherwise one
+//!   `count_ones` per word ([`popcount_words_scalar`]).
+//! * [`find_byte`] — no hardware tier: the 8-byte SWAR zero-in-word trick
+//!   ([`find_byte_swar`]) from 8 labels up, the plain loop
+//!   ([`find_byte_scalar`]) below.
 //!
-//! All variants are exported so `bench_hotpath` can ablate scalar vs SWAR
-//! vs SIMD and the differential test suite can cross-check them. Dispatch
-//! honors the process-wide `MEMTREE_KERNELS` policy
-//! ([`memtree_common::dispatch`]): `scalar` pins every kernel portable.
+//! Every form is exported so `bench_hotpath` can ablate them and the
+//! differential tests can cross-check them.
+
+#[cfg(target_arch = "x86_64")]
+use memtree_common::dispatch::{has, Feature};
 
 /// `SELECT_IN_BYTE[(k << 8) | b]` = position of the `(k+1)`-th set bit of
 /// byte `b`, or 8 when `b` has at most `k` set bits.
@@ -52,50 +51,6 @@ const fn select_in_byte_table() -> [u8; 2048] {
     t
 }
 
-/// Cached runtime CPU-feature detection. The first call per feature pays
-/// for `cpuid`; every later call is one relaxed atomic load. A feature
-/// only tests "present" when the process-wide `MEMTREE_KERNELS` policy
-/// ([`memtree_common::dispatch`]) allows hardware tiers, so `scalar` mode
-/// pins every dispatched kernel to its portable form.
-#[cfg(target_arch = "x86_64")]
-mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const UNKNOWN: u8 = 0;
-    const ABSENT: u8 = 1;
-    const PRESENT: u8 = 2;
-
-    macro_rules! cached {
-        ($cache:ident, $feature:tt) => {{
-            static $cache: AtomicU8 = AtomicU8::new(UNKNOWN);
-            match $cache.load(Ordering::Relaxed) {
-                UNKNOWN => {
-                    let present = memtree_common::dispatch::hardware_allowed()
-                        && std::arch::is_x86_feature_detected!($feature);
-                    $cache.store(if present { PRESENT } else { ABSENT }, Ordering::Relaxed);
-                    present
-                }
-                state => state == PRESENT,
-            }
-        }};
-    }
-
-    #[inline]
-    pub(super) fn has_bmi2() -> bool {
-        cached!(BMI2, "bmi2")
-    }
-
-    #[inline]
-    pub(super) fn has_sse2() -> bool {
-        cached!(SSE2, "sse2")
-    }
-
-    #[inline]
-    pub(super) fn has_popcnt() -> bool {
-        cached!(POPCNT, "popcnt")
-    }
-}
-
 // ---------------------------------------------------------------------------
 // In-word select
 // ---------------------------------------------------------------------------
@@ -108,7 +63,7 @@ mod cpu {
 #[inline]
 pub fn select_in_word(word: u64, k: u32) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if cpu::has_bmi2() {
+    if has(Feature::Bmi2) {
         // SAFETY: BMI2 presence was verified at runtime just above.
         return unsafe { select_in_word_pdep(word, k) };
     }
@@ -196,65 +151,24 @@ pub fn select_in_word_scalar(word: u64, mut k: u32) -> u32 {
 /// Popcount of a word slice — the inner loop of every `rank1`/`rank1_excl`
 /// over basic blocks wider than 64 bits, and of rank-LUT construction.
 ///
-/// Dispatches (cached, policy-gated): `popcnt`-instruction tier when the
-/// CPU has it, SSE2 `psadbw` tier next, batched SWAR otherwise.
+/// Dispatches to the `popcnt`-instruction tier when the CPU has it,
+/// otherwise to one `count_ones` per word ([`popcount_words_scalar`]).
 #[inline]
 pub fn popcount_words(words: &[u64]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if cpu::has_popcnt() {
-            // SAFETY: POPCNT presence was verified at runtime just above.
-            return unsafe { popcount_words_popcnt_impl(words) };
-        }
-        if cpu::has_sse2() {
-            // SAFETY: SSE2 presence was verified at runtime just above.
-            return unsafe { popcount_words_sse2_impl(words) };
-        }
+    if has(Feature::Popcnt) {
+        // SAFETY: POPCNT presence was verified at runtime just above.
+        return unsafe { popcount_words_popcnt_impl(words) };
     }
-    popcount_words_swar(words)
+    popcount_words_scalar(words)
 }
 
-/// One `count_ones` per word — the scalar baseline for the ablation.
+/// One `count_ones` per word: the portable tier. Off `x86_64` it compiles
+/// to the target's native count instruction where there is one (`cnt` on
+/// ARM64).
 #[inline]
 pub fn popcount_words_scalar(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
-}
-
-/// Batched SWAR tier: each word is reduced to per-byte counts, up to 31
-/// words of byte counts are accumulated lane-wise (8 · 31 = 248 < 256, so
-/// no lane overflows), and one widening pairwise fold sums the lanes —
-/// amortizing the horizontal sum that the per-word form pays every word.
-#[inline]
-pub fn popcount_words_swar(words: &[u64]) -> u32 {
-    let mut total = 0u32;
-    for group in words.chunks(31) {
-        let mut acc = 0u64;
-        for &w in group {
-            let mut s = w - ((w >> 1) & 0x5555_5555_5555_5555);
-            s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
-            s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-            acc += s;
-        }
-        // Widening fold: byte lanes → u16 → u32 → u64 (group totals can
-        // exceed one byte, so the multiply-fold trick doesn't apply).
-        let s = (acc & 0x00FF_00FF_00FF_00FF) + ((acc >> 8) & 0x00FF_00FF_00FF_00FF);
-        let s = (s & 0x0000_FFFF_0000_FFFF) + ((s >> 16) & 0x0000_FFFF_0000_FFFF);
-        total += ((s + (s >> 32)) & 0xFFFF_FFFF) as u32;
-    }
-    total
-}
-
-/// SSE2 tier, when this CPU has it — `None` otherwise. Ignores the
-/// `MEMTREE_KERNELS` policy so differential tests and the ablation bench
-/// can cross-check tiers in any mode.
-#[cfg(target_arch = "x86_64")]
-pub fn popcount_words_sse2(words: &[u64]) -> Option<u32> {
-    if std::arch::is_x86_feature_detected!("sse2") {
-        // SAFETY: SSE2 presence was verified at runtime just above.
-        Some(unsafe { popcount_words_sse2_impl(words) })
-    } else {
-        None
-    }
 }
 
 /// `popcnt`-instruction tier, when this CPU has it — `None` otherwise.
@@ -265,39 +179,6 @@ pub fn popcount_words_popcnt(words: &[u64]) -> Option<u32> {
         Some(unsafe { popcount_words_popcnt_impl(words) })
     } else {
         None
-    }
-}
-
-/// SWAR byte-count reduction in 128-bit lanes, folded two words at a time
-/// by `psadbw` (sum of absolute differences against zero = horizontal byte
-/// sum per 64-bit half).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn popcount_words_sse2_impl(words: &[u64]) -> u32 {
-    use core::arch::x86_64::*;
-    // SAFETY: every load reads 16 in-bounds bytes (`i + 2 <= len` words).
-    unsafe {
-        let m1 = _mm_set1_epi8(0x55);
-        let m2 = _mm_set1_epi8(0x33);
-        let m4 = _mm_set1_epi8(0x0F);
-        let zero = _mm_setzero_si128();
-        let mut total = zero;
-        let mut i = 0usize;
-        while i + 2 <= words.len() {
-            let v = _mm_loadu_si128(words.as_ptr().add(i) as *const __m128i);
-            let v = _mm_sub_epi8(v, _mm_and_si128(_mm_srli_epi64::<1>(v), m1));
-            let v = _mm_add_epi8(_mm_and_si128(v, m2), _mm_and_si128(_mm_srli_epi64::<2>(v), m2));
-            let v = _mm_and_si128(_mm_add_epi8(v, _mm_srli_epi64::<4>(v)), m4);
-            total = _mm_add_epi64(total, _mm_sad_epu8(v, zero));
-            i += 2;
-        }
-        let lanes = (_mm_cvtsi128_si64(total) as u64)
-            .wrapping_add(_mm_cvtsi128_si64(_mm_srli_si128::<8>(total)) as u64);
-        let mut out = lanes as u32;
-        if i < words.len() {
-            out += words[i].count_ones();
-        }
-        out
     }
 }
 
@@ -323,17 +204,11 @@ fn popcount_words_popcnt_impl(words: &[u64]) -> u32 {
 
 /// Position of the first occurrence of `needle` in `haystack`.
 ///
-/// Word-parallel: SSE2 (16 labels per compare) when the CPU has it and the
-/// slice spans at least one vector, 8-byte SWAR for medium slices, plain
-/// loop for short ones — LOUDS-Sparse nodes are mostly small (§3.6), so
-/// the dispatch thresholds matter as much as the kernels.
+/// 8-byte SWAR from 8 labels up, the plain loop below that. LOUDS-Sparse
+/// nodes are mostly small (§3.6), and on label-node-sized slices a 16-lane
+/// SSE2 compare did not beat SWAR, so there is no hardware tier.
 #[inline]
 pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if haystack.len() >= 16 && cpu::has_sse2() {
-        // SAFETY: SSE2 presence was verified at runtime just above.
-        return unsafe { find_byte_sse2(haystack, needle) };
-    }
     if haystack.len() >= 8 {
         return find_byte_swar(haystack, needle);
     }
@@ -370,31 +245,10 @@ pub fn find_byte_swar(haystack: &[u8], needle: u8) -> Option<usize> {
         .map(|i| off + i)
 }
 
-/// SSE2 form: one `pcmpeqb` + `pmovmskb` resolves 16 labels per iteration.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn find_byte_sse2(haystack: &[u8], needle: u8) -> Option<usize> {
-    use core::arch::x86_64::*;
-    // SAFETY: every load below reads 16 in-bounds bytes (`i + 16 <= len`).
-    unsafe {
-        let pat = _mm_set1_epi8(needle as i8);
-        let mut i = 0usize;
-        while i + 16 <= haystack.len() {
-            let v = _mm_loadu_si128(haystack.as_ptr().add(i) as *const __m128i);
-            let mask = _mm_movemask_epi8(_mm_cmpeq_epi8(v, pat)) as u32;
-            if mask != 0 {
-                return Some(i + mask.trailing_zeros() as usize);
-            }
-            i += 16;
-        }
-        find_byte_swar(&haystack[i..], needle).map(|p| i + p)
-    }
-}
-
 /// Issues a best-effort L1 cache-line prefetch (no-op off `x86_64`).
 ///
-/// Used by the batched query paths to overlap the misses of independent
-/// probes; safe to call with any address.
+/// Used by `Fst::get_batch` to overlap the misses of the batch's
+/// independent probes; safe to call with any address.
 #[inline(always)]
 pub fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -471,20 +325,15 @@ mod tests {
             .collect();
         for len in [0usize, 1, 2, 3, 4, 7, 8, 15, 16, 30, 31, 32, 62, 63, 100, 200] {
             let w = &words[..len];
-            let expect = popcount_words_scalar(w);
-            assert_eq!(popcount_words_swar(w), expect, "swar len {len}");
+            let expect: u32 = w.iter().map(|x| (0..64).filter(|i| x >> i & 1 == 1).count() as u32).sum();
+            assert_eq!(popcount_words_scalar(w), expect, "scalar len {len}");
             assert_eq!(popcount_words(w), expect, "dispatch len {len}");
             #[cfg(target_arch = "x86_64")]
-            {
-                if let Some(got) = popcount_words_sse2(w) {
-                    assert_eq!(got, expect, "sse2 len {len}");
-                }
-                if let Some(got) = popcount_words_popcnt(w) {
-                    assert_eq!(got, expect, "popcnt len {len}");
-                }
+            if let Some(got) = popcount_words_popcnt(w) {
+                assert_eq!(got, expect, "popcnt len {len}");
             }
         }
-        assert_eq!(popcount_words_swar(&vec![u64::MAX; 100]), 6400);
+        assert_eq!(popcount_words(&vec![u64::MAX; 100]), 6400);
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub mod select;
 pub use bitvec::BitVector;
 pub use kernels::{
     find_byte, find_byte_scalar, find_byte_swar, popcount_words, popcount_words_scalar,
-    popcount_words_swar, prefetch_read, select_in_word, select_in_word_scalar,
-    select_in_word_swar,
+    prefetch_read, select_in_word, select_in_word_scalar, select_in_word_swar,
 };
 pub use packed::PackedBits;
 pub use rank::RankSupport;

@@ -15,9 +15,11 @@ cargo test -q --workspace --offline
 echo "== cargo test --workspace with MEMTREE_KERNELS=scalar (portable fallback lane, offline) =="
 MEMTREE_KERNELS=scalar cargo test -q --workspace --offline
 
-echo "== bench_hotpath + bench_faults --smoke with MEMTREE_KERNELS=scalar (the rest of CI's scalar-kernels lane, offline) =="
+echo "== bench_hotpath + bench_faults --smoke and repro fig3_6 / fig3_7 with MEMTREE_KERNELS=scalar (the rest of CI's scalar-kernels lane, offline) =="
 MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
 MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
+MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin repro -- fig3_6 --quick
+MEMTREE_KERNELS=scalar cargo run -p memtree-bench --release --offline --bin repro -- fig3_7 --quick
 
 echo "== bench_hotpath --smoke (kernel cross-checks + FST batched-lookup differential, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_hotpath -- --smoke
