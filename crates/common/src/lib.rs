@@ -17,6 +17,9 @@
 //!   hardware counters of Table 2.2.
 //! * [`error`] — the typed error taxonomy ([`MemtreeError`]) returned by
 //!   fallible paths (block decode, merges, anti-cache fetches).
+//! * [`codec`] — the bounded [`codec::Reader`] every on-disk decoder
+//!   reads through (a lying length or count is typed corruption, never a
+//!   panic or an oversized allocation), and the writer helpers it pairs with.
 //! * [`crc`] — from-scratch, runtime-dispatched CRC32C (SSE4.2 hardware
 //!   tier + portable slicing-by-16) used to frame compressed blocks.
 //! * [`dispatch`] — the process-wide `MEMTREE_KERNELS` kernel-dispatch
@@ -29,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod codec;
 pub mod crc;
 pub mod dispatch;
 pub mod error;

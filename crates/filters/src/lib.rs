@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+use memtree_common::codec::{put_words, Reader};
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::hash64_seed;
 use memtree_common::mem::vec_bytes;
@@ -73,36 +74,24 @@ impl BloomFilter {
         out.extend_from_slice(&(self.bits.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.k.to_le_bytes());
         out.extend_from_slice(&(self.num_keys as u64).to_le_bytes());
-        for &w in self.bits.words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        put_words(out, self.bits.words());
     }
 
     /// Rebuilds a filter from a [`BloomFilter::serialize`] image. A body
     /// whose length disagrees with the stored bit count (semantic
     /// truncation inside a valid frame) is a typed `Corruption` error.
     pub fn deserialize(buf: &[u8]) -> Result<Self> {
-        let bad = |what: String| MemtreeError::corruption("bloom-image", what);
-        if buf.len() < 20 {
-            return Err(bad(format!("header needs 20 bytes, image has {}", buf.len())));
-        }
-        let m = u64::from_le_bytes(buf[0..8].try_into().unwrap()) as usize;
-        let k = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let num_keys = u64::from_le_bytes(buf[12..20].try_into().unwrap()) as usize;
+        const CTX: &str = "bloom-image";
+        let bad = |what: String| MemtreeError::corruption(CTX, what);
+        let mut r = Reader::new(buf);
+        let m = r.u64(CTX)? as usize;
+        let k = r.u32(CTX)?;
+        let num_keys = r.u64(CTX)? as usize;
         if m < 64 || !(1..=30).contains(&k) {
             return Err(bad(format!("implausible geometry m={m} k={k}")));
         }
-        let body = &buf[20..];
-        if body.len() != m.div_ceil(64) * 8 {
-            return Err(bad(format!(
-                "bit array length {m} disagrees with body of {} bytes",
-                body.len()
-            )));
-        }
-        let words: Vec<u64> = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let words = r.words(m.div_ceil(64) as u64, CTX)?;
+        r.done(CTX)?;
         let bits = BitVector::from_words(words, m)
             .ok_or_else(|| bad("padding bits set past the bit array".to_string()))?;
         Ok(Self { bits, k, num_keys })

@@ -1,6 +1,7 @@
 //! The LOUDS-DS encoding engine: builder, point lookup, and the navigation
 //! primitives shared by the iterator and SuRF.
 
+use memtree_common::codec::{put_words, Reader};
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::mem::vec_bytes;
 use memtree_succinct::kernels::{find_byte, prefetch_read};
@@ -731,24 +732,9 @@ impl LoudsTrie {
                 let node = boundary_node
                     .min(self.level_node_starts[level + 1])
                     .max(self.level_node_starts[level]);
-                if level < self.dense_levels {
-                    let pos = node * 256;
-                    values_before = self.d_values_before(pos, false);
-                    children_before =
-                        self.d_has_child_rank.rank1_excl(&self.d_has_child, pos);
-                } else {
-                    let local = node - self.dense_node_count;
-                    let pos = if local >= self.sparse_node_count() {
-                        self.s_labels.len()
-                    } else {
-                        self.s_node_start(local)
-                    };
-                    values_before = self.s_values_before(pos);
-                    children_before = self.dense_child_count
-                        + self.s_has_child_rank.rank1_excl(&self.s_has_child, pos);
-                }
+                (values_before, children_before) = self.before_node(node, level);
             }
-            total += values_before - self.values_at_level_start(level);
+            total += values_before - self.before_node(self.level_node_starts[level], level).0;
             boundary_node = children_before + 1;
         }
         total
@@ -760,21 +746,23 @@ impl LoudsTrie {
         self.num_nodes - self.dense_node_count
     }
 
-    /// Cumulative value slots (dense + sparse, no empty-key offset) before
-    /// level `level` starts.
-    fn values_at_level_start(&self, level: usize) -> usize {
-        let node = self.level_node_starts[level];
+    /// Value slots (no empty-key offset) and child bits before global node
+    /// `node` of level `level`; one past a level's last node counts all of
+    /// that level's.
+    fn before_node(&self, node: usize, level: usize) -> (usize, usize) {
         if level < self.dense_levels {
-            self.d_values_before(node * 256, false)
-        } else {
-            let local = node - self.dense_node_count;
-            let pos = if local >= self.sparse_node_count() {
-                self.s_labels.len()
-            } else {
-                self.s_node_start(local)
-            };
-            self.s_values_before(pos)
+            let pos = node * 256;
+            let children = self.d_has_child_rank.rank1_excl(&self.d_has_child, pos);
+            return (self.d_values_before(pos, false), children);
         }
+        let local = node - self.dense_node_count;
+        let pos = if local >= self.sparse_node_count() {
+            self.s_labels.len()
+        } else {
+            self.s_node_start(local)
+        };
+        let children = self.s_has_child_rank.rank1_excl(&self.s_has_child, pos);
+        (self.s_values_before(pos), self.dense_child_count + children)
     }
 
     /// Iterator positioned at the smallest key `>= low`.
@@ -844,16 +832,20 @@ impl LoudsTrie {
 
     /// Rebuilds a trie from a [`LoudsTrie::serialize`] image, recomputing
     /// the rank/select supports with the same parameters the builder uses.
-    /// Every structural invariant the builder guarantees is re-validated;
-    /// any mismatch (truncated body, inconsistent counts, bit vectors that
-    /// disagree with each other) is a typed `Corruption` error — callers
-    /// fall back to rebuilding from keys, they never get a trie that could
-    /// answer wrongly or index out of bounds.
+    /// Every length and count is read through the bounded [`Reader`], and
+    /// the parts are then cross-checked the way the builder lays them out:
+    /// bit-vector lengths against the node counts, child, value and LOUDS
+    /// bits against the counts, the dense cut against its level boundary,
+    /// and each level boundary against the child bits of the levels above
+    /// it. Any mismatch is a typed `Corruption` error. A trie that passes
+    /// indexes in bounds and keeps its rank arithmetic from underflowing;
+    /// its answers are those of the trie its bits describe, which only the
+    /// CRC frame around a stored image ties to the trie that was serialized.
     pub fn deserialize(buf: &[u8]) -> Result<Self> {
         const CTX: &str = "louds-image";
         let bad = |what: &str| MemtreeError::corruption(CTX, what.to_string());
-        let mut r = ImgReader { buf, at: 0 };
-        let flags = r.u8()?;
+        let mut r = Reader::new(buf);
+        let flags = r.u8(CTX)?;
         if flags >> 7 != 0 {
             return Err(bad("unknown flag bits"));
         }
@@ -863,31 +855,36 @@ impl LoudsTrie {
             select_opt: flags & 4 != 0,
             simd_labels: flags & 8 != 0,
             prefetch: flags & 16 != 0,
-            r_ratio: if flags & 32 != 0 { Some(r.u64()? as usize) } else { None },
+            r_ratio: if flags & 32 != 0 { Some(r.u64(CTX)? as usize) } else { None },
         };
         let empty_key = flags & 64 != 0;
-        let dense_levels = r.u64()? as usize;
-        let dense_node_count = r.u64()? as usize;
-        let dense_child_count = r.u64()? as usize;
-        let dense_value_count = r.u64()? as usize;
-        let height = r.u64()? as usize;
-        let num_nodes = r.u64()? as usize;
-        let num_values = r.u64()? as usize;
-        let d_labels = r.bitvec()?;
-        let d_has_child = r.bitvec()?;
-        let d_is_prefix = r.bitvec()?;
-        let s_has_child = r.bitvec()?;
-        let s_louds = r.bitvec()?;
-        let s_labels = r.bytes()?;
-        let starts_len = r.count(8)?;
-        if height.checked_add(1) != Some(starts_len) {
+        let dense_levels = r.u64(CTX)? as usize;
+        let dense_node_count = r.u64(CTX)? as usize;
+        let dense_child_count = r.u64(CTX)? as usize;
+        let dense_value_count = r.u64(CTX)? as usize;
+        let height = r.u64(CTX)? as usize;
+        let num_nodes = r.u64(CTX)? as usize;
+        let num_values = r.u64(CTX)? as usize;
+        let mut bitvec = || {
+            let len = r.u64(CTX)?;
+            let words = r.words(len.div_ceil(64), CTX)?;
+            // `from_words` re-validates the word count and padding bits.
+            BitVector::from_words(words, len as usize)
+                .ok_or_else(|| bad("bit vector padding bits set"))
+        };
+        let d_labels = bitvec()?;
+        let d_has_child = bitvec()?;
+        let d_is_prefix = bitvec()?;
+        let s_has_child = bitvec()?;
+        let s_louds = bitvec()?;
+        let s_labels = r.bytes::<u64>(CTX)?.to_vec();
+        let starts_len = r.u64(CTX)?;
+        if height.checked_add(1) != Some(starts_len as usize) {
             return Err(bad("level boundary count disagrees with height"));
         }
-        let mut level_node_starts = Vec::with_capacity(starts_len);
-        for _ in 0..starts_len {
-            level_node_starts.push(r.u64()? as usize);
-        }
-        r.done()?;
+        let level_node_starts: Vec<usize> =
+            r.words(starts_len, CTX)?.into_iter().map(|v| v as usize).collect();
+        r.done(CTX)?;
 
         // Structural cross-checks: everything `finish()` guarantees and the
         // navigation code relies on for in-bounds indexing.
@@ -944,7 +941,7 @@ impl LoudsTrie {
         let s_has_child_rank = RankSupport::new(&s_has_child, 512);
         let s_louds_rank = RankSupport::new(&s_louds, 512);
         let s_louds_select = SelectSupport::new(&s_louds, 64);
-        Ok(LoudsTrie {
+        let trie = LoudsTrie {
             opts,
             d_labels,
             d_has_child,
@@ -967,7 +964,15 @@ impl LoudsTrie {
             height,
             num_nodes,
             num_values,
-        })
+        };
+        // Level `l + 1` starts after the root and every child of the nodes
+        // above level `l`; a boundary off that count would walk
+        // `count_before` out of its level.
+        let starts = &trie.level_node_starts;
+        if !(0..height).all(|l| trie.before_node(starts[l], l).1 + 1 == starts[l + 1]) {
+            return Err(bad("level boundaries disagree with child bits"));
+        }
+        Ok(trie)
     }
 }
 
@@ -981,90 +986,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_bitvec(out: &mut Vec<u8>, bv: &BitVector) {
     put_u64(out, bv.len() as u64);
-    for &w in bv.words() {
-        put_u64(out, w);
-    }
-}
-
-/// Bounds-checked little-endian cursor over an image body. Every read past
-/// the end is a typed error, so a semantically truncated body (valid CRC
-/// frame, short payload) surfaces as `Corruption` — never a panic.
-struct ImgReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl ImgReader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.buf.len() - self.at < n {
-            return Err(MemtreeError::corruption(
-                "louds-image",
-                format!("truncated body: need {n} bytes at {}", self.at),
-            ));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u64` element count, rejected unless `count` elements of `width`
-    /// bytes each fit in the rest of the body — so no count read from an
-    /// image can size an allocation larger than the image itself.
-    fn count(&mut self, width: usize) -> Result<usize> {
-        let n = self.u64()?;
-        let room = (self.buf.len() - self.at) / width;
-        if n > room as u64 {
-            return Err(MemtreeError::corruption(
-                "louds-image",
-                format!("count {n} exceeds remaining body ({room} elements)"),
-            ));
-        }
-        Ok(n as usize)
-    }
-
-    /// A length-prefixed run of words reassembled via
-    /// [`BitVector::from_words`], which re-validates word count and
-    /// padding bits.
-    fn bitvec(&mut self) -> Result<BitVector> {
-        let len = self.u64()? as usize;
-        let nwords = len.div_ceil(64);
-        if nwords > (self.buf.len() - self.at) / 8 {
-            return Err(MemtreeError::corruption(
-                "louds-image",
-                format!("bit vector length {len} exceeds remaining body"),
-            ));
-        }
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(self.u64()?);
-        }
-        BitVector::from_words(words, len).ok_or_else(|| {
-            MemtreeError::corruption("louds-image", "bit vector padding bits set".to_string())
-        })
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let len = self.u64()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn done(&mut self) -> Result<()> {
-        if self.at != self.buf.len() {
-            return Err(MemtreeError::corruption(
-                "louds-image",
-                format!("{} trailing bytes after image body", self.buf.len() - self.at),
-            ));
-        }
-        Ok(())
-    }
+    put_words(out, bv.words());
 }
 
 // ---------------------------------------------------------------------------
@@ -1538,6 +1460,40 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// An interior level boundary moved by one node still rises strictly,
+    /// but disagrees with the child bits above it: corruption, not a trie
+    /// whose `count_before` subtracts across levels.
+    #[test]
+    fn a_level_boundary_off_its_child_bits_is_corruption() {
+        let keys = keys::sorted_unique(keys::rand_bytes_keys(300, 12, 8, 4));
+        let keys = refs(&keys);
+        for opts in [TrieOpts::default(), TrieOpts::surf()] {
+            let (t, _) = LoudsTrie::build(&keys, opts);
+            assert!(t.height() >= 3, "the test needs interior levels");
+            let img = image(&t);
+            // The boundaries are the image's last `height + 1` words.
+            let first = img.len() - 8 * (t.height() + 1);
+            let mut rising = 0;
+            for l in 1..t.height() {
+                let at = first + 8 * l;
+                let start = t.level_node_starts[l] as u64;
+                assert_eq!(img[at..at + 8], start.to_le_bytes());
+                for moved in [start - 1, start + 1, start ^ 2] {
+                    let mut patched = img.clone();
+                    patched[at..at + 8].copy_from_slice(&moved.to_le_bytes());
+                    let s = &t.level_node_starts;
+                    rising += usize::from(s[l - 1] < moved as usize && (moved as usize) < s[l + 1]);
+                    let res = LoudsTrie::deserialize(&patched);
+                    assert!(
+                        matches!(res, Err(MemtreeError::Corruption { .. })),
+                        "level {l} start {start} -> {moved} loaded"
+                    );
+                }
+            }
+            assert!(rising > 0, "no patch kept the boundaries rising");
         }
     }
 

@@ -110,6 +110,7 @@ pub fn row_bytes(row: &Row) -> usize {
 // slot, `u16` column count, then per column a tag byte (0=I64, 1=Str,
 // 2=F64) and its payload (i64 / u32 len + bytes / f64 bits).
 
+use memtree_common::codec::{put_bytes, Reader};
 use memtree_common::error::MemtreeError;
 
 /// Serializes an eviction batch into a flat byte image.
@@ -128,8 +129,7 @@ pub fn encode_tuples(tuples: &[(u16, u32, Row)]) -> Vec<u8> {
                 }
                 Val::Str(s) => {
                     out.push(1);
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
+                    put_bytes(&mut out, s.as_bytes());
                 }
                 Val::F64(v) => {
                     out.push(2);
@@ -141,90 +141,36 @@ pub fn encode_tuples(tuples: &[(u16, u32, Row)]) -> Vec<u8> {
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MemtreeError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.at..end];
-                self.at = end;
-                Ok(s)
-            }
-            None => Err(MemtreeError::corruption(
-                "anticache-tuples",
-                format!("truncated at byte {} (wanted {n} more)", self.at),
-            )),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, MemtreeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, MemtreeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, MemtreeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 /// Deserializes an eviction batch. Returns
 /// [`MemtreeError::Corruption`] on any structural damage; never panics.
 pub fn decode_tuples(bytes: &[u8]) -> Result<Vec<(u16, u32, Row)>, MemtreeError> {
-    let mut c = Cursor { buf: bytes, at: 0 };
-    let count = c.u32()? as usize;
-    // A tuple needs at least 8 header bytes: reject absurd counts early.
-    if count > bytes.len() / 8 + 1 {
-        return Err(MemtreeError::corruption(
-            "anticache-tuples",
-            format!("implausible tuple count {count} for {} bytes", bytes.len()),
-        ));
-    }
+    const CTX: &str = "anticache-tuples";
+    let mut r = Reader::new(bytes);
+    // A tuple takes at least its 8 header bytes, a column at least its
+    // tag and a 4-byte string length.
+    let count = r.count::<u32>(8, CTX)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let tbl = c.u16()?;
-        let slot = c.u32()?;
-        let ncols = c.u16()? as usize;
+        let tbl = r.u16(CTX)?;
+        let slot = r.u32(CTX)?;
+        let ncols = r.count::<u16>(5, CTX)?;
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let tag = c.take(1)?[0];
-            row.push(match tag {
-                0 => Val::I64(c.u64()? as i64),
+            row.push(match r.u8(CTX)? {
+                0 => Val::I64(r.u64(CTX)? as i64),
                 1 => {
-                    let len = c.u32()? as usize;
-                    let raw = c.take(len)?;
-                    let s = std::str::from_utf8(raw).map_err(|e| {
-                        MemtreeError::corruption(
-                            "anticache-tuples",
-                            format!("non-UTF-8 string column: {e}"),
-                        )
+                    let s = std::str::from_utf8(r.bytes::<u32>(CTX)?).map_err(|e| {
+                        MemtreeError::corruption(CTX, format!("non-UTF-8 string column: {e}"))
                     })?;
                     Val::Str(s.to_string())
                 }
-                2 => Val::F64(f64::from_bits(c.u64()?)),
-                t => {
-                    return Err(MemtreeError::corruption(
-                        "anticache-tuples",
-                        format!("unknown value tag {t}"),
-                    ))
-                }
+                2 => Val::F64(f64::from_bits(r.u64(CTX)?)),
+                t => return Err(MemtreeError::corruption(CTX, format!("unknown value tag {t}"))),
             });
         }
         out.push((tbl, slot, row));
     }
-    if c.at != bytes.len() {
-        return Err(MemtreeError::corruption(
-            "anticache-tuples",
-            format!("{} trailing bytes after last tuple", bytes.len() - c.at),
-        ));
-    }
+    r.done(CTX)?;
     Ok(out)
 }
 

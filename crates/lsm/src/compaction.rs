@@ -106,7 +106,11 @@ impl CompactionConfig {
     pub(crate) fn level_limit(&self, level: usize, l0_tables: usize, l1_tables: usize) -> usize {
         match *self {
             _ if level == 0 => l0_tables,
-            CompactionConfig::Leveled { fanout } => l1_tables * fanout.max(1).pow(level as u32 - 1),
+            // Saturating: a level or fanout read from a damaged manifest
+            // must not overflow the limit.
+            CompactionConfig::Leveled { fanout } => {
+                l1_tables.saturating_mul(fanout.max(1).saturating_pow(level as u32 - 1))
+            }
             CompactionConfig::Tiered { tiers_per_level } => tiers_per_level.max(1),
         }
     }

@@ -401,6 +401,13 @@ impl Db {
                 } else {
                     let keys: Vec<&[u8]> =
                         runs.iter().flat_map(|r| r.iter().map(|(k, _)| k)).collect();
+                    // Each block is sorted; a manifest that lists them out
+                    // of key order describes no table a flush wrote.
+                    if !keys.windows(2).all(|w| w[0] < w[1]) {
+                        let detail =
+                            format!("table {} lists its blocks out of key order", table.id);
+                        return Err(MemtreeError::corruption("manifest", detail));
+                    }
                     table.attach_filter(&keys, &opts.filter);
                     rebuilt += 1;
                 }

@@ -161,7 +161,7 @@ struct SlowState {
 
 /// A buffered, not-yet-durable mutation. Order within the buffer is the
 /// order writes were issued; `crash` can tear the last one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum PendingOp {
     Block { id: u32, data: Arc<[u8]> },
     Append { file: String, data: Vec<u8> },
@@ -176,7 +176,7 @@ enum PendingOp {
 
 /// The free block ids as maximal ranges: no two ranges touch, because a
 /// release merges its id with the ranges on either side.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct FreeRanges {
     /// Start → length.
     by_start: BTreeMap<u32, u32>,
@@ -229,7 +229,7 @@ impl FreeRanges {
 
 /// All namespace state, held under one mutex so each device call is a
 /// single atomic step even with many shard threads issuing I/O.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DiskState {
     /// Durable block contents (what survives a crash). Shared so a read
     /// takes a reference under the lock and copies outside it.
@@ -870,6 +870,18 @@ impl SimDisk {
     /// True when `id` is currently allocated.
     pub fn is_live(&self, id: u32) -> bool {
         self.st().live.get(id as usize).copied().unwrap_or(false)
+    }
+}
+
+#[cfg(test)]
+impl SimDisk {
+    /// A device holding this one's blocks, files and write buffer, with
+    /// fresh counters, clock and fail points: one built state, reopened
+    /// under many mutations.
+    pub(crate) fn fork(&self) -> SimDisk {
+        let disk = SimDisk::new(self.read_latency);
+        *disk.st() = self.st().clone();
+        disk
     }
 }
 

@@ -33,6 +33,8 @@
 mod cache;
 mod compaction;
 mod db;
+#[cfg(test)]
+mod decode_sweep;
 mod disk;
 mod manifest;
 mod memtable;

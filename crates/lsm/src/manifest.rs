@@ -30,6 +30,7 @@
 use crate::compaction::CompactionConfig;
 use crate::disk::SimDisk;
 use crate::wal::{decode_frames, decode_single, encode_frame, encode_single};
+use memtree_common::codec::{put_bytes, Reader};
 use memtree_common::error::{MemtreeError, Result};
 use memtree_faults::fail_point;
 
@@ -83,50 +84,12 @@ pub(crate) enum Edit {
     Policy(CompactionConfig),
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
+const CTX: &str = "manifest";
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.buf.len() {
-            return Err(MemtreeError::corruption(
-                "manifest",
-                format!("edit truncated at byte {}", self.at),
-            ));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
+/// Levels past this one are a corrupt record, not a deep tree: every
+/// level holds a multiple of the one above it, so real trees stop far
+/// short of it.
+const MAX_LEVEL: usize = 64;
 
 impl Edit {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -182,48 +145,40 @@ impl Edit {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Edit> {
-        let tag = r.u8()?;
-        match tag {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Edit> {
+        let bad = |what: String| MemtreeError::corruption(CTX, what);
+        match r.u8(CTX)? {
             6 => {
-                let level = r.u32()? as usize;
-                let id = r.u64()?;
-                let num_entries = r.u64()? as usize;
-                let num_tombstones = r.u64()? as usize;
-                let nblocks = r.u32()? as usize;
-                // Each block takes at least its id and its fence's length:
-                // a count the bytes left cannot hold is corrupt, and is
-                // rejected before anything is reserved for it.
-                if nblocks > (r.buf.len() - r.at) / 8 {
-                    return Err(MemtreeError::corruption("manifest", "block count past the record"));
+                let level = r.u32(CTX)? as usize;
+                if level > MAX_LEVEL {
+                    return Err(bad(format!("level {level} past the deepest, {MAX_LEVEL}")));
                 }
+                let id = r.u64(CTX)?;
+                let num_entries = r.u64(CTX)? as usize;
+                let num_tombstones = r.u64(CTX)? as usize;
+                // Each block takes at least its id and its fence's length:
+                // a count the bytes left cannot hold is rejected before
+                // anything is reserved for it.
+                let nblocks = r.count::<u32>(8, CTX)?;
                 let mut blocks = Vec::with_capacity(nblocks);
                 for _ in 0..nblocks {
-                    blocks.push(r.u32()?);
+                    blocks.push(r.u32(CTX)?);
                 }
                 let mut fences = Vec::with_capacity(nblocks);
                 for _ in 0..nblocks {
-                    fences.push(r.bytes()?);
+                    fences.push(r.bytes::<u32>(CTX)?.to_vec());
                 }
-                let max_key = r.bytes()?;
-                let filter_block = match r.u8()? {
+                let max_key = r.bytes::<u32>(CTX)?.to_vec();
+                let filter_block = match r.u8(CTX)? {
                     0 => None,
-                    1 => Some(r.u32()?),
-                    f => {
-                        return Err(MemtreeError::corruption(
-                            "manifest",
-                            format!("bad filter-block presence flag {f}"),
-                        ))
-                    }
+                    1 => Some(r.u32(CTX)?),
+                    f => return Err(bad(format!("bad filter-block presence flag {f}"))),
                 };
                 if nblocks == 0 {
-                    return Err(MemtreeError::corruption("manifest", "table with no blocks"));
+                    return Err(bad("table with no blocks".into()));
                 }
                 if num_tombstones > num_entries {
-                    return Err(MemtreeError::corruption(
-                        "manifest",
-                        "tombstone count exceeds entry count",
-                    ));
+                    return Err(bad("tombstone count exceeds entry count".into()));
                 }
                 Ok(Edit::AddTable(TableMeta {
                     level,
@@ -236,25 +191,22 @@ impl Edit {
                     num_tombstones,
                 }))
             }
-            2 => Ok(Edit::RemoveTable { id: r.u64()? }),
-            3 => Ok(Edit::FlushSeq { seq: r.u64()? }),
+            2 => Ok(Edit::RemoveTable { id: r.u64(CTX)? }),
+            3 => Ok(Edit::FlushSeq { seq: r.u64(CTX)? }),
             4 => Ok(Edit::Quarantine {
-                table: r.u64()?,
-                block: r.u32()?,
+                table: r.u64(CTX)?,
+                block: r.u32(CTX)?,
             }),
             5 => Ok(Edit::Unquarantine {
-                table: r.u64()?,
-                block: r.u32()?,
+                table: r.u64(CTX)?,
+                block: r.u32(CTX)?,
             }),
             7 => {
-                let kind = r.u8()?;
-                let param = r.u32()?;
+                let kind = r.u8(CTX)?;
+                let param = r.u32(CTX)?;
                 Ok(Edit::Policy(CompactionConfig::decode(kind, param)?))
             }
-            tag => Err(MemtreeError::corruption(
-                "manifest",
-                format!("unknown edit tag {tag}"),
-            )),
+            tag => Err(bad(format!("unknown edit tag {tag}"))),
         }
     }
 }
@@ -284,7 +236,10 @@ impl Version {
                 while self.levels.len() <= meta.level {
                     self.levels.push(Vec::new());
                 }
-                self.next_table_id = self.next_table_id.max(meta.id + 1);
+                let next_id = meta.id.checked_add(1).ok_or_else(|| {
+                    MemtreeError::corruption(CTX, format!("table id {} has no successor", meta.id))
+                })?;
+                self.next_table_id = self.next_table_id.max(next_id);
                 self.levels[meta.level].push(meta);
             }
             Edit::RemoveTable { id } => {
@@ -295,15 +250,16 @@ impl Version {
                     found |= level.len() != before;
                 }
                 if !found {
-                    return Err(MemtreeError::corruption(
-                        "manifest",
-                        format!("remove of unknown table {id}"),
-                    ));
+                    let detail = format!("remove of unknown table {id}");
+                    return Err(MemtreeError::corruption(CTX, detail));
                 }
                 // Quarantine entries die with their table. A rewrite that
                 // reuses the id (Remove + Add in one txn) re-appends
                 // Quarantine edits for still-bad blocks in that same txn.
                 self.quarantined.retain(|&(t, _)| t != id);
+            }
+            Edit::FlushSeq { seq: u64::MAX } => {
+                return Err(MemtreeError::corruption(CTX, "flush mark leaves no next seq"));
             }
             Edit::FlushSeq { seq } => self.flushed_seq = self.flushed_seq.max(seq),
             Edit::Quarantine { table, block } => {
@@ -375,7 +331,7 @@ impl Manifest {
             MemtreeError::corruption("manifest-current", "non-utf8 manifest name")
         })?;
         let log_buf = disk.read_file(&file);
-        let log = decode_frames(&log_buf, "manifest")?;
+        let log = decode_frames(&log_buf, CTX)?;
         if log.torn {
             // A torn last transaction is a crash mid-append: the version
             // before it is fully consistent. Drop the torn bytes so later
@@ -387,14 +343,12 @@ impl Manifest {
         let mut last_txn = 0u64;
         for (txn, payload) in log.records {
             if txn <= last_txn {
-                return Err(MemtreeError::corruption(
-                    "manifest",
-                    format!("non-monotonic transaction {txn} after {last_txn}"),
-                ));
+                let detail = format!("non-monotonic transaction {txn} after {last_txn}");
+                return Err(MemtreeError::corruption(CTX, detail));
             }
             last_txn = txn;
-            let mut r = Reader { buf: payload, at: 0 };
-            while !r.done() {
+            let mut r = Reader::new(payload);
+            while r.remaining() > 0 {
                 version.apply(Edit::decode(&mut r)?)?;
             }
         }
@@ -436,7 +390,7 @@ impl Manifest {
             .strip_prefix(&prefix)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| {
-                MemtreeError::corruption("manifest", format!("bad manifest name {}", self.file))
+                MemtreeError::corruption(CTX, format!("bad manifest name {}", self.file))
             })?;
         let next_file = format!("{prefix}{}", n + 1);
         fail_point!(disk.faults(), "lsm.manifest.rotate");
@@ -530,6 +484,44 @@ mod tests {
             assert!(matches!(res, Err(MemtreeError::Corruption { .. })), "tag {}", payload[0]);
             assert!(largest <= payload.len(), "allocated {largest} B for a {} B record", payload.len());
         }
+    }
+
+    /// Opens a manifest whose one transaction holds `edits`.
+    fn open_with(edits: &[Edit]) -> Result<Version> {
+        let disk = SimDisk::new(Duration::ZERO);
+        let mut payload = Vec::new();
+        for e in edits {
+            e.encode(&mut payload);
+        }
+        disk.write_file_atomic(CURRENT_FILE, &encode_single(b"manifest-1")).unwrap();
+        disk.append("manifest-1", &encode_frame(1, &payload)).unwrap();
+        disk.sync();
+        Manifest::open(&disk, "").map(|(_, v, _)| v)
+    }
+
+    /// A CRC-valid AddTable at a level no tree reaches is corruption, found
+    /// before the version grows a level list that long.
+    #[test]
+    fn a_table_past_the_deepest_level_is_corruption() {
+        let deepest = open_with(&[Edit::AddTable(meta(MAX_LEVEL, 3, 10, 20))]).unwrap();
+        assert_eq!(deepest.levels.len(), MAX_LEVEL + 1);
+        for level in [MAX_LEVEL + 1, 1 << 30, u32::MAX as usize] {
+            let opened = open_with(&[Edit::AddTable(meta(level, 3, 10, 20))]);
+            assert!(
+                matches!(opened, Err(MemtreeError::Corruption { .. })),
+                "level {level}: {opened:?}"
+            );
+        }
+    }
+
+    /// The highest table id leaves no next id to hand out.
+    #[test]
+    fn a_table_id_without_a_successor_is_corruption() {
+        let last = TableMeta { id: u64::MAX, ..meta(0, 3, 10, 20) };
+        let opened = open_with(&[Edit::AddTable(last)]);
+        assert!(matches!(opened, Err(MemtreeError::Corruption { .. })), "{opened:?}");
+        let below = TableMeta { id: u64::MAX - 1, ..meta(0, 3, 10, 20) };
+        assert_eq!(open_with(&[Edit::AddTable(below)]).unwrap().next_table_id, u64::MAX);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::disk::SimDisk;
 use crate::manifest::TableMeta;
 use crate::run::{EntryRef, Run};
 use crate::wal::{decode_single_ref, encode_single};
+use memtree_common::codec::Reader;
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::mem::vec_bytes;
 use memtree_common::traits::PointFilter;
@@ -362,18 +363,15 @@ impl SsTable {
     /// back to rebuilding (or degrading to filterless), never to a wrong
     /// filter.
     pub(crate) fn decode_filter_image(raw: &[u8]) -> Result<TableFilter> {
-        let payload = decode_single_ref(raw, "filter-image")?;
-        let bad = |what: &str| MemtreeError::corruption("filter-image", what.to_string());
-        if payload.len() < 2 {
-            return Err(bad("image shorter than header"));
+        const CTX: &str = "filter-image";
+        let mut r = Reader::new(decode_single_ref(raw, CTX)?);
+        if r.u8(CTX)? != FILTER_IMAGE_VERSION {
+            return Err(MemtreeError::corruption(CTX, "unknown image version"));
         }
-        if payload[0] != FILTER_IMAGE_VERSION {
-            return Err(bad("unknown image version"));
-        }
-        match payload[1] {
-            FILTER_KIND_BLOOM => Ok(TableFilter::Bloom(BloomFilter::deserialize(&payload[2..])?)),
-            FILTER_KIND_SURF => Ok(TableFilter::Surf(Surf::deserialize(&payload[2..])?)),
-            _ => Err(bad("unknown filter kind")),
+        match r.u8(CTX)? {
+            FILTER_KIND_BLOOM => Ok(TableFilter::Bloom(BloomFilter::deserialize(r.rest())?)),
+            FILTER_KIND_SURF => Ok(TableFilter::Surf(Surf::deserialize(r.rest())?)),
+            _ => Err(MemtreeError::corruption(CTX, "unknown filter kind")),
         }
     }
 

@@ -41,6 +41,8 @@
 //! crash oracle checks that only the unsynced suffix may be lost.
 
 use crate::disk::SimDisk;
+use crate::run::MAX_ENTRY_BYTES;
+use memtree_common::codec::{put_bytes, Reader};
 use memtree_common::crc::crc32c_update;
 use memtree_common::error::{MemtreeError, Result};
 use memtree_faults::fail_point;
@@ -271,8 +273,7 @@ impl Wal {
         };
         let mut payload = Vec::with_capacity(1 + 4 + key.len() + value.len());
         payload.push(kind);
-        payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        payload.extend_from_slice(key);
+        put_bytes(&mut payload, key);
         payload.extend_from_slice(value);
         let frame = encode_frame(seq, &payload);
         disk.append(&self.file, &frame)?;
@@ -339,36 +340,31 @@ impl Wal {
         let mut last_seq = 0u64;
         let mut skipped = 0u64;
         for (seq, payload) in decoded.records {
-            if seq <= last_seq {
+            // The last seq would leave the log no next one to hand out.
+            if seq <= last_seq || seq == u64::MAX {
                 return Err(MemtreeError::corruption(
                     "wal",
-                    format!("non-monotonic seq {seq} after {last_seq}"),
+                    format!("non-monotonic or final seq {seq} after {last_seq}"),
                 ));
             }
             last_seq = seq;
-            if payload.len() < 5 {
-                return Err(MemtreeError::corruption("wal", "record shorter than header"));
-            }
-            let kind = payload[0];
-            if kind != KIND_PUT && kind != KIND_DELETE {
-                return Err(MemtreeError::corruption(
-                    "wal",
-                    format!("unknown record kind {kind}"),
-                ));
-            }
-            let klen = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-            if 5 + klen > payload.len() {
-                return Err(MemtreeError::corruption(
-                    "wal",
-                    format!("key length {klen} exceeds record"),
-                ));
-            }
-            let value = &payload[5 + klen..];
-            if kind == KIND_DELETE && !value.is_empty() {
-                return Err(MemtreeError::corruption(
-                    "wal",
-                    "delete record carries a value",
-                ));
+            let mut r = Reader::new(payload);
+            let kind = r.u8("wal")?;
+            let key = r.bytes::<u32>("wal")?;
+            let value = r.rest();
+            // `Db::write` refuses an entry past the limit before logging
+            // it: replaying one would leave a MemTable no flush can write.
+            let longest = key.len().max(value.len());
+            let fault = match kind {
+                KIND_PUT | KIND_DELETE if longest > MAX_ENTRY_BYTES => Some(format!(
+                    "entry of {longest} B past the {MAX_ENTRY_BYTES} B limit"
+                )),
+                KIND_DELETE if !value.is_empty() => Some("delete record carries a value".into()),
+                KIND_PUT | KIND_DELETE => None,
+                _ => Some(format!("unknown record kind {kind}")),
+            };
+            if let Some(detail) = fault {
+                return Err(MemtreeError::corruption("wal", detail));
             }
             if seq <= flushed_seq {
                 skipped += 1;
@@ -376,7 +372,7 @@ impl Wal {
             }
             records.push(WalRecord {
                 seq,
-                key: payload[5..5 + klen].to_vec(),
+                key: key.to_vec(),
                 value: (kind == KIND_PUT).then(|| value.to_vec()),
             });
         }
@@ -391,6 +387,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -519,5 +516,34 @@ mod tests {
             Wal::replay(&disk, 0, WAL_FILE),
             Err(MemtreeError::Corruption { .. })
         ));
+    }
+
+    /// A CRC-valid record whose key or value is longer than `Db::write`
+    /// accepts reopens as typed corruption: replayed, it would sit in the
+    /// MemTable where every flush fails on it.
+    #[test]
+    fn a_record_past_the_entry_limit_reopens_as_corruption() {
+        let long = vec![b'k'; MAX_ENTRY_BYTES + 1];
+        let limit = &long[..MAX_ENTRY_BYTES];
+        for (key, value, ok) in [
+            (&long[..], &b"v"[..], false),
+            (&b"k"[..], &long[..], false),
+            (limit, limit, true),
+        ] {
+            let disk = Arc::new(SimDisk::new(Duration::ZERO));
+            let mut payload = vec![KIND_PUT];
+            put_bytes(&mut payload, key);
+            payload.extend_from_slice(value);
+            disk.append(WAL_FILE, &encode_frame(1, &payload)).unwrap();
+            disk.sync();
+            match crate::Db::open(disk, crate::DbOptions::default()) {
+                Ok(mut db) => {
+                    assert!(ok, "a {}-byte key, {}-byte value reopened", key.len(), value.len());
+                    assert_eq!(db.get(key).as_deref(), Some(value));
+                    db.flush().unwrap();
+                }
+                Err(e) => assert!(!ok && matches!(e, MemtreeError::Corruption { .. }), "{e:?}"),
+            }
+        }
     }
 }

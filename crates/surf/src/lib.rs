@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+use memtree_common::codec::{put_words, Reader};
 use memtree_common::error::{MemtreeError, Result};
 use memtree_common::hash::hash64;
 use memtree_common::traits::{PointFilter, RangeFilter};
@@ -245,50 +246,29 @@ impl Surf {
         };
         out.extend_from_slice(&[tag, a, b]);
         out.extend_from_slice(&(self.suffixes.words().len() as u64).to_le_bytes());
-        for &w in self.suffixes.words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        put_words(out, self.suffixes.words());
         self.trie.serialize(out);
     }
 
     /// Rebuilds a filter from a [`Surf::serialize`] image. Structural
     /// damage anywhere (truncated body, inconsistent suffix store, trie
-    /// image corruption) is a typed `Corruption` error; a returned filter
-    /// behaves identically to the one that was serialized.
+    /// image corruption, as [`LoudsTrie::deserialize`] checks it) is a
+    /// typed `Corruption` error. An image read back unchanged behaves
+    /// identically to the filter that was serialized.
     pub fn deserialize(buf: &[u8]) -> Result<Self> {
         const CTX: &str = "surf-image";
         let bad = |what: &str| MemtreeError::corruption(CTX, what.to_string());
-        let need = |buf: &[u8], at: usize, n: usize| {
-            if buf.len() - at < n {
-                Err(bad("truncated body"))
-            } else {
-                Ok(())
-            }
-        };
-        need(buf, 0, 3)?;
-        let config = match (buf[0], buf[1], buf[2]) {
+        let mut r = Reader::new(buf);
+        let config = match (r.u8(CTX)?, r.u8(CTX)?, r.u8(CTX)?) {
             (0, 0, 0) => SuffixConfig::None,
             (1, h @ 1..=32, 0) => SuffixConfig::Hash(h),
             (2, r @ 1..=32, 0) => SuffixConfig::Real(r),
             (3, h @ 1..=32, r @ 1..=32) if h + r <= 64 => SuffixConfig::Mixed(h, r),
             _ => return Err(bad("unknown suffix config")),
         };
-        let mut at = 3;
-        let u64_at = |buf: &[u8], at: &mut usize| -> Result<u64> {
-            need(buf, *at, 8)?;
-            let v = u64::from_le_bytes(buf[*at..*at + 8].try_into().unwrap());
-            *at += 8;
-            Ok(v)
-        };
-        let nwords = u64_at(buf, &mut at)? as usize;
-        if nwords > (buf.len() - at) / 8 {
-            return Err(bad("suffix store larger than image"));
-        }
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(u64_at(buf, &mut at)?);
-        }
-        let trie = LoudsTrie::deserialize(&buf[at..])?;
+        let nwords = r.u64(CTX)?;
+        let words = r.words(nwords, CTX)?;
+        let trie = LoudsTrie::deserialize(r.rest())?;
         let suffixes = PackedBits::from_words(config.total_bits(), trie.num_values(), words)
             .ok_or_else(|| bad("suffix store length disagrees with trie values"))?;
         Ok(Self {

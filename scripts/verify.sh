@@ -64,6 +64,10 @@ cargo test -q --offline -p memtree-lsm --test wal_frames
 echo "== crash + scrub oracles + Db/DbSnapshot read-path differential over seeds 0..64 (the range CI's four fault shards cover; leveled+tiered by seed parity, offline) =="
 MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --test crash_oracle --test scrub_oracle --test publish
 
+echo "== decoder sweeps over seeds 0..64 (re-sealed manifest / filter-image / WAL mutations behind Db::open; SuRF, trie and Bloom images cut, flipped and overwritten; debug profile, offline) =="
+MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-lsm --lib decode_sweep
+MEMTREE_FAULT_SEEDS=0..64 cargo test -q --offline -p memtree-surf --test image_sweep
+
 echo "== cargo clippy --workspace --all-targets -D warnings (offline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
