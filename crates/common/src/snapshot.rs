@@ -41,18 +41,24 @@ impl<T> SnapshotCell<T> {
             .clone()
     }
 
-    /// Publishes a new snapshot, returning the new epoch.
+    /// Publishes a new snapshot, returning the new epoch. The replaced
+    /// snapshot is dropped after the write lock is released.
     pub fn publish(&self, next: T) -> u64 {
-        self.swap(Arc::new(next))
+        self.swap(Arc::new(next)).0
     }
 
-    /// Publishes an already-`Arc`ed snapshot, returning the new epoch.
-    pub fn swap(&self, next: Arc<T>) -> u64 {
+    /// Publishes an already-`Arc`ed snapshot, returning the new epoch and
+    /// the snapshot it replaced. The write lock is released before this
+    /// returns, so dropping the replaced snapshot — which may free what
+    /// only it held — never happens under it; a caller that holds locks
+    /// of its own can drop it after releasing them.
+    pub fn swap(&self, next: Arc<T>) -> (u64, Arc<T>) {
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-        *slot = next;
+        let replaced = std::mem::replace(&mut *slot, next);
         // The epoch bump happens under the write lock, so epochs observed
         // through `load` + `epoch` are monotone per snapshot.
-        self.epoch.fetch_add(1, Ordering::Release) + 1
+        let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
+        (epoch, replaced)
     }
 
     /// The number of `publish`/`swap` calls so far (0 before the first).
@@ -85,6 +91,18 @@ mod tests {
         assert_eq!(e, 1);
         assert_eq!(cell.epoch(), 1);
         assert_eq!(*cell.load(), vec![1, 2]);
+    }
+
+    #[test]
+    fn swap_hands_back_the_replaced_snapshot() {
+        let cell = SnapshotCell::new(String::from("v0"));
+        let first = cell.load();
+        let (epoch, replaced) = cell.swap(Arc::new(String::from("v1")));
+        assert_eq!(epoch, 1);
+        assert!(Arc::ptr_eq(&replaced, &first), "the previous snapshot comes back");
+        assert_eq!(*cell.load(), "v1", "the cell already serves the new one");
+        drop((first, replaced));
+        assert_eq!(cell.swap(Arc::new(String::from("v2"))).1.as_str(), "v1");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! buffer — a small dynamic stage in front of two compact static runs.
 //!
 //! * The **buffer** holds every key written since the last merge, sorted,
-//!   over one byte arena: a write appends its bytes and puts its key's row
-//!   in place (a memmove of under [`BUFFER_KEYS`] rows); an overwrite
-//!   appends only the value and repoints the row.
+//!   over one byte arena: a write appends its key and value as one string
+//!   and puts its key's row in place (a memmove of under [`BUFFER_KEYS`]
+//!   rows of 16 bytes); an overwrite appends both again and repoints the
+//!   row.
 //! * The **young run** is one immutable [`Run`] behind an `Arc`: what the
 //!   buffer merged since the young run last merged into the stage, at
 //!   most [`YOUNG_KEYS`] + [`BUFFER_KEYS`] entries.
@@ -21,22 +22,46 @@
 //! run write it with [`Run::collect`]. An insert that does
 //! not merge allocates nothing, and only about one insert in
 //! [`YOUNG_KEYS`] copies the stage.
+//!
 //! [`crate::Db`] reads its live `MemTable`, each [`crate::DbSnapshot`] a
 //! frozen copy ([`MemTable::freeze`]); both walk the two runs newest first
-//! ([`MemTable::runs`]).
+//! ([`MemTable::runs`]). A frozen copy shares the runs by pointer and the
+//! buffer's bytes through a [`Shelf`]: set-once slots the writer seals
+//! its new bytes into, one slot per freeze that finds any, and that every
+//! frozen copy cut since the shelf's last renewal reads. A freeze copies
+//! the rows and the bytes written since the last freeze — one entry's
+//! bytes when a served shard publishes after every write — and never a
+//! byte an earlier freeze sealed. The writer keeps reading and merging
+//! its own arena, so merges stay one contiguous pass.
+//!
+//! The shelf renews when the young run merges into the stage and when a
+//! flush seals the buffer — both already the far tail of the write path,
+//! and both leave the buffer empty — or, with rows still buffered, when
+//! its slots run out (the next freeze then seals the live arena once
+//! more, into slot 0 of the new shelf). A renewal reuses the shelf in
+//! place when no frozen copy holds it; otherwise the old one is freed
+//! with the last copy that holds it. So the writer's shelf holds each
+//! byte inserted since the last flush at most once (a re-sealed arena
+//! was written after the last buffer merge, and the old shelf kept its
+//! earlier copy): in a [`crate::Db`], at most one MemTable fill
+//! (`memtable_bytes` plus one write), since every insert adds at least
+//! its bytes to the count that triggers a flush.
 
 use crate::merge::{newest_wins, Head};
 use crate::run::{EntryRef, Run};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Buffered keys at which the buffer merges into a new young run. A
-/// served shard copies the buffer to publish after nearly every write and
-/// a merge copies the young run (on average ~[`YOUNG_KEYS`] / 2 entries),
-/// so a write costs ~`Y / 2B + stage / Y + B / 2` entry copies with the
-/// young-to-stage merges (`Y` = [`YOUNG_KEYS`]). Of 64 / 256 / 1 024, 64
-/// ran `write_heavy` fastest (EXPERIMENTS.md, "one MemTable"); larger
-/// buffers only help a `Db` nobody snapshots.
+/// served shard publishes after nearly every write, which copies the
+/// buffer's rows (not its entries), and a merge copies the young run (on
+/// average ~[`YOUNG_KEYS`] / 2 entries), so a write costs ~`Y / 2B +
+/// stage / Y` entry copies with the young-to-stage merges (`Y` =
+/// [`YOUNG_KEYS`]) plus ~`B / 2` row copies. Of 64 / 256 / 1 024, 64 ran
+/// `write_heavy` fastest when a publish still copied every buffered entry
+/// (EXPERIMENTS.md, "one MemTable"); it also bounds the rows a publish
+/// copies and the binary search every read of the buffer makes.
 pub(crate) const BUFFER_KEYS: usize = 64;
 
 /// Young-run entries at which the young run merges into a new stage, on
@@ -53,18 +78,126 @@ pub(crate) const BUFFER_KEYS: usize = 64;
 /// fill instead, putting the big copies back into the tail.
 pub(crate) const YOUNG_KEYS: usize = 512;
 
-/// `start..end` of a byte string in a buffer's arena.
-type Span = (u32, u32);
+/// Slots of a new shelf at the least; a renewal that finds the shelf
+/// shared sizes the new one at twice the slots the old one sealed.
+const SHELF_SLOTS: usize = 64;
+
+/// A buffered key's row: its key bytes, then its value bytes, as one
+/// string from `start` in the arena of the buffer generation that wrote
+/// it, and the [`Shelf`] slot that holds that string once a freeze has
+/// sealed it.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    start: u32,
+    slot: u32,
+    key_len: u32,
+    /// The value's length, [`TOMBSTONE`] for a delete.
+    value_len: u32,
+}
+
+/// [`Row::value_len`] of a delete tombstone; [`pos`] never returns it.
+const TOMBSTONE: u32 = u32::MAX;
+
+impl Row {
+    fn value_len(self) -> Option<usize> {
+        (self.value_len != TOMBSTONE).then_some(self.value_len as usize)
+    }
+
+    /// Key and value bytes.
+    fn len(self) -> usize {
+        self.key_len as usize + self.value_len().unwrap_or(0)
+    }
+}
+
+/// A sealed slot: the arena offset its bytes began at, and the bytes.
+type Sealed = (u32, Box<[u8]>);
+
+/// Set-once storage for the bytes of the write buffer that frozen copies
+/// read. See the module docs.
+#[derive(Debug)]
+pub(crate) struct Shelf {
+    slots: Box<[OnceLock<Sealed>]>,
+    /// Slots sealed so far. Only the writer reads or moves it, on one
+    /// thread (`Db` is not `Sync`); a frozen copy reads only slots its
+    /// rows name, each published by its `OnceLock`. So `Relaxed` suffices.
+    sealed: AtomicUsize,
+}
+
+impl Shelf {
+    fn new(slots: usize) -> Self {
+        Self { slots: (0..slots).map(|_| OnceLock::new()).collect(), sealed: AtomicUsize::new(0) }
+    }
+
+    fn sealed(&self) -> usize {
+        self.sealed.load(Ordering::Relaxed)
+    }
+
+    fn full(&self) -> bool {
+        self.sealed() == self.slots.len()
+    }
+
+    /// The key and value bytes of `row`, which a freeze sealed.
+    fn bytes(&self, row: Row) -> &[u8] {
+        if row.len() == 0 {
+            // An empty key without a value appended nothing, so no freeze
+            // sealed a slot for it alone.
+            return &[];
+        }
+        let (base, bytes) = self.slots[row.slot as usize].get().expect("a frozen row names a sealed slot");
+        &bytes[(row.start - base) as usize..][..row.len()]
+    }
+
+    /// The arena offset up to which slots `first..` hold a generation's
+    /// bytes: where the last of them ends, 0 when there is none.
+    fn sealed_to(&self, first: usize) -> usize {
+        let last = self.sealed().checked_sub(1).filter(|&last| last >= first);
+        let end = |(base, bytes): &Sealed| *base as usize + bytes.len();
+        last.map_or(0, |last| end(self.slots[last].get().expect("sealed")))
+    }
+
+    /// Seals `bytes`, which begin at arena offset `base`, into the next
+    /// slot. There is one: an insert renews a full shelf before it
+    /// appends, and only an insert leaves bytes to seal.
+    fn seal(&self, base: usize, bytes: &[u8]) {
+        let slot = self.sealed();
+        let fresh = self.slots[slot].set((pos(base), bytes.into())).is_ok();
+        assert!(fresh, "only the writer seals, one slot at a time");
+        self.sealed.store(slot + 1, Ordering::Relaxed);
+    }
+
+    /// Empties the slots (this frees what they hold) for reuse.
+    fn clear(&mut self) {
+        let sealed = std::mem::take(self.sealed.get_mut());
+        self.slots[..sealed].iter_mut().for_each(|slot| drop(slot.take()));
+    }
+}
+
+/// Converts an arena offset or length into a stored one.
+fn pos(p: usize) -> u32 {
+    u32::try_from(p).ok().filter(|&p| p != TOMBSTONE).expect("a write buffer stays under 4 GiB")
+}
 
 /// The write buffer. See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Buffer {
-    /// Key and value bytes in write order; bytes an overwrite replaced
-    /// stay until the next merge.
+    /// The writer's key and value bytes of this generation, in write
+    /// order; bytes an overwrite replaced stay until the next merge. A
+    /// frozen copy's is empty: it reads its bytes from `shelf`.
     arena: Vec<u8>,
-    /// One row per key, in key order: the key, and the value (`None` = a
-    /// delete tombstone).
-    rows: Vec<(Span, Option<Span>)>,
+    /// One row per key, in key order.
+    rows: Vec<Row>,
+    /// The slots freezes seal this buffer's bytes into.
+    shelf: Arc<Shelf>,
+    /// The writer's first slot of this generation: slots from here on
+    /// hold the arena's bytes up to [`Shelf::sealed_to`]. `None` in a
+    /// frozen copy.
+    first: Option<usize>,
+}
+
+impl Default for Buffer {
+    fn default() -> Self {
+        Self { arena: Vec::new(), rows: Vec::new(), shelf: Arc::new(Shelf::new(SHELF_SLOTS)), first: Some(0) }
+    }
 }
 
 impl Buffer {
@@ -72,21 +205,30 @@ impl Buffer {
         self.rows.len()
     }
 
-    fn bytes(&self, (start, end): Span) -> &[u8] {
-        &self.arena[start as usize..end as usize]
+    /// The key and value bytes of `row`.
+    fn bytes(&self, row: Row) -> &[u8] {
+        match self.first {
+            Some(_) => &self.arena[row.start as usize..][..row.len()],
+            None => self.shelf.bytes(row),
+        }
+    }
+
+    fn key_of(&self, row: Row) -> &[u8] {
+        &self.bytes(row)[..row.key_len as usize]
     }
 
     pub(crate) fn key(&self, i: usize) -> &[u8] {
-        self.bytes(self.rows[i].0)
+        self.key_of(self.rows[i])
     }
 
     pub(crate) fn entry(&self, i: usize) -> EntryRef<'_> {
-        let (key, value) = self.rows[i];
-        (self.bytes(key), value.map(|v| self.bytes(v)))
+        let row = self.rows[i];
+        let (key, value) = self.bytes(row).split_at(row.key_len as usize);
+        (key, row.value_len().map(|_| value))
     }
 
     fn search(&self, key: &[u8]) -> Result<usize, usize> {
-        self.rows.binary_search_by(|&(k, _)| self.bytes(k).cmp(key))
+        self.rows.binary_search_by(|&row| self.key_of(row).cmp(key))
     }
 
     /// Index of the first row with a key `>= key` (`len()` when none).
@@ -94,35 +236,67 @@ impl Buffer {
         self.search(key).unwrap_or_else(|i| i)
     }
 
-    fn append(&mut self, bytes: &[u8]) -> Span {
-        let start = self.arena.len();
-        self.arena.extend_from_slice(bytes);
-        let pos = |p: usize| u32::try_from(p).expect("a write buffer stays under 4 GiB");
-        (pos(start), pos(self.arena.len()))
-    }
-
     /// `(rows, key bytes, value bytes)` of the live rows.
     fn sizes(&self) -> (usize, usize, usize) {
-        let width = |(start, end): Span| (end - start) as usize;
-        let (keys, values) = self.rows.iter().fold((0, 0), |(k, v), &(key, value)| (k + width(key), v + value.map_or(0, width)));
+        let (keys, values) =
+            self.rows.iter().fold((0, 0), |(k, v), row| (k + row.key_len as usize, v + row.value_len().unwrap_or(0)));
         (self.len(), keys, values)
     }
 
-    /// Empties the buffer, keeping its capacity.
-    fn clear(&mut self) {
+    /// Empties the buffer, keeping its capacity; with `renew`, the shelf
+    /// starts over too.
+    fn clear(&mut self, renew: bool) {
         self.arena.clear();
         self.rows.clear();
+        self.first = Some(self.shelf.sealed());
+        if renew && self.shelf.sealed() > 0 {
+            self.renew();
+        }
     }
 
-    fn insert(&mut self, key: &[u8], value: Option<&[u8]>) {
-        let value = value.map(|v| self.append(v));
-        match self.search(key) {
-            Ok(i) => self.rows[i].1 = value,
-            Err(i) => {
-                let key = self.append(key);
-                self.rows.insert(i, (key, value));
-            }
+    /// Starts the shelf over — in place when no frozen copy shares it,
+    /// else as a new one — and points the rows at its first slot, which
+    /// the next freeze seals the whole arena into.
+    fn renew(&mut self) {
+        match Arc::get_mut(&mut self.shelf) {
+            Some(shelf) => shelf.clear(),
+            None => self.shelf = Arc::new(Shelf::new((2 * self.shelf.sealed()).max(SHELF_SLOTS))),
         }
+        self.rows.iter_mut().for_each(|row| row.slot = 0);
+        self.first = Some(0);
+    }
+
+    /// Appends the key and then the value (none for a tombstone) to the
+    /// arena, for the next freeze to seal into the shelf's next slot, and
+    /// puts the key's row in place or repoints it.
+    fn insert(&mut self, key: &[u8], value: Option<&[u8]>) {
+        debug_assert!(self.first.is_some(), "a frozen copy takes no writes");
+        if self.shelf.full() {
+            self.renew();
+        }
+        let row = Row {
+            start: pos(self.arena.len()),
+            slot: pos(self.shelf.sealed()),
+            key_len: pos(key.len()),
+            value_len: value.map_or(TOMBSTONE, |v| pos(v.len())),
+        };
+        self.arena.extend_from_slice(key);
+        self.arena.extend_from_slice(value.unwrap_or_default());
+        match self.search(key) {
+            Ok(i) => self.rows[i] = row,
+            Err(i) => self.rows.insert(i, row),
+        }
+    }
+
+    /// A frozen copy: the rows, and the shelf after sealing the bytes
+    /// written since the last freeze into its next slot.
+    fn freeze(&self) -> Buffer {
+        let first = self.first.expect("a frozen copy is frozen already");
+        let from = self.shelf.sealed_to(first);
+        if from < self.arena.len() {
+            self.shelf.seal(from, &self.arena[from..]);
+        }
+        Buffer { arena: Vec::new(), rows: self.rows.clone(), shelf: Arc::clone(&self.shelf), first: None }
     }
 }
 
@@ -194,28 +368,31 @@ impl MemTable {
 
     /// Merges the buffer into a new young run and empties it; a young run
     /// of [`YOUNG_KEYS`] entries or more first merges into a new stage, and
-    /// the buffer then becomes the young run on its own. Allocates each new
-    /// run (bytes, offsets, `Arc`) and nothing else.
+    /// the buffer then becomes the young run on its own, and the shelf
+    /// renews. Allocates each new run (bytes, offsets, `Arc`), and a new
+    /// shelf when a frozen copy holds the old one, and nothing else.
     fn merge_buffer(&mut self) {
         let [young, stage] = &mut self.runs;
         let empty = Run::default();
-        let older = if young.len() < YOUNG_KEYS {
-            &**young
-        } else {
+        let promote = young.len() >= YOUNG_KEYS;
+        let older = if promote {
             *stage = Arc::new(merge(Walk::run(young), stage));
             &empty
+        } else {
+            &**young
         };
         *young = Arc::new(merge(Walk::Buffer(&self.buffer, 0..self.buffer.len()), older));
-        self.buffer.clear();
+        self.buffer.clear(promote);
     }
 
     /// Merges the buffer into a new young run, whatever the young run's
-    /// size, and returns both runs: what a flush writes ([`flushed`]).
+    /// size, renews the shelf, and returns both runs: what a flush writes
+    /// ([`flushed`]).
     pub(crate) fn seal(&mut self) -> [Arc<Run>; 2] {
         if self.buffer.len() > 0 {
             self.runs[0] = Arc::new(merge(Walk::Buffer(&self.buffer, 0..self.buffer.len()), &self.runs[0]));
-            self.buffer.clear();
         }
+        self.buffer.clear(true);
         self.runs.clone()
     }
 
@@ -236,16 +413,11 @@ impl MemTable {
     }
 
     /// A frozen copy for a snapshot: the two runs shared by pointer, the
-    /// buffer's live rows copied into an arena of exactly their size. Two
-    /// allocations (arena and rows) for a non-empty buffer.
+    /// buffer's rows copied, and its bytes shared through the shelf, after
+    /// sealing those written since the last freeze ([`Buffer::freeze`]).
+    /// Allocates the rows, and one slot when there were new bytes.
     pub(crate) fn freeze(&self) -> MemTable {
-        let Buffer { arena, rows } = &self.buffer;
-        let width = |(start, end): Span| (end - start) as usize;
-        let size = rows.iter().map(|&(k, v)| width(k) + v.map_or(0, width)).sum();
-        let mut copy = Buffer { arena: Vec::with_capacity(size), rows: Vec::new() };
-        let mut to_copy = |span: Span| copy.append(&arena[span.0 as usize..span.1 as usize]);
-        copy.rows = rows.iter().map(|&(k, v)| (to_copy(k), v.map(&mut to_copy))).collect();
-        MemTable { buffer: copy, runs: self.runs.clone() }
+        MemTable { buffer: self.buffer.freeze(), runs: self.runs.clone() }
     }
 }
 
@@ -270,6 +442,14 @@ mod tests {
         mem.runs = [Arc::default(), Arc::new(merge(Walk::run(&young), &stage))];
     }
 
+    /// What a flush of `mem` would write, merged without sealing it (a
+    /// frozen copy takes no writes).
+    fn contents(mem: &MemTable) -> Vec<EntryRef<'_>> {
+        let (buffer, [young, stage]) = (&mem.buffer, &mem.runs);
+        let buffered = Walk::Buffer(buffer, 0..buffer.len());
+        newest_wins([Head::new(buffered), Head::new(Walk::run(young)), Head::new(Walk::run(stage))]).collect()
+    }
+
     /// Every read of `mem` against `model`: point reads of every model key
     /// and of absent ones, what a flush would write, `range`.
     fn agrees(mem: &MemTable, model: &Model) -> std::result::Result<(), String> {
@@ -279,10 +459,9 @@ mod tests {
         check_eq!(mem.get(b"absent"), None);
         check!(mem.buffer.len() < BUFFER_KEYS, "a full buffer was not merged");
         check!(mem.runs[0].len() < YOUNG_KEYS + BUFFER_KEYS, "the young run outgrew its bound");
-        let runs = mem.freeze().seal();
         let want: Vec<EntryRef<'_>> =
             model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())).collect();
-        check_eq!(flushed(&runs).collect::<Vec<_>>(), want);
+        check_eq!(contents(mem), want);
         let ends = model.keys().next().zip(model.keys().next_back());
         check_eq!(mem.range(), ends.map(|(lo, hi)| (lo.clone(), hi.clone())));
         Ok(())
@@ -484,7 +663,7 @@ mod tests {
     /// Once the buffer's arena and rows have grown, an insert that does not
     /// merge allocates nothing, across merges; a buffer merge allocates the
     /// new young run only, a young-to-stage merge the new stage on top; a
-    /// frozen copy, its arena and rows.
+    /// frozen copy, its rows and the slot it seals the new entry into.
     #[test]
     fn steady_state_inserts_allocate_nothing() {
         let mut mem = MemTable::default();
@@ -511,9 +690,81 @@ mod tests {
         }
         assert_eq!(promotions, 1);
         put(&mut mem);
-        let (frozen, allocations, _) = measure(|| mem.freeze());
-        assert_eq!(allocations, 2, "arena, rows");
-        assert_eq!(frozen.buffer.arena.capacity(), keys[0].len() + value.len());
+        let (frozen, allocations, largest) = measure(|| mem.freeze());
+        assert_eq!(allocations, 2, "rows, slot");
+        assert_eq!(largest, keys[0].len() + value.len(), "the slot holds the one buffered entry");
+        assert_eq!(frozen.get(&keys[keys.len() - 1]), Some(Some(&value[..])));
+    }
+
+    /// Bytes a frozen copy's rows take.
+    fn rows_bytes(mem: &MemTable) -> usize {
+        mem.buffer.len() * std::mem::size_of::<Row>()
+    }
+
+    /// A publish over 63 entries that earlier publishes shared requests
+    /// the rows only, whatever the values' size; a publish after one new
+    /// write or one overwrite requests that write's bytes on top, and no
+    /// more.
+    #[test]
+    fn a_publish_copies_the_rows_and_only_the_unshared_bytes() {
+        let mut shared = Vec::new();
+        for value in [[7u8; 100].as_slice(), &[7u8; 1000]] {
+            let mut mem = MemTable::default();
+            for i in 0..BUFFER_KEYS - 2 {
+                mem.insert(&key(i), Some(value));
+                drop(mem.freeze());
+            }
+            mem.insert(&key(BUFFER_KEYS), Some(value));
+            let (_, new) = requested(|| mem.freeze());
+            assert_eq!(new, rows_bytes(&mem) + key(0).len() + value.len(), "one new entry");
+            let (frozen, again) = requested(|| mem.freeze());
+            assert_eq!(again, rows_bytes(&mem), "a publish over {} shared entries", mem.buffer.len());
+            shared.push(again);
+            mem.insert(&key(3), Some(b"over"));
+            let (_, over) = requested(|| mem.freeze());
+            assert_eq!(over, rows_bytes(&mem) + key(3).len() + 4, "one overwrite, its key appended again");
+            assert_eq!(frozen.get(&key(3)), Some(Some(value)), "an earlier copy keeps its value");
+        }
+        assert_eq!(shared[0], shared[1], "no entry byte is copied");
+    }
+
+    /// A served shard's fill (as in the test below), published after every
+    /// insert with the last frozen copy held, as a shard's published
+    /// snapshot holds it. Every publish copies the rows and at most the
+    /// one new entry — or, once after a shelf ran out of slots, the live
+    /// arena — and the writer's shelf holds no more than what was inserted
+    /// since it last renewed plus that arena and its slots: here at most a
+    /// young run and two buffers' worth, far under one MemTable fill.
+    #[test]
+    fn a_served_fill_shares_each_entry_once() {
+        let n = 2240;
+        let value = [7u8; 100];
+        let entry = 16 + value.len();
+        let slot = std::mem::size_of::<OnceLock<Sealed>>();
+        let mut mem = MemTable::default();
+        let mut held = mem.freeze();
+        let (mut since, mut most) = (0, 0);
+        for i in 0..n {
+            let k = format!("key-{:012}", i * 7919 % n);
+            // `held` keeps the old shelf alive, so a new one has a new address.
+            let (old, arena) = (Arc::as_ptr(&mem.buffer.shelf), mem.buffer.arena.len());
+            mem.insert(k.as_bytes(), Some(&value));
+            let (frozen, bytes) = requested(|| mem.freeze());
+            held = frozen;
+            let shelf = &mem.buffer.shelf;
+            let renewed = !std::ptr::eq(old, Arc::as_ptr(shelf));
+            since = if renewed { 0 } else { since } + entry;
+            // A renewal with rows left re-seals the arena they lie in.
+            let resealed = if renewed && mem.buffer.len() > 0 { arena } else { 0 };
+            let copied = resealed + entry.min(mem.buffer.arena.len());
+            assert_eq!(bytes, rows_bytes(&mem) + copied, "insert {i}");
+            let sealed_bytes = (0..shelf.sealed()).map(|s| shelf.slots[s].get().unwrap().1.len()).sum::<usize>();
+            assert!(sealed_bytes <= since + BUFFER_KEYS * entry, "insert {i}: {sealed_bytes} B sealed");
+            most = most.max(sealed_bytes + shelf.slots.len() * slot);
+        }
+        assert_eq!(held.get(b"key-000000000000"), Some(Some(&value[..])));
+        let bound = (YOUNG_KEYS + 2 * BUFFER_KEYS) * (entry + 2 * slot);
+        assert!(most <= bound && bound < n * entry, "the shelf held {most} B, over {bound} B");
     }
 
     /// A served shard's fill: 2 240 distinct 16-byte keys with 100-byte

@@ -9,17 +9,22 @@
 //! never wait for writers; the only shared mutable state is the striped
 //! block cache, locked per stripe for microseconds at a time.
 //!
-//! ## Publishing costs O(write buffer), not O(MemTable)
+//! ## Publishing costs the buffer's rows and one write's bytes
 //!
 //! A serving shard republishes after almost every write, so a snapshot
-//! must not copy the MemTable. It copies only the [`MemTable`]'s small
-//! write buffer, into an arena of exactly its live bytes, and shares the
-//! young run and the static stage by pointer ([`MemTable::freeze`]); the
-//! writer rebuilds the young run when the buffer fills, and the stage
-//! about once per [`YOUNG_KEYS`](crate::memtable::YOUNG_KEYS) new keys. The level structure and the
-//! quarantine set are shared the same way, behind one `Arc`
-//! ([`TableSet`]) that is rebuilt only after a flush, compaction, scrub or
-//! quarantine.
+//! must not copy the MemTable, nor even its write buffer's entries. It
+//! copies the [`MemTable`]'s buffer rows (the small index tuples, under
+//! [`BUFFER_KEYS`](crate::memtable::BUFFER_KEYS) of them) and shares the
+//! buffered bytes through set-once slots that the writer seals whatever
+//! it wrote since the last snapshot into — one entry when a snapshot
+//! follows every write, and no byte an earlier snapshot shared — while
+//! the young run and the static stage are shared by pointer
+//! ([`MemTable::freeze`]). The writer rebuilds the young run when the
+//! buffer fills, and the stage about once per
+//! [`YOUNG_KEYS`](crate::memtable::YOUNG_KEYS) new keys, when the slots
+//! also start over. The level structure and the quarantine set are
+//! shared the same way, behind one `Arc` ([`TableSet`]) that is rebuilt
+//! only after a flush, compaction, scrub or quarantine.
 //!
 //! Retired tables stay alive as long as any snapshot holds their `Arc`
 //! (the `Db` parks them in a graveyard and releases their blocks only
@@ -75,8 +80,10 @@ pub struct DbSnapshot {
 impl Db {
     /// Freezes the current state into an immutable [`DbSnapshot`] that
     /// other threads can read while this `Db` keeps writing. Cost is one
-    /// copy of the MemTable's write buffer (a bounded number of keys) plus
-    /// a handful of `Arc` bumps — not the MemTable or the number of tables.
+    /// copy of the MemTable's buffer rows (a bounded number of keys), one
+    /// copy of the bytes written since the last snapshot, and a handful of
+    /// `Arc` bumps — not the MemTable, its buffered entries or the number
+    /// of tables.
     pub fn snapshot(&self) -> DbSnapshot {
         DbSnapshot {
             mem: self.mem.freeze(),
@@ -258,7 +265,8 @@ mod tests {
     }
 
     /// The hot-path vectors are sized once: a scan allocates its rows plus
-    /// a constant, and a publish allocates the write buffer's copy —
+    /// a constant, and a publish allocates the write buffer's rows and one
+    /// slot for the bytes no earlier publish shared —
     /// neither grows anything by doubling (the ladders of freed odd-sized
     /// chunks that doubling leaves behind are what made served scans
     /// bimodal, see `SCAN_RESERVE_ROWS`).
@@ -272,7 +280,7 @@ mod tests {
             db.put(&encode_u64(i), &[7u8; 100]).unwrap();
         }
         let (snap, publish_allocs, _) = measure(|| db.snapshot());
-        assert_eq!(publish_allocs, 2, "buffer copy: arena, rows");
+        assert_eq!(publish_allocs, 2, "rows, one slot for the 40 new entries");
         for rows in [1usize, 10, 40] {
             let (got, allocs, _) = measure(|| snap.scan_from(&encode_u64(0), None, rows));
             assert_eq!(got.len(), rows);

@@ -1,6 +1,7 @@
 //! Publish differential: `Db::snapshot()` hands out the MemTable's shared
-//! young run and stage plus a copy of the write buffer and a shared table
-//! set, rebuilt at different times.
+//! young run and stage, a copy of the write buffer's rows over its bytes
+//! in shared set-once slots, and a shared table set, each rebuilt or
+//! renewed at different times.
 //! Whatever the sharing, every snapshot must read exactly what the
 //! database held *at the instant it was taken*, and keep reading that
 //! while the database moves on underneath it.
@@ -180,6 +181,81 @@ fn every_snapshot_reads_its_own_instant_forever() {
 #[test]
 fn every_snapshot_reads_its_own_instant_across_young_run_merges() {
     differential("publish_differential_wide", WIDE);
+}
+
+/// The serving cadence: a snapshot after every write, as a shard
+/// publishes one. The last `KEEP` snapshots stay held (readers of a shard
+/// hold the ones published just before theirs), and so does one cut early
+/// on, while the first slots it shares are still the writer's; every
+/// held snapshot is re-read against its own model at every step, on the
+/// keys just written, and in full every 250 steps. In `WIDE`'s key space
+/// the writes cross buffer merges, young-run merges into the stage (where
+/// the buffer's shared slots renew), flushes, and slots running out
+/// between two renewals.
+#[test]
+fn snapshots_after_every_write_read_their_own_instant() {
+    const KEEP: usize = 8;
+    let space = WIDE.key_space;
+    for seed in seed_range() {
+        prop_check_seeded("publish_every_write", seed, 1, |g| {
+            let mut db = Db::new(DbOptions {
+                memtable_bytes: WIDE.memtable_bytes,
+                block_size: 256,
+                cache_blocks: 8,
+                l0_tables: 2,
+                filter: FilterKind::SurfReal(4),
+                compact_on_flush: g.bool(0.5),
+                ..DbOptions::default()
+            });
+            let mut model = Model::new();
+            let mut early: Option<(DbSnapshot, Model)> = None;
+            let mut held: std::collections::VecDeque<(DbSnapshot, Model)> = Default::default();
+            let mut written: Vec<Vec<u8>> = Vec::new();
+            for step in 0..2000 {
+                let k = key(g.range(0..space));
+                match g.range(0..100) {
+                    0..=69 => {
+                        let v = g.bytes_vec(0..24);
+                        db.put(&k, &v).map_err(|e| e.to_string())?;
+                        model.insert(k.clone(), v);
+                    }
+                    70..=97 => {
+                        db.delete(&k).map_err(|e| e.to_string())?;
+                        model.remove(&k);
+                    }
+                    98 => drop(db.flush().map_err(|e| e.to_string())?),
+                    _ => drop(db.compact_debt().map_err(|e| e.to_string())?),
+                }
+                written.push(k);
+                let snap = db.snapshot();
+                check_eq!(snap.seq(), db.last_seq());
+                if step == 40 {
+                    early = Some((db.snapshot(), model.clone()));
+                }
+                if held.len() == KEEP {
+                    held.pop_front();
+                }
+                held.push_back((snap, model.clone()));
+                let recent = &written[written.len().saturating_sub(KEEP + 1)..];
+                for (snap, frozen) in held.iter().chain(&early) {
+                    for k in recent {
+                        check_eq!(snap.get(k), frozen.get(k).cloned(), "step {step} get {k:?}");
+                    }
+                    if step % 250 == 249 {
+                        agrees(None, snap, frozen, g, space)?;
+                    }
+                }
+            }
+            let (snap, frozen) = early.as_ref().expect("cut at step 40");
+            agrees(Some(&db), &db.snapshot(), &model, g, space)?;
+            agrees(None, snap, frozen, g, space)?;
+            drop((early, held));
+            db.flush().map_err(|e| e.to_string())?;
+            let leaked = gc_orphans(&db.disk_handle(), &[&db]).map_err(|e| e.to_string())?;
+            check_eq!(leaked, 0, "blocks no live table references");
+            db.check_invariants().map_err(|e| e.to_string())
+        });
+    }
 }
 
 fn differential(name: &str, shape: Shape) {

@@ -96,6 +96,12 @@ use std::time::Duration;
 /// a reopen partitions keys exactly as the writer did.
 const META_FILE: &str = "serve-meta";
 
+/// Most shards a [`ShardedDb`] opens. Each shard is a whole `Db` with its
+/// own MemTable, WAL and snapshot, so a count past this is no real
+/// partitioning: a recorded one is a damaged `serve-meta`, a requested
+/// one a mistake, and both are refused before any shard opens.
+pub const MAX_SHARDS: usize = 1024;
+
 /// The answer to an operation a caught panic interrupted: the shard was
 /// reopened, and the operation (put, delete and fresh get are all
 /// idempotent) is retried.
@@ -104,8 +110,8 @@ const LOST: MemtreeError = MemtreeError::TransientIo { context: "serve-ack-lost"
 /// Configuration for a [`ShardedDb`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Number of shards. A reopen of an existing disk uses the persisted
-    /// count and ignores this field.
+    /// Number of shards, at most [`MAX_SHARDS`]. A reopen of an existing
+    /// disk uses the persisted count and ignores this field.
     pub shards: usize,
     /// Per-shard engine options. `namespace`, `wal_group_commit`,
     /// `compact_on_flush`, and `stall` are overridden by the serving
@@ -368,9 +374,10 @@ impl ShardedDb {
     /// Opens (or recovers) every shard from `disk`, runs the cross-shard
     /// orphan GC, and starts one thread, the compactor. On a disk that
     /// already holds a sharded database the persisted shard count wins
-    /// over `opts.shards`; a count that is unreadable or disagrees with
-    /// the shard namespaces on the disk is [`MemtreeError::Corruption`]
-    /// with context `"serve-meta"`.
+    /// over `opts.shards`; a count that is unreadable, over
+    /// [`MAX_SHARDS`] (recorded or requested) or disagrees with the shard
+    /// namespaces on the disk is [`MemtreeError::Corruption`] with context
+    /// `"serve-meta"`.
     pub fn open(disk: Arc<SimDisk>, opts: ServeOptions) -> Result<Self> {
         let n = Self::shard_count(&disk, opts.shards)?;
         let stall = opts
@@ -414,7 +421,8 @@ impl ShardedDb {
 
     /// The shard count this disk was partitioned with. A disk with no
     /// meta file and no shard namespace is fresh and records `requested`.
-    /// Anything else must carry a readable positive count whose shards
+    /// Anything else must carry a readable count in `1..=`[`MAX_SHARDS`]
+    /// whose shards
     /// `0..n` are exactly the namespaces present (none yet is fine: the
     /// first open wrote the count and stopped before any shard): guessing
     /// a count re-partitions the keyspace and silently hides acknowledged
@@ -426,6 +434,12 @@ impl ShardedDb {
         let raw = disk.read_file(META_FILE);
         if raw.is_empty() && present.is_empty() {
             let n = requested.max(1);
+            if n > MAX_SHARDS {
+                return Err(MemtreeError::corruption(
+                    "serve-meta",
+                    format!("{n} shards requested, over the {MAX_SHARDS} a database opens"),
+                ));
+            }
             disk.write_file_atomic(META_FILE, n.to_string().as_bytes())?;
             disk.sync();
             return Ok(n);
@@ -433,11 +447,11 @@ impl ShardedDb {
         let n = std::str::from_utf8(&raw)
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .filter(|&n| (1..=MAX_SHARDS).contains(&n))
             .ok_or_else(|| {
                 MemtreeError::corruption(
                     "serve-meta",
-                    format!("shard count unreadable: {:?}", String::from_utf8_lossy(&raw)),
+                    format!("shard count unreadable or over {MAX_SHARDS}: {:?}", String::from_utf8_lossy(&raw)),
                 )
             })?;
         if !present.is_empty() && !present.iter().copied().eq(0..n) {
@@ -679,11 +693,15 @@ impl ShardedDb {
     /// shard's snapshot so rescued data is immediately visible. Each
     /// report lists the repairs and every key range left at risk.
     pub fn scrub_all(&self) -> Result<Vec<ScrubReport>> {
-        self.each_shard(|shard, db| {
+        let scrubbed = self.each_shard(|shard, db| {
+            // A failed scrub republishes too: it may have rewritten or
+            // removed tables before it failed.
             let report = db.scrub();
-            shard.snap.swap(Arc::new(db.snapshot()));
-            report
-        })
+            let replaced = shard.snap.swap(Arc::new(db.snapshot())).1;
+            report.map(|report| (report, replaced))
+        })?;
+        // The replaced snapshots drop here, outside the shard locks.
+        Ok(scrubbed.into_iter().map(|(report, _)| report).collect())
     }
 
     /// Samples every shard's engine debt/overload counters
@@ -699,7 +717,8 @@ impl ShardedDb {
     /// explicit flush or scrub changed since. Returns each shard's
     /// snapshot epoch after the republish.
     pub fn barrier(&self) -> Result<Vec<u64>> {
-        self.each_shard(|shard, db| Ok(shard.snap.swap(Arc::new(db.snapshot()))))
+        let swapped = self.each_shard(|shard, db| Ok(shard.snap.swap(Arc::new(db.snapshot()))))?;
+        Ok(swapped.into_iter().map(|(epoch, _)| epoch).collect())
     }
 
     /// Forces a MemTable flush on every shard. The first shard error is
@@ -825,7 +844,7 @@ impl Inner {
                 Ok(reopened) => {
                     // The recovered state is a superset of the last
                     // published snapshot.
-                    shard.snap.swap(Arc::new(reopened.snapshot()));
+                    drop(shard.snap.swap(Arc::new(reopened.snapshot())));
                     *db = Some(reopened);
                     return;
                 }
@@ -840,21 +859,24 @@ impl Inner {
 
     /// One write (`value` `None` deletes) to shard `i`: applied under the
     /// shard's lock with a group-commit ticket drawn and a snapshot
-    /// published, then made durable outside the lock.
+    /// published, then made durable outside the lock, where the snapshot
+    /// it replaced is dropped too.
     fn write(&self, i: usize, key: &[u8], value: Option<&[u8]>, deadline: Deadline) -> Result<u64> {
         let shard = &self.shards[i];
         let mut ticket = 0;
+        let mut replaced = None;
         let applied = self.locked(i, |db| {
             let seq = self.apply(db, key, value, deadline)?;
             // Drawn before the publish, so a sync another writer starts
             // meanwhile covers this write too.
             ticket = self.group.ticket();
-            shard.snap.swap(Arc::new(db.snapshot()));
+            replaced = Some(shard.snap.swap(Arc::new(db.snapshot())).1);
             Ok(seq)
         });
         if applied.is_ok() {
             self.group.sync_through(&self.disk, ticket);
         }
+        drop(replaced);
         applied
     }
 
@@ -883,7 +905,8 @@ impl Inner {
     /// round robin over the flagged shards (a step that did work flags its
     /// shard again), sleeping while none is flagged. A step that merged
     /// publishes the shard's new snapshot, so readers of a shard that
-    /// takes no more writes stop probing the merged-away tables, and then
+    /// takes no more writes stop probing the merged-away tables; the
+    /// replaced snapshot drops outside the lock, and the shard's next step
     /// releases those tables' blocks once no reader holds them.
     fn compact(&self) {
         let (stop, wake) = &self.compactor;
@@ -907,14 +930,19 @@ impl Inner {
             };
             next = i + 1;
             self.shards[i].debt.store(false, Ordering::SeqCst);
+            let mut replaced = None;
             let step = self.locked(i, |db| {
+                // The previous step's replaced snapshot is gone by now.
+                db.reap_graveyard()?;
                 let merged = db.compact_debt()?;
                 if merged {
-                    self.shards[i].snap.swap(Arc::new(db.snapshot()));
-                    db.reap_graveyard()?;
+                    replaced = Some(self.shards[i].snap.swap(Arc::new(db.snapshot())).1);
                 }
                 Ok(merged)
             });
+            drop(replaced);
+            // A step that merged flags the shard again, so the next step,
+            // which may find nothing to merge, reaps what this one retired.
             if let Ok(true) = step {
                 self.flag_debt(i);
             }
@@ -1082,6 +1110,32 @@ mod tests {
     fn unparsable_shard_count_fails_open() {
         assert_meta_refused(b"\xffgarbage", 5);
         assert_meta_refused(b"", 2); // shard namespaces without a count
+    }
+
+    /// A count past `MAX_SHARDS`, recorded on a disk with no shard
+    /// namespace or requested for a fresh one, fails open typed before any
+    /// shard opens (`usize::MAX` would overflow `Vec::with_capacity`), and
+    /// leaves the disk as found.
+    #[test]
+    fn shard_counts_past_the_bound_fail_open() {
+        let opts = |shards| ServeOptions { shards, ..ServeOptions::default() };
+        let refused = |got: Result<ShardedDb>| match got {
+            Err(MemtreeError::Corruption { context: "serve-meta", .. }) => {}
+            Err(e) => panic!("expected serve-meta corruption, got {e:?}"),
+            Ok(db) => panic!("opened {} shards", db.shards()),
+        };
+        for n in [usize::MAX, MAX_SHARDS + 1] {
+            let disk = Arc::new(SimDisk::new(Duration::ZERO));
+            let meta = n.to_string().into_bytes();
+            disk.write_file_atomic(META_FILE, &meta).unwrap();
+            disk.sync();
+            refused(ShardedDb::open(Arc::clone(&disk), opts(2)));
+            assert_eq!(disk.read_file(META_FILE), meta, "a refused open must not rewrite the file");
+            assert_eq!(disk.file_names(), [META_FILE], "no shard was opened");
+            let fresh = Arc::new(SimDisk::new(Duration::ZERO));
+            refused(ShardedDb::open(Arc::clone(&fresh), opts(n)));
+            assert!(fresh.file_names().is_empty(), "a refused request writes nothing");
+        }
     }
 
     #[test]

@@ -20,9 +20,14 @@ const VALUE: &[u8] = b"value-0123456789";
 /// 3. the disk's pending append: the file name,
 /// 4. and a copy of the frame;
 /// 5. the disk's pending-op list, which the previous put's sync emptied;
-/// 6. the published snapshot's copy of the write buffer: its arena,
-/// 7. and its rows;
+/// 6. the published snapshot's copy of the write buffer's rows;
+/// 7. the shelf slot that shares the put's key and value with the
+///    snapshot (the six entries before it were sealed by earlier puts and
+///    are not copied again);
 /// 8. the `Arc` the snapshot is published in.
+///
+/// The snapshot it replaces is freed after the shard lock is released,
+/// on this thread too; freeing allocates nothing.
 #[test]
 fn uncontended_put_makes_eight_allocations_all_on_its_thread() {
     let sdb = ShardedDb::new(ServeOptions { shards: 1, ..ServeOptions::default() });
