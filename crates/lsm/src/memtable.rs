@@ -34,18 +34,20 @@
 //! byte an earlier freeze sealed. The writer keeps reading and merging
 //! its own arena, so merges stay one contiguous pass.
 //!
-//! The shelf renews when the young run merges into the stage and when a
-//! flush seals the buffer — both already the far tail of the write path,
-//! and both leave the buffer empty — or, with rows still buffered, when
-//! its slots run out (the next freeze then seals the live arena once
-//! more, into slot 0 of the new shelf). A renewal reuses the shelf in
-//! place when no frozen copy holds it; otherwise the old one is freed
-//! with the last copy that holds it. So the writer's shelf holds each
-//! byte inserted since the last flush at most once (a re-sealed arena
-//! was written after the last buffer merge, and the old shelf kept its
-//! earlier copy): in a [`crate::Db`], at most one MemTable fill
-//! (`memtable_bytes` plus one write), since every insert adds at least
-//! its bytes to the count that triggers a flush.
+//! A shelf has [`SHELF_SLOTS`] slots. It renews when the young run merges
+//! into the stage and when a flush seals the buffer — both already the
+//! far tail of the write path, and both leave the buffer empty — or, with
+//! rows still buffered, when its slots run out: the live rows' bytes then
+//! move to the front of a fresh arena, which the next freeze seals into
+//! the new shelf's first slot, and the bytes overwrites replaced are
+//! gone. A renewal reuses the shelf in place when no frozen copy holds
+//! it; otherwise the old one is freed with the last copy that holds it.
+//! So the writer's shelf holds the live rows' bytes of its last renewal
+//! and the bytes inserted since, each at most once — in a [`crate::Db`]
+//! at most one MemTable fill (`memtable_bytes` plus one write), since
+//! every insert adds at least its bytes to the count that triggers a
+//! flush — in at most [`SHELF_SLOTS`] allocations, on top of its slot
+//! array (32 B a slot, 32 KiB).
 
 use crate::merge::{newest_wins, Head};
 use crate::run::{EntryRef, Run};
@@ -78,9 +80,13 @@ pub(crate) const BUFFER_KEYS: usize = 64;
 /// fill instead, putting the big copies back into the tail.
 pub(crate) const YOUNG_KEYS: usize = 512;
 
-/// Slots of a new shelf at the least; a renewal that finds the shelf
-/// shared sizes the new one at twice the slots the old one sealed.
-const SHELF_SLOTS: usize = 64;
+/// Slots of a shelf. A served shard publishes after every write and seals
+/// one slot each time, so the shelf must outlast the writes between two
+/// young-to-stage merges, at least [`YOUNG_KEYS`] of them, for those
+/// merges to renew it rather than a full shelf on an ordinary write; and
+/// a full shelf, which then renews at most once per `SHELF_SLOTS` writes,
+/// bounds the allocations it holds (see the module docs).
+const SHELF_SLOTS: usize = 2 * YOUNG_KEYS;
 
 /// A buffered key's row: its key bytes, then its value bytes, as one
 /// string from `start` in the arena of the buffer generation that wrote
@@ -124,8 +130,8 @@ pub(crate) struct Shelf {
 }
 
 impl Shelf {
-    fn new(slots: usize) -> Self {
-        Self { slots: (0..slots).map(|_| OnceLock::new()).collect(), sealed: AtomicUsize::new(0) }
+    fn new() -> Self {
+        Self { slots: (0..SHELF_SLOTS).map(|_| OnceLock::new()).collect(), sealed: AtomicUsize::new(0) }
     }
 
     fn sealed(&self) -> usize {
@@ -181,8 +187,9 @@ fn pos(p: usize) -> u32 {
 #[derive(Debug)]
 pub(crate) struct Buffer {
     /// The writer's key and value bytes of this generation, in write
-    /// order; bytes an overwrite replaced stay until the next merge. A
-    /// frozen copy's is empty: it reads its bytes from `shelf`.
+    /// order; bytes an overwrite replaced stay until the next merge or
+    /// renewal of the shelf. A frozen copy's is empty: it reads its bytes
+    /// from `shelf`.
     arena: Vec<u8>,
     /// One row per key, in key order.
     rows: Vec<Row>,
@@ -196,7 +203,7 @@ pub(crate) struct Buffer {
 
 impl Default for Buffer {
     fn default() -> Self {
-        Self { arena: Vec::new(), rows: Vec::new(), shelf: Arc::new(Shelf::new(SHELF_SLOTS)), first: Some(0) }
+        Self { arena: Vec::new(), rows: Vec::new(), shelf: Arc::new(Shelf::new()), first: Some(0) }
     }
 }
 
@@ -255,14 +262,23 @@ impl Buffer {
     }
 
     /// Starts the shelf over — in place when no frozen copy shares it,
-    /// else as a new one — and points the rows at its first slot, which
-    /// the next freeze seals the whole arena into.
+    /// else as a new one — and moves the live rows' bytes to the front of
+    /// a fresh arena, dropping what overwrites replaced, for the next
+    /// freeze to seal into the new shelf's first slot.
     fn renew(&mut self) {
         match Arc::get_mut(&mut self.shelf) {
             Some(shelf) => shelf.clear(),
-            None => self.shelf = Arc::new(Shelf::new((2 * self.shelf.sealed()).max(SHELF_SLOTS))),
+            None => self.shelf = Arc::new(Shelf::new()),
         }
-        self.rows.iter_mut().for_each(|row| row.slot = 0);
+        if !self.rows.is_empty() {
+            let mut arena = Vec::with_capacity(self.arena.capacity());
+            for row in &mut self.rows {
+                let bytes = &self.arena[row.start as usize..][..row.len()];
+                *row = Row { start: pos(arena.len()), slot: 0, ..*row };
+                arena.extend_from_slice(bytes);
+            }
+            self.arena = arena;
+        }
         self.first = Some(0);
     }
 
@@ -442,8 +458,9 @@ mod tests {
         mem.runs = [Arc::default(), Arc::new(merge(Walk::run(&young), &stage))];
     }
 
-    /// What a flush of `mem` would write, merged without sealing it (a
-    /// frozen copy takes no writes).
+    /// The newest version of every key of `mem`, in key order, merged
+    /// without sealing it: what a flush of a frozen copy, which takes no
+    /// writes and cannot be frozen again, would write.
     fn contents(mem: &MemTable) -> Vec<EntryRef<'_>> {
         let (buffer, [young, stage]) = (&mem.buffer, &mem.runs);
         let buffered = Walk::Buffer(buffer, 0..buffer.len());
@@ -451,7 +468,8 @@ mod tests {
     }
 
     /// Every read of `mem` against `model`: point reads of every model key
-    /// and of absent ones, what a flush would write, `range`.
+    /// and of absent ones, what a flush would write — of a live table,
+    /// through a fresh frozen copy of it — and `range`.
     fn agrees(mem: &MemTable, model: &Model) -> std::result::Result<(), String> {
         for (k, v) in model {
             check_eq!(mem.get(k), Some(v.as_deref()), "get {k:?}");
@@ -461,7 +479,15 @@ mod tests {
         check!(mem.runs[0].len() < YOUNG_KEYS + BUFFER_KEYS, "the young run outgrew its bound");
         let want: Vec<EntryRef<'_>> =
             model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())).collect();
-        check_eq!(contents(mem), want);
+        let fresh;
+        let frozen = match mem.buffer.first {
+            Some(_) => {
+                fresh = mem.freeze();
+                &fresh
+            }
+            None => mem,
+        };
+        check_eq!(contents(frozen), want);
         let ends = model.keys().next().zip(model.keys().next_back());
         check_eq!(mem.range(), ends.map(|(lo, hi)| (lo.clone(), hi.clone())));
         Ok(())
@@ -475,7 +501,8 @@ mod tests {
     /// Random puts, overwrites and deletes over a key space a few young
     /// runs wide, so writes land in the buffer, shadow both runs, and
     /// cross many buffer merges and young-to-stage merges; a frozen copy
-    /// taken on the way keeps its own state.
+    /// taken on the way keeps its own state, also after the case ends
+    /// with the seal a flush makes.
     #[test]
     fn memtable_matches_btreemap_model() {
         let mut promoted_cases = 0;
@@ -499,6 +526,10 @@ mod tests {
                     frozen = Some((mem.freeze(), model.clone()));
                 }
             }
+            agrees(&mem, &model)?;
+            let runs = mem.seal();
+            let want: Vec<EntryRef<'_>> = model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())).collect();
+            check_eq!(flushed(&runs).collect::<Vec<_>>(), want, "what a flush writes");
             agrees(&mem, &model)?;
             if let Some((snap, at)) = &frozen {
                 agrees(snap, at)?;
@@ -730,41 +761,56 @@ mod tests {
 
     /// A served shard's fill (as in the test below), published after every
     /// insert with the last frozen copy held, as a shard's published
-    /// snapshot holds it. Every publish copies the rows and at most the
-    /// one new entry — or, once after a shelf ran out of slots, the live
-    /// arena — and the writer's shelf holds no more than what was inserted
-    /// since it last renewed plus that arena and its slots: here at most a
-    /// young run and two buffers' worth, far under one MemTable fill.
+    /// snapshot holds it: 2 240 distinct keys, then as many overwrites of
+    /// 8 hot keys, which never merge the buffer, each ended by a flush's
+    /// seal. Every publish copies the rows and the one new entry — or,
+    /// right after a full shelf renewed, the live rows' bytes with it. The
+    /// writer's arena and shelf hold no more than the bytes inserted since
+    /// the shelf renewed plus a buffer; counting the slot array and an
+    /// allocation header per sealed slot, the shelf stays under one fill.
     #[test]
     fn a_served_fill_shares_each_entry_once() {
         let n = 2240;
-        let value = [7u8; 100];
-        let entry = 16 + value.len();
-        let slot = std::mem::size_of::<OnceLock<Sealed>>();
-        let mut mem = MemTable::default();
-        let mut held = mem.freeze();
-        let (mut since, mut most) = (0, 0);
-        for i in 0..n {
-            let k = format!("key-{:012}", i * 7919 % n);
-            // `held` keeps the old shelf alive, so a new one has a new address.
-            let (old, arena) = (Arc::as_ptr(&mem.buffer.shelf), mem.buffer.arena.len());
-            mem.insert(k.as_bytes(), Some(&value));
-            let (frozen, bytes) = requested(|| mem.freeze());
-            held = frozen;
-            let shelf = &mem.buffer.shelf;
-            let renewed = !std::ptr::eq(old, Arc::as_ptr(shelf));
-            since = if renewed { 0 } else { since } + entry;
-            // A renewal with rows left re-seals the arena they lie in.
-            let resealed = if renewed && mem.buffer.len() > 0 { arena } else { 0 };
-            let copied = resealed + entry.min(mem.buffer.arena.len());
-            assert_eq!(bytes, rows_bytes(&mem) + copied, "insert {i}");
-            let sealed_bytes = (0..shelf.sealed()).map(|s| shelf.slots[s].get().unwrap().1.len()).sum::<usize>();
-            assert!(sealed_bytes <= since + BUFFER_KEYS * entry, "insert {i}: {sealed_bytes} B sealed");
-            most = most.max(sealed_bytes + shelf.slots.len() * slot);
+        let entry = 16 + 100;
+        let fill = n * entry;
+        let slots = SHELF_SLOTS * std::mem::size_of::<OnceLock<Sealed>>();
+        for hot in [None, Some(8)] {
+            let mut mem = MemTable::default();
+            let mut held = mem.freeze();
+            let (mut since, mut most, mut full) = (0, 0, 0);
+            for i in 0..n {
+                let k = format!("key-{:012}", hot.map_or(i * 7919 % n, |hot| i % hot));
+                let value = [i as u8; 100];
+                // `held` keeps the old shelf alive, so a new one has a new address.
+                let (old, was_full) = (Arc::as_ptr(&mem.buffer.shelf), mem.buffer.shelf.full());
+                mem.insert(k.as_bytes(), Some(&value));
+                let (frozen, bytes) = requested(|| mem.freeze());
+                held = frozen;
+                assert_eq!(held.get(k.as_bytes()), Some(Some(&value[..])), "insert {i}");
+                let buffer = &mem.buffer;
+                let renewed = !std::ptr::eq(old, Arc::as_ptr(&buffer.shelf));
+                full += usize::from(was_full);
+                since = if renewed { 0 } else { since } + entry;
+                // A renewal leaves the live rows' bytes, the new entry's
+                // among them, for the freeze to seal.
+                let copied = if renewed { buffer.arena.len() } else { entry.min(buffer.arena.len()) };
+                assert_eq!(bytes, rows_bytes(&mem) + copied, "insert {i}");
+                assert!(buffer.arena.len() <= since + BUFFER_KEYS * entry, "insert {i}: arena of {} B", buffer.arena.len());
+                let shelf = &buffer.shelf;
+                let sealed_bytes = (0..shelf.sealed()).map(|s| shelf.slots[s].get().unwrap().1.len()).sum::<usize>();
+                assert!(sealed_bytes <= since + BUFFER_KEYS * entry, "insert {i}: {sealed_bytes} B sealed");
+                most = most.max(slots + sealed_bytes + 16 * shelf.sealed());
+            }
+            assert!(most < fill, "the shelf held {most} B, a fill is {fill} B");
+            match hot {
+                None => assert_eq!(full, 0, "young-to-stage merges renew the shelf before it fills"),
+                Some(_) => assert_eq!(full, n / SHELF_SLOTS, "an unmerged buffer renews a full shelf"),
+            }
+            let flushed = flushed(&mem.seal()).count();
+            assert_eq!((flushed, mem.buffer.shelf.sealed()), (hot.unwrap_or(n), 0), "a flush renews the shelf");
+            let last = format!("key-{:012}", hot.map_or((n - 1) * 7919 % n, |hot| (n - 1) % hot));
+            assert_eq!(held.get(last.as_bytes()), Some(Some(&[(n - 1) as u8; 100][..])));
         }
-        assert_eq!(held.get(b"key-000000000000"), Some(Some(&value[..])));
-        let bound = (YOUNG_KEYS + 2 * BUFFER_KEYS) * (entry + 2 * slot);
-        assert!(most <= bound && bound < n * entry, "the shelf held {most} B, over {bound} B");
     }
 
     /// A served shard's fill: 2 240 distinct 16-byte keys with 100-byte

@@ -190,11 +190,13 @@ fn every_snapshot_reads_its_own_instant_across_young_run_merges() {
 /// held snapshot is re-read against its own model at every step, on the
 /// keys just written, and in full every 250 steps. In `WIDE`'s key space
 /// the writes cross buffer merges, young-run merges into the stage (where
-/// the buffer's shared slots renew), flushes, and slots running out
-/// between two renewals.
+/// the buffer's shared slots renew) and flushes. The `HOT` steps follow a
+/// flush and write short values to 16 keys: the buffer never merges, and
+/// its slots run out with rows buffered, some 1 024 publishes in.
 #[test]
 fn snapshots_after_every_write_read_their_own_instant() {
     const KEEP: usize = 8;
+    const HOT: std::ops::Range<usize> = 1000..2200;
     let space = WIDE.key_space;
     for seed in seed_range() {
         prop_check_seeded("publish_every_write", seed, 1, |g| {
@@ -211,19 +213,23 @@ fn snapshots_after_every_write_read_their_own_instant() {
             let mut early: Option<(DbSnapshot, Model)> = None;
             let mut held: std::collections::VecDeque<(DbSnapshot, Model)> = Default::default();
             let mut written: Vec<Vec<u8>> = Vec::new();
-            for step in 0..2000 {
-                let k = key(g.range(0..space));
-                match g.range(0..100) {
-                    0..=69 => {
-                        let v = g.bytes_vec(0..24);
+            for step in 0..2600 {
+                let hot = HOT.contains(&step);
+                if step == HOT.start {
+                    db.flush().map_err(|e| e.to_string())?;
+                }
+                let k = key(g.range(0..if hot { 16 } else { space }));
+                match (hot, g.range(0..100)) {
+                    (_, 0..=69) => {
+                        let v = g.bytes_vec(if hot { 0..4 } else { 0..24 });
                         db.put(&k, &v).map_err(|e| e.to_string())?;
                         model.insert(k.clone(), v);
                     }
-                    70..=97 => {
+                    (true, _) | (_, 70..=97) => {
                         db.delete(&k).map_err(|e| e.to_string())?;
                         model.remove(&k);
                     }
-                    98 => drop(db.flush().map_err(|e| e.to_string())?),
+                    (_, 98) => drop(db.flush().map_err(|e| e.to_string())?),
                     _ => drop(db.compact_debt().map_err(|e| e.to_string())?),
                 }
                 written.push(k);

@@ -693,15 +693,22 @@ impl ShardedDb {
     /// shard's snapshot so rescued data is immediately visible. Each
     /// report lists the repairs and every key range left at risk.
     pub fn scrub_all(&self) -> Result<Vec<ScrubReport>> {
-        let scrubbed = self.each_shard(|shard, db| {
-            // A failed scrub republishes too: it may have rewritten or
-            // removed tables before it failed.
-            let report = db.scrub();
-            let replaced = shard.snap.swap(Arc::new(db.snapshot())).1;
-            report.map(|report| (report, replaced))
-        })?;
-        // The replaced snapshots drop here, outside the shard locks.
-        Ok(scrubbed.into_iter().map(|(report, _)| report).collect())
+        let inner = &self.inner;
+        let mut reports = Vec::with_capacity(inner.shards.len());
+        for (i, shard) in inner.shards.iter().enumerate() {
+            let mut replaced = None;
+            let report = inner.locked(i, |db| {
+                // A failed scrub republishes too: it may have rewritten or
+                // removed tables before it failed.
+                let report = db.scrub();
+                replaced = Some(shard.snap.swap(Arc::new(db.snapshot())).1);
+                report
+            });
+            // The replaced snapshot drops here, outside the shard lock.
+            drop(replaced);
+            reports.push(report?);
+        }
+        Ok(reports)
     }
 
     /// Samples every shard's engine debt/overload counters
@@ -859,8 +866,8 @@ impl Inner {
 
     /// One write (`value` `None` deletes) to shard `i`: applied under the
     /// shard's lock with a group-commit ticket drawn and a snapshot
-    /// published, then made durable outside the lock, where the snapshot
-    /// it replaced is dropped too.
+    /// published; the snapshot it replaced is dropped once the lock is
+    /// released, and the write is then made durable outside the lock.
     fn write(&self, i: usize, key: &[u8], value: Option<&[u8]>, deadline: Deadline) -> Result<u64> {
         let shard = &self.shards[i];
         let mut ticket = 0;
@@ -873,10 +880,10 @@ impl Inner {
             replaced = Some(shard.snap.swap(Arc::new(db.snapshot())).1);
             Ok(seq)
         });
+        drop(replaced);
         if applied.is_ok() {
             self.group.sync_through(&self.disk, ticket);
         }
-        drop(replaced);
         applied
     }
 
@@ -932,8 +939,10 @@ impl Inner {
             self.shards[i].debt.store(false, Ordering::SeqCst);
             let mut replaced = None;
             let step = self.locked(i, |db| {
-                // The previous step's replaced snapshot is gone by now.
-                db.reap_graveyard()?;
+                // The previous step's replaced snapshot is gone by now. A
+                // failed release does not stop this step's merge; flush and
+                // close reap too, and report their own errors.
+                let _ = db.reap_graveyard();
                 let merged = db.compact_debt()?;
                 if merged {
                     replaced = Some(self.shards[i].snap.swap(Arc::new(db.snapshot())).1);
